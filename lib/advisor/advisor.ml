@@ -71,14 +71,16 @@ let advise ?service ?(relax = 2.0) ?(derive = true) ?compress ?prune
     | None, _, _ -> None
   in
   let relaxed = int_of_float (relax *. float_of_int budget_pages) in
-  let selection =
-    Selection.select ~service:svc ?prune db workload ~budget_pages:relaxed
-  in
+  (* Both selection passes run on one context: candidates and the base
+     costing happen once, and the plain pass replays the relaxed pass's
+     rounds for free until the budget makes them diverge. *)
+  let ctx = Selection.context ~service:svc ?prune db workload in
+  let selection = Selection.run ctx ~budget_pages:relaxed in
   let merged =
     Dual.run ~service:svc ?prune db workload
       ~initial:selection.Selection.s_config ~budget_pages
   in
-  let plain = Selection.select ~service:svc ?prune db workload ~budget_pages in
+  let plain = Selection.run ctx ~budget_pages in
   let merged_wins =
     merged.Dual.d_fits
     && merged.Dual.d_final_cost <= plain.Selection.s_final_cost

@@ -14,7 +14,51 @@ type outcome = {
   s_final_cost : float;
   s_candidates : int;  (** size of the candidate pool *)
   s_optimizer_calls : int;  (** service what-if calls, this run *)
+  s_rounds : int;  (** greedy rounds that scored the remaining candidates *)
+  s_cells_recosted : int;
+      (** per-query what-if lookups made for cells an added index could
+          change *)
+  s_cells_reused : int;
+      (** per-query costs of scored candidates taken from the current
+          row or a still-valid cell, with no lookup *)
+  s_shared_evals : int;
+      (** candidate workload costs answered by an earlier pass over the
+          same {!context} *)
 }
+
+type context
+(** What the passes of one advise call share: the cost service, the
+    candidate pool (generated and pruned once), the per-query costs
+    and workload cost with no indexes, and every per-candidate
+    workload cost a pass has computed, keyed by the sequence of
+    indexes committed before it. Lives as long as the caller holds
+    it. *)
+
+val context :
+  ?service:Im_costsvc.Service.t ->
+  ?prune:Im_mine.Mine.frontier ->
+  Im_catalog.Database.t ->
+  Im_workload.Workload.t ->
+  context
+(** Generate (and, with [?prune], filter) the candidates and cost the
+    workload with no indexes. Without [?service] a private non-deriving
+    service with maintenance pricing is created. *)
+
+val run :
+  ?max_indexes:int ->
+  ?min_benefit:float ->
+  context ->
+  budget_pages:int ->
+  outcome
+(** One greedy pass at [budget_pages] over the context's candidates.
+    Exact and incremental: a candidate's cost under [C ∪ {ix}] re-costs
+    only the queries referencing [ix]'s table (every other query keeps
+    its cost under [C]), and is the same left-to-right weighted fold as
+    {!Im_costsvc.Service.workload_cost}, so the result is bit-identical
+    to re-costing the whole workload per candidate. Rounds an earlier
+    pass on the same context already scored (the same indexes
+    committed in the same order) reuse its workload costs.
+    [s_optimizer_calls] counts this pass only. *)
 
 val select :
   ?service:Im_costsvc.Service.t ->
@@ -26,10 +70,13 @@ val select :
   budget_pages:int ->
   outcome
 (** Defaults: at most 40 indexes, stop when the best candidate improves
-    workload cost by less than 0.2 % relative. [?service] shares the
-    memoizing cost service across phases (the advisor's relaxed and
-    plain selections then re-cost only configurations not seen
-    before). [?prune] filters the candidate pool through a
+    workload cost by less than 0.2 % relative. [select] is
+    {!run} on a fresh {!context}; [s_optimizer_calls] includes the
+    base costing. [?service] shares the memoizing cost service with
+    other phases. Its cache is a bounded LRU, so a second [select] on
+    the same service may re-cost configurations the first one saw: to
+    share work between passes, run them on one {!context}. [?prune]
+    filters the candidate pool through a
     frequent-itemset frontier ({!Im_mine.Mine.keep_index}): only
     candidates the workload's support threshold justifies — or that it
     never touched at all — are costed. *)

@@ -291,39 +291,20 @@ let query_cost t config q =
           (Stopwatch.elapsed_since_ns t0);
         c)
 
-let workload_cost ?query_cost:override ?pool t config w =
+(* The one weighted fold behind every workload cost: the exact
+   left-to-right [acc +. freq *. cost] of [Workload.weighted_cost], then
+   the maintenance term. [entry_cost i q] is the cost of the [i]-th
+   entry's query [q]; it is called in entry order. *)
+let combine t config w entry_cost =
   Atomic.incr t.cost_evals;
-  let per_query =
-    match override with
-    | Some f -> f config
-    | None -> query_cost t config
+  let rec fold acc i = function
+    | [] -> acc
+    | e :: rest ->
+      fold
+        (acc +. (e.Workload.freq *. entry_cost i e.Workload.query))
+        (i + 1) rest
   in
-  let queries =
-    match pool with
-    | Some p when Im_par.Pool.domain_count p > 0 ->
-      (* Per-query costs land in a flat score table (one row, one
-         column per entry): cost-sized contiguous ranges on the pool,
-         each worker writing disjoint cells. The combination is the
-         exact left-to-right weighted fold of
-         [Workload.weighted_cost] — same float operations in the same
-         order, so the sum is bit-identical to the sequential path.
-         The table is per call (callers may cost workloads
-         concurrently on a shared service), the batcher's cost
-         estimate is per service. *)
-      let entries = Array.of_list w.Workload.entries in
-      let n = Array.length entries in
-      let costs = Score_table.create ~rows:1 ~cols:n () in
-      Im_par.Pool.fill_batched p ~batcher:workload_batcher ~n (fun i ->
-          Score_table.set costs ~row:0 ~col:i
-            (per_query entries.(i).Workload.query));
-      let total = ref 0. in
-      for i = 0 to n - 1 do
-        total :=
-          !total +. (entries.(i).Workload.freq *. Score_table.get costs ~row:0 ~col:i)
-      done;
-      !total
-    | Some _ | None -> Workload.weighted_cost ~cost:per_query w
-  in
+  let queries = fold 0. 0 w.Workload.entries in
   let updates =
     match w.Workload.updates with
     | [] -> 0.
@@ -336,6 +317,32 @@ let workload_cost ?query_cost:override ?pool t config w =
             was created without ~update_cost")
   in
   queries +. updates
+
+let workload_cost ?query_cost:override ?pool t config w =
+  let per_query =
+    match override with
+    | Some f -> f config
+    | None -> query_cost t config
+  in
+  match pool with
+  | Some p when Im_par.Pool.domain_count p > 0 ->
+    (* Per-query costs land in a flat score table (one row, one column
+       per entry): cost-sized contiguous ranges on the pool, each worker
+       writing disjoint cells. The combination is the same sequential
+       fold, so the sum is bit-identical to the sequential path. The
+       table is per call (callers may cost workloads concurrently on a
+       shared service). *)
+    let entries = Array.of_list w.Workload.entries in
+    let n = Array.length entries in
+    let costs = Score_table.create ~rows:1 ~cols:n () in
+    Im_par.Pool.fill_batched p ~batcher:workload_batcher ~n (fun i ->
+        Score_table.set costs ~row:0 ~col:i
+          (per_query entries.(i).Workload.query));
+    combine t config w (fun i _ -> Score_table.get costs ~row:0 ~col:i)
+  | Some _ | None -> combine t config w (fun _ q -> per_query q)
+
+let workload_cost_by_entry t config w cost =
+  combine t config w (fun i _ -> cost i)
 
 (* ---- Invalidation ---- *)
 

@@ -100,6 +100,14 @@ val workload_cost :
     sequential fold — the result is bit-identical to the sequential
     path for any domain count. *)
 
+val workload_cost_by_entry :
+  t -> Im_catalog.Config.t -> Im_workload.Workload.t -> (int -> float) -> float
+(** [workload_cost_by_entry t config w cost] is {!workload_cost} with
+    the [i]-th entry's per-query cost supplied as [cost i] — for callers
+    that keep per-query costs of [config] themselves (incremental index
+    selection). Same fold, same maintenance term, counted as one
+    workload evaluation. *)
+
 val query_plan :
   t -> Im_catalog.Config.t -> Im_sqlir.Query.t -> Im_optimizer.Plan.t
 (** The query's full plan (for seek/scan usage analysis) — derived from

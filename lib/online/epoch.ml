@@ -69,11 +69,28 @@ let injected_delay_s =
         | Some _ | None -> 0.)
     | None -> 0.)
 
+(* Test hook: IM_EPOCH_FAIL=N makes the N-th epoch this process runs
+   raise, once — the daemon's "ERR epoch failed" / abort path is
+   exercised through it. Read once at start-up. *)
+let injected_failure =
+  match Sys.getenv_opt "IM_EPOCH_FAIL" with
+  | Some v -> (
+      match int_of_string_opt (String.trim v) with
+      | Some n when n > 0 -> Some n
+      | Some _ | None -> None)
+  | None -> None
+
+let epochs_started = Atomic.make 0
+
 let run ?pool ?compress ?prune_support service ~trigger ~live ~window
     ~budget_pages ~max_clusters =
   if Workload.size window = 0 then invalid_arg "Epoch.run: empty window";
   (let d = Lazy.force injected_delay_s in
    if d > 0. then Unix.sleepf d);
+  (match injected_failure with
+   | Some n when Atomic.fetch_and_add epochs_started 1 + 1 = n ->
+     failwith "injected epoch failure (IM_EPOCH_FAIL)"
+   | Some _ | None -> ());
   let db = Im_costsvc.Service.database service in
   let calls_before = Im_costsvc.Service.opt_calls service in
   (* Re-mine every epoch: each window gets a fresh miner, so the

@@ -232,6 +232,86 @@ let test_incremental_recosting () =
     (Service.misses svc);
   Alcotest.(check int) "t queries hit" (hits + 3) (Service.hits svc)
 
+(* ---- Relevance invariant ---- *)
+
+(* The cost-cache key, and the incremental selection's cell reuse,
+   both assume that indexes on tables a query does not reference cannot
+   change its what-if cost. Pinned on fresh services (every costing is
+   a miss, so the answer is computed, not looked up), with atomic
+   derivation on and off, for a selection, a join, and an ORDER BY
+   query that derivation routes to the full optimizer. *)
+let test_foreign_indexes_leave_cost_unchanged () =
+  let rel_schema =
+    Schema.make
+      [
+        Schema.make_table "t"
+          [ ("a", Datatype.Int); ("b", Datatype.Int); ("c", Datatype.Int) ];
+        Schema.make_table "u" [ ("x", Datatype.Int); ("y", Datatype.Int) ];
+        Schema.make_table "v" [ ("p", Datatype.Int); ("r", Datatype.Int) ];
+      ]
+  in
+  let rows_v = List.init 300 (fun i -> [| Value.Int (i mod 30); Value.Int i |]) in
+  let rdb =
+    Database.create rel_schema [ ("t", rows_t); ("u", rows_u); ("v", rows_v) ]
+  in
+  let col = Predicate.colref in
+  let join =
+    Query.make ~id:"join"
+      ~select:[ Query.Sel_col (col "t" "c"); Query.Sel_col (col "u" "y") ]
+      ~where:
+        [
+          Predicate.Join (col "t" "a", col "u" "x");
+          Predicate.Cmp (Predicate.Eq, col "t" "b", Value.Int 3);
+        ]
+      [ "t"; "u" ]
+  in
+  let ordered =
+    Query.make ~id:"ordered"
+      ~select:[ Query.Sel_col (col "t" "b"); Query.Sel_col (col "t" "c") ]
+      ~where:[ Predicate.Cmp (Predicate.Lt, col "t" "a", Value.Int 9) ]
+      ~order_by:[ (col "t" "c", Query.Asc) ]
+      [ "t" ]
+  in
+  let t_ab = Index.make ~table:"t" [ "a"; "b" ] in
+  let t_c = Index.make ~table:"t" [ "c"; "b" ] in
+  let u_x = Index.make ~table:"u" [ "x"; "y" ] in
+  let v_p = Index.make ~table:"v" [ "p" ] in
+  let v_rp = Index.make ~table:"v" [ "r"; "p" ] in
+  let u_y = Index.make ~table:"u" [ "y" ] in
+  let cases =
+    [
+      (point "t" "a" 1, [ t_ab ], [ u_x; v_p ]);
+      (join, [ t_ab; u_x ], [ v_p; v_rp ]);
+      (join, [], [ v_rp ]);
+      (ordered, [ t_c ], [ u_x; u_y; v_p ]);
+      (ordered, [ t_ab; t_c ], [ v_rp ]);
+    ]
+  in
+  List.iter
+    (fun derive ->
+      List.iter
+        (fun (q, config, foreign) ->
+          let cost config =
+            let svc = Service.create ~derive rdb in
+            let c = Service.query_cost svc config q in
+            Alcotest.(check int) "computed, not looked up" 1 (Service.misses svc);
+            (c, Service.fallbacks svc)
+          in
+          let base, fb = cost config in
+          if derive && q == ordered then
+            Alcotest.(check int) "ORDER BY falls back to the optimizer" 1 fb;
+          List.iter
+            (fun with_foreign ->
+              let c, _ = cost with_foreign in
+              Alcotest.(check int64)
+                (Printf.sprintf "%s (derive %b): %d foreign indexes" q.Query.q_id
+                   derive
+                   (List.length with_foreign - List.length config))
+                (Int64.bits_of_float base) (Int64.bits_of_float c))
+            [ config @ foreign; foreign @ config; List.hd foreign :: config ])
+        cases)
+    [ true; false ]
+
 (* ---- Update-cost charging ---- *)
 
 let test_update_cost_charged () =
@@ -269,6 +349,8 @@ let () =
         [
           tc "cross-statement reuse" `Quick test_cross_statement_reuse;
           tc "incremental re-costing" `Quick test_incremental_recosting;
+          tc "foreign indexes leave costs unchanged" `Quick
+            test_foreign_indexes_leave_cost_unchanged;
         ] );
       ( "keys",
         [ tc "no string-key collisions" `Quick test_interned_keys_cannot_collide ] );

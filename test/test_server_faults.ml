@@ -325,6 +325,38 @@ let test_oversized_line () =
       expect_prefix "stats after abuse" "OK " (request c2 "STATS");
       expect_prefix "quit" "OK bye" (request c2 "QUIT"))
 
+let read_config c =
+  let head = request c "CONFIG" in
+  expect_prefix "config" "OK " head;
+  List.init (Scanf.sscanf head "OK %d" Fun.id) (fun _ -> input_line c.ic)
+
+let test_failed_epoch_keeps_last_config () =
+  (* IM_EPOCH_FAIL=2: the daemon's second epoch raises on the epoch
+     worker. The asker gets ERR epoch failed, the tenant keeps the
+     configuration its first epoch committed, and is not left marked
+     in flight: the third epoch commits. *)
+  let d = start_daemon ~env:[ "IM_EPOCH_FAIL=2" ] () in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let c = connect d.port in
+      List.iter
+        (fun sql -> expect_prefix "seed stmt" "OK observed" (request c ("STMT " ^ sql)))
+        [
+          "SELECT t0_c0 FROM t0 WHERE t0_c0 = 1";
+          "SELECT t0_c1 FROM t0 WHERE t0_c1 = 2";
+        ];
+      expect_prefix "first epoch commits" "OK epoch" (request c "EPOCH");
+      let committed = read_config c in
+      Alcotest.(check bool) "first epoch recommended indexes" true (committed <> []);
+      expect_prefix "second epoch fails" "ERR epoch failed" (request c "EPOCH");
+      Alcotest.(check (list string)) "last committed config kept" committed
+        (read_config c);
+      expect_prefix "stmt after failure" "OK observed"
+        (request c "STMT SELECT t0_c1 FROM t0 WHERE t0_c1 = 3");
+      expect_prefix "next epoch commits" "OK epoch" (request c "EPOCH");
+      expect_prefix "quit" "OK bye" (request c "QUIT"))
+
 let test_reap_spares_inflight_epoch () =
   (* A connection waiting on an off-thread epoch is idle through no
      fault of its own: the reaper must not collect it while the result
@@ -383,5 +415,7 @@ let () =
           Alcotest.test_case "oversized line" `Slow test_oversized_line;
           Alcotest.test_case "reap spares in-flight epoch" `Slow
             test_reap_spares_inflight_epoch;
+          Alcotest.test_case "failed epoch keeps last config" `Slow
+            test_failed_epoch_keeps_last_config;
         ] );
     ]
