@@ -123,8 +123,10 @@ let metrics_arg =
 
 let domains_arg =
   let doc =
-    "Worker domains for parallel candidate evaluation (0 = sequential). \
-     Results are bit-identical at any setting. Default: the IM_DOMAINS \
+    "Worker domains in the shared pool (0 = sequential): tune fans its \
+     per-query tuning out over it and serve stripes each tenant's cost \
+     cache for it; merge searches run sequentially. Results are \
+     bit-identical at any setting. Default: the IM_DOMAINS \
      environment variable if set, else the machine's recommended domain \
      count minus one."
   in
@@ -580,7 +582,8 @@ let run_serve db_name sf seed schema_file data_dir port budget window decay
     or_die (Im_evloop.Evloop.backend_of_string event_backend)
   in
   (* Every tenant session is built the same way: database by name, the
-     serve options from the flags, epochs costing on the shared pool. *)
+     serve options from the flags, the cost cache striped for the
+     shared pool's size. *)
   let make_service db =
     let budget_pages =
       if budget > 0 then budget else max 1 (Database.data_pages db / 2)

@@ -20,12 +20,12 @@ type t = {
   svc : Service.t;
 }
 
-let create ?service ?shards ?derive model db workload =
+let create ?service ?derive model db workload =
   let svc =
     match service with
     | Some s -> s
     | None ->
-      Service.create ?shards ?derive
+      Service.create ?derive
         ~update_cost:(Maintenance.config_batch_cost db)
         db
   in
@@ -92,7 +92,7 @@ let external_query_cost t config q =
 
 (* ---- Workload cost through the one service ---- *)
 
-let workload_cost ?pool t config =
+let workload_cost t config =
   match t.ce_model with
   | No_cost _ ->
     invalid_arg "Cost_eval.workload_cost: the No-Cost model has no costs"
@@ -101,8 +101,8 @@ let workload_cost ?pool t config =
        counted at the service choke point. *)
     Service.workload_cost
       ~query_cost:(fun config q -> external_query_cost t config q)
-      ?pool t.svc config t.workload
-  | Optimizer_estimated -> Service.workload_cost ?pool t.svc config t.workload
+      t.svc config t.workload
+  | Optimizer_estimated -> Service.workload_cost t.svc config t.workload
 
 let no_cost_accepts ~f ~p schema ~merged ~parents =
   let left, right = parents in

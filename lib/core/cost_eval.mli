@@ -29,7 +29,6 @@ type t
 
 val create :
   ?service:Im_costsvc.Service.t ->
-  ?shards:int ->
   ?derive:bool ->
   model ->
   Im_catalog.Database.t ->
@@ -39,10 +38,9 @@ val create :
     cache and counters are shared with every other user of that service
     (cross-strategy and cross-phase reuse); otherwise a private service
     is created, wired with {!Maintenance.config_batch_cost} for update
-    profiles, lock-striped into [?shards] shards (default 1) for
-    parallel callers. [?shards] and [?derive] (atomic cost derivation,
-    see {!Im_costsvc.Service.create}) are ignored when [?service] is
-    given — the shared service's own striping and derivation apply. *)
+    profiles. [?derive] (atomic cost derivation, see
+    {!Im_costsvc.Service.create}) is ignored when [?service] is given —
+    the shared service's own derivation applies. *)
 
 val model : t -> model
 
@@ -52,14 +50,12 @@ val service : t -> Im_costsvc.Service.t
 val is_numeric : t -> bool
 (** False only for the No-Cost model. *)
 
-val workload_cost : ?pool:Im_par.Pool.t -> t -> Im_catalog.Config.t -> float
+val workload_cost : t -> Im_catalog.Config.t -> float
 (** [Cost (W, C)] under a numeric model: frequency-weighted query costs
     plus, when the workload carries an update profile
     ({!Im_workload.Workload.with_updates}), the configuration's
     batch-insert maintenance cost. Raises [Invalid_argument] for the
-    No-Cost model, which produces no numbers. [?pool] costs the
-    workload's queries in parallel (bit-identical result — see
-    {!Im_costsvc.Service.workload_cost}). *)
+    No-Cost model, which produces no numbers. *)
 
 val accepts :
   t ->

@@ -4,8 +4,6 @@ module Index = Im_catalog.Index
 module Workload = Im_workload.Workload
 module List_ext = Im_util.List_ext
 module Service = Im_costsvc.Service
-module Score_table = Im_costsvc.Score_table
-module Pool = Im_par.Pool
 module Mine = Im_mine.Mine
 
 type strategy = Greedy | Exhaustive_search of { config_limit : int }
@@ -60,90 +58,24 @@ let items_pages db items =
    over items equals [Database.config_storage_pages] because a
    configuration's storage is defined as the sum of its indexes'. *)
 let page_memo db =
-  (* Id-indexed flat int table: the read path is one lock-free array
-     load (the memo is shared by parallel candidate scoring). Values
-     are pure in the id, so a reader racing the store recomputes at
-     most once and both sides agree. *)
-  let memo = Score_table.Ints.create () in
+  let memo = Hashtbl.create 64 in
   fun ix ->
     let id = Index.intern ix in
-    Score_table.Ints.find_or_compute memo id (fun () ->
-        Database.index_pages db ix)
-
-(* Speculative ordered scan: find the first index in [0, n) (already in
-   its decision order) satisfying [accept]. The parallel path evaluates
-   a wave of cost-sized chunks at a time — [batcher] sizes each queued
-   task near its target from the measured per-acceptance cost, and a
-   wave is one such chunk per effective domain — then picks the first
-   acceptable index in order, discarding later verdicts. The chosen
-   index — and therefore the search result — is exactly the sequential
-   scan's for any pool size; only the number of evaluations performed
-   (and thus cache/counter tallies) can differ. Returns the winning
-   index with its 0-based scan position. *)
-let find_first_ordered pool ~batcher accept n =
-  let seq_scan from =
-    let rec go i =
-      if i >= n then None else if accept i then Some (i, i) else go (i + 1)
-    in
-    go from
-  in
-  match Pool.domain_count pool with
-  | 0 -> seq_scan 0 (* evaluate nothing past the chosen index *)
-  | w ->
-    let workers = w + 1 in
-    let rec scan offset =
-      if offset >= n then None
-      else begin
-        let rem = n - offset in
-        let chunk = Pool.Batcher.chunk_for batcher ~workers ~n:rem in
-        if chunk >= rem then
-          (* Too little remaining work to pay for speculation: finish
-             sequentially with early exit on the calling domain. *)
-          seq_scan offset
-        else begin
-          let wave = min rem (chunk * workers) in
-          let flags =
-            Pool.map_batched pool ~batcher accept
-              (List.init wave (fun k -> offset + k))
-          in
-          let rec pick i = function
-            | [] -> None
-            | true :: _ -> Some (i, i)
-            | false :: fs -> pick (i + 1) fs
-          in
-          match pick offset flags with
-          | Some hit -> Some hit
-          | None -> scan (offset + wave)
-        end
-      end
-    in
-    scan 0
+    match Hashtbl.find_opt memo id with
+    | Some pages -> pages
+    | None ->
+      let pages = Database.index_pages db ix in
+      Hashtbl.add memo id pages;
+      pages
 
 (* ---- Greedy (Figure 4) ---- *)
 
-(* One batcher per call site, for the process lifetime: the measured
-   per-element cost is a property of the call site, not of one search
-   invocation, and a fresh batcher starts from a blind seed whose first
-   waves are mis-sized. Persistent batchers mis-size only the very first
-   wave in the process; everything after runs on a converged estimate.
-   (Safe to share across domains and concurrent searches — the estimate
-   is a pair of atomics.) *)
-let greedy_score_batcher = Pool.Batcher.create ~name:"greedy_score" ()
-let greedy_accept_batcher = Pool.Batcher.create ~name:"greedy_accept" ()
-
-let greedy ~pool ~prune ~procedure ~evaluator ~service ~seek ~bound db
+let greedy ~prune ~procedure ~evaluator ~service ~seek ~bound db
     workload initial =
   let index_pages = page_memo db in
   let merge_indexes current i1 i2 =
     Merge_pair.merge procedure ~db ~workload ~seek ?service ~current i1 i2
   in
-  (* Flat per-round intermediates, reused across rounds (waves): slot i
-     holds pair i's merged item, successor item list, and — in the
-     score table — its storage reduction. Scoring is a cost-batched
-     fill of disjoint slots. *)
-  let score_batcher = greedy_score_batcher in
-  let accept_batcher = greedy_accept_batcher in
-  let reductions = Score_table.create () in
   let rec loop items iterations =
     let same_table_pairs =
       List.filter
@@ -151,11 +83,10 @@ let greedy ~pool ~prune ~procedure ~evaluator ~service ~seek ~bound db
           a.Merge.it_index.Index.idx_table = b.Merge.it_index.Index.idx_table)
         (List_ext.pairs items)
     in
-    (* Frontier pruning runs before the pooled fan-out, on the calling
-       domain: only pairs the workload's frequent itemsets can justify
-       (or that the correctness valve protects) reach the batched
-       scoring below. With [prune = None] the candidate list — and
-       therefore the whole search — is bit-identical to today's. *)
+    (* Frontier pruning: only pairs the workload's frequent itemsets
+       can justify (or that the correctness valve protects) reach the
+       scoring below. With [prune = None] every same-table pair is
+       scored. *)
     let same_table_pairs =
       match prune with
       | None -> same_table_pairs
@@ -168,77 +99,61 @@ let greedy ~pool ~prune ~procedure ~evaluator ~service ~seek ~bound db
     if same_table_pairs = [] then (items, iterations)
     else begin
       let current_config = Merge.config_of_items items in
-      let pairs = Array.of_list same_table_pairs in
-      let n = Array.length pairs in
-      let merged = Array.make n None in
-      let successors = Array.make n [] in
-      Score_table.ensure reductions ~rows:1 ~cols:n;
-      (* Every pair of a round is independent — fill its slot on the
-         pool (slot order is the sequential candidate order, so the
-         sort below sees exactly the sequential input). *)
-      Pool.fill_batched pool ~batcher:score_batcher ~n (fun i ->
-          let left, right = pairs.(i) in
-          let merged_index =
-            merge_indexes current_config left.Merge.it_index
-              right.Merge.it_index
-          in
-          let merged_item =
-            {
-              Merge.it_index = merged_index;
-              it_parents = left.Merge.it_parents @ right.Merge.it_parents;
-            }
-          in
-          merged.(i) <- Some merged_item;
-          successors.(i) <-
-            merged_item
-            :: List.filter (fun it -> it != left && it != right) items;
-          (* Replacing {left, right} by merged changes nothing else, so
-             the pair's storage reduction needs only three memoized
-             page counts — not an O(n) rescan of the configuration.
-             Page counts are exact in a float cell (integers far below
-             2^53), so float ordering equals int ordering. *)
-          Score_table.set reductions ~row:0 ~col:i
-            (float_of_int
-               (index_pages left.Merge.it_index
-               + index_pages right.Merge.it_index
-               - index_pages merged_index)));
-      (* Decision order stays the sequential one: viable pairs sorted
-         by reduction descending, ties in candidate order (the
-         original-slot tie-break reproduces the stable sort). *)
-      let red i = Score_table.get reductions ~row:0 ~col:i in
-      let viable = ref [] in
-      for i = n - 1 downto 0 do
-        if red i > 0. then viable := i :: !viable
-      done;
-      let order = Array.of_list !viable in
-      Array.sort
-        (fun i j ->
-          let c = compare (red j) (red i) in
-          if c <> 0 then c else compare i j)
-        order;
+      (* Each pair's merged item, successor item list and storage
+         reduction, scored in candidate order. *)
+      let scored =
+        List.map
+          (fun ((left : Merge.item), (right : Merge.item)) ->
+            let merged_index =
+              merge_indexes current_config left.Merge.it_index
+                right.Merge.it_index
+            in
+            let merged_item =
+              {
+                Merge.it_index = merged_index;
+                it_parents = left.Merge.it_parents @ right.Merge.it_parents;
+              }
+            in
+            let successors =
+              merged_item
+              :: List.filter (fun it -> it != left && it != right) items
+            in
+            (* Replacing {left, right} by merged changes nothing else,
+               so the pair's storage reduction needs only three memoized
+               page counts — not an O(n) rescan of the configuration. *)
+            let reduction =
+              index_pages left.Merge.it_index
+              + index_pages right.Merge.it_index
+              - index_pages merged_index
+            in
+            ((left, right), merged_item, successors, reduction))
+          same_table_pairs
+      in
+      (* Decision order: viable pairs by reduction descending, ties in
+         candidate order (the sort is stable). The first acceptable one
+         wins; nothing after it is costed. *)
+      let ordered =
+        List.stable_sort
+          (fun (_, _, _, r1) (_, _, _, r2) -> Int.compare r2 r1)
+          (List.filter (fun (_, _, _, r) -> r > 0) scored)
+      in
       let accepted =
-        find_first_ordered pool ~batcher:accept_batcher
-          (fun k ->
-            let i = order.(k) in
-            let left, right = pairs.(i) in
-            let merged_item = Option.get merged.(i) in
-            Cost_eval.accepts evaluator ~items:successors.(i)
+        List.find_opt
+          (fun ((left, right), merged_item, successors, _) ->
+            Cost_eval.accepts evaluator ~items:successors
               ~merged:merged_item.Merge.it_index
               ~parents:(left.Merge.it_index, right.Merge.it_index)
               ~bound:(Option.value bound ~default:infinity))
-          (Array.length order)
+          ordered
       in
       match accepted with
       | None -> (items, iterations + 1)
-      | Some (k, _) ->
-        let i = order.(k) in
+      | Some (_, merged_item, successors, _) ->
         (* The committed merge carries its justification into later
            rounds: bless its product so chained merges involving it are
            judged against the configuration the search actually built. *)
-        Option.iter
-          (fun fr -> Mine.bless fr (Option.get merged.(i)).Merge.it_index)
-          prune;
-        loop successors.(i) (iterations + 1)
+        Option.iter (fun fr -> Mine.bless fr merged_item.Merge.it_index) prune;
+        loop successors (iterations + 1)
     end
   in
   loop (Merge.items_of_config initial) 0
@@ -301,19 +216,10 @@ let cartesian (lists : 'a list list) ~limit =
   let combos = List.fold_left combine [ [] ] lists in
   (List.map List.rev combos, !truncated)
 
-(* Per-call-site batchers, process lifetime (see the greedy note). *)
-let exhaustive_block_batcher = Pool.Batcher.create ~name:"exhaustive_block" ()
-let exhaustive_score_batcher = Pool.Batcher.create ~name:"exhaustive_score" ()
-let exhaustive_accept_batcher =
-  Pool.Batcher.create ~name:"exhaustive_accept" ()
-
-let exhaustive ~pool ~prune ~procedure ~evaluator ~service ~seek ~bound
+let exhaustive ~prune ~procedure ~evaluator ~service ~seek ~bound
     ~config_limit db workload initial =
   let numeric = Cost_eval.is_numeric evaluator in
   let index_pages = page_memo db in
-  let block_batcher = exhaustive_block_batcher in
-  let score_batcher = exhaustive_score_batcher in
-  let accept_batcher = exhaustive_accept_batcher in
   let by_table = List_ext.group_by (fun ix -> ix.Index.idx_table) initial in
   let truncated_blocks = ref false in
   let per_table_options =
@@ -322,12 +228,12 @@ let exhaustive ~pool ~prune ~procedure ~evaluator ~service ~seek ~bound
         let partitions =
           Im_util.Combin.set_partitions ~limit:config_limit indexes
         in
-        (* Frontier pruning, before the pooled merge fan-out: drop any
-           partition with a multi-index block the workload's frequent
-           itemsets cannot justify (the valve and the subset-absorbing
-           rule in [Mine.keep_block] still protect evidence-free and
-           containment merges). Singleton-only partitions always
-           survive, so the initial configuration stays enumerable. *)
+        (* Frontier pruning: drop any partition with a multi-index block
+           the workload's frequent itemsets cannot justify (the valve
+           and the subset-absorbing rule in [Mine.keep_block] still
+           protect evidence-free and containment merges). Singleton-only
+           partitions always survive, so the initial configuration stays
+           enumerable. *)
         let partitions =
           match prune with
           | None -> partitions
@@ -337,87 +243,61 @@ let exhaustive ~pool ~prune ~procedure ~evaluator ~service ~seek ~bound
               partitions
         in
         (* Each partition yields one option per combination of its
-           blocks' candidate merge orders. Partitions are independent
-           (merge_block is where the permutation scoring lives), so
-           they fan out on the pool in cost-sized chunks; the
-           truncation flag is folded in afterwards, on the calling
-           domain. *)
-        let per_partition =
-          Pool.map_batched pool ~batcher:block_batcher
-            (fun partition ->
-              let block_candidates =
-                List.map
-                  (fun block ->
-                    merge_block ~procedure ~service ~seek db workload initial
-                      block)
-                  partition
-              in
-              cartesian block_candidates ~limit:config_limit)
-            partitions
-        in
+           blocks' candidate merge orders. *)
         List.concat_map
-          (fun (combos, t) ->
+          (fun partition ->
+            let block_candidates =
+              List.map
+                (fun block ->
+                  merge_block ~procedure ~service ~seek db workload initial
+                    block)
+                partition
+            in
+            let combos, t = cartesian block_candidates ~limit:config_limit in
             if t then truncated_blocks := true;
             combos)
-          per_partition)
+          partitions)
       by_table
   in
   let combos, truncated = cartesian per_table_options ~limit:config_limit in
   let truncated = truncated || !truncated_blocks in
-  let configurations = Array.of_list (List.map List.concat combos) in
-  let n = Array.length configurations in
-  (* Flat page-sum score table, one column per enumerated
-     configuration, filled in cost-sized ranges (page sums are exact in
-     a float cell, so float ordering equals int ordering). *)
-  let pages = Score_table.create ~rows:1 ~cols:n () in
-  Pool.fill_batched pool ~batcher:score_batcher ~n (fun i ->
-      Score_table.set pages ~row:0 ~col:i
-        (float_of_int
-           (List_ext.sum_by
-              (fun it -> index_pages it.Merge.it_index)
-              configurations.(i))));
-  (* Decision order stays the sequential one: storage ascending, ties
-     in enumeration order (the original-slot tie-break reproduces the
-     stable sort). *)
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      let c =
-        compare (Score_table.get pages ~row:0 ~col:i)
-          (Score_table.get pages ~row:0 ~col:j)
-      in
-      if c <> 0 then c else compare i j)
-    order;
-  let ok k =
-    let items = configurations.(order.(k)) in
+  (* Decision order: storage ascending, ties in enumeration order (the
+     sort is stable). The first acceptable configuration wins;
+     [examined] counts the configurations scanned up to and including
+     it. *)
+  let ordered =
+    List.stable_sort
+      (fun (p1, _) (p2, _) -> Int.compare p1 p2)
+      (List.map
+         (fun combo ->
+           let items = List.concat combo in
+           let pages =
+             List_ext.sum_by (fun it -> index_pages it.Merge.it_index) items
+           in
+           (pages, items))
+         combos)
+  in
+  let ok items =
     List.for_all (Cost_eval.accepts_item evaluator) items
     && ((not numeric)
         || Cost_eval.workload_cost evaluator (Merge.config_of_items items)
            <= Option.value bound ~default:infinity)
   in
-  (* [examined] is derived from the winner's position in the scored
-     order, so it reports the same count whether the speculative scan
-     evaluated extra configurations or not. *)
-  match find_first_ordered pool ~batcher:accept_batcher ok n with
-  | Some (k, _) -> (configurations.(order.(k)), k + 1, truncated)
-  | None -> (Merge.items_of_config initial, n, truncated)
+  let rec scan examined = function
+    | [] -> (Merge.items_of_config initial, examined, truncated)
+    | (_, items) :: rest ->
+      if ok items then (items, examined + 1, truncated)
+      else scan (examined + 1) rest
+  in
+  scan 0 ordered
 
 (* ---- Entry point ---- *)
 
-let run ?service ?pool ?(merge_pair = Merge_pair.Cost_based)
+let run ?service ?(merge_pair = Merge_pair.Cost_based)
     ?(cost_model = Cost_eval.Optimizer_estimated) ?(cost_constraint = 0.10)
     ?(derive = true) ?compress ?prune ?prune_support db workload ~initial
     strategy =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  (* A private service gets one lock stripe per evaluating domain (×4
-     so same-shard collisions are rare); a shared service keeps its own
-     striping. *)
-  let shards =
-    match Pool.domain_count pool with 0 -> 1 | n -> 4 * n
-  in
-  let evaluator =
-    Cost_eval.create ?service ~shards ~derive cost_model db workload
-  in
+  let evaluator = Cost_eval.create ?service ~derive cost_model db workload in
   let svc = Cost_eval.service evaluator in
   (* Workload compression runs before the search proper: the compactor
      streams the statements into signature buckets (probe sampling
@@ -473,7 +353,7 @@ let run ?service ?pool ?(merge_pair = Merge_pair.Cost_based)
         in
         let initial_cost =
           if numeric then
-            Some (Cost_eval.workload_cost ~pool evaluator initial)
+            Some (Cost_eval.workload_cost evaluator initial)
           else None
         in
         let bound =
@@ -482,12 +362,12 @@ let run ?service ?pool ?(merge_pair = Merge_pair.Cost_based)
         match strategy with
         | Greedy ->
           let items, iterations =
-            greedy ~pool ~prune ~procedure:merge_pair ~evaluator
+            greedy ~prune ~procedure:merge_pair ~evaluator
               ~service:pair_service ~seek ~bound db workload initial
           in
           (items, iterations, false)
         | Exhaustive_search { config_limit } ->
-          exhaustive ~pool ~prune ~procedure:merge_pair ~evaluator
+          exhaustive ~prune ~procedure:merge_pair ~evaluator
             ~service:pair_service ~seek ~bound ~config_limit db workload
             initial)
   in
@@ -500,14 +380,14 @@ let run ?service ?pool ?(merge_pair = Merge_pair.Cost_based)
      byproducts, for a truthful report. With the memoizing service these
      recomputations are cache hits, not fresh optimizer calls. *)
   let initial_cost =
-    if numeric then Some (Cost_eval.workload_cost ~pool evaluator initial)
+    if numeric then Some (Cost_eval.workload_cost evaluator initial)
     else None
   in
   let bound = Option.map (fun c -> c *. (1. +. cost_constraint)) initial_cost in
   let final_cost =
     if numeric then
       Some
-        (Cost_eval.workload_cost ~pool evaluator (Merge.config_of_items items))
+        (Cost_eval.workload_cost evaluator (Merge.config_of_items items))
     else None
   in
   let d = Service.counters svc in

@@ -61,7 +61,6 @@ val cost_increase : outcome -> float option
 
 val run :
   ?service:Im_costsvc.Service.t ->
-  ?pool:Im_par.Pool.t ->
   ?merge_pair:Merge_pair.procedure ->
   ?cost_model:Cost_eval.model ->
   ?cost_constraint:float ->
@@ -82,17 +81,12 @@ val run :
     queries whose relevant index set changed are re-optimized after a
     merge — the others are cache hits.
 
-    [?pool] (default {!Im_par.Pool.default}, sized by [IM_DOMAINS])
-    evaluates candidates on the pool's domains: greedy scores each
-    round's same-table pairs with a parallel map and then applies the
-    same sort-by-reduction / first-acceptable decision order as the
-    sequential scan (speculatively testing a wave of candidates at a
-    time); exhaustive fans the per-partition merge work and the
-    per-configuration acceptance scan out the same way. The returned
-    configuration, page counts, costs, iteration and examined counts
-    are bit-identical to the sequential run for any domain count —
-    only elapsed time and cache-counter deltas (speculation may cost
-    extra configurations) vary.
+    Both strategies run sequentially on the calling domain, in the
+    paper's order: greedy scores each round's same-table pairs, sorts
+    them by storage reduction and accepts the first whose merged
+    configuration stays within the bound; exhaustive sorts the
+    enumerated configurations by storage and accepts the first
+    acceptable one.
 
     [?derive] (default true; ignored when [?service] supplies the
     service) attaches atomic cost derivation to the private service:
@@ -115,14 +109,14 @@ val run :
     [?prune_support] (off by default; the CLI's [--prune-support S])
     mines the workload's frequent (table, column-set) itemsets before
     the search and restricts MergePair enumeration — greedy same-table
-    pairs and exhaustive partition blocks alike, ahead of the batched
-    scoring fills — to merges whose merged column set has relative
-    support at least [S], plus the merges {!Im_mine.Mine.keep_block}'s
-    correctness valve protects (all parents evidence-free, or the union
-    collapsing into one parent). [S <= 0] disables pruning and is
-    bit-identical to today's search at any domain count. Compressed
-    runs ([?compress]) feed the miner through the compactor at
-    admission time, so they mine Ŵ for free. [?prune] supplies a
+    pairs and exhaustive partition blocks alike, ahead of scoring — to
+    merges whose merged column set has relative support at least [S],
+    plus the merges {!Im_mine.Mine.keep_block}'s correctness valve
+    protects (all parents evidence-free, or the union collapsing into
+    one parent). [S <= 0] disables pruning and is bit-identical to the
+    unpruned search. Compressed runs ([?compress]) feed the miner
+    through the compactor at admission time, so they mine Ŵ for
+    free. [?prune] supplies a
     ready-made frontier instead (the online epoch path re-mines its
     window once and shares the frontier across phases); it wins over
     [?prune_support]. Pruning tallies land in [o_pruning]. *)

@@ -77,13 +77,6 @@ type t = {
   cost_evals : int Atomic.t;  (* workload-level; callers may be parallel *)
 }
 
-(* Sizes the chunks of pooled workload costing from measured per-query
-   cost. One batcher for the call site, not per service: per-query cost
-   is a property of this code path (what-if eval, usually answered from
-   cached atoms), and a service-lifetime batcher would relearn it from
-   a blind seed on every fresh service — mis-sizing its first fills. *)
-let workload_batcher = Im_par.Pool.Batcher.create ~name:"service_workload" ()
-
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
 let create ?(capacity = 8192) ?(shards = 1) ?update_cost ?(derive = false) db =
@@ -318,28 +311,13 @@ let combine t config w entry_cost =
   in
   queries +. updates
 
-let workload_cost ?query_cost:override ?pool t config w =
+let workload_cost ?query_cost:override t config w =
   let per_query =
     match override with
     | Some f -> f config
     | None -> query_cost t config
   in
-  match pool with
-  | Some p when Im_par.Pool.domain_count p > 0 ->
-    (* Per-query costs land in a flat score table (one row, one column
-       per entry): cost-sized contiguous ranges on the pool, each worker
-       writing disjoint cells. The combination is the same sequential
-       fold, so the sum is bit-identical to the sequential path. The
-       table is per call (callers may cost workloads concurrently on a
-       shared service). *)
-    let entries = Array.of_list w.Workload.entries in
-    let n = Array.length entries in
-    let costs = Score_table.create ~rows:1 ~cols:n () in
-    Im_par.Pool.fill_batched p ~batcher:workload_batcher ~n (fun i ->
-        Score_table.set costs ~row:0 ~col:i
-          (per_query entries.(i).Workload.query));
-    combine t config w (fun i _ -> Score_table.get costs ~row:0 ~col:i)
-  | Some _ | None -> combine t config w (fun _ q -> per_query q)
+  combine t config w (fun _ q -> per_query q)
 
 let workload_cost_by_entry t config w cost =
   combine t config w (fun i _ -> cost i)

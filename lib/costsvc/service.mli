@@ -26,11 +26,13 @@
 
     Domain safety: the cache is lock-striped into [?shards] independent
     LRU shards keyed by hash of the entry key, so concurrent what-if
-    calls from an [Im_par] pool contend only when two keys land in the
-    same shard. The optimizer call on a miss runs under the shard lock:
-    concurrent misses on one key serialize and the loser scores a hit,
-    which keeps hit/miss/optimizer-call totals exactly equal to a
-    sequential run and never duplicates what-if work. The default is a
+    calls (the CLI [tune] command's per-query fan-out on an [Im_par]
+    pool, or a daemon epoch on a worker domain racing the dispatch
+    thread) contend only when two keys land in the same shard. The
+    optimizer call on a miss runs under the shard lock: concurrent
+    misses on one key serialize and the loser scores a hit, which
+    keeps hit/miss/optimizer-call totals exactly equal to a sequential
+    run and never duplicates what-if work. The default is a
     single shard — byte-for-byte the historical LRU (including exact
     eviction order); parallel callers opt into more.
 
@@ -86,7 +88,6 @@ val query_cost : t -> Im_catalog.Config.t -> Im_sqlir.Query.t -> float
 
 val workload_cost :
   ?query_cost:(Im_catalog.Config.t -> Im_sqlir.Query.t -> float) ->
-  ?pool:Im_par.Pool.t ->
   t ->
   Im_catalog.Config.t ->
   Im_workload.Workload.t ->
@@ -95,10 +96,8 @@ val workload_cost :
     workload carries updates. [?query_cost] substitutes an external
     (non-optimizer) per-query model while still counting the evaluation
     at the one choke point; such costs bypass the cache (they are cheap
-    and would pollute what-if entries). [?pool] costs the queries in
-    parallel on the pool's domains, then combines them with the exact
-    sequential fold — the result is bit-identical to the sequential
-    path for any domain count. *)
+    and would pollute what-if entries). Queries are costed in entry
+    order on the calling domain. *)
 
 val workload_cost_by_entry :
   t -> Im_catalog.Config.t -> Im_workload.Workload.t -> (int -> float) -> float

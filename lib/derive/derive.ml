@@ -55,7 +55,7 @@ type heap_key = {
 }
 
 (* Lock-striped like the costsvc LRU shards: a key lives in exactly one
-   shard, all shard state is touched under its lock, so the pool's
+   shard, all shard state is touched under its lock, so concurrent
    domains contend only 1/N of the time. *)
 type shard = {
   s_lock : Mutex.t;
@@ -284,8 +284,7 @@ let query_cost t config q =
    key, and the deriver's atom hit/miss counters equal a sequential
    run's (the costsvc/derive shard discipline, one level up). Lock
    order is batch → shard and nothing acquires them the other way
-   round. This is what lets [Scale.score] fan a compressed epoch's
-   scoring onto the [Im_par] pool. *)
+   round. *)
 module Batch = struct
   type batch_key = {
     bk_table : string;

@@ -85,8 +85,7 @@ val query_cost :
     held across the miss path, so concurrent costings on one batch
     serialize per memo access, the striped cache is consulted exactly
     once per key, and the deriver's atom hit/miss counters equal a
-    sequential run's. [Scale.score] relies on this to fan compressed
-    scoring onto the [Im_par] pool. *)
+    sequential run's. *)
 module Batch : sig
   type deriver := t
 

@@ -50,8 +50,7 @@
     accumulated masses, not on hash or feed order. A frontier is a
     frozen snapshot: statements observed after {!frontier} do not move
     it. Neither {!t} nor a frontier is domain-safe — feed and consult
-    them from the search's calling domain (the pruning pass runs before
-    the pooled fan-outs). *)
+    them from the search's calling domain. *)
 
 type t
 (** A streaming miner. *)

@@ -141,17 +141,6 @@ module Histogram = struct
       find 0 0
     end
 
-  (* Nonzero buckets as (inclusive upper bound in seconds, count), low
-     to high — the raw distribution for bench artifacts (BENCH_par's
-     per-task-size histogram). *)
-  let nonzero_buckets h =
-    let acc = ref [] in
-    for i = buckets - 1 downto 0 do
-      let c = Atomic.get h.counts.(i) in
-      if c > 0 then acc := (bucket_upper i, c) :: !acc
-    done;
-    !acc
-
   let reset h =
     Array.iter (fun c -> Atomic.set c 0) h.counts;
     Atomic.set h.count 0;

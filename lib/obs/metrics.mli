@@ -55,11 +55,6 @@ module Histogram : sig
   val bucket_upper : int -> float
   (** Inclusive upper bound of bucket [i] in seconds (exposed for
       tests). *)
-
-  val nonzero_buckets : t -> (float * int) list
-  (** The nonzero buckets as (inclusive upper bound in seconds, count)
-      pairs, low to high — the raw distribution, for bench
-      artifacts. *)
 end
 
 type registry

@@ -82,7 +82,7 @@ let injected_failure =
 
 let epochs_started = Atomic.make 0
 
-let run ?pool ?compress ?prune_support service ~trigger ~live ~window
+let run ?compress ?prune_support service ~trigger ~live ~window
     ~budget_pages ~max_clusters =
   if Workload.size window = 0 then invalid_arg "Epoch.run: empty window";
   (let d = Lazy.force injected_delay_s in
@@ -114,10 +114,8 @@ let run ?pool ?compress ?prune_support service ~trigger ~live ~window
           (* Scale path: stream the window snapshot through the
              compactor once; tuning and both costings run over the
              compressed window, the costings answered from cached
-             access-path atoms in a single batched traversal —
-             fanned onto the pool ([Derive.Batch] is domain-safe;
-             scores are bit-identical at any domain count). The miner
-             rides the same stream at admission time. *)
+             access-path atoms in a single batched traversal. The
+             miner rides the same stream at admission time. *)
           let compactor = Im_scale.Scale.create ~eps ?mine:miner service in
           Im_scale.Scale.observe_workload compactor window;
           let compressed = Im_scale.Scale.snapshot compactor in
@@ -131,9 +129,7 @@ let run ?pool ?compress ?prune_support service ~trigger ~live ~window
             Im_advisor.Advisor.advise ~service ?prune db tuning ~budget_pages
           in
           let new_config = Im_advisor.Advisor.final_config outcome in
-          let costs =
-            Im_scale.Scale.score ?pool compactor [ live; new_config ]
-          in
+          let costs = Im_scale.Scale.score compactor [ live; new_config ] in
           ( new_config,
             Workload.size tuning,
             costs.(0),
@@ -157,14 +153,10 @@ let run ?pool ?compress ?prune_support service ~trigger ~live ~window
           let new_config = Im_advisor.Advisor.final_config outcome in
           (* Both costings run over the *full* window, through the warm
              service, so the benefit reflects all live traffic, not just
-             the tuned clusters. These are the epoch's widest fan-outs —
-             one independent what-if per window entry — so they take the
-             pool. *)
-          let old_cost =
-            Im_costsvc.Service.workload_cost ?pool service live window
-          in
+             the tuned clusters. *)
+          let old_cost = Im_costsvc.Service.workload_cost service live window in
           let new_cost =
-            Im_costsvc.Service.workload_cost ?pool service new_config window
+            Im_costsvc.Service.workload_cost service new_config window
           in
           ( new_config,
             Workload.size tuning,

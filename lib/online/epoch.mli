@@ -48,7 +48,6 @@ type outcome = {
 }
 
 val run :
-  ?pool:Im_par.Pool.t ->
   ?compress:float ->
   ?prune_support:float ->
   Im_costsvc.Service.t ->
@@ -61,17 +60,14 @@ val run :
 (** Raises [Invalid_argument] on an empty window. The service is the
     warm cost cache carried across epochs; [e_opt_calls] is the per-run
     delta of its optimizer-call counter (advisor phases and window
-    costings included). [?pool] runs the full-window costings' per-query
-    what-ifs on the pool's domains (bit-identical costs — see
-    {!Im_costsvc.Service.workload_cost}).
+    costings included).
 
     [?compress] replaces the exact-signature dedup with the
     {!Im_scale.Scale} compactor at deviation budget [EPS]: the window
     snapshot streams through it once, tuning and both window costings
     run over the compressed window, and the costings are answered from
-    cached access-path atoms in one batched traversal — fanned onto
-    [?pool] too ({!Im_scale.Scale.score}'s flat-table fill; scores
-    bit-identical at any domain count). [e_old_cost]/[e_new_cost] then
+    cached access-path atoms in one batched traversal
+    ({!Im_scale.Scale.score}). [e_old_cost]/[e_new_cost] then
     refer to the compressed window, within the bound in [e_scale].
 
     [?prune_support] re-mines the window's frequent itemsets each

@@ -374,6 +374,15 @@ let flush_out t conn =
       continue := false
   done
 
+(* Replies this connection has not received yet: queued output,
+   commands still to dispatch (pending or replayed), or an epoch
+   running off-thread on its behalf. *)
+let owes_replies conn =
+  conn.out.oq_bytes > 0
+  || (not (Queue.is_empty conn.pending))
+  || conn.replay <> []
+  || conn.awaiting_epoch
+
 (* A closing connection goes once its output drains; a half-closed one
    additionally waits for its already-received commands to be answered
    (the half-close reply-loss fix: the peer's FIN promises no more
@@ -381,13 +390,7 @@ let flush_out t conn =
    awaiting an off-thread epoch keeps living until the reply it is
    owed has been queued. *)
 let maybe_close_drained t conn =
-  if
-    (not conn.closed)
-    && (conn.closing || conn.eof)
-    && (not conn.awaiting_epoch)
-    && conn.replay = []
-    && Queue.is_empty conn.pending
-    && conn.out.oq_bytes = 0
+  if (not conn.closed) && (conn.closing || conn.eof) && not (owes_replies conn)
   then close_conn t conn
 
 (* Queue one reply line. Exceeding the output cap is backpressure: the
@@ -582,12 +585,17 @@ let handle_command t conn line =
       `Keep )
   | "EPOCH", _ ->
     ( with_session (fun s ->
+          (* A raising epoch has already been aborted (the tenant keeps
+             its committed configuration); answer like the off-thread
+             path instead of unwinding the serve loop. *)
           match Service.force_epoch s.s_service with
           | Ok o ->
             Metrics.Counter.incr s.s_epochs;
             Metrics.Gauge.add m_dispatch_stall o.Epoch.e_elapsed_s;
             `Reply ("OK " ^ epoch_line o)
-          | Error msg -> `Reply ("ERR " ^ msg)),
+          | Error msg -> `Reply ("ERR " ^ msg)
+          | exception e ->
+            `Reply ("ERR epoch failed: " ^ Printexc.to_string e)),
       `Keep )
   | "METRICS", _ ->
     let lines = Metrics.dump_lines Metrics.default in
@@ -629,7 +637,7 @@ let stmt_sql line =
   else None
 
 (* Dispatch a contiguous pipelined run of STMT lines as one
-   [Service.feed_batch] (pool-parsed), epochs inline. Replies are
+   [Service.feed_batch], epochs inline. Replies are
    identical to one-at-a-time dispatch; the per-verb histogram records
    the mean per-statement latency of the batch. *)
 let dispatch_stmt_batch t conn sqls =
@@ -973,7 +981,12 @@ let read_chunk t conn =
       maybe_close_drained t conn
     end
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> close_conn t conn
+  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
+    (* A reset peer that is still owed replies lost them exactly as if
+       the daemon had hit the reset on [write]; which side notices the
+       reset first is a race, so count it the same way. *)
+    if owes_replies conn then Metrics.Counter.incr m_write_errors;
+    close_conn t conn
 
 (* ---- Accepting ---- *)
 

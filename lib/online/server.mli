@@ -48,9 +48,8 @@
     so one pipelining tenant cannot starve accepts or other tenants.
     Rounds with undispatched input re-poll with a zero timeout;
     budget-exhausted rounds count [server_fairness_deferred_total].
-    Contiguous pipelined [STMT] runs parse on the service's [Im_par]
-    pool via {!Service.feed_batch}; epoch re-merges fan their costings
-    onto the same pool.
+    Contiguous pipelined [STMT] runs are fed as one batch via
+    {!Service.feed_batch}.
 
     Off-thread epochs ([epoch_workers > 0], the default): a fired
     trigger or [EPOCH] verb snapshots the service

@@ -42,7 +42,6 @@ let default_options ~budget_pages =
 type t = {
   db : Database.t;
   opts : options;
-  pool : Im_par.Pool.t option;
   cache : Im_costsvc.Service.t;
   window : Window.t;
   drift : Drift.t;
@@ -67,8 +66,8 @@ let create ?options ?pool ?(initial = Config.empty) ?(derive = true) db
     | Some o -> o
     | None -> default_options ~budget_pages
   in
-  (* One lock stripe per evaluating domain (×4 against same-shard
-     collisions) when epochs run on a pool. *)
+  (* Four lock stripes per pool domain when a pool is given: epochs on
+     a worker domain share this cache with the dispatch thread. *)
   let shards =
     match pool with
     | Some p when Im_par.Pool.domain_count p > 0 ->
@@ -78,7 +77,6 @@ let create ?options ?pool ?(initial = Config.empty) ?(derive = true) db
   {
     db;
     opts;
-    pool;
     cache =
       Im_costsvc.Service.create ~shards ~derive
         ~update_cost:(Im_merging.Maintenance.config_batch_cost db)
@@ -116,7 +114,7 @@ type event =
    an immutable window workload, and the current cluster budget — so
    the returned thunk is safe to execute on a worker domain while the
    dispatch thread keeps feeding this service (the warm what-if cache
-   and the pool are domain-safe since PR 4). [commit_epoch] installs
+   is lock-striped and domain-safe). [commit_epoch] installs
    the result back on the dispatch thread; the inline [run_epoch] is
    begin + run + commit with no interleaving, which is exactly the
    pre-async behavior. *)
@@ -130,7 +128,7 @@ let begin_epoch t trigger =
   let window = Window.to_workload t.window in
   let max_clusters = Budget.current t.budget in
   fun () ->
-    Epoch.run ?pool:t.pool ?compress:t.opts.o_compress
+    Epoch.run ?compress:t.opts.o_compress
       ?prune_support:t.opts.o_prune_support t.cache ~trigger ~live ~window
       ~budget_pages:t.opts.o_budget_pages ~max_clusters
 
@@ -204,13 +202,18 @@ let feed t sql =
   t.feed_seconds <- t.feed_seconds +. elapsed;
   event
 
-(* Batched intake: parsing is pure in (schema, id, sql), so a pipelined
-   run of statements parses on the pool (cost-aware chunks via
-   [Pool.Batcher]) before the window/drift/epoch state machine applies
-   each result sequentially. Statement ids are pre-assigned in arrival
-   order, so the events — and therefore a daemon's replies — are
-   identical to feeding one statement at a time. *)
-let parse_batcher = Im_par.Pool.Batcher.create ~name:"serve_parse" ()
+(* Batched intake: a pipelined run of statements parses up front, then
+   the window/drift/epoch state machine applies each result in order.
+   Statement ids are pre-assigned in arrival order, so the events — and
+   therefore a daemon's replies — are identical to feeding one
+   statement at a time. *)
+let parse_run t sqls =
+  let schema = Database.schema t.db in
+  let base = t.seq in
+  List.mapi
+    (fun i sql ->
+      Parser.parse_query ~schema ~id:(Printf.sprintf "S%d" (base + i + 1)) sql)
+    sqls
 
 let feed_batch t sqls =
   match sqls with
@@ -219,27 +222,12 @@ let feed_batch t sqls =
   | sqls ->
     let events, elapsed =
       Im_util.Stopwatch.time (fun () ->
-          let schema = Database.schema t.db in
-          let base = t.seq in
-          let parse (i, sql) =
-            Parser.parse_query ~schema
-              ~id:(Printf.sprintf "S%d" (base + i + 1))
-              sql
-          in
-          let numbered = List.mapi (fun i sql -> (i, sql)) sqls in
-          let parsed =
-            match t.pool with
-            | Some pool when Im_par.Pool.domain_count pool > 0 ->
-              Im_par.Pool.map_batched pool ~batcher:parse_batcher parse
-                numbered
-            | Some _ | None -> List.map parse numbered
-          in
           List.map
             (fun res ->
               t.seq <- t.seq + 1;
               Im_obs.Metrics.Counter.incr m_statements;
               apply_parsed t res)
-            parsed)
+            (parse_run t sqls))
     in
     t.feed_seconds <- t.feed_seconds +. elapsed;
     events
@@ -274,10 +262,10 @@ let feed_async t sql =
   t.feed_seconds <- t.feed_seconds +. elapsed;
   result
 
-(* Batched async intake. Parses like [feed_batch] (pooled, ids
-   pre-assigned in arrival order) and applies results sequentially
-   until a statement fires a trigger; that statement is fed (window
-   observed, [seq] advanced) but produces no event, and the unapplied
+(* Batched async intake. Parses like [feed_batch] ([parse_run]) and
+   applies results sequentially until a statement fires a trigger;
+   that statement is fed (window observed, [seq] advanced) but
+   produces no event, and the unapplied
    raw statements after it are handed back for the caller to replay
    once the epoch commits. Replayed text re-parses under the same ids
    ([seq] only advanced past applied statements), so the event stream
@@ -285,21 +273,6 @@ let feed_async t sql =
 let feed_batch_async t sqls =
   let (events, trigger, leftover), elapsed =
     Im_util.Stopwatch.time (fun () ->
-        let schema = Database.schema t.db in
-        let base = t.seq in
-        let parse (i, sql) =
-          Parser.parse_query ~schema
-            ~id:(Printf.sprintf "S%d" (base + i + 1))
-            sql
-        in
-        let numbered = List.mapi (fun i sql -> (i, sql)) sqls in
-        let parsed =
-          match t.pool with
-          | Some pool
-            when Im_par.Pool.domain_count pool > 0 && List.length sqls > 1 ->
-            Im_par.Pool.map_batched pool ~batcher:parse_batcher parse numbered
-          | Some _ | None -> List.map parse numbered
-        in
         let rec apply acc parsed raw =
           match (parsed, raw) with
           | [], _ -> (List.rev acc, None, raw)
@@ -311,7 +284,7 @@ let feed_batch_async t sqls =
             | _, Some trigger -> (List.rev acc, Some trigger, rtl))
           | _ :: _, [] -> assert false
         in
-        apply [] parsed sqls)
+        apply [] (parse_run t sqls) sqls)
   in
   t.feed_seconds <- t.feed_seconds +. elapsed;
   (events, trigger, leftover)

@@ -54,9 +54,9 @@ val create :
 (** [?initial] (default empty) is the configuration live before the
     first epoch. [?options] overrides [default_options]; its
     [o_budget_pages] wins over the [~budget_pages] argument when
-    given. [?pool] hands every epoch's full-window costings to an
-    [Im_par] domain pool (and lock-stripes the warm what-if cache to
-    match); costs are bit-identical to the sequential path. [?derive]
+    given. [?pool] lock-stripes the warm what-if cache four ways per
+    pool domain, for epochs that run on a worker domain alongside the
+    dispatch thread; costs are identical at any stripe count. [?derive]
     (default true) attaches atomic cost derivation to the epoch-warm
     what-if cache, so drift checks and tuning epochs answer misses
     from cached access-path atoms — same costs, fewer optimizer runs
@@ -73,14 +73,11 @@ val feed : t -> string -> event
 (** Ingest one SQL statement (text, trailing [';'] allowed). *)
 
 val feed_batch : t -> string list -> event list
-(** Ingest a pipelined run of statements. Parsing is pure in
-    (schema, pre-assigned id, text), so when the service owns a
-    {!Im_par.Pool} with workers the batch parses on the pool in
-    cost-sized chunks ({!Im_par.Pool.Batcher}, site [serve_parse])
-    before each result is applied to the window/drift/epoch state
-    machine in arrival order. Events are identical to calling {!feed}
-    once per statement, at any pool size — the daemon batches
-    pipelined [STMT] runs through this. *)
+(** Ingest a pipelined run of statements. The batch parses up front
+    under pre-assigned ids, then each result is applied to the
+    window/drift/epoch state machine in arrival order. Events are
+    identical to calling {!feed} once per statement — the daemon
+    batches pipelined [STMT] runs through this. *)
 
 val force_epoch : t -> (Epoch.outcome, string) result
 (** Run an epoch now; [Error] on an empty window. *)

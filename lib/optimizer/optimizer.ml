@@ -3,9 +3,9 @@ module Config = Im_catalog.Config
 module Query = Im_sqlir.Query
 module Predicate = Im_sqlir.Predicate
 
-(* Atomic: the what-if service calls the optimizer from every domain
-   of the im_par pool, and the parallel-vs-sequential equality tests
-   compare exact invocation totals. *)
+(* Atomic: the what-if service can call the optimizer from several
+   domains at once (tune's per-query fan-out, a daemon epoch racing
+   the dispatch thread), and tests compare exact invocation totals. *)
 let counter = Atomic.make 0
 let invocations () = Atomic.get counter
 let reset_invocations () = Atomic.set counter 0

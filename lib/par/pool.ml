@@ -1,5 +1,5 @@
 (* Fixed-size domain pool with a shared work queue. Batches are
-   submitted by parallel_map/map_chunked; the submitting domain helps
+   submitted by parallel_map; the submitting domain helps
    (pops queued tasks while its batch is outstanding) instead of
    blocking, so nested parallel calls cannot deadlock and the caller's
    core stays busy. Results are delivered in input order; the memory
@@ -12,7 +12,6 @@ module Metrics = Im_obs.Metrics
 let m_tasks = Metrics.counter "par_tasks_total"
 let m_queue_depth = Metrics.gauge "par_queue_depth"
 let m_task_seconds = Metrics.histogram "par_task_seconds"
-let m_batch_chunk = Metrics.gauge "par_batch_chunk"
 
 type t = {
   lock : Mutex.t;
@@ -165,240 +164,6 @@ let parallel_map t f xs =
      | None -> ());
     Array.to_list
       (Array.map (function Some v -> v | None -> assert false) results)
-
-(* Single-pass chunk splitter: one traversal of the input, chunks in
-   order, elements within each chunk in order. (The take/drop shape it
-   replaces re-walked the list prefix for every chunk — O(n²/chunk) on
-   long inputs, which the 100k-element regression test in test_par
-   would time out on.) *)
-let split_chunks chunk xs =
-  let rec go chunks cur k = function
-    | [] -> List.rev (if cur = [] then chunks else List.rev cur :: chunks)
-    | x :: tl ->
-      if k = chunk then go (List.rev cur :: chunks) [ x ] 1 tl
-      else go chunks (x :: cur) (k + 1) tl
-  in
-  match xs with [] -> [] | x :: tl -> go [] [ x ] 1 tl
-
-let map_chunked t ~chunk f xs =
-  if chunk < 1 then invalid_arg "Im_par.Pool.map_chunked: chunk < 1";
-  ensure_live t;
-  List.concat (parallel_map t (List.map f) (split_chunks chunk xs))
-
-(* ---- Cost-aware batching ----
-
-   Queue round-trips cost ~µs; the searches' per-candidate tasks cost
-   ~µs too, so one-task-per-element parallelism loses its win to
-   overhead (BENCH_par.json before this existed: ≤1×). A batcher owns a
-   per-call-site estimate of per-element cost and sizes chunks so each
-   task lands near [target_ns] of work (default 300 µs — inside the
-   100 µs–1 ms sweet spot): big enough that queue overhead is noise,
-   small enough that a wave still load-balances. *)
-module Batcher = struct
-  type b = {
-    bt_name : string;
-    bt_target_ns : int;
-    bt_est_ns : float Atomic.t;  (* EWMA per-element ns; 0. = no sample *)
-    bt_min_ns : float Atomic.t;
-        (* decayed minimum per-element ns (cheapest recent evidence,
-           creeping up 1.3× per sample so it can recover); 0. = none *)
-    bt_seed_ns : float Atomic.t;  (* 0. = not yet seeded *)
-    bt_chunk_seconds : Metrics.Histogram.t;
-        (* wall time of this site's measured chunks, labelled by site —
-           the per-site granularity audit behind the global
-           par_task_seconds *)
-  }
-
-  let default_target_ns = 300_000
-
-  let env_target_ns () =
-    match Sys.getenv_opt "IM_BATCH_TARGET_NS" with
-    | Some s ->
-      (match int_of_string_opt (String.trim s) with
-       | Some n when n > 0 -> max 1_000 (min 100_000_000 n)
-       | Some _ | None -> default_target_ns)
-    | None -> default_target_ns
-
-  let create ?(name = "") ?target_ns () =
-    let target =
-      match target_ns with
-      | Some n when n > 0 -> max 1_000 (min 100_000_000 n)
-      | Some _ | None -> env_target_ns ()
-    in
-    {
-      bt_name = name;
-      bt_target_ns = target;
-      bt_est_ns = Atomic.make 0.;
-      bt_min_ns = Atomic.make 0.;
-      bt_seed_ns = Atomic.make 0.;
-      bt_chunk_seconds =
-        Metrics.histogram
-          ~labels:[ ("site", if name = "" then "anon" else name) ]
-          "par_chunk_seconds";
-    }
-
-  let target_ns b = b.bt_target_ns
-
-  (* First estimate: the p50 of every pool task this process has run
-     (the par_task_seconds histogram) — the measured reality the
-     ROADMAP complained about (~4 µs) is also the right prior. Once the
-     batcher has measurements of its own site they take over. *)
-  let seed b =
-    let s = Atomic.get b.bt_seed_ns in
-    if s > 0. then s
-    else begin
-      let s =
-        if Metrics.Histogram.count m_task_seconds > 0 then
-          Float.max 1.
-            (1e9 *. Metrics.Histogram.percentile m_task_seconds 0.5)
-        else 4_000.
-      in
-      Atomic.set b.bt_seed_ns s;
-      s
-    end
-
-  let estimated_ns b =
-    let e = Atomic.get b.bt_est_ns in
-    if e > 0. then e else seed b
-
-  (* Chunk tasks feed their measured (elements, wall-ns) back; the
-     estimate is an exponential moving average over chunk samples
-     (half new, half old), NOT a cumulative mean: the first wave over a
-     cold cost cache can be 100× more expensive per element than every
-     warm wave after it, and a cumulative mean pinned to that history
-     keeps chunks sized for work that no longer exists — the confetti
-     tasks this module is meant to kill. The EWMA forgets the cold
-     regime within a couple of waves. (Plain read-update-write: a lost
-     concurrent sample only delays convergence.) *)
-  let note b ~elems ~ns =
-    if elems > 0 && ns >= 0 then begin
-      Metrics.Histogram.observe b.bt_chunk_seconds (float_of_int ns *. 1e-9);
-      let sample = Float.max 1. (float_of_int ns /. float_of_int elems) in
-      let prev = Atomic.get b.bt_est_ns in
-      Atomic.set b.bt_est_ns
-        (if prev > 0. then 0.5 *. (prev +. sample) else sample);
-      let prev_min = Atomic.get b.bt_min_ns in
-      Atomic.set b.bt_min_ns
-        (if prev_min > 0. then Float.min sample (prev_min *. 1.3) else sample)
-    end
-
-  (* Process-wide log of chunk-size decisions (site, size → times
-     chosen), kept for BENCH_par.json so the batching heuristic is
-     auditable across runs. *)
-  let decisions_lock = Mutex.create ()
-  let decisions_tbl : (string * int, int) Hashtbl.t = Hashtbl.create 32
-
-  let record_decision b chunk =
-    Metrics.Gauge.set_int m_batch_chunk chunk;
-    Mutex.lock decisions_lock;
-    Hashtbl.replace decisions_tbl (b.bt_name, chunk)
-      (1
-      + Option.value ~default:0
-          (Hashtbl.find_opt decisions_tbl (b.bt_name, chunk)));
-    Mutex.unlock decisions_lock
-
-  let decisions () =
-    Mutex.lock decisions_lock;
-    let d =
-      Hashtbl.fold
-        (fun (name, chunk) v acc -> (name, chunk, v) :: acc)
-        decisions_tbl []
-    in
-    Mutex.unlock decisions_lock;
-    List.sort compare d
-
-  (* Chunk size for [n] elements on [workers] effective domains (the
-     caller helps, so workers = pool size + 1). Rules, in order:
-     - too little total work to amortize even one queue round-trip
-       (< 2 × target): one chunk, run inline by the caller;
-     - aim at [target_ns] per task ([by_target]), but split further for
-       load balance down to two waves per worker ([by_balance]);
-     - never let balance push a task below target/3 of work
-       ([floor_elems]) — tiny tasks are the failure mode this module
-       exists to kill. *)
-  let chunk_for b ~workers ~n =
-    if n <= 1 || workers <= 1 then n
-    else begin
-      let est = estimated_ns b in
-      let target = float_of_int b.bt_target_ns in
-      (* Both the inline threshold and the chunk floor divide by the
-         cheapest recent evidence (the decayed minimum), not the EWMA:
-         per-element cost swings ~100× between cold and warm cost-cache
-         regimes, and decisions pinned to the lagging average queue
-         confetti for a wave or two after every cold blip. Oversizing
-         (or inlining) is the safe direction — a too-big task only
-         rounds a wave up, a too-small one re-creates the overhead this
-         module exists to kill. *)
-      let min_ns = Atomic.get b.bt_min_ns in
-      let optimistic = if min_ns > 0. then Float.min est min_ns else est in
-      let total = float_of_int n *. optimistic in
-      let chunk =
-        if total < 2. *. target then n
-        else begin
-          let by_target = int_of_float (target /. est) in
-          let by_balance = (n + (2 * workers) - 1) / (2 * workers) in
-          let floor_elems = int_of_float (target /. 3. /. optimistic) in
-          max 1 (max floor_elems (min by_target by_balance))
-        end
-      in
-      let chunk = min n chunk in
-      record_decision b chunk;
-      chunk
-    end
-end
-
-let now_ns () = Im_util.Stopwatch.now_ns ()
-
-let map_batched t ~batcher f xs =
-  ensure_live t;
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | xs ->
-    let n = List.length xs in
-    let workers = t.n_workers + 1 in
-    let chunk = Batcher.chunk_for batcher ~workers ~n in
-    let timed_map chunk_xs =
-      let t0 = now_ns () in
-      let ys = List.map f chunk_xs in
-      Batcher.note batcher ~elems:(List.length chunk_xs)
-        ~ns:(Int64.to_int (Int64.sub (now_ns ()) t0));
-      ys
-    in
-    if chunk >= n || t.n_workers = 0 then timed_map xs
-    else
-      List.concat (parallel_map t timed_map (split_chunks chunk xs))
-
-let fill_batched t ~batcher ~n f =
-  ensure_live t;
-  if n < 0 then invalid_arg "Im_par.Pool.fill_batched: n < 0";
-  if n > 0 then begin
-    let workers = t.n_workers + 1 in
-    let chunk = Batcher.chunk_for batcher ~workers ~n in
-    let timed_range lo hi =
-      let t0 = now_ns () in
-      for i = lo to hi - 1 do
-        f i
-      done;
-      Batcher.note batcher ~elems:(hi - lo)
-        ~ns:(Int64.to_int (Int64.sub (now_ns ()) t0))
-    in
-    if chunk >= n || t.n_workers = 0 then timed_range 0 n
-    else begin
-      let ranges = ref [] in
-      let lo = ref 0 in
-      while !lo < n do
-        let hi = min n (!lo + chunk) in
-        ranges := (!lo, hi) :: !ranges;
-        lo := hi
-      done;
-      (* Tasks write disjoint slots of the caller's flat arrays; the
-         batch mutex inside parallel_map publishes every write before
-         the caller resumes. *)
-      ignore
-        (parallel_map t (fun (lo, hi) -> timed_range lo hi) (List.rev !ranges))
-    end
-  end
 
 let shutdown t =
   Mutex.lock t.lock;

@@ -1,20 +1,22 @@
 (** A fixed-size pool of OCaml 5 domains behind a shared work queue —
-    the substrate for parallel candidate evaluation in the merge
-    searches.
+    the substrate for coarse fan-outs whose tasks are milliseconds or
+    more (per-query tuning in the CLI [tune] command). The merge
+    searches and workload costing run sequentially: their per-candidate
+    work is microseconds, and queue round-trips cost more than they
+    save (DESIGN.md §2e).
 
     The pool holds [domains] worker domains (0 = no workers: every
     operation degrades to its sequential equivalent on the calling
     domain, with no queue or lock traffic). Work is submitted in
-    batches by {!parallel_map}/{!map_chunked}; the submitting domain
-    {e helps}: while its batch is outstanding it pops and runs queued
-    tasks instead of blocking, so nested parallel calls cannot
-    deadlock and the caller's core is never idle.
+    batches by {!parallel_map}; the submitting domain {e helps}: while
+    its batch is outstanding it pops and runs queued tasks instead of
+    blocking, so nested parallel calls cannot deadlock and the
+    caller's core is never idle.
 
     Determinism: {!parallel_map} returns results in input order, and a
     task is pure modulo domain-safe caches (the cost service, interned
-    ids, page memos) — so callers that fix their own combination order
-    get bit-identical results at any pool size. The searches rely on
-    this (see DESIGN.md §2e).
+    ids) — so callers that fix their own combination order get
+    bit-identical results at any pool size.
 
     Metrics ([im_obs], process-wide across all pools):
     [par_tasks_total], [par_queue_depth] (gauge), [par_task_seconds]
@@ -40,8 +42,8 @@ val set_default_domains : int -> unit
 val default : unit -> t
 (** The process-wide shared pool, created lazily at
     {!default_domains} (or {!set_default_domains}) size and shut down
-    at exit. [Search.run], the online epoch runner and the CLI all
-    draw from it unless handed an explicit pool. *)
+    at exit. The CLI [tune] command fans out over it, and the [serve]
+    command sizes each tenant's cost-cache lock stripes from it. *)
 
 val domain_count : t -> int
 (** Number of worker domains (0 = sequential fallback). *)
@@ -54,69 +56,6 @@ val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
     after every task of the batch has settled.
 
     Raises [Invalid_argument] after {!shutdown}. *)
-
-val map_chunked : t -> chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** {!parallel_map} with [chunk] consecutive elements per task —
-    fan-out for work items too small to pay the queue round-trip
-    individually. Same ordering, exception and shutdown behaviour.
-    Raises [Invalid_argument] if [chunk < 1]. *)
-
-(** Cost-aware chunk sizing for {!map_batched}/{!fill_batched}. A
-    batcher belongs to one call site (one kind of work) and keeps a
-    per-element cost estimate: seeded from the process-wide
-    [par_task_seconds] p50 on first use, then tracked online as an
-    exponential moving average of each chunk's measured wall time (so
-    it forgets a cold-cache first wave within a couple of waves). Chunks are sized so each queued task
-    carries close to [target_ns] of work (default 300 µs, override
-    [IM_BATCH_TARGET_NS] or [?target_ns]) and never less than a third
-    of it — the 100 µs–1 ms granularity where queue overhead is noise
-    but waves still load-balance. Batchers are domain-safe. *)
-module Batcher : sig
-  type b
-
-  val create : ?name:string -> ?target_ns:int -> unit -> b
-  (** [?name] labels the call site in the {!decisions} log.
-      [?target_ns] (clamped to [1_000, 100_000_000]) overrides the
-      [IM_BATCH_TARGET_NS] environment default of 300 000 ns. *)
-
-  val target_ns : b -> int
-
-  val estimated_ns : b -> float
-  (** Current per-element cost estimate in ns (the seed until the
-      first measured chunk lands). *)
-
-  val note : b -> elems:int -> ns:int -> unit
-  (** Feed a measurement back by hand (the batched primitives do this
-      automatically). *)
-
-  val chunk_for : b -> workers:int -> n:int -> int
-  (** The chunk size the batcher would pick for [n] elements on
-      [workers] effective domains. [chunk_for b ~workers ~n >= n]
-      means: run inline, the batch is too small to pay for the queue.
-      Exposed for tests and benches. *)
-
-  val decisions : unit -> (string * int * int) list
-  (** Process-wide (site name, chunk size, times chosen) log across
-      all batchers, sorted — emitted into BENCH_par.json so the
-      heuristic is auditable. *)
-end
-
-val map_batched : t -> batcher:Batcher.b -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map_chunked} with the chunk size chosen by [batcher] from its
-    measured per-element cost. Order-preserving and exception-safe
-    like {!parallel_map}; runs inline on the caller (no queue traffic)
-    when the pool has no workers or the whole batch is under two
-    targets' worth of work. Each chunk's wall time is fed back into
-    the batcher. *)
-
-val fill_batched : t -> batcher:Batcher.b -> n:int -> (int -> unit) -> unit
-(** [fill_batched t ~batcher ~n f] runs [f i] for [i = 0..n-1] in
-    cost-sized contiguous ranges on the pool. [f] must write only
-    slot [i] of the caller's output arrays (disjoint per index); the
-    batch mutex publishes every write before the call returns, so the
-    caller may read the arrays without further synchronisation. This
-    is the fan-out primitive for flat score tables. Raises
-    [Invalid_argument] if [n < 0]. *)
 
 val shutdown : t -> unit
 (** Drain queued tasks, stop and join every worker. Idempotent; after

@@ -4,7 +4,6 @@ module Query = Im_sqlir.Query
 module Workload = Im_workload.Workload
 module Compress = Im_workload.Compress
 module Service = Im_costsvc.Service
-module Score_table = Im_costsvc.Score_table
 module Derive = Im_derive.Derive
 module Metrics = Im_obs.Metrics
 
@@ -15,12 +14,6 @@ let m_batch_scores = Metrics.counter "scale_batch_scores_total"
 let m_probe_costs = Metrics.counter "scale_probe_costs_total"
 
 let slack = 2.0
-
-(* Sizes [score]'s pooled fill from measured per-cell cost. One batcher
-   for the call site (not per compactor): a fresh compactor would
-   relearn the per-cell cost from a blind seed and mis-size its first
-   fills. *)
-let score_batcher = Im_par.Pool.Batcher.create ~name:"scale_score" ()
 
 (* Per-bucket probe configurations and the leader's sampled costs over
    them (parallel arrays). *)
@@ -62,9 +55,6 @@ type t = {
   sc_mine : Im_mine.Mine.t option;
   sc_by_sig : (string, bucket) Hashtbl.t;
   sc_by_query : (int, member) Hashtbl.t;
-  sc_batches_lock : Mutex.t;
-      (* [sc_batches] is read under pool fan-out in [score]; intake
-         stays single-threaded but shares the same accessor *)
   sc_batches : (int, Derive.Batch.t) Hashtbl.t;
   mutable sc_order : bucket list;  (* reversed creation order *)
   mutable sc_buckets : int;
@@ -89,7 +79,6 @@ let create ?(eps = 0.05) ?(jaccard = 0.0) ?mine service =
     sc_mine = mine;
     sc_by_sig = Hashtbl.create 256;
     sc_by_query = Hashtbl.create 1024;
-    sc_batches_lock = Mutex.create ();
     sc_batches = Hashtbl.create 256;
     sc_order = [];
     sc_buckets = 0;
@@ -104,24 +93,17 @@ let create ?(eps = 0.05) ?(jaccard = 0.0) ?mine service =
 
 let eps t = t.sc_eps
 
-(* The batch table is mutex-guarded (double-checked miss) so [score]'s
-   pool fan-out may look batches up concurrently with nothing racing;
-   the batches themselves are domain-safe. Callers that already
-   interned the query pass [~qid] so the hot intake path does not
+(* One atom batch per interned query. Callers that already interned
+   the query pass [~qid] so the hot intake path does not
    re-canonicalize. *)
 let batch_for ?qid t q =
   let qid = match qid with Some id -> id | None -> Query.intern q in
-  Mutex.lock t.sc_batches_lock;
-  let b =
-    match Hashtbl.find_opt t.sc_batches qid with
-    | Some b -> b
-    | None ->
-      let b = Derive.Batch.create t.sc_deriver q in
-      Hashtbl.add t.sc_batches qid b;
-      b
-  in
-  Mutex.unlock t.sc_batches_lock;
-  b
+  match Hashtbl.find_opt t.sc_batches qid with
+  | Some b -> b
+  | None ->
+    let b = Derive.Batch.create t.sc_deriver q in
+    Hashtbl.add t.sc_batches qid b;
+    b
 
 (* ---- Probe configurations ----
 
@@ -359,61 +341,16 @@ let snapshot ?(name = "scale") t =
        (fun b -> { Workload.query = b.bu_leader; freq = b.bu_mass })
        t.sc_order)
 
-let score ?pool t configs =
+let score t configs =
   let w = snapshot t in
-  match pool with
-  | Some p when Im_par.Pool.domain_count p > 0 && configs <> [] ->
-    (* Pooled path: every (leader, configuration) cell is independent,
-       so the whole cross product lands in one query-major flat score
-       table — row = leader slot, column = configuration slot — filled
-       in cost-sized contiguous ranges. Query-major means a worker's
-       range walks one leader's row: consecutive cells recombine the
-       same warm batch memo. Batches are domain-safe (per-batch
-       mutex), so cold memos racing across rows are exact too. The
-       sums then flow through [Service.workload_cost] per
-       configuration with a table-lookup override — the same
-       left-to-right fold and [c_cost_evals] accounting as the
-       sequential path, so scores and service counters are
-       bit-identical at any domain count. *)
-    let entries = Array.of_list w.Workload.entries in
-    let rows = Array.length entries in
-    let config_arr = Array.of_list configs in
-    let cols = Array.length config_arr in
-    let batches =
-      Array.map (fun (e : Workload.entry) -> batch_for t e.Workload.query)
-        entries
-    in
-    let qids =
-      Array.map (fun (e : Workload.entry) -> Query.intern e.Workload.query)
-        entries
-    in
-    let slots = Score_table.Slots.of_ids qids in
-    let table = Score_table.create ~rows ~cols () in
-    Im_par.Pool.fill_batched p ~batcher:score_batcher ~n:(rows * cols)
-      (fun k ->
-        let row = k / cols and col = k mod cols in
-        Score_table.set table ~row ~col
-          (Derive.Batch.cost batches.(row) config_arr.(col)));
-    Array.mapi
-      (fun col config ->
-        let query_cost _config q =
-          Score_table.get table
-            ~row:(Score_table.Slots.slot slots (Query.intern q))
-            ~col
-        in
-        let c = Service.workload_cost ~query_cost t.sc_service config w in
-        Metrics.Counter.incr m_batch_scores;
-        c)
-      config_arr
-  | Some _ | None ->
-    let query_cost config q = Derive.Batch.cost (batch_for t q) config in
-    Array.of_list
-      (List.map
-         (fun config ->
-           let c = Service.workload_cost ~query_cost t.sc_service config w in
-           Metrics.Counter.incr m_batch_scores;
-           c)
-         configs)
+  let query_cost config q = Derive.Batch.cost (batch_for t q) config in
+  Array.of_list
+    (List.map
+       (fun config ->
+         let c = Service.workload_cost ~query_cost t.sc_service config w in
+         Metrics.Counter.incr m_batch_scores;
+         c)
+       configs)
 
 let compress_workload ?eps ?jaccard ?mine service (w : Workload.t) =
   let t = create ?eps ?jaccard ?mine service in

@@ -92,15 +92,10 @@ val snapshot : ?name:string -> t -> Im_workload.Workload.t
     {!compress_workload}). Also publishes the [scale_*] gauges. The
     compactor keeps streaming afterwards. *)
 
-val score : ?pool:Im_par.Pool.t -> t -> Im_catalog.Config.t list -> float array
+val score : t -> Im_catalog.Config.t list -> float array
 (** [Cost (Ŵ, C)] for each configuration, recombined from per-leader
     atom batches — bit-identical to
-    [Service.workload_cost service c (snapshot t)] for each [c].
-    [?pool] fills the (leader × configuration) cross product into a
-    query-major flat score table in cost-sized chunks on the pool's
-    domains (batches are domain-safe) and combines each column with
-    the exact sequential fold — scores and service counters are
-    bit-identical at any domain count. *)
+    [Service.workload_cost service c (snapshot t)] for each [c]. *)
 
 type stats = {
   st_statements : int;  (** statements streamed in *)

@@ -4,12 +4,12 @@
 # pool, and with every derived cost cross-checked against a full
 # optimization — results must depend on neither IM_DOMAINS nor
 # derivation), the derive and cost-service benchmarks (emit
-# BENCH_derive.json / BENCH_costsvc.json), parallel-merge and derive
+# BENCH_derive.json / BENCH_costsvc.json), domain-count and derive
 # determinism smokes (the CLI must produce the same configuration at
 # --domains 0 and 4, with and without --no-derive, and under
 # --compress 0.05 at both pool sizes, and with --prune-support 0 a
-# no-op), the par batching tests at
-# IM_DOMAINS=0 and 4, the frontier-pruning bench smoke, and formatting
+# no-op), the domain-pool tests at IM_DOMAINS=0 and 4, the
+# frontier-pruning bench smoke, and formatting
 # when ocamlformat is installed (skipped gracefully when not — the CI
 # container does not ship it).
 set -eu
@@ -80,10 +80,12 @@ dune exec bin/index_merge_cli.exe -- merge -d synthetic1 -q 6 --metrics \
   || { echo "metrics smoke FAILED: optimizer_calls_total missing"; exit 1; }
 echo "metrics smoke OK"
 
-echo "== parallel merge determinism (--domains 0 vs 4) =="
-# Compare from the result section on: the report header carries wall
-# times and cache-counter latencies that legitimately differ run to
-# run; the merged configuration must not.
+echo "== merge determinism across pool sizes (--domains 0 vs 4) =="
+# The merge search runs sequentially whatever the pool size; the pool
+# must not leak into its result. Compare from the result section on:
+# the report header carries wall times and cache-counter latencies
+# that legitimately differ run to run; the merged configuration must
+# not. The pool's metrics stay exported in the --metrics registry.
 merge_out() {
   dune exec bin/index_merge_cli.exe -- merge --domains "$1" -d synthetic1 -q 6 \
     | sed -n '/merged configuration:/,$p'
@@ -116,9 +118,8 @@ else
 fi
 
 echo "== compressed-search determinism (--compress 0.05, --domains 0 vs 4) =="
-# The compressed epoch path scores on the pool too (Scale.score's flat
-# table fill); the merged configuration must not depend on the domain
-# count even under approximate folding.
+# The merged configuration must not depend on the domain count even
+# under approximate folding.
 compress_domains_out() {
   dune exec bin/index_merge_cli.exe -- merge --domains "$1" --compress 0.05 \
     -d synthetic1 -q 6 \
@@ -131,10 +132,10 @@ else
   exit 1
 fi
 
-echo "== par batching tests (IM_DOMAINS=0 and 4) =="
-# Chunk splitting, batcher sizing, batched determinism, the 4-domain
-# Derive.Batch hammer and the pooled Scale.score identity — explicitly
-# at both pool sizes, so a batching regression is impossible to miss.
+echo "== domain-pool tests (IM_DOMAINS=0 and 4) =="
+# Pool lifecycle, ordering and exceptions, the sharded cost-service
+# counters and the 4-domain Derive.Batch hammer — explicitly at both
+# pool sizes.
 IM_DOMAINS=0 dune exec test/test_par.exe
 IM_DOMAINS=4 dune exec test/test_par.exe
 
@@ -186,10 +187,6 @@ echo "wrote BENCH_mine_smoke.json"
 echo "== bench: derive identity + optimizer-call reduction (BENCH_derive.json) =="
 IM_BENCH_OUT=BENCH_derive.json dune exec bench/main.exe -- derive
 echo "wrote BENCH_derive.json"
-
-echo "== bench: parallel search identity + speedups (BENCH_par.json) =="
-IM_BENCH_OUT=BENCH_par.json dune exec bench/main.exe -- par
-echo "wrote BENCH_par.json"
 
 echo "== bench: costsvc accounting (BENCH_costsvc.json) =="
 IM_BENCH_OUT="${IM_BENCH_OUT:-BENCH_costsvc.json}" dune exec bench/main.exe -- costsvc

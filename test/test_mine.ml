@@ -3,7 +3,7 @@
    keep_pair/keep_block rule set (union support, duplicates, hot
    containment, all-parents-supported, bless, the correctness valve),
    and --prune-support 0 bit-identity with the unpruned search (greedy
-   and exhaustive, 0 and 4 domains). *)
+   and exhaustive). *)
 
 module Mine = Im_mine.Mine
 module Scale = Im_scale.Scale
@@ -18,7 +18,6 @@ module Query = Im_sqlir.Query
 module Workload = Im_workload.Workload
 module Search = Im_merging.Search
 module Merge = Im_merging.Merge
-module Pool = Im_par.Pool
 
 let tc = Alcotest.test_case
 let cr = Predicate.colref
@@ -234,19 +233,14 @@ let test_prune_support_zero_identity () =
   in
   List.iter
     (fun (name, strategy) ->
-      List.iter
-        (fun domains ->
-          let pool = Pool.create ~domains () in
-          Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-          let plain = Search.run ~pool db w ~initial strategy in
-          let zero = Search.run ~pool ~prune_support:0.0 db w ~initial strategy in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s @ %d domains: identical outcome" name domains)
-            true
-            (outcome_sig plain = outcome_sig zero);
-          Alcotest.(check bool) "prune-support 0 reports no pruning" true
-            (zero.Search.o_pruning = None))
-        [ 0; 4 ])
+      let plain = Search.run db w ~initial strategy in
+      let zero = Search.run ~prune_support:0.0 db w ~initial strategy in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: identical outcome" name)
+        true
+        (outcome_sig plain = outcome_sig zero);
+      Alcotest.(check bool) "prune-support 0 reports no pruning" true
+        (zero.Search.o_pruning = None))
     [
       ("greedy", Search.Greedy);
       ("exhaustive", Search.Exhaustive_search { config_limit = 10_000 });

@@ -1,7 +1,7 @@
-(* Tests for the im_par domain pool and the parallel evaluation paths:
-   pool lifecycle, exception propagation, ordering determinism, sharded
-   cost-service counter exactness under concurrent hammering, and
-   search-level sequential-vs-parallel result identity. *)
+(* Tests for the im_par domain pool and the domain-safe caches behind
+   it: pool lifecycle, exception propagation, ordering determinism, and
+   sharded cost-service and Derive.Batch counter exactness under
+   concurrent hammering. *)
 
 module Pool = Im_par.Pool
 module Service = Im_costsvc.Service
@@ -12,9 +12,6 @@ module Datatype = Im_sqlir.Datatype
 module Value = Im_sqlir.Value
 module Predicate = Im_sqlir.Predicate
 module Query = Im_sqlir.Query
-module Workload = Im_workload.Workload
-module Merge = Im_merging.Merge
-module Search = Im_merging.Search
 
 let tc = Alcotest.test_case
 let cr = Predicate.colref
@@ -42,9 +39,6 @@ let test_pool_sequential_fallback () =
   Alcotest.(check (list int))
     "parallel_map is List.map" (List.map succ xs)
     (Pool.parallel_map pool succ xs);
-  Alcotest.(check (list int))
-    "map_chunked too" (List.map succ xs)
-    (Pool.map_chunked pool ~chunk:7 succ xs);
   Pool.shutdown pool
 
 let test_exception_propagation () =
@@ -73,99 +67,11 @@ let test_ordering_deterministic () =
         (label "parallel_map order")
         expected
         (Pool.parallel_map pool (fun i -> i * i) xs);
-      Alcotest.(check (list int))
-        (label "map_chunked order")
-        expected
-        (Pool.map_chunked pool ~chunk:7 (fun i -> i * i) xs);
       Alcotest.(check (list int)) (label "empty input") []
         (Pool.parallel_map pool (fun i -> i * i) []))
-    [ 0; 1; 3 ];
-  let pool = Pool.create ~domains:1 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  Alcotest.check_raises "chunk must be positive"
-    (Invalid_argument "Im_par.Pool.map_chunked: chunk < 1") (fun () ->
-      ignore (Pool.map_chunked pool ~chunk:0 Fun.id [ 1 ]))
-
-let test_map_chunked_large () =
-  (* Regression: chunk splitting used take/drop per chunk — O(n²/chunk)
-     on long lists, which at 100k elements re-walked ~50M cons cells.
-     The single-pass splitter must handle this size instantly and
-     preserve order and content exactly. *)
-  let n = 100_000 in
-  let xs = List.init n Fun.id in
-  let pool = Pool.create ~domains:2 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let t0 = Im_util.Stopwatch.now_s () in
-  let ys = Pool.map_chunked pool ~chunk:1000 succ xs in
-  let elapsed = Im_util.Stopwatch.now_s () -. t0 in
-  Alcotest.(check int) "length preserved" n (List.length ys);
-  Alcotest.(check bool)
-    "order and content" true
-    (List.for_all2 (fun x y -> y = x + 1) xs ys);
-  (* Generous even for a loaded 1-core CI runner; the quadratic shape
-     took tens of seconds here. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "single-pass splitter is fast (%.2fs)" elapsed)
-    true (elapsed < 5.)
-
-let test_batcher_chunking () =
-  let b = Pool.Batcher.create ~target_ns:300_000 () in
-  Alcotest.(check int) "target clamped through" 300_000 (Pool.Batcher.target_ns b);
-  (* Teach the batcher a known per-element cost: 1000 elements in 1ms =
-     1µs each. *)
-  Pool.Batcher.note b ~elems:1000 ~ns:1_000_000;
-  Alcotest.(check (float 1e-9)) "estimate adapts" 1000. (Pool.Batcher.estimated_ns b);
-  (* Plenty of cheap elements on 4 effective workers: by_target =
-     300µs/1µs = 300; by_balance = ceil(10000/8) = 1250; floor =
-     100. Chunk = max(100, min(300, 1250)) = 300 → every queued task
-     carries ~300µs of work. *)
-  Alcotest.(check int) "chunk lands on target" 300
-    (Pool.Batcher.chunk_for b ~workers:4 ~n:10_000);
-  (* Below two targets' worth of total work the whole batch inlines. *)
-  Alcotest.(check int) "small batch inlines" 500
-    (Pool.Batcher.chunk_for b ~workers:4 ~n:500);
-  (* Expensive elements: 1 element per task is allowed once a single
-     element exceeds the floor. *)
-  let exp_b = Pool.Batcher.create ~target_ns:300_000 () in
-  Pool.Batcher.note exp_b ~elems:10 ~ns:10_000_000 (* 1ms each *);
-  Alcotest.(check int) "expensive elements split to singletons" 1
-    (Pool.Batcher.chunk_for exp_b ~workers:4 ~n:64)
-
-let test_batched_determinism () =
-  let xs = List.init 5_000 Fun.id in
-  let expected = List.map (fun i -> i * 7) xs in
-  List.iter
-    (fun domains ->
-      let pool = Pool.create ~domains () in
-      Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-      let label what = Printf.sprintf "%s at %d domains" what domains in
-      (* A tiny target forces many multi-element chunks through the
-         queue; results must stay in input order. *)
-      let batcher = Pool.Batcher.create ~target_ns:1_000 () in
-      Alcotest.(check (list int))
-        (label "map_batched order")
-        expected
-        (Pool.map_batched pool ~batcher (fun i -> i * 7) xs);
-      Alcotest.(check (list int))
-        (label "map_batched empty")
-        []
-        (Pool.map_batched pool ~batcher (fun i -> i * 7) []);
-      let n = 5_000 in
-      let out = Array.make n 0 in
-      Pool.fill_batched pool ~batcher ~n (fun i -> out.(i) <- i * 7);
-      Alcotest.(check (list int))
-        (label "fill_batched slots")
-        expected (Array.to_list out);
-      (* Exceptions propagate like parallel_map's. *)
-      Alcotest.check_raises (label "map_batched exception") (Failure "chunk")
-        (fun () ->
-          ignore
-            (Pool.map_batched pool ~batcher
-               (fun i -> if i = 4_321 then failwith "chunk" else i)
-               xs)))
     [ 0; 1; 3 ]
 
-(* ---- A small database + workload (mirrors test_merging's) ---- *)
+(* ---- A small database (mirrors test_merging's) ---- *)
 
 let schema =
   Schema.make
@@ -199,8 +105,6 @@ let point ~id v =
     ~where:[ Predicate.Cmp (Predicate.Eq, cr "t" "a", Value.Int v) ]
     [ "t" ]
 
-let q_seek = point ~id:"q_seek" 17
-
 let q_scan =
   Query.make ~id:"q_scan"
     ~select:[ Query.Sel_col (cr "t" "b"); Query.Sel_col (cr "t" "c") ]
@@ -212,7 +116,6 @@ let q_order =
     ~order_by:[ (cr "t" "e", Query.Asc) ]
     [ "t" ]
 
-let workload = Workload.make [ q_seek; q_scan; q_order ]
 let i_seek = Index.make ~table:"t" [ "a"; "c" ]
 let i_scan = Index.make ~table:"t" [ "b"; "c" ]
 let i_order = Index.make ~table:"t" [ "e"; "b" ]
@@ -313,78 +216,6 @@ let test_batch_hammer () =
       Alcotest.(check int) (name ^ " exact under hammer") seq_v par_v)
     seq_counters (snapshot par_d)
 
-(* ---- Scale.score: pooled flat-table identity ---- *)
-
-let test_scale_score_pool_identity () =
-  (* The pooled query-major score-table fill must reproduce the
-     sequential per-config recombination bitwise, including the
-     service's workload-evaluation counter. *)
-  let entries =
-    List.concat
-      (List.init 6 (fun rep ->
-           List.map
-             (fun q -> { Workload.query = q; freq = float_of_int (rep + 1) })
-             [ q_seek; q_scan; q_order; point ~id:"s0" 3; point ~id:"s1" 9 ]))
-  in
-  let w = Workload.of_entries ~name:"scale-pool" entries in
-  let configs = [ []; [ i_seek ]; [ i_scan; i_order ]; initial ] in
-  let run_score pool =
-    let svc = Service.create ~shards:8 ~derive:true db in
-    let t = Im_scale.Scale.create ~eps:0.05 svc in
-    Im_scale.Scale.observe_workload t w;
-    let before = Service.cost_evals svc in
-    let scores = Im_scale.Scale.score ?pool t configs in
-    (Array.to_list scores, Service.cost_evals svc - before)
-  in
-  let seq_scores, seq_evals = run_score None in
-  let pool = Pool.create ~domains:4 () in
-  let par_scores, par_evals =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> run_score (Some pool))
-  in
-  Alcotest.(check (list (float 0.)))
-    "bitwise-equal pooled scores" seq_scores par_scores;
-  Alcotest.(check int) "cost_evals preserved" seq_evals par_evals
-
-(* ---- Search: parallel result identity ---- *)
-
-let outcome_sig (o : Search.outcome) =
-  ( List.map
-      (fun it ->
-        ( Index.to_string it.Merge.it_index,
-          List.map Index.to_string it.Merge.it_parents ))
-      o.Search.o_items,
-    o.Search.o_final_pages,
-    o.Search.o_final_cost,
-    o.Search.o_iterations )
-
-let test_search_parallel_equals_sequential () =
-  List.iter
-    (fun (name, strategy) ->
-      let seq_pool = Pool.create ~domains:0 () in
-      let reference =
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown seq_pool)
-          (fun () ->
-            outcome_sig
-              (Search.run ~pool:seq_pool db workload ~initial strategy))
-      in
-      List.iter
-        (fun domains ->
-          let pool = Pool.create ~domains () in
-          Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-          let o = Search.run ~pool db workload ~initial strategy in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s identical at %d domains" name domains)
-            true
-            (outcome_sig o = reference))
-        [ 1; 4 ])
-    [
-      ("greedy", Search.Greedy);
-      ("exhaustive", Search.Exhaustive_search { config_limit = 10_000 });
-    ]
-
 let () =
   Alcotest.run "im_par"
     [
@@ -394,18 +225,10 @@ let () =
           tc "sequential fallback" `Quick test_pool_sequential_fallback;
           tc "exception propagation" `Quick test_exception_propagation;
           tc "ordering determinism" `Quick test_ordering_deterministic;
-          tc "map_chunked 100k regression" `Quick test_map_chunked_large;
-          tc "batcher chunk sizing" `Quick test_batcher_chunking;
-          tc "batched determinism" `Quick test_batched_determinism;
         ] );
       ( "service",
         [ tc "sharded counters" `Quick test_sharded_counters_match_sequential ]
       );
       ( "derive batch",
         [ tc "4-domain hammer" `Quick test_batch_hammer ] );
-      ( "scale",
-        [ tc "pooled score identity" `Quick test_scale_score_pool_identity ] );
-      ( "search",
-        [ tc "parallel equals sequential" `Quick
-            test_search_parallel_equals_sequential ] );
     ]

@@ -330,12 +330,13 @@ let read_config c =
   expect_prefix "config" "OK " head;
   List.init (Scanf.sscanf head "OK %d" Fun.id) (fun _ -> input_line c.ic)
 
-let test_failed_epoch_keeps_last_config () =
-  (* IM_EPOCH_FAIL=2: the daemon's second epoch raises on the epoch
-     worker. The asker gets ERR epoch failed, the tenant keeps the
+let failed_epoch_keeps_last_config args =
+  (* IM_EPOCH_FAIL=2: the daemon's second epoch raises — on the epoch
+     worker by default, on the dispatch thread with --epoch-workers 0.
+     The asker gets ERR epoch failed, the tenant keeps the
      configuration its first epoch committed, and is not left marked
      in flight: the third epoch commits. *)
-  let d = start_daemon ~env:[ "IM_EPOCH_FAIL=2" ] () in
+  let d = start_daemon ~args ~env:[ "IM_EPOCH_FAIL=2" ] () in
   Fun.protect
     ~finally:(fun () -> stop_daemon d)
     (fun () ->
@@ -356,6 +357,9 @@ let test_failed_epoch_keeps_last_config () =
         (request c "STMT SELECT t0_c1 FROM t0 WHERE t0_c1 = 3");
       expect_prefix "next epoch commits" "OK epoch" (request c "EPOCH");
       expect_prefix "quit" "OK bye" (request c "QUIT"))
+
+let test_failed_epoch_keeps_last_config () =
+  List.iter failed_epoch_keeps_last_config [ []; [ "--epoch-workers"; "0" ] ]
 
 let test_reap_spares_inflight_epoch () =
   (* A connection waiting on an off-thread epoch is idle through no
