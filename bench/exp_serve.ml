@@ -22,8 +22,6 @@
    The soft RLIMIT_NOFILE is raised toward the client count before the
    daemon is spawned (the daemon inherits it); the run aborts with a
    `ulimit -n` hint if the limit cannot be raised far enough.
-   IM_SERVE_BACKEND ({auto,epoll,poll,select}, default auto) selects
-   the daemon's --event-backend; select caps the fleet at ~1000.
 
    Reported: client-observed p50/p99 per verb (reply-read time minus
    the time the command's bytes left the client), bytes in/out, the
@@ -53,14 +51,6 @@ let getenv_int name default =
 let n_clients () = getenv_int "IM_SERVE_CLIENTS" 2000
 let n_tenants () = getenv_int "IM_SERVE_TENANTS" 4
 let depth () = getenv_int "IM_SERVE_DEPTH" 20
-
-let backend_name () =
-  match Sys.getenv_opt "IM_SERVE_BACKEND" with
-  | Some b when b <> "" ->
-    (match Evloop.backend_of_string b with
-     | Ok _ -> b
-     | Error e -> failwith ("IM_SERVE_BACKEND: " ^ e))
-  | _ -> "auto"
 
 let deadline_s = 300.
 
@@ -101,7 +91,6 @@ let start_daemon ?(env = []) ~tenants ~max_connections () =
       cli_path (); "serve"; "-d"; "synthetic1"; "--port"; "0";
       "--check-every"; "1000000000"; "--read-timeout"; "120";
       "--max-connections"; string_of_int max_connections;
-      "--event-backend"; backend_name ();
     ]
     @ tenant_specs tenants
   in
@@ -125,12 +114,12 @@ let start_daemon ?(env = []) ~tenants ~max_connections () =
         "127.0.0.1:%d" (fun p -> p)
     with _ -> failwith ("no port in daemon banner: " ^ banner)
   in
-  (* "... backend <name>, <n> epoch workers)" at the tail of line 2. *)
+  (* "... backend <name>)" at the tail of line 2. *)
   let backend =
     let words = String.split_on_char ' ' tenants_line in
     let rec after = function
       | "backend" :: b :: _ ->
-        String.map (function ',' -> ' ' | c -> c) b |> String.trim
+        String.map (function ',' | ')' -> ' ' | c -> c) b |> String.trim
       | _ :: rest -> after rest
       | [] -> "unknown"
     in
@@ -515,17 +504,9 @@ let run () =
          "RLIMIT_NOFILE %d < %d needed for %d clients — raise the hard \
           limit (`ulimit -n`) or lower IM_SERVE_CLIENTS"
          fd_limit needed clients_n);
-  let max_connections =
-    if backend_name () = "select" then begin
-      if clients_n > 1000 then
-        failwith
-          "IM_SERVE_BACKEND=select caps at ~1000 clients (FD_SETSIZE); \
-           lower IM_SERVE_CLIENTS or pick epoll/poll/auto";
-      min 1010 (clients_n + 8)
-    end
-    else clients_n + 8
+  let d =
+    start_daemon ~tenants:tenants_n ~max_connections:(clients_n + 8) ()
   in
-  let d = start_daemon ~tenants:tenants_n ~max_connections () in
   let listing, daemon_metrics, elapsed_s =
     Fun.protect
       ~finally:(fun () ->

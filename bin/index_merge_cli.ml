@@ -522,22 +522,6 @@ let max_output_bytes_arg =
   Arg.(
     value & opt int 1_048_576 & info [ "max-output-bytes" ] ~docv:"BYTES" ~doc)
 
-let event_backend_arg =
-  let doc =
-    "Socket readiness backend: auto (epoll where available, else poll), \
-     epoll, poll, or select (the historical Unix.select loop; caps \
-     watchable fds at FD_SETSIZE)."
-  in
-  Arg.(value & opt string "auto" & info [ "event-backend" ] ~docv:"BACKEND" ~doc)
-
-let epoch_workers_arg =
-  let doc =
-    "Worker domains running tuning epochs off the dispatch thread so a \
-     re-merge never stalls other tenants' statements; 0 runs epochs \
-     inline (the historical behavior)."
-  in
-  Arg.(value & opt int 1 & info [ "epoch-workers" ] ~docv:"N" ~doc)
-
 let tenant_arg =
   let doc =
     "Pre-create an extra tenant session at startup: NAME, NAME=DB, or \
@@ -576,11 +560,8 @@ let parse_tenant_spec spec =
 let run_serve db_name sf seed schema_file data_dir port budget window decay
     check_every drift_threshold cost_threshold compress prune_support
     read_timeout max_connections max_tenant_connections max_output_bytes
-    event_backend epoch_workers tenant_specs domains no_derive metrics =
+    tenant_specs domains no_derive metrics =
   apply_domains domains;
-  let event_backend =
-    or_die (Im_evloop.Evloop.backend_of_string event_backend)
-  in
   (* Every tenant session is built the same way: database by name, the
      serve options from the flags, the cost cache striped for the
      shared pool's size. *)
@@ -634,25 +615,24 @@ let run_serve db_name sf seed schema_file data_dir port budget window decay
     try
       Im_online.Server.create ~port ~read_timeout ~max_connections
         ~max_tenant_connections ~max_output_bytes ~tenant:db_name ~tenants
-        ~weights ~factory ~event_backend ~epoch_workers service
+        ~weights ~factory service
     with
     | Unix.Unix_error (e, _, _) ->
       or_die (Error (Printf.sprintf "cannot bind port %d: %s" port
                        (Unix.error_message e)))
-    | Invalid_argument msg | Failure msg -> or_die (Error msg)
+    | Invalid_argument msg -> or_die (Error msg)
   in
   Printf.printf "index-merge serve: listening on 127.0.0.1:%d (budget %d \
                  pages, window %d clusters)\n%!"
     (Im_online.Server.port server) budget_pages window;
   Printf.printf "tenants: %s (max %d connections, %d per tenant, %d \
-                 output bytes, backend %s, %d epoch workers)\n%!"
+                 output bytes, backend %s)\n%!"
     (String.concat " " (Im_online.Server.tenants server))
     max_connections
     (if max_tenant_connections > 0 then max_tenant_connections
      else max_connections)
     max_output_bytes
-    (Im_online.Server.event_backend server)
-    (max 0 epoch_workers);
+    (Im_online.Server.event_backend server);
   let handle_stop _ = Im_online.Server.shutdown server in
   ignore (Sys.signal Sys.sigint (Sys.Signal_handle handle_stop));
   ignore (Sys.signal Sys.sigterm (Sys.Signal_handle handle_stop));
@@ -677,8 +657,7 @@ let serve_cmd =
       $ drift_threshold_arg $ cost_threshold_arg $ compress_arg
       $ prune_support_arg $ read_timeout_arg $ max_connections_arg
       $ max_tenant_connections_arg
-      $ max_output_bytes_arg $ event_backend_arg $ epoch_workers_arg
-      $ tenant_arg $ domains_arg $ no_derive_arg $ metrics_arg)
+      $ max_output_bytes_arg $ tenant_arg $ domains_arg $ no_derive_arg $ metrics_arg)
 
 (* ---- generate ---- *)
 

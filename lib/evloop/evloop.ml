@@ -1,17 +1,4 @@
-type backend = Auto | Epoll | Poll | Select
-
-let backend_of_string = function
-  | "auto" -> Ok Auto
-  | "epoll" -> Ok Epoll
-  | "poll" -> Ok Poll
-  | "select" -> Ok Select
-  | s -> Error (Printf.sprintf "unknown event backend %S (expected auto|epoll|poll|select)" s)
-
-let backend_to_string = function
-  | Auto -> "auto"
-  | Epoll -> "epoll"
-  | Poll -> "poll"
-  | Select -> "select"
+type backend = Auto | Epoll | Poll
 
 external fd_int : Unix.file_descr -> int = "%identity"
 external fd_of_int : int -> Unix.file_descr = "%identity"
@@ -35,8 +22,6 @@ let bit_write = 2
 
 let bits ~read ~write = (if read then bit_read else 0) lor (if write then bit_write else 0)
 
-let fd_setsize = 1024
-
 (* Slot arrays for the poll backend: parallel [fds]/[interests] packed
    in [0, n); [index] maps fd -> slot; removal swaps the last slot in,
    so the arrays never need a full rebuild. *)
@@ -51,7 +36,6 @@ type poll_state = {
 type impl =
   | I_epoll of int (* epoll fd *)
   | I_poll of poll_state
-  | I_select
 
 type t = {
   impl : impl;
@@ -82,7 +66,6 @@ let create ?(backend = Auto) () =
             p_n = 0;
             p_index = Hashtbl.create 64;
           }
-    | Select -> I_select
   in
   { impl; interest = Hashtbl.create 64 }
 
@@ -90,7 +73,6 @@ let backend_name t =
   match t.impl with
   | I_epoll _ -> "epoll"
   | I_poll _ -> "poll"
-  | I_select -> "select"
 
 let registered t fd = Hashtbl.mem t.interest (fd_int fd)
 
@@ -119,13 +101,7 @@ let add t fd ~read ~write =
       ps.p_fds.(ps.p_n) <- n;
       ps.p_interests.(ps.p_n) <- b;
       Hashtbl.replace ps.p_index n ps.p_n;
-      ps.p_n <- ps.p_n + 1
-  | I_select ->
-      if n >= fd_setsize then
-        invalid_arg
-          (Printf.sprintf
-             "Evloop.add: select backend cannot watch fd %d >= FD_SETSIZE (%d); use --event-backend epoll or poll"
-             n fd_setsize));
+      ps.p_n <- ps.p_n + 1);
   Hashtbl.replace t.interest n b
 
 let modify t fd ~read ~write =
@@ -137,8 +113,7 @@ let modify t fd ~read ~write =
       if b <> cur then begin
         (match t.impl with
         | I_epoll ep -> epoll_ctl ep 1 n b
-        | I_poll ps -> ps.p_interests.(Hashtbl.find ps.p_index n) <- b
-        | I_select -> ());
+        | I_poll ps -> ps.p_interests.(Hashtbl.find ps.p_index n) <- b);
         Hashtbl.replace t.interest n b
       end
 
@@ -160,7 +135,6 @@ let remove t fd =
         ps.p_fds.(last) <- -1;
         ps.p_interests.(last) <- 0;
         ps.p_n <- last
-    | I_select -> ()
   end
 
 let timeout_ms timeout_s =
@@ -202,36 +176,6 @@ let wait t ~timeout_s =
         done;
         !acc
       end
-  | I_select ->
-      let reads, writes =
-        Hashtbl.fold
-          (fun n b (rs, ws) ->
-            let fd = fd_of_int n in
-            ( (if b land bit_read <> 0 then fd :: rs else rs),
-              if b land bit_write <> 0 then fd :: ws else ws ))
-          t.interest ([], [])
-      in
-      let rs, ws, es =
-        try Unix.select reads writes (reads @ writes) timeout_s
-        with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      in
-      let tbl = Hashtbl.create 16 in
-      let mark fd r w =
-        let n = fd_int fd in
-        let pr, pw =
-          match Hashtbl.find_opt tbl n with Some x -> x | None -> (false, false)
-        in
-        Hashtbl.replace tbl n (pr || r, pw || w)
-      in
-      List.iter (fun fd -> mark fd true false) rs;
-      List.iter (fun fd -> mark fd false true) ws;
-      (* Exceptional conditions wake both directions, like HUP/ERR on
-         the other backends. *)
-      List.iter (fun fd -> mark fd true true) es;
-      Hashtbl.fold
-        (fun n (r, w) acc ->
-          { ev_fd = fd_of_int n; ev_read = r; ev_write = w } :: acc)
-        tbl []
 
 (* One-shot writability probe through poll(2), so it works on any fd
    number — the daemon's reaper uses it in place of a zero-timeout
@@ -247,4 +191,4 @@ let writable fd =
 let close t =
   match t.impl with
   | I_epoll ep -> ( try Unix.close (fd_of_int ep) with Unix.Unix_error _ -> ())
-  | I_poll _ | I_select -> ()
+  | I_poll _ -> ()

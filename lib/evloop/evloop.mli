@@ -1,28 +1,20 @@
 (** Pluggable socket-readiness layer for the serve daemon.
 
-    Three level-triggered backends behind one interface:
+    Two level-triggered backends behind one interface:
 
     - [Epoll] — Linux [epoll(7)] via C stubs; no fd-count ceiling and
       O(ready) wake-ups. Interest-set changes are pushed to the kernel
       only when they actually change ([modify] is a no-op for an
       unchanged interest pair).
     - [Poll] — portable [poll(2)]; no FD_SETSIZE ceiling but O(fds)
-      per wait. Used automatically where epoll is unavailable.
-    - [Select] — the original [Unix.select] path, kept for
-      portability and behavior-preservation tests. [add] rejects fds
-      ≥ FD_SETSIZE (1024) with [Invalid_argument] instead of letting
-      [Unix.select] fail opaquely mid-loop.
+      per wait. Used automatically where epoll is unavailable, and
+      selectable on Linux so tests can exercise it.
 
-    All backends report a hung-up or errored fd as both readable and
+    Both backends report a hung-up or errored fd as both readable and
     writable, so the caller's ordinary read/flush paths observe the
-    EOF/EPIPE, matching what [Unix.select] does. *)
+    EOF/EPIPE. *)
 
-type backend = Auto | Epoll | Poll | Select
-
-val backend_of_string : string -> (backend, string) result
-(** Parses ["auto" | "epoll" | "poll" | "select"]. *)
-
-val backend_to_string : backend -> string
+type backend = Auto | Epoll | Poll
 
 val epoll_available : unit -> bool
 (** True iff the epoll stubs are compiled in (Linux). *)
@@ -34,11 +26,11 @@ val create : ?backend:backend -> unit -> t
     Raises [Failure] if [Epoll] is requested on a non-Linux host. *)
 
 val backend_name : t -> string
-(** The resolved backend: ["epoll"], ["poll"], or ["select"]. *)
+(** The resolved backend: ["epoll"] or ["poll"]. *)
 
 val add : t -> Unix.file_descr -> read:bool -> write:bool -> unit
-(** Registers [fd]. Raises [Invalid_argument] if already registered,
-    or (select backend only) if the fd is ≥ FD_SETSIZE. *)
+(** Registers [fd]. Raises [Invalid_argument] if already
+    registered. *)
 
 val modify : t -> Unix.file_descr -> read:bool -> write:bool -> unit
 (** Updates interest; skips the syscall when the interest set is

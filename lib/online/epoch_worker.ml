@@ -1,11 +1,12 @@
-(* A small dedicated domain pool for off-thread epoch re-merges.
+(* One dedicated domain for off-thread epoch re-merges.
 
    Jobs are thunks produced by [Service.begin_epoch]: already closed
-   over an immutable snapshot, safe to run on any domain. Workers pull
-   from a mutex+condition queue; finished jobs land on a completion
-   list the event loop drains at each wake-up, and every completion
-   fires the [wakeup] callback (the daemon's self-pipe) so a loop
-   blocked in epoll/poll/select notices without polling.
+   over an immutable snapshot, safe to run on any domain. The worker
+   pulls from a mutex+condition queue in submission order; finished
+   jobs land on a completion list the event loop drains at each
+   wake-up, and every completion fires the [wakeup] callback (the
+   daemon's self-pipe) so a loop blocked in epoll/poll notices without
+   polling.
 
    Distinct from [Im_par.Pool] on purpose: pool tasks are
    microsecond-sized and caller-helping; an epoch is a
@@ -29,7 +30,7 @@ type t = {
   mutable stopping : bool;
   mutable next_id : int;
   wakeup : unit -> unit;
-  mutable domains : unit Domain.t array;
+  mutable domain : unit Domain.t option;
 }
 
 let rec worker_loop t =
@@ -49,8 +50,7 @@ let rec worker_loop t =
     worker_loop t
   end
 
-let create ~workers ~wakeup =
-  if workers < 1 then invalid_arg "Epoch_worker.create: workers < 1";
+let create ~wakeup =
   let t =
     {
       lock = Mutex.create ();
@@ -60,10 +60,10 @@ let create ~workers ~wakeup =
       stopping = false;
       next_id = 0;
       wakeup;
-      domains = [||];
+      domain = None;
     }
   in
-  t.domains <- Array.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  t.domain <- Some (Domain.spawn (fun () -> worker_loop t));
   t
 
 let submit t run =
@@ -92,4 +92,4 @@ let shutdown t =
   t.stopping <- true;
   Condition.broadcast t.nonempty;
   Mutex.unlock t.lock;
-  Array.iter Domain.join t.domains
+  Option.iter Domain.join t.domain

@@ -20,10 +20,9 @@ let m_overlong = Metrics.counter "server_overlong_lines_total"
 let m_out_high_water = Metrics.gauge "server_out_queue_max_bytes"
 let m_accept_burst = Metrics.gauge "server_accept_burst_max"
 
-(* Off-thread epochs: how many re-merges left the dispatch thread, and
-   the cumulative seconds the dispatch thread has spent blocked on
-   epoch work (inline runs count in full; offloaded epochs count only
-   their commit). Fairness: rounds where a tenant's deficit budget ran
+(* Off-thread epochs: how many re-merges went to the worker domain, and
+   the cumulative seconds the dispatch thread has spent committing
+   their results. Fairness: rounds where a tenant's deficit budget ran
    out with work still queued. *)
 let m_epoch_offloaded = Metrics.counter "server_epoch_offloaded_total"
 let m_dispatch_stall = Metrics.gauge "server_dispatch_stall_seconds"
@@ -147,7 +146,7 @@ type t = {
   ev : Evloop.t;
   wake_r : Unix.file_descr;  (* worker completions poke this pipe *)
   wake_w : Unix.file_descr;
-  worker : Epoch_worker.t option;  (* None: epochs run inline (PR8) *)
+  worker : Epoch_worker.t;
   pending_epochs : (int, pending_epoch) Hashtbl.t;
   (* Connections with dispatchable work; drives the zero-timeout
      re-poll and the fairness round, without rescanning every conn. *)
@@ -184,8 +183,7 @@ let no_factory _ = Error "tenant creation is not configured"
 let create ?(host = "127.0.0.1") ?(port = 0) ?(read_timeout = 30.)
     ?(max_connections = 64) ?max_tenant_connections
     ?(max_output_bytes = 1_048_576) ?(tenant = "default") ?(tenants = [])
-    ?(weights = []) ?(factory = no_factory)
-    ?(event_backend = Evloop.Auto) ?(epoch_workers = 1) service =
+    ?(weights = []) ?(factory = no_factory) service =
   if not (valid_tenant_name tenant) then
     invalid_arg ("Server.create: invalid tenant name " ^ tenant);
   List.iter
@@ -228,21 +226,17 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(read_timeout = 30.)
         (make_session ~weight:(weight_of name) name svc))
     tenants;
   Metrics.Gauge.set_int m_tenants (Hashtbl.length sessions);
-  let ev = Evloop.create ~backend:event_backend () in
+  let ev = Evloop.create () in
   Evloop.add ev listener ~read:true ~write:false;
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
   Evloop.add ev wake_r ~read:true ~write:false;
   let worker =
-    if epoch_workers > 0 then
-      Some
-        (Epoch_worker.create ~workers:epoch_workers
-           ~wakeup:(fun () ->
-             (* A full pipe already guarantees a pending wake-up. *)
-             try ignore (Unix.write_substring wake_w "!" 0 1)
-             with Unix.Unix_error _ -> ()))
-    else None
+    Epoch_worker.create ~wakeup:(fun () ->
+        (* A full pipe already guarantees a pending wake-up. *)
+        try ignore (Unix.write_substring wake_w "!" 0 1)
+        with Unix.Unix_error _ -> ())
   in
   {
     listener;
@@ -304,16 +298,11 @@ let epoch_line (o : Epoch.outcome) =
     o.Epoch.e_new_cost o.Epoch.e_benefit o.Epoch.e_clusters_tuned
     o.Epoch.e_budget_clusters o.Epoch.e_opt_calls
 
-(* The reply to one observed-statement event. [Some epoch] outranks
-   [Some drift]: an epoch that fired carries the drift information.
-   An inline epoch stalled the dispatch thread for its full
-   duration. *)
-let stmt_reply session = function
+(* The reply to one observed-statement event that fired no epoch (a
+   triggering statement is answered when its epoch lands, see
+   [handle_completion]). *)
+let stmt_reply = function
   | Service.Rejected msg -> "ERR " ^ msg
-  | Service.Observed { ev_epoch = Some o; _ } ->
-    Metrics.Counter.incr session.s_epochs;
-    Metrics.Gauge.add m_dispatch_stall o.Epoch.e_elapsed_s;
-    "OK observed " ^ epoch_line o
   | Service.Observed { ev_drift = Some v; _ } ->
     Printf.sprintf "OK observed drift=%.3f regression=%.3f fired=%b"
       v.Drift.v_divergence v.Drift.v_regression v.Drift.v_fired
@@ -549,8 +538,8 @@ let handle_tenant t conn rest =
 
 (* Returns the response plus whether the daemon should stop / the
    connection should close. Service verbs dispatch through the
-   connection's bound session. The offloaded EPOCH path never reaches
-   here — [dispatch_conn] intercepts the verb when a worker exists. *)
+   connection's bound session. Statements and EPOCH never reach here:
+   [dispatch_conn] feeds the one and offloads the other. *)
 let handle_command t conn line =
   let verb, rest = split_verb line in
   let with_session f =
@@ -561,11 +550,7 @@ let handle_command t conn line =
       f s
   in
   match (String.uppercase_ascii verb, rest) with
-  | "STMT", "" -> (`Reply "ERR empty statement", `Keep)
-  | "STMT", sql ->
-    ( with_session (fun s ->
-          `Reply (stmt_reply s (Service.feed s.s_service sql))),
-      `Keep )
+  | "STMT", _ -> (`Reply "ERR empty statement", `Keep)
   | "STATS", _ ->
     (with_session (fun s -> `Reply ("OK " ^ stats_line s.s_service)), `Keep)
   | "CONFIG", _ ->
@@ -582,20 +567,6 @@ let handle_command t conn line =
           `Reply
             (String.concat "\n"
                (Printf.sprintf "OK %d" (List.length lines) :: lines))),
-      `Keep )
-  | "EPOCH", _ ->
-    ( with_session (fun s ->
-          (* A raising epoch has already been aborted (the tenant keeps
-             its committed configuration); answer like the off-thread
-             path instead of unwinding the serve loop. *)
-          match Service.force_epoch s.s_service with
-          | Ok o ->
-            Metrics.Counter.incr s.s_epochs;
-            Metrics.Gauge.add m_dispatch_stall o.Epoch.e_elapsed_s;
-            `Reply ("OK " ^ epoch_line o)
-          | Error msg -> `Reply ("ERR " ^ msg)
-          | exception e ->
-            `Reply ("ERR epoch failed: " ^ Printexc.to_string e)),
       `Keep )
   | "METRICS", _ ->
     let lines = Metrics.dump_lines Metrics.default in
@@ -636,90 +607,56 @@ let stmt_sql line =
   if String.uppercase_ascii verb = "STMT" && rest <> "" then Some rest
   else None
 
-(* Dispatch a contiguous pipelined run of STMT lines as one
-   [Service.feed_batch], epochs inline. Replies are
-   identical to one-at-a-time dispatch; the per-verb histogram records
-   the mean per-statement latency of the batch. *)
-let dispatch_stmt_batch t conn sqls =
-  let n = List.length sqls in
-  t.commands_served <- t.commands_served + n;
-  Metrics.Counter.add m_commands n;
-  match conn.session with
-  | None ->
-    List.iter (fun _ -> respond t conn no_tenant_reply) sqls
-  | Some s ->
-    Metrics.Counter.add s.s_commands n;
-    let h = List.assoc "stmt" m_command_seconds in
-    let events, elapsed =
-      Im_util.Stopwatch.time (fun () -> Service.feed_batch s.s_service sqls)
-    in
-    let per = elapsed /. float_of_int n in
-    List.iter
-      (fun ev ->
-        Metrics.Histogram.observe h per;
-        respond t conn (stmt_reply s ev))
-      events
-
-(* Hand an epoch thunk to the worker pool and pause this connection
+(* Hand an epoch thunk to the worker domain and pause this connection
    until its completion is delivered. *)
-let submit_epoch t worker s conn kind job =
-  let ticket = Epoch_worker.submit worker job in
+let submit_epoch t s conn kind job =
+  let ticket = Epoch_worker.submit t.worker job in
   Hashtbl.replace t.pending_epochs ticket
     { pe_session = s; pe_conn = conn; pe_kind = kind };
   conn.awaiting_epoch <- true;
   Metrics.Counter.incr m_epoch_offloaded
 
-(* Dispatch a run of raw STMT sqls. With a worker pool the intake uses
-   the async service API: a fired trigger becomes an off-thread epoch
-   (the triggering statement's reply waits for it; the statements
-   behind it go to [conn.replay]); without one the PR8 inline paths
-   run unchanged. *)
+(* Dispatch a run of raw STMT sqls through the async intake: a fired
+   trigger becomes an off-thread epoch (the triggering statement's
+   reply waits for it; the statements behind it go to [conn.replay]).
+   The per-verb histogram records the mean per-statement intake
+   latency of the run. *)
 let dispatch_stmt_run t conn sqls =
-  match (t.worker, sqls) with
-  | _, [] -> ()
-  | None, [ sql ] ->
-    (* Preserve the exact single-command path (same timing semantics)
-       for unpipelined clients. *)
-    dispatch_one t conn ("STMT " ^ sql)
-  | None, sqls -> dispatch_stmt_batch t conn sqls
-  | Some worker, sqls -> (
-    match conn.session with
-    | None ->
-      let n = List.length sqls in
-      t.commands_served <- t.commands_served + n;
-      Metrics.Counter.add m_commands n;
-      List.iter (fun _ -> respond t conn no_tenant_reply) sqls
-    | Some s ->
-      let h = List.assoc "stmt" m_command_seconds in
-      let (events, trigger, leftover), elapsed =
-        Im_util.Stopwatch.time (fun () ->
-            Service.feed_batch_async s.s_service sqls)
-      in
-      let applied =
-        List.length events + (match trigger with Some _ -> 1 | None -> 0)
-      in
-      t.commands_served <- t.commands_served + applied;
-      Metrics.Counter.add m_commands applied;
-      Metrics.Counter.add s.s_commands applied;
-      let per =
-        if applied = 0 then 0. else elapsed /. float_of_int applied
-      in
-      List.iter
-        (fun ev ->
-          Metrics.Histogram.observe h per;
-          respond t conn (stmt_reply s ev))
-        events;
-      match trigger with
-      | None -> ()
-      | Some trig ->
-        let job = Service.begin_epoch s.s_service trig in
-        conn.replay <- leftover @ conn.replay;
-        submit_epoch t worker s conn `Stmt job)
+  match conn.session with
+  | None ->
+    let n = List.length sqls in
+    t.commands_served <- t.commands_served + n;
+    Metrics.Counter.add m_commands n;
+    List.iter (fun _ -> respond t conn no_tenant_reply) sqls
+  | Some s -> (
+    let h = List.assoc "stmt" m_command_seconds in
+    let (events, trigger, leftover), elapsed =
+      Im_util.Stopwatch.time (fun () ->
+          Service.feed_batch_async s.s_service sqls)
+    in
+    let applied =
+      List.length events + (match trigger with Some _ -> 1 | None -> 0)
+    in
+    t.commands_served <- t.commands_served + applied;
+    Metrics.Counter.add m_commands applied;
+    Metrics.Counter.add s.s_commands applied;
+    let per = if applied = 0 then 0. else elapsed /. float_of_int applied in
+    List.iter
+      (fun ev ->
+        Metrics.Histogram.observe h per;
+        respond t conn (stmt_reply ev))
+      events;
+    match trigger with
+    | None -> ()
+    | Some trig ->
+      let job = Service.begin_epoch s.s_service trig in
+      conn.replay <- leftover @ conn.replay;
+      submit_epoch t s conn `Stmt job)
 
 (* Dispatch up to [min !budget cap] lines on one connection,
    decrementing the session's shared [budget]. Contiguous STMT runs go
-   through the batch path; an EPOCH verb offloads (or stalls behind
-   the tenant's in-flight epoch). *)
+   through [dispatch_stmt_run]; an EPOCH verb offloads (or stalls
+   behind the tenant's in-flight epoch). *)
 let dispatch_conn t conn budget ~cap =
   let turn = ref (min !budget cap) in
   let spend n =
@@ -764,8 +701,7 @@ let dispatch_conn t conn budget ~cap =
       | None -> (
         let line = Queue.peek conn.pending in
         let verb, _ = split_verb line in
-        match t.worker with
-        | Some worker when String.uppercase_ascii verb = "EPOCH" -> (
+        if String.uppercase_ascii verb = "EPOCH" then (
           match conn.session with
           | None ->
             ignore (Queue.pop conn.pending);
@@ -786,11 +722,12 @@ let dispatch_conn t conn budget ~cap =
             Metrics.Counter.incr s.s_commands;
             match Service.begin_forced_epoch s.s_service with
             | Error msg -> respond t conn ("ERR " ^ msg)
-            | Ok job -> submit_epoch t worker s conn `Forced job))
-        | _ ->
+            | Ok job -> submit_epoch t s conn `Forced job))
+        else begin
           ignore (Queue.pop conn.pending);
           spend 1;
-          dispatch_one t conn line)
+          dispatch_one t conn line
+        end)
   done;
   if not conn.closed then begin
     flush_out t conn;
@@ -879,7 +816,8 @@ let dispatch_round t =
 (* Land one off-thread epoch on the dispatch thread: commit (or abort)
    the service state, answer the connection that asked, and unstall
    any of the tenant's connections queued behind the in-flight mark.
-   The reply text matches the inline paths byte for byte. *)
+   A raising epoch answers ERR and leaves the tenant on its committed
+   configuration; it never unwinds the serve loop. *)
 let handle_completion t (c : Epoch_worker.completion) =
   match Hashtbl.find_opt t.pending_epochs c.Epoch_worker.c_id with
   | None -> ()
@@ -1004,47 +942,40 @@ let reject_fd fd msg =
 
 let admit t fd =
   Unix.set_nonblock fd;
+  let session = Hashtbl.find_opt t.sessions t.default_tenant in
   if Hashtbl.length t.conns >= t.max_connections then reject_fd fd overload_msg
+  else if
+    match session with
+    | Some s -> s.s_conns >= t.max_tenant_connections
+    | None -> false
+  then reject_fd fd tenant_overload_msg
   else begin
-    let session = Hashtbl.find_opt t.sessions t.default_tenant in
-    let tenant_full =
-      match session with
-      | Some s -> s.s_conns >= t.max_tenant_connections
-      | None -> false
+    Evloop.add t.ev fd ~read:true ~write:false;
+    t.connections_served <- t.connections_served + 1;
+    let conn =
+      {
+        fd;
+        buf = Buffer.create 256;
+        pending = Queue.create ();
+        out = { oq = Queue.create (); oq_head = 0; oq_bytes = 0 };
+        session = None;
+        last_active = Im_util.Stopwatch.now_s ();
+        closing = false;
+        eof = false;
+        closed = false;
+        awaiting_epoch = false;
+        stalled = false;
+        replay = [];
+      }
     in
-    if tenant_full then reject_fd fd tenant_overload_msg
-    else
-      match Evloop.add t.ev fd ~read:true ~write:false with
-      | exception Invalid_argument _ ->
-        (* Select backend: fd beyond FD_SETSIZE. The connection count
-           cap normally prevents this; a racing burst lands here. *)
-        reject_fd fd overload_msg
-      | () ->
-        t.connections_served <- t.connections_served + 1;
-        let conn =
-          {
-            fd;
-            buf = Buffer.create 256;
-            pending = Queue.create ();
-            out = { oq = Queue.create (); oq_head = 0; oq_bytes = 0 };
-            session = None;
-            last_active = Im_util.Stopwatch.now_s ();
-            closing = false;
-            eof = false;
-            closed = false;
-            awaiting_epoch = false;
-            stalled = false;
-            replay = [];
-          }
-        in
-        (match session with
-         | Some s ->
-           s.s_conns <- s.s_conns + 1;
-           Metrics.Gauge.set_int s.s_live s.s_conns;
-           conn.session <- Some s
-         | None -> ());
-        Hashtbl.replace t.conns fd conn;
-        Metrics.Gauge.set_int m_live (Hashtbl.length t.conns)
+    (match session with
+     | Some s ->
+       s.s_conns <- s.s_conns + 1;
+       Metrics.Gauge.set_int s.s_live s.s_conns;
+       conn.session <- Some s
+     | None -> ());
+    Hashtbl.replace t.conns fd conn;
+    Metrics.Gauge.set_int m_live (Hashtbl.length t.conns)
   end
 
 (* Accept every connection the kernel has queued, not one per loop
@@ -1174,19 +1105,14 @@ let serve t =
           note_backlog t conn
         end)
       ready;
-    (match t.worker with
-     | Some w -> List.iter (handle_completion t) (Epoch_worker.drain w)
-     | None -> ());
+    List.iter (handle_completion t) (Epoch_worker.drain t.worker);
     dispatch_round t;
     reap_idle t
   done;
   (* Graceful shutdown: finish in-flight epochs (their replies are
      owed), best-effort flush, then close everything. *)
-  (match t.worker with
-   | Some w ->
-     Epoch_worker.shutdown w;
-     List.iter (handle_completion t) (Epoch_worker.drain w)
-   | None -> ());
+  Epoch_worker.shutdown t.worker;
+  List.iter (handle_completion t) (Epoch_worker.drain t.worker);
   let remaining = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
   List.iter (fun conn -> flush_out t conn) remaining;
   List.iter

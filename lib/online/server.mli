@@ -1,9 +1,9 @@
-(** Multi-tenant TCP advisor daemon: a single dispatch thread on a
-    pluggable readiness layer ({!Im_evloop.Evloop} — epoll on Linux,
-    poll elsewhere, select kept for portability tests) exposing one
-    {!Service} per tenant over a line protocol. Epoch re-merges run
-    on dedicated worker domains so a multi-hundred-millisecond tuning
-    pass never stalls the other tenants' statements.
+(** Multi-tenant TCP advisor daemon: a single dispatch thread on the
+    readiness layer ({!Im_evloop.Evloop} — epoll on Linux, poll
+    elsewhere) exposing one {!Service} per tenant over a line
+    protocol. Epoch re-merges run on a dedicated worker domain so a
+    multi-hundred-millisecond tuning pass never stalls the other
+    tenants' statements.
 
     Requests are newline-terminated; responses are one [OK ...] or
     [ERR ...] line, except [CONFIG]/[METRICS]/[TENANT LIST] whose
@@ -49,21 +49,21 @@
     Rounds with undispatched input re-poll with a zero timeout;
     budget-exhausted rounds count [server_fairness_deferred_total].
     Contiguous pipelined [STMT] runs are fed as one batch via
-    {!Service.feed_batch}.
+    {!Service.feed_batch_async}.
 
-    Off-thread epochs ([epoch_workers > 0], the default): a fired
-    trigger or [EPOCH] verb snapshots the service
-    ({!Service.begin_epoch}) and runs on a worker domain; the
-    triggering connection waits for exactly that reply (its remaining
-    pipeline replays afterwards under the same statement ids, so the
-    reply stream is byte-identical to the inline path) while every
-    other connection — same tenant included — keeps dispatching
-    against the last committed configuration. A concurrent [EPOCH] on
-    the same tenant queues behind the in-flight one. Offloads count in
-    [server_epoch_offloaded_total]; the dispatch thread's cumulative
-    epoch stall (full duration inline, commit-only when offloaded) is
-    [server_dispatch_stall_seconds]. [epoch_workers = 0] restores the
-    inline single-threaded behavior exactly.
+    Epochs never run on the dispatch thread: a fired trigger or
+    [EPOCH] verb snapshots the service ({!Service.begin_epoch}) and
+    runs on the worker domain. The triggering connection waits for
+    exactly that reply (its remaining pipeline replays afterwards
+    under the same statement ids, so the reply stream is the one
+    one-at-a-time intake would give) while every other connection —
+    same tenant included — keeps dispatching against the last
+    committed configuration. A concurrent [EPOCH] on the same tenant
+    queues behind the in-flight one. An epoch that raises answers
+    [ERR epoch failed: ...] and leaves the tenant on its committed
+    configuration; the daemon keeps serving. Offloads count in
+    [server_epoch_offloaded_total]; [server_dispatch_stall_seconds] is
+    the dispatch thread's cumulative time committing epoch results.
 
     Connections idle longer than [read_timeout] seconds are reaped
     (after a best-effort flush of queued replies; a connection with
@@ -100,8 +100,6 @@ val create :
   ?tenants:(string * Service.t) list ->
   ?weights:(string * int) list ->
   ?factory:(string -> (Service.t, string) result) ->
-  ?event_backend:Im_evloop.Evloop.backend ->
-  ?epoch_workers:int ->
   Service.t ->
   t
 (** Binds and listens immediately. Defaults: host ["127.0.0.1"],
@@ -114,22 +112,17 @@ val create :
     [weights = []] (fairness weights by tenant name; missing or [< 1]
     means 1), [factory] answering [Error] (so [TENANT CREATE] is off
     unless one is provided — it receives the [db] spec, defaulting to
-    the tenant name), [event_backend = Auto] (epoll where available,
-    else poll; [Select] keeps the historical [Unix.select] loop and
-    caps admissible fds at FD_SETSIZE), [epoch_workers = 1] (worker
-    domains for off-thread epochs; [0] runs every epoch inline on the
-    dispatch thread). Tenant names are restricted to
-    [[A-Za-z0-9_.-]{1,64}] because they become metric label values;
-    invalid or duplicate names raise [Invalid_argument]. Raises
-    [Unix_error] when binding fails, [Failure] when [event_backend =
-    Epoll] is unavailable on this platform. *)
+    the tenant name). Spawns the epoch worker domain. Tenant names are
+    restricted to [[A-Za-z0-9_.-]{1,64}] because they become metric
+    label values; invalid or duplicate names raise [Invalid_argument].
+    Raises [Unix_error] when binding fails. *)
 
 val port : t -> int
 (** The actually bound port (useful with [port = 0]). *)
 
 val event_backend : t -> string
-(** The resolved readiness backend: ["epoll"], ["poll"] or
-    ["select"]. *)
+(** The resolved readiness backend: ["epoll"] on Linux, else
+    ["poll"]. *)
 
 val serve : t -> unit
 (** Run the event loop until a client issues [SHUTDOWN] or {!shutdown}

@@ -115,9 +115,8 @@ type event =
    the returned thunk is safe to execute on a worker domain while the
    dispatch thread keeps feeding this service (the warm what-if cache
    is lock-striped and domain-safe). [commit_epoch] installs
-   the result back on the dispatch thread; the inline [run_epoch] is
-   begin + run + commit with no interleaving, which is exactly the
-   pre-async behavior. *)
+   the result back on the dispatch thread; [run_epoch] is begin + run
+   + commit with no interleaving, for in-process callers. *)
 
 let epoch_in_flight t = t.in_flight
 
@@ -154,9 +153,9 @@ let run_epoch t trigger =
 
 (* What should happen after this statement: run a drift check now, and
    if so did it fire an epoch? Pure decision — running the epoch is the
-   caller's business (inline below, offloaded in the daemon). While an
-   epoch is in flight nothing further triggers: the check would compare
-   against a baseline that is about to be rebased. *)
+   caller's business. While an epoch is in flight nothing further
+   triggers: the check would compare against a baseline that is about
+   to be rebased. *)
 let tune_decision t =
   if t.in_flight then (None, None)
   else
@@ -172,74 +171,21 @@ let tune_decision t =
     end
     else (None, None)
 
-let maybe_tune t =
-  let verdict, trigger = tune_decision t in
-  (verdict, Option.map (run_epoch t) trigger)
+(* ---- Intake ----
 
-(* Apply one already-parsed statement: the shared tail of [feed] and
-   [feed_batch]. The caller has already advanced [t.seq] and counted
-   the statement. *)
-let apply_parsed t = function
-  | Error msg ->
-    t.rejected <- t.rejected + 1;
-    Rejected msg
-  | Ok q ->
-    Window.observe t.window q;
-    Im_obs.Metrics.Gauge.set_int m_window_clusters
-      (Window.cluster_count t.window);
-    let ev_drift, ev_epoch = maybe_tune t in
-    Observed { ev_drift; ev_epoch }
+   [observe] takes one statement through the window/drift state
+   machine and returns a fired trigger instead of running it: [feed]
+   runs that epoch in process, the daemon hands it to its worker.
+   Intake time excludes epochs either way. *)
 
-let feed t sql =
-  let event, elapsed =
-    Im_util.Stopwatch.time (fun () ->
-        t.seq <- t.seq + 1;
-        Im_obs.Metrics.Counter.incr m_statements;
-        let id = Printf.sprintf "S%d" t.seq in
-        apply_parsed t
-          (Parser.parse_query ~schema:(Database.schema t.db) ~id sql))
-  in
-  t.feed_seconds <- t.feed_seconds +. elapsed;
-  event
+let parse t ~seq sql =
+  Parser.parse_query ~schema:(Database.schema t.db)
+    ~id:(Printf.sprintf "S%d" seq) sql
 
-(* Batched intake: a pipelined run of statements parses up front, then
-   the window/drift/epoch state machine applies each result in order.
-   Statement ids are pre-assigned in arrival order, so the events — and
-   therefore a daemon's replies — are identical to feeding one
-   statement at a time. *)
-let parse_run t sqls =
-  let schema = Database.schema t.db in
-  let base = t.seq in
-  List.mapi
-    (fun i sql ->
-      Parser.parse_query ~schema ~id:(Printf.sprintf "S%d" (base + i + 1)) sql)
-    sqls
-
-let feed_batch t sqls =
-  match sqls with
-  | [] -> []
-  | [ sql ] -> [ feed t sql ]
-  | sqls ->
-    let events, elapsed =
-      Im_util.Stopwatch.time (fun () ->
-          List.map
-            (fun res ->
-              t.seq <- t.seq + 1;
-              Im_obs.Metrics.Counter.incr m_statements;
-              apply_parsed t res)
-            (parse_run t sqls))
-    in
-    t.feed_seconds <- t.feed_seconds +. elapsed;
-    events
-
-(* ---- Async intake: observe, decide, never run the epoch ----
-
-   The daemon's offloaded path. Same window/drift state machine as
-   [apply_parsed], but a fired trigger is returned instead of run, and
-   the triggering statement's event is withheld: its reply depends on
-   the epoch outcome, which the caller delivers after commit. *)
-
-let apply_parsed_async t = function
+let observe t parsed =
+  t.seq <- t.seq + 1;
+  Im_obs.Metrics.Counter.incr m_statements;
+  match parsed with
   | Error msg ->
     t.rejected <- t.rejected + 1;
     (Rejected msg, None)
@@ -250,44 +196,37 @@ let apply_parsed_async t = function
     let ev_drift, trigger = tune_decision t in
     (Observed { ev_drift; ev_epoch = None }, trigger)
 
-let feed_async t sql =
-  let result, elapsed =
-    Im_util.Stopwatch.time (fun () ->
-        t.seq <- t.seq + 1;
-        Im_obs.Metrics.Counter.incr m_statements;
-        let id = Printf.sprintf "S%d" t.seq in
-        apply_parsed_async t
-          (Parser.parse_query ~schema:(Database.schema t.db) ~id sql))
-  in
+let timed_intake t f =
+  let result, elapsed = Im_util.Stopwatch.time f in
   t.feed_seconds <- t.feed_seconds +. elapsed;
   result
 
-(* Batched async intake. Parses like [feed_batch] ([parse_run]) and
-   applies results sequentially until a statement fires a trigger;
-   that statement is fed (window observed, [seq] advanced) but
-   produces no event, and the unapplied
-   raw statements after it are handed back for the caller to replay
-   once the epoch commits. Replayed text re-parses under the same ids
-   ([seq] only advanced past applied statements), so the event stream
-   is identical to the inline path statement for statement. *)
+let feed t sql =
+  match timed_intake t (fun () -> observe t (parse t ~seq:(t.seq + 1) sql)) with
+  | Observed o, Some trigger ->
+    Observed { o with ev_epoch = Some (run_epoch t trigger) }
+  | event, _ -> event
+
+(* A pipelined run parses up front under pre-assigned ids, then applies
+   results in order until a statement fires a trigger: that statement
+   is fed (window observed, [seq] advanced) but produces no event, and
+   the unapplied raw statements after it are handed back for the
+   caller to replay once the epoch commits. Replayed text re-parses
+   under the same ids ([seq] only advanced past applied statements),
+   so the event stream is identical to feeding one statement at a
+   time. *)
 let feed_batch_async t sqls =
-  let (events, trigger, leftover), elapsed =
-    Im_util.Stopwatch.time (fun () ->
-        let rec apply acc parsed raw =
-          match (parsed, raw) with
-          | [], _ -> (List.rev acc, None, raw)
-          | res :: ptl, _ :: rtl -> (
-            t.seq <- t.seq + 1;
-            Im_obs.Metrics.Counter.incr m_statements;
-            match apply_parsed_async t res with
-            | ev, None -> apply (ev :: acc) ptl rtl
-            | _, Some trigger -> (List.rev acc, Some trigger, rtl))
-          | _ :: _, [] -> assert false
-        in
-        apply [] (parse_run t sqls) sqls)
-  in
-  t.feed_seconds <- t.feed_seconds +. elapsed;
-  (events, trigger, leftover)
+  timed_intake t (fun () ->
+      let base = t.seq in
+      let rec apply acc = function
+        | [] -> (List.rev acc, None, [])
+        | (parsed, _) :: rest -> (
+          match observe t parsed with
+          | ev, None -> apply (ev :: acc) rest
+          | _, Some trigger -> (List.rev acc, Some trigger, List.map snd rest))
+      in
+      apply []
+        (List.mapi (fun i sql -> (parse t ~seq:(base + i + 1) sql, sql)) sqls))
 
 let force_epoch t =
   if Window.cluster_count t.window = 0 then Error "window is empty"
@@ -361,10 +300,7 @@ let stats t =
     ("tuning seconds", f2 t.epoch_seconds);
     ( "mean intake ms/stmt",
       if observed = 0 then "-"
-      else
-        (* forced epochs run outside [feed], so clamp at 0 *)
-        f2 (1000. *. Float.max 0. (t.feed_seconds -. t.epoch_seconds)
-            /. float_of_int observed) );
+      else f2 (1000. *. t.feed_seconds /. float_of_int observed) );
   ]
 
 let render_stats t =

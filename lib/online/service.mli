@@ -66,34 +66,33 @@ type event =
   | Rejected of string  (** statement did not parse / validate *)
   | Observed of {
       ev_drift : Drift.verdict option;  (** when a check ran *)
-      ev_epoch : Epoch.outcome option;  (** when an epoch ran *)
+      ev_epoch : Epoch.outcome option;
+          (** when an epoch ran ({!feed} only) *)
     }
 
 val feed : t -> string -> event
-(** Ingest one SQL statement (text, trailing [';'] allowed). *)
-
-val feed_batch : t -> string list -> event list
-(** Ingest a pipelined run of statements. The batch parses up front
-    under pre-assigned ids, then each result is applied to the
-    window/drift/epoch state machine in arrival order. Events are
-    identical to calling {!feed} once per statement — the daemon
-    batches pipelined [STMT] runs through this. *)
+(** Ingest one SQL statement (text, trailing [';'] allowed) in
+    process: the {!feed_batch_async} intake for one statement, then a
+    fired trigger's epoch runs right here ({!begin_epoch} + run +
+    {!commit_epoch}) and lands in [ev_epoch]. An epoch that raises is
+    aborted (the committed state is kept) and the exception
+    propagates. *)
 
 val force_epoch : t -> (Epoch.outcome, string) result
-(** Run an epoch now; [Error] on an empty window. *)
+(** Run an epoch now, in process; [Error] on an empty window. *)
 
 (** {2 Off-thread epochs}
 
-    The daemon's offloaded tuning path. [begin_*] marks the service
-    {e in flight} and returns a thunk closed over a snapshot of
-    everything the epoch reads (committed config, immutable window
-    workload, cluster budget); the thunk is safe to run on a worker
-    domain while the dispatch thread keeps feeding this service. While
-    in flight, drift checks and further triggers are suppressed and
-    [config]/[stats] answer from the last committed state. The
-    [_async] intake variants return a fired {!Epoch.trigger} instead
-    of running it inline. [commit_epoch]/[abort_epoch] must be called
-    from the dispatch thread. *)
+    The daemon's tuning path. [begin_*] marks the service {e in
+    flight} and returns a thunk closed over a snapshot of everything
+    the epoch reads (committed config, immutable window workload,
+    cluster budget); the thunk is safe to run on a worker domain while
+    the dispatch thread keeps feeding this service. While in flight,
+    drift checks and further triggers are suppressed and
+    [config]/[stats] answer from the last committed state.
+    {!feed_batch_async} returns a fired {!Epoch.trigger} instead of
+    running it. [commit_epoch]/[abort_epoch] must be called from the
+    dispatch thread. *)
 
 val epoch_in_flight : t -> bool
 
@@ -112,19 +111,18 @@ val abort_epoch : t -> unit
 (** Clear the in-flight mark after a failed epoch, leaving the
     committed state untouched. *)
 
-val feed_async : t -> string -> event * Epoch.trigger option
-(** Like {!feed}, but a fired trigger is returned, not run; the
-    returned event never carries [ev_epoch]. *)
-
 val feed_batch_async :
   t -> string list -> event list * Epoch.trigger option * string list
-(** Like {!feed_batch} until the first statement that fires a trigger:
-    that statement is fed (window observed, id assigned) but produces
-    no event — its reply depends on the epoch outcome — and the raw
-    statements after it are returned unapplied for the caller to
-    replay after [commit_epoch] (they re-parse under the same
-    pre-assigned ids, so the event stream matches the inline path
-    statement for statement). *)
+(** Ingest a pipelined run of statements: the run parses up front
+    under pre-assigned ids, then each result is applied to the
+    window/drift state machine in arrival order, until the first
+    statement that fires a trigger. That statement is fed (window
+    observed, id assigned) but produces no event — its reply depends
+    on the epoch outcome — and the raw statements after it are
+    returned unapplied for the caller to replay after [commit_epoch]
+    or [abort_epoch] (they re-parse under the same pre-assigned ids,
+    so the event stream matches feeding one statement at a time).
+    Returned events never carry [ev_epoch]. *)
 
 val config : t -> Im_catalog.Config.t
 val config_pages : t -> int
@@ -141,7 +139,7 @@ val stats : t -> (string * string) list
     occupancy and mass, drift checks/fires, epochs by trigger, the cost
     service's unified counters ([cost_evals], [opt_calls],
     [cache_hits], [cache_misses], [cache_evictions], [cache_entries]),
-    configuration size/pages, intake latency. With [o_compress] set the
+    configuration size/pages, intake latency (epochs excluded). With [o_compress] set the
     list also carries the most recent epoch's compactor figures
     ([scale buckets], [scale fold ratio], [scale bound eps]; ["-"]
     until a compressed epoch has run). *)

@@ -52,28 +52,6 @@ IM_SERVE_CLIENTS=100 IM_SERVE_TENANTS=2 IM_BENCH_OUT=BENCH_serve_smoke.json \
   dune exec bench/main.exe -- serve
 echo "wrote BENCH_serve_smoke.json"
 
-echo "== serve behavior preservation (select/poll/epoll x inline/offloaded epochs) =="
-# The transcript driver runs a fixed command script (statements across
-# the bootstrap epoch, a forced EPOCH, CONFIG, TENANT LIST) against a
-# fresh daemon per configuration and prints every reply; the reply
-# stream must be byte-identical whichever readiness backend is in use
-# and whether epochs run inline (--epoch-workers 0, the pre-evloop
-# dispatch path) or on a worker domain.
-dune build test/serve_transcript.exe
-transcript() {
-  dune exec test/serve_transcript.exe -- "$1" "$2"
-}
-ref=$(transcript select 0)
-for conf in "select 1" "auto 1"; do
-  # shellcheck disable=SC2086
-  got=$(transcript $conf)
-  if [ "$got" != "$ref" ]; then
-    echo "transcript diff FAILED: ($conf) differs from (select 0)"
-    exit 1
-  fi
-done
-echo "serve transcripts identical across backends and epoch modes OK"
-
 echo "== metrics smoke (--metrics exposes the registry) =="
 dune exec bin/index_merge_cli.exe -- merge -d synthetic1 -q 6 --metrics \
   | grep -q 'optimizer_calls_total{kind="access"}' \

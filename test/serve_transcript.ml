@@ -1,37 +1,32 @@
-(* Deterministic transcript driver for the serve daemon's
-   behavior-preservation check: spawn the real CLI with the backend and
-   epoch-worker count given on the command line, run a fixed script of
-   commands (statements crossing the bootstrap epoch, a forced EPOCH,
-   CONFIG, TENANT LIST, QUIT — nothing timing-dependent like STATS or
-   METRICS), and print every reply line to stdout. dev-check runs this
-   under `--event-backend select` and the default backend, with epochs
-   inline and offloaded, and insists the outputs are byte-identical.
+(* Deterministic transcript driver for the serve daemon: spawn the CLI
+   named on the command line as a daemon, run a fixed script of
+   commands and print every reply line to stdout. Nothing
+   timing-dependent (STATS, METRICS) is asked for. test/golden diffs
+   the output against serve_transcript.expected.
 
-   Usage: serve_transcript [backend] [epoch_workers]          *)
+   Two legs:
+   - sequential: one command per round trip — statements crossing the
+     bootstrap epoch, a forced EPOCH, CONFIG, TENANT LIST;
+   - pipelined: on a fresh tenant, one write carrying 40 statements
+     (crossing the warmup-24 bootstrap), EPOCH, 29 more statements and
+     CONFIG, whose replies are read back in order.
 
-let cli () =
-  (* _build/default/test/<exe> -> _build/default/bin/index_merge_cli.exe *)
-  let here = Filename.dirname Sys.executable_name in
-  let path =
-    Filename.concat (Filename.dirname here)
-      (Filename.concat "bin" "index_merge_cli.exe")
-  in
-  if not (Sys.file_exists path) then begin
-    prerr_endline ("CLI binary not found at " ^ path);
-    exit 2
-  end;
-  path
+   Usage: serve_transcript <path to index_merge_cli.exe>          *)
+
+let stmt i =
+  let col = Printf.sprintf "t0_c%d" (i mod 3) in
+  Printf.sprintf "STMT SELECT %s FROM t0 WHERE %s = %d" col col i
 
 let () =
-  let backend = if Array.length Sys.argv > 1 then Sys.argv.(1) else "auto" in
-  let workers = if Array.length Sys.argv > 2 then Sys.argv.(2) else "1" in
+  if Array.length Sys.argv <> 2 then begin
+    prerr_endline "usage: serve_transcript <index_merge_cli.exe>";
+    exit 2
+  end;
+  let cli = Sys.argv.(1) in
   let out_read, out_write = Unix.pipe ~cloexec:false () in
   let pid =
-    Unix.create_process (cli ())
-      [|
-        cli (); "serve"; "-d"; "synthetic1"; "--port"; "0"; "--event-backend";
-        backend; "--epoch-workers"; workers;
-      |]
+    Unix.create_process cli
+      [| cli; "serve"; "-d"; "synthetic1"; "--port"; "0" |]
       Unix.stdin out_write Unix.stderr
   in
   Unix.close out_write;
@@ -48,47 +43,58 @@ let () =
       prerr_endline ("no port in banner: " ^ banner);
       exit 2
   in
-  let ic, oc =
+  let connect () =
     Unix.open_connection
       (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port))
   in
-  let request line =
-    output_string oc (line ^ "\n");
-    flush oc;
-    let reply = input_line ic in
-    print_endline reply;
-    reply
+  let send oc lines =
+    output_string oc (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+    flush oc
   in
-  let request_multi line =
-    (* "OK <n>" followed by n detail lines. *)
-    let head = request line in
-    match int_of_string_opt (String.trim (String.sub head 3 (String.length head - 3)))
-    with
-    | Some n when String.length head > 3 && String.sub head 0 3 = "OK " ->
+  (* One reply; "OK <n>" heads of multi-line verbs are followed by n
+     detail lines. *)
+  let read_reply ic ~multi =
+    let head = input_line ic in
+    print_endline head;
+    match Scanf.sscanf_opt head "OK %d%!" Fun.id with
+    | Some n when multi ->
       for _ = 1 to n do
         print_endline (input_line ic)
       done
-    | _ -> ()
+    | Some _ | None -> ()
   in
+  let request (ic, oc) ?(multi = false) line =
+    send oc [ line ];
+    read_reply ic ~multi
+  in
+  print_endline "== sequential ==";
   (* 40 statements: crosses the warmup-24 bootstrap epoch and the
      check-every-32 drift check, so the transcript exercises observed /
      drift / epoch replies. *)
+  let c = connect () in
   for i = 1 to 40 do
-    let col = Printf.sprintf "t0_c%d" (i mod 3) in
-    ignore (request (Printf.sprintf "STMT SELECT %s FROM t0 WHERE %s = %d" col col i))
+    request c (stmt i)
   done;
-  ignore (request "EPOCH");
-  request_multi "CONFIG";
-  request_multi "TENANT LIST";
-  ignore (request "QUIT");
-  (* A second connection shuts the daemon down for a clean exit. *)
-  let ic2, oc2 =
-    Unix.open_connection
-      (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port))
+  request c "EPOCH";
+  request c ~multi:true "CONFIG";
+  request c ~multi:true "TENANT LIST";
+  request c "QUIT";
+  print_endline "== pipelined ==";
+  let ((ic, oc) as p) = connect () in
+  request p "TENANT CREATE piped synthetic1";
+  request p "TENANT USE piped";
+  let script =
+    List.init 40 (fun i -> stmt (i + 1))
+    @ [ "EPOCH" ]
+    @ List.init 29 (fun i -> stmt (i + 41))
+    @ [ "CONFIG" ]
   in
-  output_string oc2 "SHUTDOWN\n";
-  flush oc2;
-  ignore (input_line ic2);
+  send oc script;
+  List.iter (fun line -> read_reply ic ~multi:(line = "CONFIG")) script;
+  request p ~multi:true "TENANT LIST";
+  request p "QUIT";
+  (* A last connection shuts the daemon down for a clean exit. *)
+  request (connect ()) "SHUTDOWN";
   let _, status = Unix.waitpid [] pid in
   match status with
   | Unix.WEXITED 0 -> ()

@@ -1,15 +1,16 @@
 (* Backend-parametrized tests for the readiness layer (lib/evloop).
 
    Every behavioral case runs against each available backend: epoll
-   (Linux only), poll, and select. The daemon-level test proving a
-   slow epoch does not stall another tenant lives at the bottom and
-   drives the real CLI binary. *)
+   (Linux only) and poll. The daemon-level test proving a slow epoch
+   does not stall another tenant lives at the bottom and drives the
+   real CLI binary. *)
 
 module Evloop = Im_evloop.Evloop
 
+(* Each available backend with the name [backend_name] resolves it to. *)
 let available_backends () =
-  (if Evloop.epoll_available () then [ Evloop.Epoll ] else [])
-  @ [ Evloop.Poll; Evloop.Select ]
+  (if Evloop.epoll_available () then [ (Evloop.Epoll, "epoll") ] else [])
+  @ [ (Evloop.Poll, "poll") ]
 
 let with_loop backend f =
   let t = Evloop.create ~backend () in
@@ -28,23 +29,17 @@ let ready_fds events =
     (fun e -> if e.Evloop.ev_read then Some e.Evloop.ev_fd else None)
     events
 
-(* backend_of_string round-trips and rejects junk. *)
+(* Explicit backends resolve to their own name; auto picks epoll where
+   it is available, else poll. *)
 let test_backend_names () =
+  let resolved backend = with_loop backend Evloop.backend_name in
   List.iter
-    (fun b ->
-      Alcotest.(check bool)
-        "round trip" true
-        (Evloop.backend_of_string (Evloop.backend_to_string b) = Ok b))
-    [ Evloop.Auto; Evloop.Epoll; Evloop.Poll; Evloop.Select ];
-  (match Evloop.backend_of_string "kqueue" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bogus backend accepted");
-  let auto = Evloop.create () in
-  let name = Evloop.backend_name auto in
-  Evloop.close auto;
-  Alcotest.(check bool)
-    "auto resolves to epoll or poll" true
-    (name = "epoll" || name = "poll")
+    (fun (b, name) -> Alcotest.(check string) "resolved name" name (resolved b))
+    (available_backends ());
+  Alcotest.(check string)
+    "auto resolution"
+    (if Evloop.epoll_available () then "epoll" else "poll")
+    (resolved Evloop.Auto)
 
 (* register / modify / deregister lifecycle on each backend. *)
 let test_lifecycle backend () =
@@ -123,8 +118,8 @@ let test_write_readiness backend () =
   Alcotest.(check bool) "fresh pipe writable" true writable;
   Evloop.remove t w
 
-(* dup2 the pipe's read end above FD_SETSIZE: epoll/poll must watch
-   it; select must refuse it with a clear error at [add] time. *)
+(* dup2 the pipe's read end above FD_SETSIZE: every backend must watch
+   it. *)
 let test_beyond_fd_setsize backend () =
   let limit = Evloop.raise_fd_limit 4096 in
   if limit < 2048 then
@@ -141,29 +136,19 @@ let test_beyond_fd_setsize backend () =
       (fun () ->
         Alcotest.(check int) "fd really is beyond FD_SETSIZE" high
           (Evloop.fd_int high_fd);
-        match backend with
-        | Evloop.Select -> (
-            match Evloop.add t high_fd ~read:true ~write:false with
-            | () -> Alcotest.fail "select accepted fd >= FD_SETSIZE"
-            | exception Invalid_argument msg ->
-                Alcotest.(check bool)
-                  "error names FD_SETSIZE" true
-                  (Astring_contains.contains msg "FD_SETSIZE"))
-        | _ ->
-            Evloop.add t high_fd ~read:true ~write:false;
-            ignore (Unix.write_substring w "x" 0 1);
-            let seen =
-              List.exists
-                (fun e -> Evloop.fd_int e.Evloop.ev_fd = high && e.Evloop.ev_read)
-                (Evloop.wait t ~timeout_s:1.0)
-            in
-            Alcotest.(check bool) "high fd reported readable" true seen;
-            Evloop.remove t high_fd)
+        Evloop.add t high_fd ~read:true ~write:false;
+        ignore (Unix.write_substring w "x" 0 1);
+        let seen =
+          List.exists
+            (fun e -> Evloop.fd_int e.Evloop.ev_fd = high && e.Evloop.ev_read)
+            (Evloop.wait t ~timeout_s:1.0)
+        in
+        Alcotest.(check bool) "high fd reported readable" true seen;
+        Evloop.remove t high_fd)
 
 let backend_cases () =
   List.concat_map
-    (fun b ->
-      let n = Evloop.backend_to_string b in
+    (fun (b, n) ->
       [
         Alcotest.test_case (n ^ ": lifecycle") `Quick (test_lifecycle b);
         Alcotest.test_case (n ^ ": level-triggered") `Quick

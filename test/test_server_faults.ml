@@ -1,7 +1,7 @@
 (* Fault-path tests for the `serve` daemon, against the real CLI binary
    on an ephemeral port.
 
-   These pin the select-loop regressions this repo has actually hit:
+   These pin the event-loop regressions this repo has actually hit:
 
    - disconnect mid-reply: a peer that pipelines and closes without
      reading must cost one connection (counted write error), never the
@@ -10,12 +10,15 @@
    - half close (shutdown(SHUT_WR)) after pipelining must still
      deliver every queued reply — the old loop closed on read() = 0
      and discarded the whole output queue;
-   - a connect burst must be accepted within one select round, not one
+   - a connect burst must be accepted within one loop round, not one
      accept per round;
    - rejected connections are written best-effort on a nonblocking fd,
      so a connect-and-never-read client cannot stall the accept loop;
    - an oversized line answers `ERR line too long` (counted) before
-     the close, instead of silently dropping the connection. *)
+     the close, instead of silently dropping the connection;
+   - an epoch that raises, whether a STMT or EPOCH triggered it, answers
+     ERR and never takes the daemon down;
+   - a tenant dropped while its epoch is in flight. *)
 
 let cli () =
   let here = Filename.dirname Sys.executable_name in
@@ -212,7 +215,7 @@ let test_half_close_replies_survive () =
 
 let test_accept_burst () =
   (* A burst of connects arriving while the daemon is busy chewing a
-     pipelined batch must all be accepted in one select round. The old
+     pipelined batch must all be accepted in one loop round. The old
      loop accepted exactly one per round, so the burst serialized and
      server_accept_burst_max stayed at 1 (the metric did not even
      exist). *)
@@ -330,13 +333,12 @@ let read_config c =
   expect_prefix "config" "OK " head;
   List.init (Scanf.sscanf head "OK %d" Fun.id) (fun _ -> input_line c.ic)
 
-let failed_epoch_keeps_last_config args =
-  (* IM_EPOCH_FAIL=2: the daemon's second epoch raises — on the epoch
-     worker by default, on the dispatch thread with --epoch-workers 0.
-     The asker gets ERR epoch failed, the tenant keeps the
+let test_failed_epoch_keeps_last_config () =
+  (* IM_EPOCH_FAIL=2: the daemon's second epoch raises on the epoch
+     worker. The asker gets ERR epoch failed, the tenant keeps the
      configuration its first epoch committed, and is not left marked
      in flight: the third epoch commits. *)
-  let d = start_daemon ~args ~env:[ "IM_EPOCH_FAIL=2" ] () in
+  let d = start_daemon ~env:[ "IM_EPOCH_FAIL=2" ] () in
   Fun.protect
     ~finally:(fun () -> stop_daemon d)
     (fun () ->
@@ -358,8 +360,117 @@ let failed_epoch_keeps_last_config args =
       expect_prefix "next epoch commits" "OK epoch" (request c "EPOCH");
       expect_prefix "quit" "OK bye" (request c "QUIT"))
 
-let test_failed_epoch_keeps_last_config () =
-  List.iter failed_epoch_keeps_last_config [ []; [ "--epoch-workers"; "0" ] ]
+(* Statement [i] of a warm-up run; the 24th fires the bootstrap epoch
+   (default warmup; the drift check is pushed out of reach). *)
+let warmup_stmt i =
+  Printf.sprintf "STMT SELECT t0_c%d FROM t0 WHERE t0_c%d = %d" (i mod 3)
+    (i mod 3) i
+
+let test_stmt_triggered_epoch_failure () =
+  (* IM_EPOCH_FAIL=1: the bootstrap epoch the 24th STMT triggers
+     raises. That STMT answers ERR, the daemon stays live, and the next
+     STMT re-triggers the bootstrap, which commits. *)
+  let d = start_daemon ~env:[ "IM_EPOCH_FAIL=1" ] () in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let c = connect d.port in
+      for i = 1 to 23 do
+        expect_prefix "warm-up stmt" "OK observed" (request c (warmup_stmt i))
+      done;
+      expect_prefix "bootstrap stmt" "ERR epoch failed"
+        (request c (warmup_stmt 24));
+      expect_prefix "daemon live" "OK " (request c "STATS");
+      expect_prefix "next stmt commits the bootstrap"
+        "OK observed epoch trigger=bootstrap"
+        (request c (warmup_stmt 25));
+      Alcotest.(check bool) "bootstrap installed indexes" true
+        (read_config c <> []);
+      expect_prefix "quit" "OK bye" (request c "QUIT"))
+
+let test_pipelined_epoch_failure () =
+  (* The same failure inside one pipelined write: the statements behind
+     the failing trigger are replayed, the first of them re-triggers the
+     bootstrap, and every command gets exactly one reply, in order. *)
+  let n = 30 in
+  let d = start_daemon ~env:[ "IM_EPOCH_FAIL=1" ] () in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let c = connect d.port in
+      let b = Buffer.create (n * 48) in
+      for i = 1 to n do
+        Buffer.add_string b (warmup_stmt i ^ "\n")
+      done;
+      Buffer.add_string b "QUIT\n";
+      output_string c.oc (Buffer.contents b);
+      flush c.oc;
+      let replies = ref [] in
+      (try
+         while true do
+           replies := input_line c.ic :: !replies
+         done
+       with End_of_file -> ());
+      let replies = List.rev !replies in
+      Alcotest.(check int) "one reply per command" (n + 1) (List.length replies);
+      List.iteri
+        (fun i reply ->
+          let what = Printf.sprintf "reply %d" (i + 1) in
+          match i + 1 with
+          | 24 -> expect_prefix what "ERR epoch failed" reply
+          | 25 ->
+            expect_prefix what "OK observed epoch trigger=bootstrap" reply
+          | k when k = n + 1 -> expect_prefix what "OK bye" reply
+          | _ ->
+            Alcotest.(check string) what "OK observed" reply)
+        replies;
+      let c2 = connect d.port in
+      let stats = request c2 "STATS" in
+      Alcotest.(check bool)
+        ("every statement ingested: " ^ stats)
+        true
+        (Astring_contains.contains stats (Printf.sprintf "statements=%d" n)))
+
+let test_tenant_dropped_mid_epoch () =
+  (* Connection A forces a slow epoch on tenant x; connection B drops x
+     while it runs. A still gets exactly one reply to its EPOCH (the
+     epoch commits to the dropped session and answers as usual), then
+     finds itself unbound; the daemon keeps serving and shuts down
+     cleanly. *)
+  let d =
+    start_daemon
+      ~args:[ "--tenant"; "x=synthetic1" ]
+      ~env:[ "IM_EPOCH_DELAY_MS=1500" ] ()
+  in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let a = connect d.port in
+      expect_prefix "bind x" "OK tenant x" (request a "TENANT USE x");
+      expect_prefix "seed x" "OK observed" (request a (warmup_stmt 1));
+      output_string a.oc "EPOCH\n";
+      flush a.oc;
+      Unix.sleepf 0.3;
+      let b = connect d.port in
+      expect_prefix "drop x mid-epoch" "OK tenant x dropped conns=1"
+        (request b "TENANT DROP x");
+      expect_prefix "A's epoch reply" "OK epoch trigger=forced"
+        (input_line a.ic);
+      expect_prefix "A unbound" "ERR no tenant bound"
+        (request a (warmup_stmt 2));
+      let head = request b "TENANT LIST" in
+      let rows =
+        List.init (Scanf.sscanf head "OK %d" Fun.id) (fun _ -> input_line b.ic)
+      in
+      Alcotest.(check bool)
+        ("x gone from " ^ String.concat " | " rows)
+        false
+        (List.exists (fun r -> String.length r > 2 && String.sub r 0 2 = "x ") rows);
+      expect_prefix "stats" "OK " (request b "STATS");
+      expect_prefix "shutdown" "OK shutting down" (request b "SHUTDOWN");
+      match Unix.waitpid [] d.pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "daemon did not exit cleanly")
 
 let test_reap_spares_inflight_epoch () =
   (* A connection waiting on an off-thread epoch is idle through no
@@ -421,5 +532,11 @@ let () =
             test_reap_spares_inflight_epoch;
           Alcotest.test_case "failed epoch keeps last config" `Slow
             test_failed_epoch_keeps_last_config;
+          Alcotest.test_case "stmt-triggered epoch failure" `Slow
+            test_stmt_triggered_epoch_failure;
+          Alcotest.test_case "pipelined epoch failure replays" `Slow
+            test_pipelined_epoch_failure;
+          Alcotest.test_case "tenant dropped mid-epoch" `Slow
+            test_tenant_dropped_mid_epoch;
         ] );
     ]
