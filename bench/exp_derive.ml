@@ -2,9 +2,10 @@
 
    For each database, runs greedy and exhaustive merge search (N = 5
    initial configurations, three seeds) twice: once with derivation off
-   (--no-derive semantics: every what-if cache miss runs the full
-   optimizer) and once with derivation on (misses assembled from cached
-   access-path atoms, falling back only on the order-sort class), and
+   (a [Service.create ~derive:false] service: every what-if cache miss
+   runs the full optimizer) and once with derivation on (misses
+   assembled from cached access-path atoms, falling back only on the
+   order-sort class), and
 
    - hard-asserts the merged configuration (items with parents, final
      pages, final cost) is identical between the two modes — the
@@ -62,9 +63,14 @@ let measure ~derive db workload strategy =
       (fun seed ->
         let initial = Exp_common.initial_config db workload ~n:5 ~seed in
         let before = Optimizer.invocations () in
+        let service =
+          Im_costsvc.Service.create ~derive
+            ~update_cost:(Im_merging.Maintenance.config_batch_cost db)
+            db
+        in
         let o =
-          Search.run ~cost_model:Cost_eval.Optimizer_estimated
-            ~cost_constraint:0.10 ~derive db workload ~initial strategy
+          Search.run ~service ~cost_model:Cost_eval.Optimizer_estimated
+            ~cost_constraint:0.10 db workload ~initial strategy
         in
         ( {
             r_fingerprint = fingerprint o.Search.o_items;

@@ -121,26 +121,6 @@ let metrics_arg =
   in
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
-let domains_arg =
-  let doc =
-    "Worker domains in the shared pool (0 = sequential): tune fans its \
-     per-query tuning out over it and serve stripes each tenant's cost \
-     cache for it; merge searches run sequentially. Results are \
-     bit-identical at any setting. Default: the IM_DOMAINS \
-     environment variable if set, else the machine's recommended domain \
-     count minus one."
-  in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
-let no_derive_arg =
-  let doc =
-    "Disable atomic cost derivation: answer every what-if cache miss by \
-     running the full optimizer instead of assembling cached access-path \
-     atoms. Results are bit-identical either way; this is the escape hatch \
-     (and the baseline for the derive benchmark)."
-  in
-  Arg.(value & flag & info [ "no-derive" ] ~doc)
-
 let compress_arg =
   let doc =
     "Compress the workload before tuning: statements bucket by \
@@ -163,14 +143,6 @@ let prune_support_arg =
   in
   Arg.(
     value & opt (some float) None & info [ "prune-support" ] ~docv:"S" ~doc)
-
-let apply_domains = function
-  | None -> ()
-  | Some n when n >= 0 -> Im_par.Pool.set_default_domains n
-  | Some n ->
-    prerr_endline
-      (Printf.sprintf "index-merge: --domains must be >= 0, got %d" n);
-    exit 2
 
 let maybe_dump_metrics enabled =
   if enabled then begin
@@ -264,50 +236,26 @@ let info_cmd =
 (* ---- tune ---- *)
 
 let run_tune db_name sf seed wl_kind n_queries file compress prune_support
-    schema_file data_dir domains no_derive metrics =
-  apply_domains domains;
+    schema_file data_dir metrics =
   let db = or_die (build_database ?schema_file ?data_dir db_name sf seed) in
   let workload = or_die (build_workload ?file db wl_kind n_queries seed) in
   (* One deriving what-if service answers every greedy probe across all
-     queries (lock-striped to match the pool); costs are bit-identical
-     to the direct optimizer calls of --no-derive. *)
-  let pool = Im_par.Pool.default () in
-  let shards = max 1 (4 * Im_par.Pool.domain_count pool) in
-  let svc =
-    Im_costsvc.Service.create ~shards ~derive:(not no_derive) db
+     queries. *)
+  let svc = Im_costsvc.Service.create ~derive:true db in
+  let workload, compactor, prune =
+    Im_scale.Scale.prepare ?compress ?prune_support svc workload
   in
-  let miner =
-    match prune_support with
-    | Some s when s > 0. -> Some (Im_mine.Mine.create ())
-    | _ -> None
-  in
-  let workload =
-    match compress with
-    | None ->
-      Option.iter (fun m -> Im_mine.Mine.observe_workload m workload) miner;
-      workload
-    | Some eps ->
-      (* The miner rides the compactor's admission stream: bucket
-         leaders weighted by folded frequency, so the frontier reflects
-         the compressed workload the wizard actually tunes. *)
-      let w, st =
-        Im_scale.Scale.compress_workload ?mine:miner ~eps svc workload
-      in
+  Option.iter
+    (fun c ->
+      let st = Im_scale.Scale.stats c in
       Printf.printf
         "compressed %d -> %d statements (%.1fx, bound eps %.4g of budget %g)\n"
         st.Im_scale.Scale.st_statements st.Im_scale.Scale.st_buckets
         (Im_scale.Scale.fold_ratio st)
-        st.Im_scale.Scale.st_eps_bound st.Im_scale.Scale.st_eps_budget;
-      w
-  in
-  let prune =
-    match (miner, prune_support) with
-    | Some m, Some s -> Some (Im_mine.Mine.frontier m ~support:s)
-    | _ -> None
-  in
-  (* Tune every query on the pool, then print in workload order. *)
+        st.Im_scale.Scale.st_eps_bound st.Im_scale.Scale.st_eps_budget)
+    compactor;
   let tuned =
-    Im_par.Pool.parallel_map pool
+    List.map
       (fun q ->
         ( q,
           Im_tuning.Wizard.tune_query
@@ -357,14 +305,13 @@ let tune_cmd =
     Term.(
       const run_tune $ db_arg $ sf_arg $ seed_arg $ workload_arg $ queries_arg
       $ workload_file_arg $ compress_arg $ prune_support_arg $ schema_arg
-      $ data_arg $ domains_arg $ no_derive_arg $ metrics_arg)
+      $ data_arg $ metrics_arg)
 
 (* ---- merge ---- *)
 
 let run_merge db_name sf seed wl_kind n_queries n_initial constraint_ cost_model
     merge_pair strategy file updates compress prune_support schema_file data_dir
-    domains no_derive metrics =
-  apply_domains domains;
+    metrics =
   let db = or_die (build_database ?schema_file ?data_dir db_name sf seed) in
   let workload = or_die (build_workload ?file db wl_kind n_queries seed) in
   let workload =
@@ -382,8 +329,7 @@ let run_merge db_name sf seed wl_kind n_queries n_initial constraint_ cost_model
   List.iter (fun ix -> Printf.printf "  %s\n" (Index.to_string ix)) initial;
   let outcome =
     Search.run ~merge_pair ~cost_model ~cost_constraint:constraint_
-      ~derive:(not no_derive) ?compress ?prune_support db workload ~initial
-      strategy
+      ?compress ?prune_support db workload ~initial strategy
   in
   print_newline ();
   print_endline (Im_merging.Report.summary outcome);
@@ -401,8 +347,7 @@ let merge_cmd =
       const run_merge $ db_arg $ sf_arg $ seed_arg $ workload_arg $ queries_arg
       $ initial_arg $ constraint_arg $ cost_model_arg $ merge_pair_arg
       $ strategy_arg $ workload_file_arg $ updates_arg $ compress_arg
-      $ prune_support_arg $ schema_arg $ data_arg $ domains_arg $ no_derive_arg
-      $ metrics_arg)
+      $ prune_support_arg $ schema_arg $ data_arg $ metrics_arg)
 
 (* ---- explain ---- *)
 
@@ -435,13 +380,12 @@ let budget_arg =
   Arg.(required & opt (some int) None & info [ "b"; "budget" ] ~docv:"PAGES" ~doc)
 
 let run_advise db_name sf seed wl_kind n_queries file compress prune_support
-    budget schema_file data_dir domains no_derive metrics =
-  apply_domains domains;
+    budget schema_file data_dir metrics =
   let db = or_die (build_database ?schema_file ?data_dir db_name sf seed) in
   let workload = or_die (build_workload ?file db wl_kind n_queries seed) in
   let outcome =
-    Im_advisor.Advisor.advise ~derive:(not no_derive) ?compress ?prune_support
-      db workload ~budget_pages:budget
+    Im_advisor.Advisor.advise ?compress ?prune_support db workload
+      ~budget_pages:budget
   in
   print_endline (Im_advisor.Advisor.summary outcome);
   print_endline "recommended configuration:";
@@ -462,8 +406,7 @@ let advise_cmd =
     Term.(
       const run_advise $ db_arg $ sf_arg $ seed_arg $ workload_arg
       $ queries_arg $ workload_file_arg $ compress_arg $ prune_support_arg
-      $ budget_arg $ schema_arg $ data_arg $ domains_arg $ no_derive_arg
-      $ metrics_arg)
+      $ budget_arg $ schema_arg $ data_arg $ metrics_arg)
 
 (* ---- serve ---- *)
 
@@ -560,11 +503,10 @@ let parse_tenant_spec spec =
 let run_serve db_name sf seed schema_file data_dir port budget window decay
     check_every drift_threshold cost_threshold compress prune_support
     read_timeout max_connections max_tenant_connections max_output_bytes
-    tenant_specs domains no_derive metrics =
-  apply_domains domains;
+    tenant_specs metrics =
   (* Every tenant session is built the same way: database by name, the
      serve options from the flags, the cost cache striped for the
-     shared pool's size. *)
+     shared pool's size (IM_DOMAINS overrides it). *)
   let make_service db =
     let budget_pages =
       if budget > 0 then budget else max 1 (Database.data_pages db / 2)
@@ -581,9 +523,8 @@ let run_serve db_name sf seed schema_file data_dir port budget window decay
         o_prune_support = prune_support;
       }
     in
-    Im_online.Service.create ~options
-      ~pool:(Im_par.Pool.default ())
-      ~derive:(not no_derive) db ~budget_pages
+    Im_online.Service.create ~options ~pool:(Im_par.Pool.default ()) db
+      ~budget_pages
   in
   let factory dbspec =
     (* TENANT CREATE resolves only generated databases: csv needs
@@ -657,7 +598,7 @@ let serve_cmd =
       $ drift_threshold_arg $ cost_threshold_arg $ compress_arg
       $ prune_support_arg $ read_timeout_arg $ max_connections_arg
       $ max_tenant_connections_arg
-      $ max_output_bytes_arg $ tenant_arg $ domains_arg $ no_derive_arg $ metrics_arg)
+      $ max_output_bytes_arg $ tenant_arg $ metrics_arg)
 
 (* ---- generate ---- *)
 

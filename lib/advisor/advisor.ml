@@ -24,51 +24,20 @@ type outcome = {
   a_pruning : Im_mine.Mine.stats option;
 }
 
-let advise ?service ?(relax = 2.0) ?(derive = true) ?compress ?prune
-    ?prune_support db workload ~budget_pages =
+let advise ?service ?(relax = 2.0) ?compress ?prune ?prune_support db
+    workload ~budget_pages =
   (* One memoizing cost service spans all three phases: configurations
      costed during relaxed selection are cache hits for the dual merge
-     and the plain selection. With [derive] (the default) its misses
-     are answered from cached access-path atoms — same costs, no
-     optimizer run. *)
+     and the plain selection. *)
   let svc =
     match service with
     | Some s -> s
-    | None ->
-        Im_costsvc.Service.create ~derive
-          ~update_cost:(Im_merging.Maintenance.config_batch_cost db)
-          db
+    | None -> Im_merging.Cost_eval.default_service db
   in
   let calls_before = Im_costsvc.Service.opt_calls svc in
-  (* With [?compress], every phase tunes and costs the compressed
-     workload — one compaction shared by selection, merging and the
-     plain-selection comparison. *)
-  (* [?prune_support]: one mining pass covers all three phases —
-     through the compactor at admission time when compressing (the
-     miner then sees Ŵ's masses for free), a single workload stream
-     otherwise. An explicit [?prune] frontier (the online epoch passes
-     its window's) wins over [?prune_support]. *)
-  let miner =
-    match (prune, prune_support) with
-    | None, Some s when s > 0. -> Some (Im_mine.Mine.create ())
-    | _ -> None
-  in
-  let workload, compression =
-    match compress with
-    | None ->
-      Option.iter (fun m -> Im_mine.Mine.observe_workload m workload) miner;
-      (workload, None)
-    | Some eps ->
-      let w, st =
-        Im_scale.Scale.compress_workload ?mine:miner ~eps svc workload
-      in
-      (w, Some st)
-  in
-  let prune =
-    match (prune, miner, prune_support) with
-    | (Some _ as p), _, _ -> p
-    | None, Some m, Some s -> Some (Im_mine.Mine.frontier m ~support:s)
-    | None, _, _ -> None
+  (* One compaction and one mining pass, shared by all three phases. *)
+  let workload, compactor, prune =
+    Im_scale.Scale.prepare ?compress ?prune ?prune_support svc workload
   in
   let relaxed = int_of_float (relax *. float_of_int budget_pages) in
   (* Both selection passes run on one context: candidates and the base
@@ -114,7 +83,7 @@ let advise ?service ?(relax = 2.0) ?(derive = true) ?compress ?prune
     a_plain_cost = plain.Selection.s_final_cost;
     a_final_cost = final_cost;
     a_optimizer_calls = Im_costsvc.Service.opt_calls svc - calls_before;
-    a_compression = compression;
+    a_compression = Option.map Im_scale.Scale.stats compactor;
     a_pruning = Option.map Im_mine.Mine.frontier_stats prune;
   }
 

@@ -51,7 +51,6 @@ type outcome = {
 val advise :
   ?service:Im_costsvc.Service.t ->
   ?relax:float ->
-  ?derive:bool ->
   ?compress:float ->
   ?prune:Im_mine.Mine.frontier ->
   ?prune_support:float ->
@@ -62,27 +61,28 @@ val advise :
 (** [advise db w ~budget_pages] with relaxation factor [?relax]
     (default 2.0) for the selection phase. All three phases share one
     memoizing cost service — [?service] to supply it (the online layer
-    carries one across epochs), otherwise a fresh one is created with
-    atomic cost derivation per [?derive] (default on; ignored when
-    [?service] is given — bit-identical results either way).
+    carries one across epochs), otherwise a fresh
+    {!Im_merging.Cost_eval.default_service}, which answers misses from
+    cached access-path atoms.
 
-    [?compress] (off by default; the CLI's [--compress EPS]) streams
-    the workload through the {!Im_scale.Scale} compactor once and all
-    three phases tune and cost the compressed workload. Reported costs
-    refer to it, within the bound carried in [a_compression]; at
-    [EPS = 0] only canonically identical statements fold, so the
-    recommendation is bit-identical on duplicate-free workloads.
+    [?compress], [?prune_support] and [?prune] run once, through
+    {!Im_scale.Scale.prepare}, and all three phases tune the workload
+    and frontier it returns. [?compress] (off by default; the CLI's
+    [--compress EPS]) compacts the workload: reported costs refer to
+    the compressed workload, within the bound carried in
+    [a_compression]; at [EPS = 0] only canonically identical
+    statements fold, so the recommendation is bit-identical on
+    duplicate-free workloads.
 
     [?prune_support] (off by default; the CLI's [--prune-support S])
-    mines the workload once — through the compactor at admission time
-    when [?compress] is also given — and threads the resulting frontier
-    through {e all three} phases: both selections filter their
-    candidate pools ({!Im_mine.Mine.keep_index}) and the dual merge
-    prunes its pair enumeration ({!Im_mine.Mine.keep_pair}).
-    [S <= 0] disables pruning and is bit-identical to today's advisor.
-    [?prune] supplies a ready-made frontier instead (the online epoch
-    re-mines its window and passes it here); it wins over
-    [?prune_support]. Tallies land in [a_pruning]. *)
+    mines the workload and threads the frontier through {e all three}
+    phases: both selections filter their candidate pools
+    ({!Im_mine.Mine.keep_index}) and the dual merge prunes its pair
+    enumeration ({!Im_mine.Mine.keep_pair}). [S <= 0] disables pruning
+    and is bit-identical to today's advisor. [?prune] supplies a
+    ready-made frontier instead (the online epoch mines its window and
+    passes it here); it wins over [?prune_support]. Tallies land in
+    [a_pruning]. *)
 
 val final_config : outcome -> Im_catalog.Config.t
 

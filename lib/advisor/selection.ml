@@ -60,10 +60,7 @@ let context ?service ?prune db workload =
   let svc =
     match service with
     | Some s -> s
-    | None ->
-      Service.create
-        ~update_cost:(Im_merging.Maintenance.config_batch_cost db)
-        db
+    | None -> Im_merging.Cost_eval.default_service db
   in
   let calls_before = Service.opt_calls svc in
   let schema = Database.schema db in

@@ -41,8 +41,9 @@ val context :
   Im_workload.Workload.t ->
   context
 (** Generate (and, with [?prune], filter) the candidates and cost the
-    workload with no indexes. Without [?service] a private non-deriving
-    service with maintenance pricing is created. *)
+    workload with no indexes. Without [?service] a private
+    {!Im_merging.Cost_eval.default_service} is created, deriving like
+    the advisor's. *)
 
 val run :
   ?max_indexes:int ->

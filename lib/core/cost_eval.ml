@@ -20,14 +20,14 @@ type t = {
   svc : Service.t;
 }
 
-let create ?service ?derive model db workload =
+let default_service ?shards db =
+  Service.create ?shards ~derive:true
+    ~update_cost:(Maintenance.config_batch_cost db)
+    db
+
+let create ?service model db workload =
   let svc =
-    match service with
-    | Some s -> s
-    | None ->
-      Service.create ?derive
-        ~update_cost:(Maintenance.config_batch_cost db)
-        db
+    match service with Some s -> s | None -> default_service db
   in
   { ce_model = model; db; workload; svc }
 

@@ -27,20 +27,24 @@ val default_no_cost : model
 
 type t
 
+val default_service : ?shards:int -> Im_catalog.Database.t -> Im_costsvc.Service.t
+(** The cost service a run builds when the caller supplies none: atomic
+    cost derivation on (misses are answered from cached access-path
+    atoms, bit-identical to the optimizer), maintenance priced by
+    {!Maintenance.config_batch_cost}, [?shards] lock stripes as in
+    {!Im_costsvc.Service.create}. The merge search, the advisor's
+    phases and the online service all default to it. *)
+
 val create :
   ?service:Im_costsvc.Service.t ->
-  ?derive:bool ->
   model ->
   Im_catalog.Database.t ->
   Im_workload.Workload.t ->
   t
 (** [create ?service model db workload]. When [service] is given, its
     cache and counters are shared with every other user of that service
-    (cross-strategy and cross-phase reuse); otherwise a private service
-    is created, wired with {!Maintenance.config_batch_cost} for update
-    profiles. [?derive] (atomic cost derivation, see
-    {!Im_costsvc.Service.create}) is ignored when [?service] is given —
-    the shared service's own derivation applies. *)
+    (cross-strategy and cross-phase reuse); otherwise a private
+    {!default_service} is created. *)
 
 val model : t -> model
 

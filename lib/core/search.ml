@@ -295,48 +295,16 @@ let exhaustive ~prune ~procedure ~evaluator ~service ~seek ~bound
 
 let run ?service ?(merge_pair = Merge_pair.Cost_based)
     ?(cost_model = Cost_eval.Optimizer_estimated) ?(cost_constraint = 0.10)
-    ?(derive = true) ?compress ?prune ?prune_support db workload ~initial
-    strategy =
-  let evaluator = Cost_eval.create ?service ~derive cost_model db workload in
-  let svc = Cost_eval.service evaluator in
-  (* Workload compression runs before the search proper: the compactor
-     streams the statements into signature buckets (probe sampling
-     flows through the service's deriver) and the search costs the
-     compressed workload from here on. At ε = 0 only canonically
-     identical statements fold. *)
-  (* [--prune-support S]: mine the workload's frequent itemsets before
-     the search proper. Compressed runs feed the miner through the
-     compactor at admission time (mining Ŵ for free); uncompressed runs
-     stream the workload once. An explicit [?prune] frontier wins over
-     [?prune_support]; S <= 0 disables pruning entirely — the search is
-     then bit-identical to today's. *)
-  let miner =
-    match (prune, prune_support) with
-    | None, Some s when s > 0. -> Some (Mine.create ())
-    | _ -> None
+    ?compress ?prune ?prune_support db workload ~initial strategy =
+  let svc =
+    match service with
+    | Some s -> s
+    | None -> Cost_eval.default_service db
   in
-  let workload, compression =
-    match compress with
-    | None ->
-      Option.iter (fun m -> Mine.observe_workload m workload) miner;
-      (workload, None)
-    | Some eps ->
-      let w, st =
-        Im_scale.Scale.compress_workload ?mine:miner ~eps svc workload
-      in
-      (w, Some st)
+  let workload, compactor, prune =
+    Im_scale.Scale.prepare ?compress ?prune ?prune_support svc workload
   in
-  let prune =
-    match (prune, miner, prune_support) with
-    | (Some _ as p), _, _ -> p
-    | None, Some m, Some s -> Some (Mine.frontier m ~support:s)
-    | None, _, _ -> None
-  in
-  let evaluator =
-    match compression with
-    | None -> evaluator
-    | Some _ -> Cost_eval.create ~service:svc cost_model db workload
-  in
+  let evaluator = Cost_eval.create ~service:svc cost_model db workload in
   let numeric = Cost_eval.is_numeric evaluator in
   (* The Merge_pair Exhaustive procedure scores candidate column orders
      through the service; non-numeric models never score, matching the
@@ -409,6 +377,6 @@ let run ?service ?(merge_pair = Merge_pair.Cost_based)
     o_derive_fallbacks = d.Service.c_fallbacks - b.Service.c_fallbacks;
     o_elapsed_s = elapsed;
     o_truncated = truncated;
-    o_compression = compression;
+    o_compression = Option.map Im_scale.Scale.stats compactor;
     o_pruning = Option.map Mine.frontier_stats prune;
   }

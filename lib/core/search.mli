@@ -64,7 +64,6 @@ val run :
   ?merge_pair:Merge_pair.procedure ->
   ?cost_model:Cost_eval.model ->
   ?cost_constraint:float ->
-  ?derive:bool ->
   ?compress:float ->
   ?prune:Im_mine.Mine.frontier ->
   ?prune_support:float ->
@@ -88,17 +87,15 @@ val run :
     enumerated configurations by storage and accepts the first
     acceptable one.
 
-    [?derive] (default true; ignored when [?service] supplies the
-    service) attaches atomic cost derivation to the private service:
-    cache misses — and the seek/scan usage analysis — are answered by
-    re-assembling cached per-index access-path atoms instead of running
-    the optimizer. Results are bit-identical with derivation on or off;
-    only [Im_optimizer.Optimizer.invocations] (and wall time) drop.
-    The CLI exposes [--no-derive] to turn it off.
+    Without [?service] the run builds a private
+    {!Cost_eval.default_service}: cache misses — and the seek/scan
+    usage analysis — are answered by re-assembling cached per-index
+    access-path atoms, bit-identical to running the optimizer.
 
-    [?compress] (off by default; the CLI's [--compress EPS]) streams
-    the workload through the {!Im_scale.Scale} compactor before
-    searching: statements bucket by physical-design signature under
+    [?compress], [?prune_support] and [?prune] run through
+    {!Im_scale.Scale.prepare} before the search proper.
+    [?compress] (off by default; the CLI's [--compress EPS]) compacts
+    the workload: statements bucket by physical-design signature under
     the deviation budget [EPS] and the search costs the compressed
     workload — [o_initial_cost]/[o_final_cost]/[o_bound] then refer to
     it, within the reported bound ([o_compression]) of the uncompressed
@@ -114,9 +111,6 @@ val run :
     plus the merges {!Im_mine.Mine.keep_block}'s correctness valve
     protects (all parents evidence-free, or the union collapsing into
     one parent). [S <= 0] disables pruning and is bit-identical to the
-    unpruned search. Compressed runs ([?compress]) feed the miner
-    through the compactor at admission time, so they mine Ŵ for
-    free. [?prune] supplies a
-    ready-made frontier instead (the online epoch path re-mines its
-    window once and shares the frontier across phases); it wins over
+    unpruned search. Compressed runs mine the compressed workload.
+    [?prune] supplies a ready-made frontier instead and wins over
     [?prune_support]. Pruning tallies land in [o_pruning]. *)

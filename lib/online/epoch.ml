@@ -2,7 +2,8 @@ module Database = Im_catalog.Database
 module Config = Im_catalog.Config
 module Index = Im_catalog.Index
 module Workload = Im_workload.Workload
-module Compress = Im_workload.Compress
+module Scale = Im_scale.Scale
+module Costsvc = Im_costsvc.Service
 
 type diff = {
   d_create : Index.t list;
@@ -91,79 +92,41 @@ let run ?compress ?prune_support service ~trigger ~live ~window
    | Some n when Atomic.fetch_and_add epochs_started 1 + 1 = n ->
      failwith "injected epoch failure (IM_EPOCH_FAIL)"
    | Some _ | None -> ());
-  let db = Im_costsvc.Service.database service in
-  let calls_before = Im_costsvc.Service.opt_calls service in
-  (* Re-mine every epoch: each window gets a fresh miner, so the
-     frontier the advisor prunes with tracks the decayed window masses
-     — a drift-triggered epoch gets a cheap candidate refresh instead
-     of the full quadratic frontier. *)
-  let miner =
-    match prune_support with
-    | Some s when s > 0. -> Some (Im_mine.Mine.create ())
-    | _ -> None
-  in
-  let frontier () =
-    match (miner, prune_support) with
-    | Some m, Some s -> Some (Im_mine.Mine.frontier m ~support:s)
-    | _ -> None
-  in
-  let (new_config, tuned, old_cost, new_cost, scale, mine), elapsed =
+  let db = Costsvc.database service in
+  let calls_before = Costsvc.opt_calls service in
+  let (new_config, tuned, old_cost, new_cost, compactor, prune), elapsed =
     Im_util.Stopwatch.time (fun () ->
-        match compress with
-        | Some eps ->
-          (* Scale path: stream the window snapshot through the
-             compactor once; tuning and both costings run over the
-             compressed window, the costings answered from cached
-             access-path atoms in a single batched traversal. The
-             miner rides the same stream at admission time. *)
-          let compactor = Im_scale.Scale.create ~eps ?mine:miner service in
-          Im_scale.Scale.observe_workload compactor window;
-          let compressed = Im_scale.Scale.snapshot compactor in
-          let prune = frontier () in
-          let tuning =
-            Workload.top_k_by_cost
-              ~cost:(Im_costsvc.Service.query_cost service live)
-              ~k:max_clusters compressed
-          in
-          let outcome =
-            Im_advisor.Advisor.advise ~service ?prune db tuning ~budget_pages
-          in
-          let new_config = Im_advisor.Advisor.final_config outcome in
-          let costs = Im_scale.Scale.score compactor [ live; new_config ] in
-          ( new_config,
-            Workload.size tuning,
-            costs.(0),
-            costs.(1),
-            Some (Im_scale.Scale.stats compactor),
-            Option.map Im_mine.Mine.frontier_stats prune )
-        | None ->
-          (* Exact-signature dedup, then spend the cluster budget on the
-             entries costing most under the live configuration. *)
-          Option.iter (fun m -> Im_mine.Mine.observe_workload m window) miner;
-          let prune = frontier () in
-          let compressed = Compress.compress window in
-          let tuning =
-            Workload.top_k_by_cost
-              ~cost:(Im_costsvc.Service.query_cost service live)
-              ~k:max_clusters compressed
-          in
-          let outcome =
-            Im_advisor.Advisor.advise ~service ?prune db tuning ~budget_pages
-          in
-          let new_config = Im_advisor.Advisor.final_config outcome in
-          (* Both costings run over the *full* window, through the warm
-             service, so the benefit reflects all live traffic, not just
-             the tuned clusters. *)
-          let old_cost = Im_costsvc.Service.workload_cost service live window in
-          let new_cost =
-            Im_costsvc.Service.workload_cost service new_config window
-          in
-          ( new_config,
-            Workload.size tuning,
-            old_cost,
-            new_cost,
-            None,
-            Option.map Im_mine.Mine.frontier_stats prune ))
+        (* Compaction (with [?compress]) and mining run afresh on every
+           window, so the frontier tracks the decayed window masses: a
+           drift-triggered epoch gets a cheap candidate refresh instead
+           of the full quadratic frontier. The cluster budget then goes
+           to the entries costing most under the live configuration. *)
+        let workload, compactor, prune =
+          Scale.prepare ?compress ?prune_support service window
+        in
+        let tuning =
+          Workload.top_k_by_cost
+            ~cost:(Costsvc.query_cost service live)
+            ~k:max_clusters workload
+        in
+        let outcome =
+          Im_advisor.Advisor.advise ~service ?prune db tuning ~budget_pages
+        in
+        let new_config = Im_advisor.Advisor.final_config outcome in
+        (* Both costings run over the whole (compacted) window, not
+           just the tuned clusters, so the benefit reflects all live
+           traffic. A compactor answers them in one batched traversal
+           of the cached access-path atoms. *)
+        let old_cost, new_cost =
+          match compactor with
+          | Some c ->
+            let costs = Scale.score c [ live; new_config ] in
+            (costs.(0), costs.(1))
+          | None ->
+            ( Costsvc.workload_cost service live workload,
+              Costsvc.workload_cost service new_config workload )
+        in
+        (new_config, Workload.size tuning, old_cost, new_cost, compactor, prune))
   in
   (match List.assoc_opt trigger m_epoch_metrics with
    | Some (c, h) ->
@@ -181,10 +144,10 @@ let run ?compress ?prune_support service ~trigger ~live ~window
     e_benefit = (if old_cost <= 0. then 0. else (old_cost -. new_cost) /. old_cost);
     e_old_pages = Database.config_storage_pages db live;
     e_new_pages = Database.config_storage_pages db new_config;
-    e_opt_calls = Im_costsvc.Service.opt_calls service - calls_before;
+    e_opt_calls = Costsvc.opt_calls service - calls_before;
     e_elapsed_s = elapsed;
-    e_scale = scale;
-    e_mine = mine;
+    e_scale = Option.map Scale.stats compactor;
+    e_mine = Option.map Im_mine.Mine.frontier_stats prune;
   }
 
 let summary o =
@@ -199,8 +162,7 @@ let summary o =
      | None -> ""
      | Some st ->
        Printf.sprintf ", compressed %d -> %d statements (bound eps %.4g)"
-         st.Im_scale.Scale.st_statements st.Im_scale.Scale.st_buckets
-         st.Im_scale.Scale.st_eps_bound)
+         st.Scale.st_statements st.Scale.st_buckets st.Scale.st_eps_bound)
   ^
   match o.e_mine with
   | None -> ""

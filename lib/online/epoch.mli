@@ -1,8 +1,9 @@
 (** One tuning epoch: re-run the budgeted advisor on the current window
     and express the result as a diff against the live configuration.
 
-    The window snapshot is compressed (exact-signature dedup — the
-    window already clustered loosely) and truncated Wii-style to the
+    The window snapshot goes through {!Im_scale.Scale.prepare} (the
+    window's slots already carry distinct signatures, so there is
+    nothing to fold exactly) and is truncated Wii-style to the
     budget's cluster allowance, keeping the clusters that are most
     expensive under the live configuration — re-tuning effort goes where
     the current indexes hurt most. {!Im_advisor.Advisor.advise} then
@@ -62,13 +63,13 @@ val run :
     delta of its optimizer-call counter (advisor phases and window
     costings included).
 
-    [?compress] replaces the exact-signature dedup with the
-    {!Im_scale.Scale} compactor at deviation budget [EPS]: the window
-    snapshot streams through it once, tuning and both window costings
-    run over the compressed window, and the costings are answered from
-    cached access-path atoms in one batched traversal
-    ({!Im_scale.Scale.score}). [e_old_cost]/[e_new_cost] then
-    refer to the compressed window, within the bound in [e_scale].
+    [?compress] streams the window through the {!Im_scale.Scale}
+    compactor at deviation budget [EPS]: tuning and both window
+    costings run over the compressed window, and the costings are
+    answered from cached access-path atoms in one batched traversal
+    ({!Im_scale.Scale.score}). [e_old_cost]/[e_new_cost] then refer to
+    the compressed window, within the bound in [e_scale]. Without it
+    both costings go through the service over the whole window.
 
     [?prune_support] re-mines the window's frequent itemsets each
     epoch — through the compactor at admission time when [?compress] is

@@ -59,8 +59,7 @@ type t = {
   mutable in_flight : bool;
 }
 
-let create ?options ?pool ?(initial = Config.empty) ?(derive = true) db
-    ~budget_pages =
+let create ?options ?pool ?(initial = Config.empty) db ~budget_pages =
   let opts =
     match options with
     | Some o -> o
@@ -77,10 +76,7 @@ let create ?options ?pool ?(initial = Config.empty) ?(derive = true) db
   {
     db;
     opts;
-    cache =
-      Im_costsvc.Service.create ~shards ~derive
-        ~update_cost:(Im_merging.Maintenance.config_batch_cost db)
-        db;
+    cache = Im_merging.Cost_eval.default_service ~shards db;
     window =
       Window.create ~capacity:opts.o_capacity ~decay:opts.o_decay
         ~threshold:opts.o_cluster_threshold ();

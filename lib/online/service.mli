@@ -47,7 +47,6 @@ val create :
   ?options:options ->
   ?pool:Im_par.Pool.t ->
   ?initial:Im_catalog.Config.t ->
-  ?derive:bool ->
   Im_catalog.Database.t ->
   budget_pages:int ->
   t
@@ -56,11 +55,12 @@ val create :
     [o_budget_pages] wins over the [~budget_pages] argument when
     given. [?pool] lock-stripes the warm what-if cache four ways per
     pool domain, for epochs that run on a worker domain alongside the
-    dispatch thread; costs are identical at any stripe count. [?derive]
-    (default true) attaches atomic cost derivation to the epoch-warm
-    what-if cache, so drift checks and tuning epochs answer misses
-    from cached access-path atoms — same costs, fewer optimizer runs
-    ([--no-derive] on [serve] turns it off). *)
+    dispatch thread; costs are identical at any stripe count. The
+    epoch-warm what-if cache is a
+    {!Im_merging.Cost_eval.default_service}: drift checks and tuning
+    epochs answer misses from cached access-path atoms. Raises
+    [Invalid_argument] when the options' window parameters are out of
+    range ({!Window.create}). *)
 
 type event =
   | Rejected of string  (** statement did not parse / validate *)

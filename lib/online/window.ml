@@ -28,6 +28,8 @@ type t = {
 let create ?(capacity = 48) ?(decay = 0.995) ?(threshold = 0.25) () =
   if capacity < 1 then invalid_arg "Window.create: capacity < 1";
   if decay <= 0. || decay > 1. then invalid_arg "Window.create: decay outside (0, 1]";
+  if Float.is_nan threshold || threshold < 0. then
+    invalid_arg "Window.create: threshold < 0 or NaN";
   {
     w_capacity = capacity;
     w_decay = decay;

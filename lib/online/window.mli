@@ -24,7 +24,11 @@ val create : ?capacity:int -> ?decay:float -> ?threshold:float -> unit -> t
 (** Defaults: [capacity = 48] clusters, [decay = 0.995] (half-life of
     ~139 statements), [threshold = 0.25] — looser than batch
     compression's exact-signature default because a stream repeats
-    near-identical shapes with varying constants and column subsets. *)
+    near-identical shapes with varying constants and column subsets.
+    Raises [Invalid_argument] if [capacity < 1], [decay] is outside
+    [(0, 1]], or [threshold] is negative or NaN. A statement founds a
+    slot only when it lies farther than [threshold] from every live
+    slot, so live slots carry pairwise distinct signatures. *)
 
 val observe : t -> Im_sqlir.Query.t -> unit
 

@@ -35,15 +35,14 @@ val default_domains : unit -> int
     counts as one worker's worth of help). *)
 
 val set_default_domains : int -> unit
-(** Override the size of the shared default pool (the CLI's
-    [--domains] flag). If the default pool already exists at another
+(** Override the size of the shared default pool. If the default pool already exists at another
     size it is shut down and recreated lazily at the new size. *)
 
 val default : unit -> t
 (** The process-wide shared pool, created lazily at
     {!default_domains} (or {!set_default_domains}) size and shut down
-    at exit. The CLI [tune] command fans out over it, and the [serve]
-    command sizes each tenant's cost-cache lock stripes from it. *)
+    at exit. The CLI [serve] command sizes each tenant's cost-cache
+    lock stripes from it. *)
 
 val domain_count : t -> int
 (** Number of worker domains (0 = sequential fallback). *)

@@ -352,10 +352,28 @@ let score t configs =
          c)
        configs)
 
-let compress_workload ?eps ?jaccard ?mine service (w : Workload.t) =
-  let t = create ?eps ?jaccard ?mine service in
-  observe_workload t w;
-  let compressed =
-    Workload.with_updates (snapshot ~name:w.Workload.name t) w.Workload.updates
+let prepare ?compress ?prune ?prune_support service (w : Workload.t) =
+  let miner =
+    match (prune, prune_support) with
+    | None, Some s when s > 0. -> Some (Im_mine.Mine.create (), s)
+    | _ -> None
   in
-  (compressed, stats t)
+  let mine = Option.map fst miner in
+  let workload, compactor =
+    match compress with
+    | None ->
+      Option.iter (fun m -> Im_mine.Mine.observe_workload m w) mine;
+      (w, None)
+    | Some eps ->
+      let t = create ~eps ?mine service in
+      observe_workload t w;
+      ( Workload.with_updates (snapshot ~name:w.Workload.name t)
+          w.Workload.updates,
+        Some t )
+  in
+  let prune =
+    match prune with
+    | Some _ -> prune
+    | None -> Option.map (fun (m, s) -> Im_mine.Mine.frontier m ~support:s) miner
+  in
+  (workload, compactor, prune)

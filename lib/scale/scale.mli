@@ -88,8 +88,8 @@ val observe_workload : t -> Im_workload.Workload.t -> unit
 
 val snapshot : ?name:string -> t -> Im_workload.Workload.t
 (** The compressed workload: bucket leaders in first-appearance order
-    with folded frequencies (no update profile — see
-    {!compress_workload}). Also publishes the [scale_*] gauges. The
+    with folded frequencies (no update profile — {!prepare} carries
+    the input's over). Also publishes the [scale_*] gauges. The
     compactor keeps streaming afterwards. *)
 
 val score : t -> Im_catalog.Config.t list -> float array
@@ -119,13 +119,29 @@ val fold_ratio : stats -> float
 (** [statements / buckets] (0 on an empty compactor) — the compression
     ratio the benchmark gates on. *)
 
-val compress_workload :
-  ?eps:float ->
-  ?jaccard:float ->
-  ?mine:Im_mine.Mine.t ->
+val prepare :
+  ?compress:float ->
+  ?prune:Im_mine.Mine.frontier ->
+  ?prune_support:float ->
   Im_costsvc.Service.t ->
   Im_workload.Workload.t ->
-  Im_workload.Workload.t * stats
-(** Batch convenience: stream a workload through a fresh compactor and
-    return the compressed workload (same name, update profile carried
-    over) with the compression stats. [?mine] as in {!create}. *)
+  Im_workload.Workload.t * t option * Im_mine.Mine.frontier option
+(** The prelude every tuning run shares (merge search, advisor, the
+    CLI's per-query tuning and the online epoch):
+    [prepare ?compress ?prune ?prune_support service w] returns the
+    workload to tune, the compactor when one ran, and the pruning
+    frontier.
+
+    - [?compress EPS] streams [w] through a fresh compactor at
+      deviation budget [EPS]; the workload returned is its
+      {!snapshot} (same name, update profile carried over) and the
+      compactor is returned for {!stats} and {!score}. Without it [w]
+      is returned unchanged and no compactor is built.
+    - [?prune_support S] with [S > 0] mines [w]'s frequent itemsets
+      and returns {!Im_mine.Mine.frontier} at support [S]. When
+      compressing, the miner rides the compactor's admission stream,
+      so it sees the compressed workload's masses; otherwise it
+      streams [w] once. [S <= 0] mines nothing and returns no
+      frontier.
+    - An explicit [?prune] frontier wins over [?prune_support]: it is
+      returned as is and no miner is built. *)

@@ -3,15 +3,15 @@
 # errors, the whole test suite three times (sequential, on a 4-domain
 # pool, and with every derived cost cross-checked against a full
 # optimization — results must depend on neither IM_DOMAINS nor
-# derivation), the derive and cost-service benchmarks (emit
-# BENCH_derive.json / BENCH_costsvc.json), domain-count and derive
-# determinism smokes (the CLI must produce the same configuration at
-# --domains 0 and 4, with and without --no-derive, and under
-# --compress 0.05 at both pool sizes, and with --prune-support 0 a
-# no-op), the domain-pool tests at IM_DOMAINS=0 and 4, the
-# frontier-pruning bench smoke, and formatting
-# when ocamlformat is installed (skipped gracefully when not — the CI
-# container does not ship it).
+# derivation; the goldens under test/golden pin the CLI's output),
+# the daemon fault and tenant tests, the serve smoke, the
+# derive and cost-service benchmarks (emit BENCH_derive.json /
+# BENCH_costsvc.json), compression and pruning identity smokes
+# (--compress 0 and --prune-support 0 must be no-ops), the
+# domain-pool tests at IM_DOMAINS=0 and 4, the scale and
+# frontier-pruning bench smokes, and formatting when ocamlformat is
+# installed (skipped gracefully when not — the CI container does not
+# ship it).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,58 +58,6 @@ dune exec bin/index_merge_cli.exe -- merge -d synthetic1 -q 6 --metrics \
   || { echo "metrics smoke FAILED: optimizer_calls_total missing"; exit 1; }
 echo "metrics smoke OK"
 
-echo "== merge determinism across pool sizes (--domains 0 vs 4) =="
-# The merge search runs sequentially whatever the pool size; the pool
-# must not leak into its result. Compare from the result section on:
-# the report header carries wall times and cache-counter latencies
-# that legitimately differ run to run; the merged configuration must
-# not. The pool's metrics stay exported in the --metrics registry.
-merge_out() {
-  dune exec bin/index_merge_cli.exe -- merge --domains "$1" -d synthetic1 -q 6 \
-    | sed -n '/merged configuration:/,$p'
-}
-par_smoke=$(merge_out 4)
-printf '%s\n' "$par_smoke" | grep -q 'merged configuration:' \
-  || { echo "parallel smoke FAILED: no merge result at --domains 4"; exit 1; }
-dune exec bin/index_merge_cli.exe -- merge --domains 4 -d synthetic1 -q 6 --metrics \
-  | grep -q 'par_tasks_total' \
-  || { echo "parallel smoke FAILED: par_tasks_total missing"; exit 1; }
-if [ "$(merge_out 0)" = "$par_smoke" ]; then
-  echo "parallel merge determinism OK"
-else
-  echo "parallel merge determinism FAILED: --domains 0 and 4 disagree"
-  exit 1
-fi
-
-echo "== derive identity (--no-derive vs default) =="
-# Same filter as the parallel smoke: timings differ, the merged
-# configuration must not.
-derive_out() {
-  dune exec bin/index_merge_cli.exe -- merge $1 -d synthetic1 -q 6 \
-    | sed -n '/merged configuration:/,$p'
-}
-if [ "$(derive_out --no-derive)" = "$(derive_out '')" ]; then
-  echo "derive identity OK"
-else
-  echo "derive identity FAILED: --no-derive changes the merged configuration"
-  exit 1
-fi
-
-echo "== compressed-search determinism (--compress 0.05, --domains 0 vs 4) =="
-# The merged configuration must not depend on the domain count even
-# under approximate folding.
-compress_domains_out() {
-  dune exec bin/index_merge_cli.exe -- merge --domains "$1" --compress 0.05 \
-    -d synthetic1 -q 6 \
-    | sed -n '/merged configuration:/,$p'
-}
-if [ "$(compress_domains_out 0)" = "$(compress_domains_out 4)" ]; then
-  echo "compressed-search determinism OK"
-else
-  echo "compressed-search determinism FAILED: --compress 0.05 disagrees at --domains 0 vs 4"
-  exit 1
-fi
-
 echo "== domain-pool tests (IM_DOMAINS=0 and 4) =="
 # Pool lifecycle, ordering and exceptions, the sharded cost-service
 # counters and the 4-domain Derive.Batch hammer — explicitly at both
@@ -120,9 +68,9 @@ IM_DOMAINS=4 dune exec test/test_par.exe
 echo "== compression identity (--compress 0 vs plain) =="
 # eps = 0 folds only canonically identical statements, so on the
 # duplicate-free generated workload the merged configuration must be
-# byte-identical to the uncompressed run. Same filter as above: the
-# summary line carries timings (and the compression note), the
-# configuration must not move.
+# byte-identical to the uncompressed run. Compare from the result
+# section on: the summary line carries timings (and the compression
+# note), the configuration must not move.
 compress_out() {
   dune exec bin/index_merge_cli.exe -- merge $1 -d synthetic1 -q 6 \
     | sed -n '/merged configuration:/,$p'

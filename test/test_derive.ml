@@ -272,8 +272,13 @@ let test_search_identity () =
       ~n:5
   in
   let run derive =
-    Search.run ~cost_model:Cost_eval.Optimizer_estimated ~cost_constraint:0.10
-      ~derive db workload ~initial Search.Greedy
+    let service =
+      Im_costsvc.Service.create ~derive
+        ~update_cost:(Im_merging.Maintenance.config_batch_cost db)
+        db
+    in
+    Search.run ~service ~cost_model:Cost_eval.Optimizer_estimated
+      ~cost_constraint:0.10 db workload ~initial Search.Greedy
   in
   let off = run false in
   let on = run true in

@@ -281,7 +281,7 @@ let test_compactor_feed_matches_direct () =
   Mine.observe_workload direct w;
   let fed = Mine.create () in
   let svc = Service.create ~derive:true db in
-  let _, _ = Scale.compress_workload ~eps:0.3 ~mine:fed svc w in
+  Scale.observe_workload (Scale.create ~eps:0.3 ~mine:fed svc) w;
   Alcotest.(check int) "same statements" (Mine.statements direct)
     (Mine.statements fed);
   Alcotest.(check (float 1e-9)) "same mass" (Mine.mass direct) (Mine.mass fed);

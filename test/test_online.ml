@@ -106,6 +106,55 @@ let test_window_to_workload () =
   Alcotest.(check (float 1e-6)) "mass carried" (Window.total_mass w)
     (Workload.total_freq wl)
 
+let test_window_validation () =
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.fail (name ^ ": accepted")
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "capacity 0" (fun () -> Window.create ~capacity:0 ());
+  rejects "decay 0" (fun () -> Window.create ~decay:0. ());
+  rejects "negative threshold" (fun () -> Window.create ~threshold:(-0.01) ());
+  rejects "NaN threshold" (fun () -> Window.create ~threshold:Float.nan ());
+  ignore (Window.create ~threshold:0. ())
+
+(* A window founds a slot only when the statement's signature lies
+   farther than [threshold] >= 0 from every live slot, so its slots
+   carry pairwise distinct signature keys: the exact-signature
+   compression of its snapshot is the identity. Random streams mix
+   generated queries (exact repeats) with point queries (constant
+   variants of one signature). *)
+let window_stream_pool =
+  lazy
+    (let db = Lazy.force syn_db in
+     Workload.queries (Ragsgen.generate db ~rng:(Rng.create 5) ~n:30))
+
+let prop_window_snapshot_compressed =
+  QCheck.Test.make ~name:"window snapshot is signature-compressed" ~count:100
+    QCheck.(
+      quad (int_bound 100_000) (int_range 1 16) (int_range 1 200)
+        (oneof [ always 0.0; always 0.25; float_bound_inclusive 1.0 ]))
+    (fun (seed, capacity, n, threshold) ->
+      let pool = Lazy.force window_stream_pool in
+      let rng = Rng.create seed in
+      let w = Window.create ~capacity ~threshold () in
+      for _ = 1 to n do
+        Window.observe w
+          (if Rng.bool rng then Rng.pick rng pool
+           else
+             let tbl = Printf.sprintf "t%d" (Rng.int rng 4) in
+             point_query tbl
+               (Printf.sprintf "%s_c%d" tbl (Rng.int rng 3))
+               (Rng.int rng 50))
+      done;
+      let snap = Window.to_workload w in
+      let compressed = Im_workload.Compress.compress snap in
+      List.equal
+        (fun (a : Workload.entry) (b : Workload.entry) ->
+          a.Workload.query == b.Workload.query
+          && Float.equal a.Workload.freq b.Workload.freq)
+        snap.Workload.entries compressed.Workload.entries)
+
 (* ---- Cost service as the online what-if cache ---- *)
 
 let test_whatif_canonical_cache () =
@@ -417,6 +466,79 @@ let test_service_thousand_statements_capped () =
   Alcotest.(check bool) "stats respond mid-stream" true
     (List.length (Service.stats svc) > 0)
 
+(* Compressed and pruned epochs, pinned: the committed repeats.sql
+   workload (a synthetic1 workload plus exact repeats and constant
+   variants, shared with the golden CLI runs) is fed twice through a
+   service per option set, then one epoch is forced. Each epoch's
+   summary, minus its wall time, must match the committed strings. *)
+let repeats_statements =
+  lazy
+    (In_channel.with_open_text "golden/repeats.sql" In_channel.input_all
+     |> String.split_on_char '\n'
+     |> List.filter (fun l -> String.trim l <> ""))
+
+(* Drop the summary's ", <seconds>s" field. *)
+let strip_elapsed summary =
+  String.split_on_char ',' summary
+  |> List.filter (fun field ->
+         let f = String.trim field in
+         not
+           (String.length f > 1
+           && f.[String.length f - 1] = 's'
+           && Float.of_string_opt (String.sub f 0 (String.length f - 1))
+              <> None))
+  |> String.concat ","
+
+let epoch_summaries ~compress ~prune_support =
+  let db = Synthetic.database ~seed:1 Synthetic.synthetic1 in
+  let budget_pages = max 1 (Database.data_pages db / 2) in
+  let options =
+    {
+      (Service.default_options ~budget_pages) with
+      Service.o_compress = compress;
+      o_prune_support = prune_support;
+    }
+  in
+  let svc = Service.create ~options db ~budget_pages in
+  let stmts = Lazy.force repeats_statements in
+  List.iter (fun sql -> ignore (Service.feed svc sql)) (stmts @ stmts);
+  ignore (Service.force_epoch svc);
+  List.rev_map (fun o -> strip_elapsed (Epoch.summary o)) (Service.epochs svc)
+
+let test_service_pinned_epochs () =
+  let check name ~compress ~prune_support expected =
+    Alcotest.(check (list string)) name expected
+      (epoch_summaries ~compress ~prune_support)
+  in
+  check "compress 0.2, prune-support 0.1" ~compress:(Some 0.2)
+    ~prune_support:(Some 0.1)
+    [
+      "epoch[bootstrap]: 12/16 clusters, diff +9 -0 =0, pages 0 -> 841, \
+       window cost 26233.5 -> 7482.0 (benefit 71.5%), 962 optimizer calls, \
+       compressed 12 -> 12 statements (bound eps 0), pruned 0/0 pair \
+       candidates (support 0.1)";
+      "epoch[forced]: 12/32 clusters, diff +3 -3 =6, pages 841 -> 537, \
+       window cost 21861.0 -> 23753.5 (benefit -8.7%), 787 optimizer calls, \
+       compressed 12 -> 12 statements (bound eps 0), pruned 0/0 pair \
+       candidates (support 0.1)";
+    ];
+  check "prune-support 0.1" ~compress:None ~prune_support:(Some 0.1)
+    [
+      "epoch[bootstrap]: 12/16 clusters, diff +9 -0 =0, pages 0 -> 841, \
+       window cost 26233.5 -> 7482.0 (benefit 71.5%), 962 optimizer calls, \
+       pruned 0/0 pair candidates (support 0.1)";
+      "epoch[forced]: 12/32 clusters, diff +3 -3 =6, pages 841 -> 537, \
+       window cost 21861.0 -> 23753.5 (benefit -8.7%), 787 optimizer calls, \
+       pruned 0/0 pair candidates (support 0.1)";
+    ];
+  check "neither" ~compress:None ~prune_support:None
+    [
+      "epoch[bootstrap]: 12/16 clusters, diff +21 -0 =0, pages 0 -> 1459, \
+       window cost 26233.5 -> 2099.5 (benefit 92.0%), 6065 optimizer calls";
+      "epoch[forced]: 12/32 clusters, diff +2 -1 =20, pages 1459 -> 1477, \
+       window cost 4877.6 -> 4882.3 (benefit -0.1%), 4954 optimizer calls";
+    ]
+
 let () =
   Alcotest.run "im_online"
     [
@@ -426,6 +548,8 @@ let () =
           tc "capacity capped" `Quick test_window_capacity_capped;
           tc "decay" `Quick test_window_decay;
           tc "to_workload" `Quick test_window_to_workload;
+          tc "validation" `Quick test_window_validation;
+          QCheck_alcotest.to_alcotest prop_window_snapshot_compressed;
         ] );
       ( "costsvc",
         [
@@ -456,5 +580,7 @@ let () =
           tc "drift re-tunes" `Quick test_service_drift_retunes;
           tc "1000 statements stay capped" `Slow
             test_service_thousand_statements_capped;
+          tc "compressed and pruned epochs pinned" `Quick
+            test_service_pinned_epochs;
         ] );
     ]

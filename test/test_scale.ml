@@ -42,13 +42,19 @@ let leaders_and_freqs (w : Workload.t) =
 
 let sorted_leaders w = List.sort compare (leaders_and_freqs w)
 
+(* The compressed workload and stats of [Scale.prepare ~compress]. *)
+let compress ~eps svc w =
+  match Scale.prepare ~compress:eps svc w with
+  | c, Some t, _ -> (c, Scale.stats t)
+  | _, None, _ -> Alcotest.fail "prepare ran no compactor"
+
 (* ---- ε = 0: exactness ---- *)
 
 let test_eps0_matches_identical () =
   let db = Lazy.force sdb in
   let w = replicate ~times:3 (rags 10 db) in
   let svc = Service.create ~derive:true db in
-  let c, st = Scale.compress_workload ~eps:0.0 svc w in
+  let c, st = compress ~eps:0.0 svc w in
   let reference = Workload.compress_identical w in
   Alcotest.(check int) "same bucket count" (Workload.size reference)
     (Workload.size c);
@@ -67,8 +73,8 @@ let test_eps0_idempotent () =
   let db = Lazy.force sdb in
   let w = replicate ~times:2 (rags 8 db) in
   let svc = Service.create ~derive:true db in
-  let once, _ = Scale.compress_workload ~eps:0.0 svc w in
-  let twice, _ = Scale.compress_workload ~eps:0.0 svc once in
+  let once, _ = compress ~eps:0.0 svc w in
+  let twice, _ = compress ~eps:0.0 svc once in
   Alcotest.(check int) "size stable" (Workload.size once) (Workload.size twice);
   Alcotest.(check (list (pair string (float 1e-9)))) "entries stable"
     (leaders_and_freqs once) (leaders_and_freqs twice)
@@ -82,7 +88,7 @@ let test_bucketing_deterministic () =
       let run () =
         let w = replicate ~times:2 (rags ~seed:21 20 db) in
         let svc = Service.create ~derive:true db in
-        Scale.compress_workload ~eps svc w
+        compress ~eps svc w
       in
       let c1, st1 = run () in
       let c2, st2 = run () in
@@ -126,7 +132,7 @@ let test_fold_accounting () =
   in
   let w = replicate ~times:5 base in
   let svc = Service.create ~derive:true db in
-  let _, st = Scale.compress_workload ~eps:0.0 svc w in
+  let _, st = compress ~eps:0.0 svc w in
   Alcotest.(check int) "one bucket per distinct statement" distinct
     st.Scale.st_buckets;
   Alcotest.(check int) "every statement observed" (Workload.size w)
@@ -179,7 +185,7 @@ let deviation_configs db w seed =
   ]
 
 let check_bound db svc eps w seed =
-  let c, st = Scale.compress_workload ~eps svc w in
+  let c, st = compress ~eps svc w in
   let budget_ok = st.Scale.st_eps_bound <= eps +. 1e-12 in
   let mass_ok =
     Float.abs (Workload.total_freq w -. Workload.total_freq c) <= 1e-6
@@ -245,6 +251,42 @@ let test_search_eps0_identity () =
   | Some st ->
     Alcotest.(check (float 0.)) "exact bound" 0. st.Scale.st_eps_bound
 
+(* ---- The shared prelude ---- *)
+
+let test_prepare () =
+  let db = Lazy.force sdb in
+  let w =
+    Workload.with_updates (replicate ~times:2 (rags ~seed:71 8 db)) [ ("t1", 50) ]
+  in
+  let svc = Service.create ~derive:true db in
+  let plain, compactor, frontier = Scale.prepare ~prune_support:0. svc w in
+  Alcotest.(check bool) "no options: input returned" true (plain == w);
+  Alcotest.(check bool) "no compactor" true (compactor = None);
+  Alcotest.(check bool) "support 0: no frontier" true (frontier = None);
+  let c, compactor, frontier =
+    Scale.prepare ~compress:0.0 ~prune_support:0.2 svc w
+  in
+  Alcotest.(check bool) "compactor ran" true (compactor <> None);
+  Alcotest.(check string) "name carried" w.Workload.name c.Workload.name;
+  Alcotest.(check (list (pair string int))) "update profile carried"
+    w.Workload.updates c.Workload.updates;
+  Alcotest.(check int) "eps 0 folds the repeats" (Workload.size w / 2)
+    (Workload.size c);
+  (* At eps 0 only identical statements fold, so mining through the
+     compactor sees the same masses as mining the input. *)
+  let direct = Im_mine.Mine.create () in
+  Im_mine.Mine.observe_workload direct w;
+  (match frontier with
+   | None -> Alcotest.fail "no frontier"
+   | Some fr ->
+     Alcotest.(check bool) "frontier mined the compressed stream" true
+       (Im_mine.Mine.frontier_stats fr
+       = Im_mine.Mine.frontier_stats
+           (Im_mine.Mine.frontier direct ~support:0.2));
+     let _, _, given = Scale.prepare ~prune:fr ~prune_support:0.9 svc w in
+     Alcotest.(check bool) "explicit frontier wins" true
+       (match given with Some g -> g == fr | None -> false))
+
 let () =
   Alcotest.run "im_scale"
     [
@@ -263,4 +305,5 @@ let () =
         [ tc "score = service (bitwise)" `Quick test_score_matches_service ] );
       ("bound", [ tc "deviation property" `Quick test_bound_property ]);
       ("search", [ tc "eps 0 identity" `Quick test_search_eps0_identity ]);
+      ("prepare", [ tc "compaction and mining prelude" `Quick test_prepare ]);
     ]

@@ -224,12 +224,17 @@ let test_accept_burst () =
     ~finally:(fun () -> stop_daemon d)
     (fun () ->
       (* Keep the daemon busy: a large pipelined batch it will work
-         through over several bounded rounds. *)
+         through over several bounded rounds. Every statement fails to
+         parse (a dangling ORDER BY), so none reaches the window and no
+         epoch can fire: an epoch would pause this connection and leave
+         the loop idle while the burst connects. The ~540 KB of ERR
+         replies stay under the output cap. *)
       let busy = connect d.port in
-      let b = Buffer.create (5000 * 48) in
-      for i = 1 to 5000 do
+      let b = Buffer.create (15_000 * 56) in
+      for i = 1 to 15_000 do
         Buffer.add_string b
-          (Printf.sprintf "STMT SELECT t0_c%d FROM t0 WHERE t0_c%d = %d\n"
+          (Printf.sprintf
+             "STMT SELECT t0_c%d FROM t0 WHERE t0_c%d = %d ORDER BY\n"
              (i mod 3) (i mod 3) i)
       done;
       output_string busy.oc (Buffer.contents b);
@@ -242,6 +247,13 @@ let test_accept_burst () =
         (fun c -> expect_prefix "burst stats" "OK " (request c "STATS"))
         burst;
       let m = read_metrics (List.hd burst) in
+      Alcotest.(check (float 0.)) "no epoch ran" 0.
+        (List.fold_left
+           (fun acc (name, v) ->
+             if String.starts_with ~prefix:"online_epochs_total" name then
+               acc +. v
+             else acc)
+           0. m);
       Alcotest.(check bool)
         (Printf.sprintf "accept burst max %.0f >= 2"
            (metric m "server_accept_burst_max"))
