@@ -1,5 +1,5 @@
-(* EXP-SCALE — workload compression + batched scoring at 100k-statement
-   scale.
+(* EXP-SCALE — workload compression and compressed-workload scoring at
+   100k-statement scale.
 
    Three parts:
 
@@ -186,7 +186,9 @@ let run_offline db =
   in
   let scores, score_s =
     Im_util.Stopwatch.time (fun () ->
-        Scale.score compactor (List.map snd refs))
+        let snap = Scale.snapshot compactor in
+        Array.of_list
+          (List.map (fun (_, c) -> Service.workload_cost svc c snap) refs))
   in
   let max_dev = ref 0. in
   List.iteri
@@ -351,7 +353,7 @@ let run_identity () =
 let run () =
   Exp_common.section
     (Printf.sprintf
-       "EXP-SCALE workload compression + batched scoring (N = %d, eps = %g)"
+       "EXP-SCALE workload compression (N = %d, eps = %g)"
        statements_n eps);
   let db = Lazy.force Exp_common.synthetic1 in
   let ( streamed, st, ratio, max_dev, invocations, invocation_bar, stream_s,

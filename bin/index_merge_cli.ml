@@ -28,6 +28,12 @@ module Merge_pair = Im_merging.Merge_pair
 
 (* ---- Shared arguments ---- *)
 
+let or_die = function
+  | Ok v -> v
+  | Error msg ->
+    prerr_endline ("index-merge: " ^ msg);
+    exit 2
+
 let db_arg =
   let doc =
     "Database: tpcd, synthetic1, synthetic2, or csv (with --schema and \
@@ -121,28 +127,49 @@ let metrics_arg =
   in
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
+(* An optional float flag whose value must satisfy [ok]. Anything
+   else — unparseable, nan, out of range — is a one-line error and
+   exit 2, like every other bad input, instead of cmdliner's
+   multi-line usage error. *)
+let checked_float_arg ~long ~docv ~expect ok ~doc =
+  let check = function
+    | None -> None
+    | Some s ->
+      (match float_of_string_opt s with
+       | Some v when ok v -> Some v
+       | Some _ | None ->
+         or_die
+           (Error
+              (Printf.sprintf "--%s: %s must be %s, got %S" long docv expect s)))
+  in
+  let raw = Arg.(value & opt (some string) None & info [ long ] ~docv ~doc) in
+  Term.(const check $ raw)
+
 let compress_arg =
   let doc =
     "Compress the workload before tuning: statements bucket by \
      physical-design signature under deviation budget $(docv) (a \
-     fraction; 0 folds only canonically identical statements and \
-     keeps results bit-identical on duplicate-free workloads). \
-     Reported costs refer to the compressed workload, within the \
-     printed bound."
+     finite fraction >= 0; 0 folds only canonically identical \
+     statements and keeps results bit-identical on duplicate-free \
+     workloads). Reported costs refer to the compressed workload, \
+     within the printed bound."
   in
-  Arg.(value & opt (some float) None & info [ "compress" ] ~docv:"EPS" ~doc)
+  checked_float_arg ~long:"compress" ~docv:"EPS" ~expect:"finite and >= 0"
+    (fun v -> Float.is_finite v && v >= 0.)
+    ~doc
 
 let prune_support_arg =
   let doc =
     "Prune merge candidates against the workload's frequent column sets: \
      mine per-table column-set supports from the statement stream and \
      keep only merge pairs whose merged column set carries at least \
-     fraction $(docv) of the workload mass (plus the always-kept \
-     containment and no-evidence survivors). 0 or unset disables pruning \
-     and is bit-identical to not passing the flag."
+     fraction $(docv) (in [0, 1]) of the workload mass (plus the \
+     always-kept containment and no-evidence survivors). 0 or unset \
+     disables pruning and is bit-identical to not passing the flag."
   in
-  Arg.(
-    value & opt (some float) None & info [ "prune-support" ] ~docv:"S" ~doc)
+  checked_float_arg ~long:"prune-support" ~docv:"S" ~expect:"in [0, 1]"
+    (fun v -> v >= 0. && v <= 1.)
+    ~doc
 
 let maybe_dump_metrics enabled =
   if enabled then begin
@@ -203,12 +230,6 @@ let parse_strategy = function
   | "greedy" -> Ok Search.Greedy
   | "exhaustive" -> Ok (Search.Exhaustive_search { config_limit = 100_000 })
   | other -> Error (Printf.sprintf "unknown strategy %S" other)
-
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-    prerr_endline ("index-merge: " ^ msg);
-    exit 2
 
 (* ---- info ---- *)
 
@@ -504,9 +525,8 @@ let run_serve db_name sf seed schema_file data_dir port budget window decay
     check_every drift_threshold cost_threshold compress prune_support
     read_timeout max_connections max_tenant_connections max_output_bytes
     tenant_specs metrics =
-  (* Every tenant session is built the same way: database by name, the
-     serve options from the flags, the cost cache striped for the
-     shared pool's size (IM_DOMAINS overrides it). *)
+  (* Every tenant session is built the same way: database by name and
+     the serve options from the flags. *)
   let make_service db =
     let budget_pages =
       if budget > 0 then budget else max 1 (Database.data_pages db / 2)
@@ -523,8 +543,7 @@ let run_serve db_name sf seed schema_file data_dir port budget window decay
         o_prune_support = prune_support;
       }
     in
-    Im_online.Service.create ~options ~pool:(Im_par.Pool.default ()) db
-      ~budget_pages
+    Im_online.Service.create ~options db ~budget_pages
   in
   let factory dbspec =
     (* TENANT CREATE resolves only generated databases: csv needs

@@ -20,8 +20,8 @@ type t = {
   svc : Service.t;
 }
 
-let default_service ?shards db =
-  Service.create ?shards ~derive:true
+let default_service db =
+  Service.create ~derive:true
     ~update_cost:(Maintenance.config_batch_cost db)
     db
 

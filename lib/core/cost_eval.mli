@@ -27,12 +27,11 @@ val default_no_cost : model
 
 type t
 
-val default_service : ?shards:int -> Im_catalog.Database.t -> Im_costsvc.Service.t
+val default_service : Im_catalog.Database.t -> Im_costsvc.Service.t
 (** The cost service a run builds when the caller supplies none: atomic
     cost derivation on (misses are answered from cached access-path
     atoms, bit-identical to the optimizer), maintenance priced by
-    {!Maintenance.config_batch_cost}, [?shards] lock stripes as in
-    {!Im_costsvc.Service.create}. The merge search, the advisor's
+    {!Maintenance.config_batch_cost}. The merge search, the advisor's
     phases and the online service all default to it. *)
 
 val create :

@@ -44,27 +44,9 @@ type node = {
   mutable n_next : node option;  (* toward the LRU end *)
 }
 
-(* Lock-striped shard: an independent LRU cache plus its slice of the
-   per-instance counters. A key lives in exactly one shard (by hash),
-   so concurrent what-if calls contend only 1/N of the time. All shard
-   state — table, LRU list, counters — is touched exclusively under
-   [s_lock]. *)
-type shard = {
-  s_lock : Mutex.t;
-  s_tbl : (key, node) Hashtbl.t;
-  s_capacity : int;
-  mutable s_mru : node option;
-  mutable s_lru : node option;
-  mutable s_query_costs : int;
-  mutable s_opt_calls : int;
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_evictions : int;
-  mutable s_invalidated : int;
-  mutable s_derived : int;
-  mutable s_fallbacks : int;
-}
-
+(* The cache, its LRU list and the per-instance counters are touched
+   only under [lock]: a daemon epoch on the worker domain shares a
+   tenant's service with the dispatch thread. *)
 type t = {
   db : Database.t;
   capacity : int;
@@ -72,135 +54,105 @@ type t = {
   deriver : Im_derive.Derive.t option;
       (* resolves cache misses from cached access-path atoms instead of
          full optimizations; [None] = historical behavior *)
-  shards : shard array;  (* length is a power of two *)
-  shard_mask : int;
-  cost_evals : int Atomic.t;  (* workload-level; callers may be parallel *)
+  lock : Mutex.t;
+  tbl : (key, node) Hashtbl.t;
+  mutable mru : node option;
+  mutable lru : node option;
+  mutable query_costs : int;
+  mutable opt_calls : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+  mutable invalidated : int;
+  mutable derived : int;
+  mutable fallbacks : int;
+  cost_evals : int Atomic.t;  (* workload-level; bumped outside [lock] *)
 }
 
-let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
-
-let create ?(capacity = 8192) ?(shards = 1) ?update_cost ?(derive = false) db =
+let create ?(capacity = 8192) ?update_cost ?(derive = false) db =
   if capacity < 1 then invalid_arg "Service.create: capacity < 1";
-  if shards < 1 then invalid_arg "Service.create: shards < 1";
-  let nshards = pow2_at_least (min shards 256) 1 in
-  (* Ceiling split so the total live-entry bound never drops below the
-     requested capacity. With the default single shard this is exactly
-     the historical LRU. *)
-  let per_shard = (capacity + nshards - 1) / nshards in
   {
     db;
     capacity;
     update_cost;
-    deriver =
-      (if derive then Some (Im_derive.Derive.create ~shards:nshards db)
-       else None);
-    shards =
-      Array.init nshards (fun _ ->
-          {
-            s_lock = Mutex.create ();
-            s_tbl = Hashtbl.create 256;
-            s_capacity = per_shard;
-            s_mru = None;
-            s_lru = None;
-            s_query_costs = 0;
-            s_opt_calls = 0;
-            s_hits = 0;
-            s_misses = 0;
-            s_evictions = 0;
-            s_invalidated = 0;
-            s_derived = 0;
-            s_fallbacks = 0;
-          });
-    shard_mask = nshards - 1;
+    deriver = (if derive then Some (Im_derive.Derive.create db) else None);
+    lock = Mutex.create ();
+    tbl = Hashtbl.create 256;
+    mru = None;
+    lru = None;
+    query_costs = 0;
+    opt_calls = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    invalidated = 0;
+    derived = 0;
+    fallbacks = 0;
     cost_evals = Atomic.make 0;
   }
 
 let database t = t.db
 let capacity t = t.capacity
-let shard_count t = Array.length t.shards
-
-(* Fold [f] over every shard with its lock held. *)
-let fold_shards t init f =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.s_lock;
-      let acc = f acc s in
-      Mutex.unlock s.s_lock;
-      acc)
-    init t.shards
-
-let size t = fold_shards t 0 (fun acc s -> acc + Hashtbl.length s.s_tbl)
+let locked t f = Mutex.protect t.lock f
+let size t = locked t (fun () -> Hashtbl.length t.tbl)
 
 let counters t =
-  let z =
-    {
-      c_cost_evals = Atomic.get t.cost_evals;
-      c_query_costs = 0;
-      c_opt_calls = 0;
-      c_hits = 0;
-      c_misses = 0;
-      c_evictions = 0;
-      c_invalidated = 0;
-      c_derived = 0;
-      c_fallbacks = 0;
-    }
-  in
-  fold_shards t z (fun c s ->
+  locked t (fun () ->
       {
-        c with
-        c_query_costs = c.c_query_costs + s.s_query_costs;
-        c_opt_calls = c.c_opt_calls + s.s_opt_calls;
-        c_hits = c.c_hits + s.s_hits;
-        c_misses = c.c_misses + s.s_misses;
-        c_evictions = c.c_evictions + s.s_evictions;
-        c_invalidated = c.c_invalidated + s.s_invalidated;
-        c_derived = c.c_derived + s.s_derived;
-        c_fallbacks = c.c_fallbacks + s.s_fallbacks;
+        c_cost_evals = Atomic.get t.cost_evals;
+        c_query_costs = t.query_costs;
+        c_opt_calls = t.opt_calls;
+        c_hits = t.hits;
+        c_misses = t.misses;
+        c_evictions = t.evictions;
+        c_invalidated = t.invalidated;
+        c_derived = t.derived;
+        c_fallbacks = t.fallbacks;
       })
 
 let cost_evals t = Atomic.get t.cost_evals
-let opt_calls t = fold_shards t 0 (fun acc s -> acc + s.s_opt_calls)
-let hits t = fold_shards t 0 (fun acc s -> acc + s.s_hits)
-let misses t = fold_shards t 0 (fun acc s -> acc + s.s_misses)
-let evictions t = fold_shards t 0 (fun acc s -> acc + s.s_evictions)
-let derived t = fold_shards t 0 (fun acc s -> acc + s.s_derived)
-let fallbacks t = fold_shards t 0 (fun acc s -> acc + s.s_fallbacks)
+let opt_calls t = locked t (fun () -> t.opt_calls)
+let hits t = locked t (fun () -> t.hits)
+let misses t = locked t (fun () -> t.misses)
+let evictions t = locked t (fun () -> t.evictions)
+let derived t = locked t (fun () -> t.derived)
+let fallbacks t = locked t (fun () -> t.fallbacks)
 let deriver t = t.deriver
 
-(* ---- Intrusive LRU list (per shard, under its lock) ---- *)
+(* ---- Intrusive LRU list (under [lock]) ---- *)
 
-let unlink s n =
+let unlink t n =
   (match n.n_prev with
    | Some p -> p.n_next <- n.n_next
-   | None -> s.s_mru <- n.n_next);
+   | None -> t.mru <- n.n_next);
   (match n.n_next with
    | Some x -> x.n_prev <- n.n_prev
-   | None -> s.s_lru <- n.n_prev);
+   | None -> t.lru <- n.n_prev);
   n.n_prev <- None;
   n.n_next <- None
 
-let push_mru s n =
+let push_mru t n =
   n.n_prev <- None;
-  n.n_next <- s.s_mru;
-  (match s.s_mru with
+  n.n_next <- t.mru;
+  (match t.mru with
    | Some m -> m.n_prev <- Some n
-   | None -> s.s_lru <- Some n);
-  s.s_mru <- Some n
+   | None -> t.lru <- Some n);
+  t.mru <- Some n
 
-let touch s n =
-  match s.s_mru with
+let touch t n =
+  match t.mru with
   | Some m when m == n -> ()
   | _ ->
-    unlink s n;
-    push_mru s n
+    unlink t n;
+    push_mru t n
 
-let evict_lru s =
-  match s.s_lru with
+let evict_lru t =
+  match t.lru with
   | None -> ()
   | Some n ->
-    unlink s n;
-    Hashtbl.remove s.s_tbl n.n_key;
-    s.s_evictions <- s.s_evictions + 1;
+    unlink t n;
+    Hashtbl.remove t.tbl n.n_key;
+    t.evictions <- t.evictions + 1;
     Metrics.Counter.incr m_evictions
 
 (* ---- Keys ---- *)
@@ -222,39 +174,31 @@ let key_of q config =
   let arr = Array.of_list (List.sort_uniq Int.compare ids) in
   { k_query = Query.intern q; k_relevant = arr }
 
-let shard_of t key = t.shards.(Hashtbl.hash key land t.shard_mask)
-
 (* ---- Costing ---- *)
 
 let query_cost t config q =
   let t0 = Stopwatch.now_ns () in
   let key = key_of q config in
-  let s = shard_of t key in
-  Mutex.lock s.s_lock;
-  (* The optimizer call on a miss runs under the shard lock on
-     purpose: two domains missing on the same key serialize, and the
-     second finds the entry — so hit/miss/opt-call totals are exactly
-     those of a sequential run, and no optimizer work is duplicated.
-     Cross-key contention within a shard is the price; callers that
-     fan out size [?shards] accordingly. *)
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock s.s_lock)
-    (fun () ->
-      s.s_query_costs <- s.s_query_costs + 1;
-      match Hashtbl.find_opt s.s_tbl key with
+  (* The what-if resolution on a miss runs under the lock on purpose:
+     two domains missing on the same key serialize, and the second
+     finds the entry — so hit/miss/opt-call totals are exactly those of
+     a sequential run, and no what-if work is duplicated. *)
+  locked t (fun () ->
+      t.query_costs <- t.query_costs + 1;
+      match Hashtbl.find_opt t.tbl key with
       | Some n ->
-        s.s_hits <- s.s_hits + 1;
-        touch s n;
+        t.hits <- t.hits + 1;
+        touch t n;
         Metrics.Counter.incr m_hits;
         Metrics.Histogram.observe m_lookup_hit (Stopwatch.elapsed_since_ns t0);
         n.n_cost
       | None ->
-        s.s_misses <- s.s_misses + 1;
-        (* [s_opt_calls] keeps meaning "what-if resolutions the cache
+        t.misses <- t.misses + 1;
+        (* [opt_calls] keeps meaning "what-if resolutions the cache
            could not answer" whether the resolution ran the optimizer
            or was derived from atoms; [Optimizer.invocations] counts
            the actual optimizer runs. *)
-        s.s_opt_calls <- s.s_opt_calls + 1;
+        t.opt_calls <- t.opt_calls + 1;
         let c =
           match t.deriver with
           | None ->
@@ -263,11 +207,11 @@ let query_cost t config q =
           | Some d ->
             let cost, fb = Im_derive.Derive.query_cost d config q in
             (match fb with
-             | None -> s.s_derived <- s.s_derived + 1
-             | Some _ -> s.s_fallbacks <- s.s_fallbacks + 1);
+             | None -> t.derived <- t.derived + 1
+             | Some _ -> t.fallbacks <- t.fallbacks + 1);
             cost
         in
-        if Hashtbl.length s.s_tbl >= s.s_capacity then evict_lru s;
+        if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
         let n =
           {
             n_key = key;
@@ -277,8 +221,8 @@ let query_cost t config q =
             n_next = None;
           }
         in
-        Hashtbl.add s.s_tbl key n;
-        push_mru s n;
+        Hashtbl.add t.tbl key n;
+        push_mru t n;
         Metrics.Counter.incr m_misses;
         Metrics.Histogram.observe m_lookup_miss
           (Stopwatch.elapsed_since_ns t0);
@@ -325,25 +269,22 @@ let workload_cost_by_entry t config w cost =
 (* ---- Invalidation ---- *)
 
 let remove_if t pred =
-  fold_shards t 0 (fun acc s ->
+  locked t (fun () ->
       let doomed =
-        Hashtbl.fold
-          (fun _ n acc -> if pred n then n :: acc else acc)
-          s.s_tbl []
+        Hashtbl.fold (fun _ n acc -> if pred n then n :: acc else acc) t.tbl []
       in
-      (* Single pass: count while removing (the old shape walked the
-         doomed list twice and then List.length'd it). *)
+      (* Single pass: count while removing. *)
       let k =
         List.fold_left
           (fun k n ->
-            Hashtbl.remove s.s_tbl n.n_key;
-            unlink s n;
+            Hashtbl.remove t.tbl n.n_key;
+            unlink t n;
             k + 1)
           0 doomed
       in
-      s.s_invalidated <- s.s_invalidated + k;
+      t.invalidated <- t.invalidated + k;
       Metrics.Counter.add m_invalidated k;
-      acc + k)
+      k)
 
 (* Uncached by design: plans are bulky and the derived path already
    makes producing one cheap. Used by the search layers for seek/scan

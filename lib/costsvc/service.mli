@@ -24,17 +24,13 @@
     cumulative per service and reported by the CLI [merge] report and
     the daemon's STATS line.
 
-    Domain safety: the cache is lock-striped into [?shards] independent
-    LRU shards keyed by hash of the entry key, so concurrent what-if
-    calls (the CLI [tune] command's per-query fan-out on an [Im_par]
-    pool, or a daemon epoch on a worker domain racing the dispatch
-    thread) contend only when two keys land in the same shard. The
-    optimizer call on a miss runs under the shard lock: concurrent
-    misses on one key serialize and the loser scores a hit, which
-    keeps hit/miss/optimizer-call totals exactly equal to a sequential
-    run and never duplicates what-if work. The default is a
-    single shard — byte-for-byte the historical LRU (including exact
-    eviction order); parallel callers opt into more.
+    Domain safety: one mutex guards the cache, its LRU list and the
+    counters, so a daemon epoch on the worker domain can share a
+    tenant's service with the dispatch thread. The what-if resolution
+    on a miss runs under that lock: concurrent misses on one key
+    serialize and the loser scores a hit, which keeps
+    hit/miss/optimizer-call totals exactly equal to a sequential run
+    and never duplicates what-if work.
 
     Invalidation is the {e owner's} duty: the service never observes
     data changes. Whoever mutates the database (row inserts changing
@@ -58,27 +54,23 @@ type counters = {
 
 val create :
   ?capacity:int ->
-  ?shards:int ->
   ?update_cost:(Im_catalog.Config.t -> inserts:(string * int) list -> float) ->
   ?derive:bool ->
   Im_catalog.Database.t ->
   t
 (** [capacity] (default 8192) bounds live entries; beyond it the
     least-recently-used entry is evicted per insertion, so a stream
-    cannot leak. [shards] (default 1, rounded up to a power of two,
-    capped at 256) lock-stripes the cache for concurrent callers;
-    capacity is split across shards (ceiling division), so eviction
-    order with [shards > 1] is per-shard LRU, not global. [update_cost]
-    prices index maintenance for workloads carrying an update profile
-    (pass [Im_merging.Maintenance.config_batch_cost db]); omitting it
-    makes {!workload_cost} raise on such workloads rather than silently
+    cannot leak. [update_cost] prices index maintenance for workloads
+    carrying an update profile (pass
+    [Im_merging.Maintenance.config_batch_cost db]); omitting it makes
+    {!workload_cost} raise on such workloads rather than silently
     under-charge. [derive] (default false) attaches an
-    {!Im_derive.Derive} atom cache (striped like the LRU) that answers
-    cache misses by re-assembling cached per-index access-path atoms
-    instead of running the optimizer — bit-identical costs, counted in
+    {!Im_derive.Derive} atom cache that answers cache misses by
+    re-assembling cached per-index access-path atoms instead of running
+    the optimizer — bit-identical costs, counted in
     [c_derived]/[c_fallbacks]; [c_opt_calls] keeps meaning "misses
     resolved", so existing counter relationships are unchanged. Raises
-    [Invalid_argument] if [capacity < 1] or [shards < 1]. *)
+    [Invalid_argument] if [capacity < 1]. *)
 
 val database : t -> Im_catalog.Database.t
 
@@ -147,6 +139,3 @@ val size : t -> int
 (** Live entries (for memory-cap assertions). *)
 
 val capacity : t -> int
-
-val shard_count : t -> int
-(** Number of lock stripes (1 unless [?shards] was passed). *)

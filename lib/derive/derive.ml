@@ -54,50 +54,36 @@ type heap_key = {
   hk_probe : string option;
 }
 
-(* Lock-striped like the costsvc LRU shards: a key lives in exactly one
-   shard, all shard state is touched under its lock, so concurrent
-   domains contend only 1/N of the time. *)
-type shard = {
-  s_lock : Mutex.t;
-  s_atoms : (atom_key, Access_path.atom) Hashtbl.t;
-  s_heaps : (heap_key, Access_path.choice) Hashtbl.t;
-  mutable s_atom_hits : int;
-  mutable s_atom_misses : int;
-}
-
+(* The atom and heap tables and their hit/miss counts are touched only
+   under [lock]: a daemon epoch on the worker domain shares a tenant's
+   deriver with the dispatch thread. *)
 type t = {
   db : Database.t;
   validate : bool;
-  shards : shard array;  (* length is a power of two *)
-  shard_mask : int;
+  lock : Mutex.t;
+  atoms : (atom_key, Access_path.atom) Hashtbl.t;
+  heaps : (heap_key, Access_path.choice) Hashtbl.t;
+  mutable atom_hits : int;
+  mutable atom_misses : int;
   derived : int Atomic.t;
   fallbacks : int Atomic.t;
   validations : int Atomic.t;
 }
-
-let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
 let env_validate () =
   match Sys.getenv_opt "IM_VALIDATE_DERIVE" with
   | None | Some "" | Some "0" -> false
   | Some _ -> true
 
-let create ?(shards = 1) ?validate db =
-  if shards < 1 then invalid_arg "Derive.create: shards < 1";
-  let nshards = pow2_at_least (min shards 256) 1 in
+let create ?validate db =
   {
     db;
     validate = (match validate with Some v -> v | None -> env_validate ());
-    shards =
-      Array.init nshards (fun _ ->
-          {
-            s_lock = Mutex.create ();
-            s_atoms = Hashtbl.create 256;
-            s_heaps = Hashtbl.create 64;
-            s_atom_hits = 0;
-            s_atom_misses = 0;
-          });
-    shard_mask = nshards - 1;
+    lock = Mutex.create ();
+    atoms = Hashtbl.create 256;
+    heaps = Hashtbl.create 64;
+    atom_hits = 0;
+    atom_misses = 0;
     derived = Atomic.make 0;
     fallbacks = Atomic.make 0;
     validations = Atomic.make 0;
@@ -108,22 +94,12 @@ let validating t = t.validate
 let derived t = Atomic.get t.derived
 let fallbacks t = Atomic.get t.fallbacks
 let validations t = Atomic.get t.validations
-
-let fold_shards t init f =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.s_lock;
-      let acc = f acc s in
-      Mutex.unlock s.s_lock;
-      acc)
-    init t.shards
-
-let atom_hits t = fold_shards t 0 (fun acc s -> acc + s.s_atom_hits)
-let atom_misses t = fold_shards t 0 (fun acc s -> acc + s.s_atom_misses)
+let locked t f = Mutex.protect t.lock f
+let atom_hits t = locked t (fun () -> t.atom_hits)
+let atom_misses t = locked t (fun () -> t.atom_misses)
 
 let atom_entries t =
-  fold_shards t 0 (fun acc s ->
-      acc + Hashtbl.length s.s_atoms + Hashtbl.length s.s_heaps)
+  locked t (fun () -> Hashtbl.length t.atoms + Hashtbl.length t.heaps)
 
 (* ---- Classification ----
 
@@ -147,8 +123,6 @@ let classify q =
 
 (* ---- Atom cache ---- *)
 
-let shard_of t key = t.shards.(Hashtbl.hash key land t.shard_mask)
-
 let probe_of (input : Access_path.input) =
   match input.Access_path.ap_param_eq with
   | [] -> Some None
@@ -164,25 +138,21 @@ let cached_atom t ~qid ~probe (input : Access_path.input) ix =
       ak_index = Index.intern ix;
     }
   in
-  let s = shard_of t key in
-  Mutex.lock s.s_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock s.s_lock)
-    (fun () ->
-      match Hashtbl.find_opt s.s_atoms key with
+  locked t (fun () ->
+      match Hashtbl.find_opt t.atoms key with
       | Some a ->
-        s.s_atom_hits <- s.s_atom_hits + 1;
+        t.atom_hits <- t.atom_hits + 1;
         Metrics.Counter.incr m_atom_hits;
         a
       | None ->
-        (* Computed under the shard lock: concurrent misses on one key
+        (* Computed under the lock: concurrent misses on one key
            serialize and the loser scores a hit, so hit/miss totals
            equal a sequential run's (same discipline as the costsvc
            miss path). *)
         let a = Access_path.atom t.db input ix in
-        s.s_atom_misses <- s.s_atom_misses + 1;
+        t.atom_misses <- t.atom_misses + 1;
         Metrics.Counter.incr m_atom_misses;
-        Hashtbl.add s.s_atoms key a;
+        Hashtbl.add t.atoms key a;
         Metrics.Gauge.add m_atom_entries 1.0;
         a)
 
@@ -190,16 +160,12 @@ let cached_heap t ~qid ~probe (input : Access_path.input) =
   let key =
     { hk_query = qid; hk_table = input.Access_path.ap_table; hk_probe = probe }
   in
-  let s = shard_of t key in
-  Mutex.lock s.s_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock s.s_lock)
-    (fun () ->
-      match Hashtbl.find_opt s.s_heaps key with
+  locked t (fun () ->
+      match Hashtbl.find_opt t.heaps key with
       | Some h -> h
       | None ->
         let h = Access_path.heap_choice t.db input in
-        Hashtbl.add s.s_heaps key h;
+        Hashtbl.add t.heaps key h;
         Metrics.Gauge.add m_atom_entries 1.0;
         h)
 
@@ -263,140 +229,25 @@ let query_cost t config q =
   let a = plan t config q in
   (Plan.cost a.a_plan, a.a_fallback)
 
-(* ---- Batched recombination ----
-
-   A batch pins one query and answers its cost under many
-   configurations in one traversal of the atom cache: the first
-   costing pulls each (table, probe, index) atom and (table, probe)
-   heap baseline through the striped cache into a private, lock-free
-   memo; every further configuration re-assembles candidate lists from
-   the memo and re-runs only the planner arithmetic. Values are pure
-   in their keys, so the memo returns exactly what the striped cache
-   would — answers are bit-identical to [plan]/[query_cost], and the
-   derived/fallback counters advance the same way. Only the atom
-   hit/miss counters differ: repeats hit the private memo instead of
-   the shared cache.
-
-   Domain safety: the private memo is guarded by a per-batch mutex
-   held across the miss path, so two domains costing configurations on
-   one batch and missing on the same key serialize — the loser finds
-   the memo entry, the striped cache is consulted exactly once per
-   key, and the deriver's atom hit/miss counters equal a sequential
-   run's (the costsvc/derive shard discipline, one level up). Lock
-   order is batch → shard and nothing acquires them the other way
-   round. *)
-module Batch = struct
-  type batch_key = {
-    bk_table : string;
-    bk_probe : string option;
-    bk_index : int;
-  }
-
-  type nonrec t = {
-    b_d : t;
-    b_q : Query.t;
-    b_qid : int;
-    b_class : fallback option;
-    b_lock : Mutex.t;
-    b_atoms : (batch_key, Access_path.atom) Hashtbl.t;
-    b_heaps : (string * string option, Access_path.choice) Hashtbl.t;
-  }
-
-  let create d q =
-    {
-      b_d = d;
-      b_q = q;
-      b_qid = Query.intern q;
-      b_class = classify q;
-      b_lock = Mutex.create ();
-      b_atoms = Hashtbl.create 16;
-      b_heaps = Hashtbl.create 4;
-    }
-
-  let query b = b.b_q
-  let is_fallback b = b.b_class <> None
-
-  let provider b config =
-    let d = b.b_d in
-    let assemble input =
-      match probe_of input with
-      | None -> Access_path.candidates d.db config input
-      | Some probe ->
-        let tbl = input.Access_path.ap_table in
-        Mutex.lock b.b_lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock b.b_lock)
-          (fun () ->
-            let heap =
-              match Hashtbl.find_opt b.b_heaps (tbl, probe) with
-              | Some h -> h
-              | None ->
-                let h = cached_heap d ~qid:b.b_qid ~probe input in
-                Hashtbl.add b.b_heaps (tbl, probe) h;
-                h
-            in
-            let atoms =
-              List.map
-                (fun ix ->
-                  let key =
-                    {
-                      bk_table = tbl;
-                      bk_probe = probe;
-                      bk_index = Index.intern ix;
-                    }
-                  in
-                  match Hashtbl.find_opt b.b_atoms key with
-                  | Some a -> a
-                  | None ->
-                    let a = cached_atom d ~qid:b.b_qid ~probe input ix in
-                    Hashtbl.add b.b_atoms key a;
-                    a)
-                (Config.on_table config input.Access_path.ap_table)
-            in
-            Access_path.assemble d.db input ~heap atoms)
-    in
-    {
-      Optimizer.pa_best = (fun input -> Access_path.best_of (assemble input));
-      pa_candidates = assemble;
-    }
-
-  let plan b config =
-    let d = b.b_d in
-    match b.b_class with
-    | Some reason ->
-      Atomic.incr d.fallbacks;
-      (match reason with
-       | Order_sort -> Metrics.Counter.incr m_fallback_order_sort);
-      { a_plan = full_plan d config b.b_q; a_fallback = Some reason }
-    | None ->
-      let p = Optimizer.plan_with ~provider:(provider b config) d.db b.b_q in
-      if d.validate then validate_against_full d config b.b_q p;
-      Atomic.incr d.derived;
-      Metrics.Counter.incr m_derived;
-      { a_plan = p; a_fallback = None }
-
-  let cost b config = Plan.cost (plan b config).a_plan
-end
-
 (* ---- Invalidation ---- *)
 
 let remove_where t ~atom_doomed ~heap_doomed =
-  fold_shards t 0 (fun acc s ->
+  locked t (fun () ->
       let doomed_atoms =
         Hashtbl.fold
           (fun k _ acc -> if atom_doomed k then k :: acc else acc)
-          s.s_atoms []
+          t.atoms []
       in
       let doomed_heaps =
         Hashtbl.fold
           (fun k _ acc -> if heap_doomed k then k :: acc else acc)
-          s.s_heaps []
+          t.heaps []
       in
-      List.iter (Hashtbl.remove s.s_atoms) doomed_atoms;
-      List.iter (Hashtbl.remove s.s_heaps) doomed_heaps;
+      List.iter (Hashtbl.remove t.atoms) doomed_atoms;
+      List.iter (Hashtbl.remove t.heaps) doomed_heaps;
       let k = List.length doomed_atoms + List.length doomed_heaps in
       Metrics.Gauge.add m_atom_entries (-.float_of_int k);
-      acc + k)
+      k)
 
 (* Every number in an atom derives from the keyed table's statistics
    (selections, densities, row counts, page counts are all of that

@@ -26,10 +26,11 @@
     cross-checked structurally against a full optimization and
     {!Mismatch} is raised on any divergence.
 
-    Domain safety: the atom cache is lock-striped like the costsvc LRU
-    ([?shards] power-of-two stripes, state only touched under the
-    stripe lock, misses computed under it so hit/miss totals equal a
-    sequential run's). *)
+    Domain safety: one mutex guards the atom cache and its hit/miss
+    counts (a daemon epoch on the worker domain shares a tenant's
+    deriver with the dispatch thread). Misses are computed under it,
+    so hit/miss totals equal a sequential run's. Atoms are pure in
+    their key, so this one cache answers every caller exactly. *)
 
 exception Mismatch of string
 (** Raised in validation mode when a derived plan diverges from the
@@ -44,11 +45,9 @@ val fallback_to_string : fallback -> string
 
 type t
 
-val create : ?shards:int -> ?validate:bool -> Im_catalog.Database.t -> t
-(** [shards] (default 1, rounded to a power of two, capped at 256)
-    lock-stripes the atom cache for concurrent callers. [validate]
-    defaults to the [IM_VALIDATE_DERIVE] environment variable. Raises
-    [Invalid_argument] if [shards < 1]. *)
+val create : ?validate:bool -> Im_catalog.Database.t -> t
+(** [validate] defaults to the [IM_VALIDATE_DERIVE] environment
+    variable. *)
 
 val database : t -> Im_catalog.Database.t
 
@@ -69,40 +68,6 @@ val query_plan : t -> Im_catalog.Config.t -> Im_sqlir.Query.t -> Im_optimizer.Pl
 val query_cost :
   t -> Im_catalog.Config.t -> Im_sqlir.Query.t -> float * fallback option
 (** The plan's cost plus how it was obtained. *)
-
-(** Batched recombination: pin one query, answer its cost under many
-    configurations in one traversal of the atom cache. The first
-    costing pulls the query's heap baselines and per-index atoms
-    through the striped cache into a private memo; each further
-    configuration re-assembles candidate lists from the memo and
-    re-runs only the planner arithmetic. Answers are bit-identical to
-    {!plan}/{!query_cost} (fallback shapes still run the full
-    optimizer per configuration), and the derived/fallback counters
-    advance identically; only atom hit/miss counters differ, since
-    repeats hit the private memo.
-
-    A batch is domain-safe: the memo is guarded by a per-batch mutex
-    held across the miss path, so concurrent costings on one batch
-    serialize per memo access, the striped cache is consulted exactly
-    once per key, and the deriver's atom hit/miss counters equal a
-    sequential run's. *)
-module Batch : sig
-  type deriver := t
-
-  type t
-
-  val create : deriver -> Im_sqlir.Query.t -> t
-
-  val query : t -> Im_sqlir.Query.t
-
-  val is_fallback : t -> bool
-  (** The pinned query is in the fallback taxonomy: every [cost] runs
-      the full optimizer. *)
-
-  val cost : t -> Im_catalog.Config.t -> float
-  (** [Plan.cost] of the pinned query's plan under the configuration —
-      bit-identical to {!query_cost}. *)
-end
 
 val invalidate_table : t -> string -> int
 (** Drop every atom of the table (after data/statistics changes).
@@ -126,6 +91,6 @@ val atom_hits : t -> int
 val atom_misses : t -> int
 
 val atom_entries : t -> int
-(** Live cached units (atoms + heap baselines) across all stripes. *)
+(** Live cached units (atoms + heap baselines). *)
 
 val validating : t -> bool

@@ -115,17 +115,9 @@ let run ?compress ?prune_support service ~trigger ~live ~window
         let new_config = Im_advisor.Advisor.final_config outcome in
         (* Both costings run over the whole (compacted) window, not
            just the tuned clusters, so the benefit reflects all live
-           traffic. A compactor answers them in one batched traversal
-           of the cached access-path atoms. *)
-        let old_cost, new_cost =
-          match compactor with
-          | Some c ->
-            let costs = Scale.score c [ live; new_config ] in
-            (costs.(0), costs.(1))
-          | None ->
-            ( Costsvc.workload_cost service live workload,
-              Costsvc.workload_cost service new_config workload )
-        in
+           traffic. *)
+        let old_cost = Costsvc.workload_cost service live workload in
+        let new_cost = Costsvc.workload_cost service new_config workload in
         (new_config, Workload.size tuning, old_cost, new_cost, compactor, prune))
   in
   (match List.assoc_opt trigger m_epoch_metrics with

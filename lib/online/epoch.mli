@@ -65,11 +65,9 @@ val run :
 
     [?compress] streams the window through the {!Im_scale.Scale}
     compactor at deviation budget [EPS]: tuning and both window
-    costings run over the compressed window, and the costings are
-    answered from cached access-path atoms in one batched traversal
-    ({!Im_scale.Scale.score}). [e_old_cost]/[e_new_cost] then refer to
-    the compressed window, within the bound in [e_scale]. Without it
-    both costings go through the service over the whole window.
+    costings run over the compressed window, so
+    [e_old_cost]/[e_new_cost] refer to it, within the bound in
+    [e_scale]. Either way both costings go through the service.
 
     [?prune_support] re-mines the window's frequent itemsets each
     epoch — through the compactor at admission time when [?compress] is

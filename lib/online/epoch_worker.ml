@@ -8,12 +8,9 @@
    daemon's self-pipe) so a loop blocked in epoll/poll notices without
    polling.
 
-   Distinct from [Im_par.Pool] on purpose: pool tasks are
-   microsecond-sized and caller-helping; an epoch is a
-   hundreds-of-milliseconds batch that must never run on the dispatch
-   thread. The epoch thunk itself may fan its costings onto an
-   [Im_par] pool — the pool is caller-helping, so a worker domain
-   submitting to it is fine. *)
+   An epoch is a hundreds-of-milliseconds batch that must never run
+   on the dispatch thread; it runs sequentially here, sharing the
+   tenant's single-lock caches with the dispatch thread. *)
 
 type completion = {
   c_id : int;  (* the [submit] ticket this result answers *)

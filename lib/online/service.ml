@@ -59,24 +59,16 @@ type t = {
   mutable in_flight : bool;
 }
 
-let create ?options ?pool ?(initial = Config.empty) db ~budget_pages =
+let create ?options ?pool:_ ?(initial = Config.empty) db ~budget_pages =
   let opts =
     match options with
     | Some o -> o
     | None -> default_options ~budget_pages
   in
-  (* Four lock stripes per pool domain when a pool is given: epochs on
-     a worker domain share this cache with the dispatch thread. *)
-  let shards =
-    match pool with
-    | Some p when Im_par.Pool.domain_count p > 0 ->
-      4 * Im_par.Pool.domain_count p
-    | Some _ | None -> 1
-  in
   {
     db;
     opts;
-    cache = Im_merging.Cost_eval.default_service ~shards db;
+    cache = Im_merging.Cost_eval.default_service db;
     window =
       Window.create ~capacity:opts.o_capacity ~decay:opts.o_decay
         ~threshold:opts.o_cluster_threshold ();
@@ -110,7 +102,7 @@ type event =
    an immutable window workload, and the current cluster budget — so
    the returned thunk is safe to execute on a worker domain while the
    dispatch thread keeps feeding this service (the warm what-if cache
-   is lock-striped and domain-safe). [commit_epoch] installs
+   and its atom cache each take one lock). [commit_epoch] installs
    the result back on the dispatch thread; [run_epoch] is begin + run
    + commit with no interleaving, for in-process callers. *)
 

@@ -53,12 +53,12 @@ val create :
 (** [?initial] (default empty) is the configuration live before the
     first epoch. [?options] overrides [default_options]; its
     [o_budget_pages] wins over the [~budget_pages] argument when
-    given. [?pool] lock-stripes the warm what-if cache four ways per
-    pool domain, for epochs that run on a worker domain alongside the
-    dispatch thread; costs are identical at any stripe count. The
-    epoch-warm what-if cache is a
-    {!Im_merging.Cost_eval.default_service}: drift checks and tuning
-    epochs answer misses from cached access-path atoms. Raises
+    given. [?pool] has no effect and is accepted only for existing
+    callers; it goes away with [Im_par]. The epoch-warm what-if cache
+    is a {!Im_merging.Cost_eval.default_service}: drift checks and
+    tuning epochs answer misses from cached access-path atoms, and its
+    one lock lets an epoch on the worker domain share it with the
+    dispatch thread. Raises
     [Invalid_argument] when the options' window parameters are out of
     range ({!Window.create}). *)
 

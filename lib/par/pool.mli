@@ -1,9 +1,10 @@
-(** A fixed-size pool of OCaml 5 domains behind a shared work queue —
-    the substrate for coarse fan-outs whose tasks are milliseconds or
-    more (per-query tuning in the CLI [tune] command). The merge
-    searches and workload costing run sequentially: their per-candidate
-    work is microseconds, and queue round-trips cost more than they
-    save (DESIGN.md §2e).
+(** A fixed-size pool of OCaml 5 domains behind a shared work queue.
+    No library or CLI code fans out on it any more: the merge
+    searches, workload costing, selection and [tune] run sequentially,
+    because their per-candidate work is microseconds and queue
+    round-trips cost more than they save (DESIGN.md §2e). It remains
+    for the benchmark harness, which still passes {!default} to
+    [Im_online.Service.create ?pool] (where it has no effect).
 
     The pool holds [domains] worker domains (0 = no workers: every
     operation degrades to its sequential equivalent on the calling
@@ -41,8 +42,8 @@ val set_default_domains : int -> unit
 val default : unit -> t
 (** The process-wide shared pool, created lazily at
     {!default_domains} (or {!set_default_domains}) size and shut down
-    at exit. The CLI [serve] command sizes each tenant's cost-cache
-    lock stripes from it. *)
+    at exit. Nothing in the library or the CLI calls it; the [serve]
+    daemon no longer creates it. *)
 
 val domain_count : t -> int
 (** Number of worker domains (0 = sequential fallback). *)

@@ -10,7 +10,6 @@ module Metrics = Im_obs.Metrics
 let m_buckets = Metrics.gauge "scale_buckets"
 let m_fold_ratio = Metrics.gauge "scale_fold_ratio"
 let m_bound_eps = Metrics.gauge "scale_bound_eps"
-let m_batch_scores = Metrics.counter "scale_batch_scores_total"
 let m_probe_costs = Metrics.counter "scale_probe_costs_total"
 
 let slack = 2.0
@@ -25,8 +24,6 @@ type probes = {
 type bucket = {
   bu_leader : Query.t;
   bu_leader_id : int;  (* interned canonical id of the leader *)
-  bu_sig : Compress.signature option;  (* None on the exact-only path *)
-  bu_primary : bool;  (* registered under its signature key *)
   mutable bu_mass : float;
   mutable bu_statements : int;
   mutable bu_residual : float;  (* mass of non-leader-canonical members *)
@@ -38,16 +35,14 @@ type bucket = {
    spread (vs the bucket leader) and floor. Spread 0 and floor 0 until
    the bucket needed sampling. *)
 type member = {
-  mutable mb_bucket : bucket;
-  mutable mb_spread : float;
+  mb_bucket : bucket;
+  mb_spread : float;
   mutable mb_floor : float;
 }
 
 type t = {
-  sc_service : Service.t;
   sc_deriver : Derive.t;
   sc_eps : float;
-  sc_jaccard : float;
   (* Optional frequent-itemset miner fed at admission time: every
      folded statement's mass lands on its bucket leader's column sets,
      so mining the stream here equals mining the compressed snapshot Ŵ
@@ -55,7 +50,6 @@ type t = {
   sc_mine : Im_mine.Mine.t option;
   sc_by_sig : (string, bucket) Hashtbl.t;
   sc_by_query : (int, member) Hashtbl.t;
-  sc_batches : (int, Derive.Batch.t) Hashtbl.t;
   mutable sc_order : bucket list;  (* reversed creation order *)
   mutable sc_buckets : int;
   mutable sc_statements : int;
@@ -67,19 +61,16 @@ type t = {
   mutable sc_probe_costs : int;
 }
 
-let create ?(eps = 0.05) ?(jaccard = 0.0) ?mine service =
+let create ?(eps = 0.05) ?mine service =
   {
-    sc_service = service;
     sc_deriver =
       (match Service.deriver service with
        | Some d -> d
        | None -> Derive.create (Service.database service));
     sc_eps = Float.max 0. eps;
-    sc_jaccard = jaccard;
     sc_mine = mine;
     sc_by_sig = Hashtbl.create 256;
     sc_by_query = Hashtbl.create 1024;
-    sc_batches = Hashtbl.create 256;
     sc_order = [];
     sc_buckets = 0;
     sc_statements = 0;
@@ -92,18 +83,6 @@ let create ?(eps = 0.05) ?(jaccard = 0.0) ?mine service =
   }
 
 let eps t = t.sc_eps
-
-(* One atom batch per interned query. Callers that already interned
-   the query pass [~qid] so the hot intake path does not
-   re-canonicalize. *)
-let batch_for ?qid t q =
-  let qid = match qid with Some id -> id | None -> Query.intern q in
-  match Hashtbl.find_opt t.sc_batches qid with
-  | Some b -> b
-  | None ->
-    let b = Derive.Batch.create t.sc_deriver q in
-    Hashtbl.add t.sc_batches qid b;
-    b
 
 (* ---- Probe configurations ----
 
@@ -140,13 +119,16 @@ let probe_configs q =
 
 let array_min a = Array.fold_left Float.min a.(0) a
 
-let sample_costs t ~qid probes q =
-  let batch = batch_for ~qid t q in
+(* Probes go straight to the deriver, never through [Service.query_cost]:
+   sampling must leave the service's hit/miss/opt-call counters alone. *)
+let sample_costs t probes q =
   let n = List.length probes.pr_configs in
   t.sc_probe_costs <- t.sc_probe_costs + n;
   Metrics.Counter.add m_probe_costs n;
   Array.of_list
-    (List.map (fun config -> Derive.Batch.cost batch config) probes.pr_configs)
+    (List.map
+       (fun config -> fst (Derive.query_cost t.sc_deriver config q))
+       probes.pr_configs)
 
 let ensure_probes t b =
   match b.bu_probes with
@@ -154,7 +136,7 @@ let ensure_probes t b =
   | None ->
     let configs = probe_configs b.bu_leader in
     let probes = { pr_configs = configs; pr_leader = [||] } in
-    let leader = sample_costs t ~qid:b.bu_leader_id probes b.bu_leader in
+    let leader = sample_costs t probes b.bu_leader in
     let probes = { probes with pr_leader = leader } in
     b.bu_probes <- Some probes;
     (* The leader's own mass starts strengthening L from here on. *)
@@ -193,14 +175,12 @@ let fold_into t b ~qid ~freq ~spread ~floor =
     b.bu_residual <- b.bu_residual +. freq
   end
 
-let create_bucket t ?bucket_sig ~primary ~qid q ~freq ~floor =
+let create_bucket t ~qid q ~freq ~floor =
   Option.iter (fun m -> Im_mine.Mine.observe m ~freq ~qid q) t.sc_mine;
   let b =
     {
       bu_leader = q;
       bu_leader_id = qid;
-      bu_sig = bucket_sig;
-      bu_primary = primary;
       bu_mass = 0.;
       bu_statements = 0;
       bu_residual = 0.;
@@ -222,7 +202,7 @@ let create_bucket t ?bucket_sig ~primary ~qid q ~freq ~floor =
 
 let try_admit t b ~qid q ~freq =
   let probes = ensure_probes t b in
-  let costs = sample_costs t ~qid probes q in
+  let costs = sample_costs t probes q in
   let floor = array_min costs in
   let spread = ref 0. in
   Array.iteri
@@ -237,18 +217,7 @@ let try_admit t b ~qid q ~freq =
   else
     (* Over budget: own bucket, exact from now on — its sampled floor
        still strengthens the denominator. *)
-    ignore (create_bucket t ~primary:false ~qid q ~freq ~floor)
-
-let find_jaccard t sg =
-  if t.sc_jaccard <= 0. then None
-  else
-    List.find_opt
-      (fun b ->
-        b.bu_primary
-        && (match b.bu_sig with
-            | Some lsg -> Compress.distance sg lsg <= t.sc_jaccard
-            | None -> false))
-      (List.rev t.sc_order)
+    ignore (create_bucket t ~qid q ~freq ~floor)
 
 let observe t ?(freq = 1.0) q =
   (* One canonicalization per statement: [qid] is threaded through
@@ -260,14 +229,12 @@ let observe t ?(freq = 1.0) q =
   match Hashtbl.find_opt t.sc_by_query qid with
   | Some m ->
     if m.mb_spread > 0. && not (admits t ~spread:m.mb_spread ~floor:m.mb_floor ~freq)
-    then begin
+    then
       (* This repeat no longer fits the budget next to its leader:
          demote the query to its own bucket (mass already folded was
-         admitted under the invariant and stays accounted in Δ). *)
-      let b = create_bucket t ~primary:false ~qid q ~freq ~floor:m.mb_floor in
-      m.mb_bucket <- b;
-      m.mb_spread <- 0.
-    end
+         admitted under the invariant and stays accounted in Δ).
+         [create_bucket] replaces the query's member record. *)
+      ignore (create_bucket t ~qid q ~freq ~floor:m.mb_floor)
     else
       fold_into t m.mb_bucket ~qid ~freq ~spread:m.mb_spread
         ~floor:m.mb_floor
@@ -275,21 +242,13 @@ let observe t ?(freq = 1.0) q =
     if t.sc_eps <= 0. then
       (* ε = 0: only canonically identical statements fold — one bucket
          per distinct query, no sampling, Δ stays 0. *)
-      ignore (create_bucket t ~primary:true ~qid q ~freq ~floor:0.)
+      ignore (create_bucket t ~qid q ~freq ~floor:0.)
     else begin
-      let sg = Compress.signature q in
-      let key = Compress.signature_key sg in
+      let key = Compress.signature_key (Compress.signature q) in
       match Hashtbl.find_opt t.sc_by_sig key with
       | Some b -> try_admit t b ~qid q ~freq
       | None ->
-        (match find_jaccard t sg with
-         | Some b -> try_admit t b ~qid q ~freq
-         | None ->
-           let b =
-             create_bucket t ~bucket_sig:sg ~primary:true ~qid q ~freq
-               ~floor:0.
-           in
-           Hashtbl.add t.sc_by_sig key b)
+        Hashtbl.add t.sc_by_sig key (create_bucket t ~qid q ~freq ~floor:0.)
     end
 
 let observe_workload t (w : Workload.t) =
@@ -340,17 +299,6 @@ let snapshot ?(name = "scale") t =
     (List.rev_map
        (fun b -> { Workload.query = b.bu_leader; freq = b.bu_mass })
        t.sc_order)
-
-let score t configs =
-  let w = snapshot t in
-  let query_cost config q = Derive.Batch.cost (batch_for t q) config in
-  Array.of_list
-    (List.map
-       (fun config ->
-         let c = Service.workload_cost ~query_cost t.sc_service config w in
-         Metrics.Counter.incr m_batch_scores;
-         c)
-       configs)
 
 let prepare ?compress ?prune ?prune_support service (w : Workload.t) =
   let miner =

@@ -1,7 +1,6 @@
-(** Workload compression with a deviation bound, and batched
-    atom-recombination scoring — the 100k–1M-statement tuning path
-    (CoPhy's "compress the workload, decompose the what-if cost" recipe
-    on top of [Im_derive]).
+(** Workload compression with a deviation bound — the
+    100k–1M-statement tuning path (CoPhy's "compress the workload,
+    decompose the what-if cost" recipe on top of [Im_derive]).
 
     {1 The compactor}
 
@@ -21,8 +20,9 @@
     configurations} — no indexes, single-column indexes on every
     sargable column, one covering index per table, and their union:
     the scan / seek / covering regimes an access path can be in —
-    through {!Im_derive.Derive.Batch}, so sampling re-assembles cached
-    atoms instead of running the optimizer (fallback shapes excepted).
+    through {!Im_derive.Derive.query_cost}, so sampling re-assembles
+    cached atoms instead of running the optimizer (fallback shapes
+    excepted) and leaves the cost service's counters untouched.
     With [spread_q = max_P |cost(q, P) − cost(l, P)|] and
     [floor_q = min_P cost(q, P)], the compactor maintains
 
@@ -40,20 +40,10 @@
     folds {e only} canonically identical statements (equal
     {!Im_sqlir.Query.canonical_string}), so compressed search results
     are bit-identical on duplicate-free workloads and no probe is ever
-    sampled. [?jaccard] additionally lets a {e new} signature fold into
-    a near-duplicate bucket (leader signature within the threshold,
-    same admission rule).
+    sampled.
 
-    {1 Batched scoring}
-
-    {!score} answers many configurations' [Cost(Ŵ, C)] in one traversal
-    of the derive atom cache: each leader's candidate atoms are pulled
-    once into a per-query {!Im_derive.Derive.Batch} memo and recombined
-    per configuration, and the sums flow through
-    {!Im_costsvc.Service.workload_cost} (maintenance cost and fold
-    order included), so each score is bit-identical to costing [Ŵ]
-    through the service — the optimizer runs only for derive's
-    fallback shapes. *)
+    [Cost(Ŵ, C)] is priced like any other workload, through
+    {!Im_costsvc.Service.workload_cost} on the {!snapshot}. *)
 
 type t
 
@@ -63,18 +53,15 @@ val slack : float
     [slack · Δ / L]. *)
 
 val create :
-  ?eps:float -> ?jaccard:float -> ?mine:Im_mine.Mine.t -> Im_costsvc.Service.t -> t
+  ?eps:float -> ?mine:Im_mine.Mine.t -> Im_costsvc.Service.t -> t
 (** A streaming compactor costing probes through the service's deriver
     (a private deriver on the same database when the service was built
     with [~derive:false] — identical costs either way). [eps] (default
     0.05) is the deviation budget; [eps <= 0.] folds only canonically
-    identical statements. [jaccard] (default 0. = off) merges a new
-    signature into the first bucket whose leader signature is within
-    the threshold, under the same [eps] admission. [?mine] feeds a
-    frequent-itemset miner at admission time: every statement's mass is
-    mined as its bucket leader, so the miner sees exactly the masses of
-    the compressed snapshot [Ŵ] at O(1) extra work per repeated
-    statement. *)
+    identical statements. [?mine] feeds a frequent-itemset miner at
+    admission time: every statement's mass is mined as its bucket
+    leader, so the miner sees exactly the masses of the compressed
+    snapshot [Ŵ] at O(1) extra work per repeated statement. *)
 
 val eps : t -> float
 
@@ -91,11 +78,6 @@ val snapshot : ?name:string -> t -> Im_workload.Workload.t
     with folded frequencies (no update profile — {!prepare} carries
     the input's over). Also publishes the [scale_*] gauges. The
     compactor keeps streaming afterwards. *)
-
-val score : t -> Im_catalog.Config.t list -> float array
-(** [Cost (Ŵ, C)] for each configuration, recombined from per-leader
-    atom batches — bit-identical to
-    [Service.workload_cost service c (snapshot t)] for each [c]. *)
 
 type stats = {
   st_statements : int;  (** statements streamed in *)
@@ -135,7 +117,7 @@ val prepare :
     - [?compress EPS] streams [w] through a fresh compactor at
       deviation budget [EPS]; the workload returned is its
       {!snapshot} (same name, update profile carried over) and the
-      compactor is returned for {!stats} and {!score}. Without it [w]
+      compactor is returned for {!stats}. Without it [w]
       is returned unchanged and no compactor is built.
     - [?prune_support S] with [S > 0] mines [w]'s frequent itemsets
       and returns {!Im_mine.Mine.frontier} at support [S]. When

@@ -1,10 +1,9 @@
 #!/bin/sh
 # Developer pre-push check: full build with warnings promoted to
-# errors, the whole test suite three times (sequential, on a 4-domain
-# pool, and with every derived cost cross-checked against a full
-# optimization — results must depend on neither IM_DOMAINS nor
-# derivation; the goldens under test/golden pin the CLI's output),
-# the daemon fault and tenant tests, the serve smoke, the
+# errors, the whole test suite twice (plain, and with every derived
+# cost cross-checked against a full optimization — results must not
+# depend on derivation; the goldens under test/golden pin the CLI's
+# output), the daemon fault and tenant tests, the serve smoke, the
 # derive and cost-service benchmarks (emit BENCH_derive.json /
 # BENCH_costsvc.json), compression and pruning identity smokes
 # (--compress 0 and --prune-support 0 must be no-ops), the
@@ -22,11 +21,11 @@ cd "$(dirname "$0")/.."
 echo "== dune build @all (warnings as errors) =="
 OCAMLPARAM="_,warn-error=+a" dune build @all
 
-echo "== dune runtest (IM_DOMAINS=0, sequential) =="
-IM_DOMAINS=0 dune runtest --force
-
-echo "== dune runtest (IM_DOMAINS=4, domain pool) =="
-IM_DOMAINS=4 dune runtest --force
+# One plain leg: nothing under lib/ or bin/ reads IM_DOMAINS or the
+# shared pool any more, so the suite runs the same code at any pool
+# size (test_par's own legs below still pin both sizes).
+echo "== dune runtest =="
+dune runtest --force
 
 # Every derived cost cross-checked against a full optimization: any
 # divergence raises Derive.Mismatch and fails the suite.
@@ -59,8 +58,9 @@ dune exec bin/index_merge_cli.exe -- merge -d synthetic1 -q 6 --metrics \
 echo "metrics smoke OK"
 
 echo "== domain-pool tests (IM_DOMAINS=0 and 4) =="
-# Pool lifecycle, ordering and exceptions, the sharded cost-service
-# counters and the 4-domain Derive.Batch hammer — explicitly at both
+# Pool lifecycle, ordering and exceptions, and the 4-domain hammers
+# on one single-lock cost service and one atom cache (bit-identical
+# costs, counters equal to a sequential run) — explicitly at both
 # pool sizes.
 IM_DOMAINS=0 dune exec test/test_par.exe
 IM_DOMAINS=4 dune exec test/test_par.exe

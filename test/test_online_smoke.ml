@@ -1,7 +1,8 @@
 (* End-to-end smoke test for the `serve` daemon: spawn the real CLI
    binary on an ephemeral port, stream statements over TCP, exercise
    STATS / EPOCH / CONFIG / QUIT / SHUTDOWN, and insist on a clean
-   exit. Runs as part of `dune runtest` (see test/dune, which declares
+   exit; then check that the CLI rejects out-of-range --compress and
+   --prune-support values on every subcommand. Runs as part of `dune runtest` (see test/dune, which declares
    the dependency on the binary). *)
 
 let cli () =
@@ -119,6 +120,89 @@ let test_smoke () =
       Alcotest.(check bool) "metrics table printed" true
         (Astring_contains.contains rest "statements"))
 
+(* ---- Flag validation ---- *)
+
+(* Run the CLI with [args]; its exit code and stderr lines. A run that
+   outlives 20 s (e.g. [serve] accepting a value it should reject) is
+   killed and fails the test. *)
+let run_cli args =
+  let err_read, err_write = Unix.pipe ~cloexec:true () in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process (cli ()) (Array.of_list (cli () :: args)) devnull
+      devnull err_write
+  in
+  Unix.close err_write;
+  Unix.close devnull;
+  let deadline = Unix.gettimeofday () +. 20. in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.02;
+      wait ()
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      Alcotest.fail ("still running after 20 s: " ^ String.concat " " args)
+    | _, Unix.WEXITED n -> n
+    | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+      Alcotest.fail (Printf.sprintf "killed by signal %d" n)
+  in
+  let code = wait () in
+  let ic = Unix.in_channel_of_descr err_read in
+  let lines = String.split_on_char '\n' (String.trim (In_channel.input_all ic)) in
+  close_in ic;
+  (code, lines)
+
+let test_bad_fractions_rejected () =
+  (* --compress EPS must be finite and >= 0, --prune-support S in
+     [0, 1]: every bad value, on every subcommand taking the flag, is
+     one stderr line and exit 2 — never a run on a nan budget or a
+     silent clamp. *)
+  let bad =
+    [
+      ("--compress", [ "nan"; "-3"; "inf"; "x" ]);
+      ("--prune-support", [ "7"; "nan"; "-0.1"; "1.5" ]);
+    ]
+  in
+  let commands =
+    [
+      [ "merge"; "-d"; "synthetic1"; "-q"; "6" ];
+      [ "advise"; "-d"; "synthetic1"; "-q"; "6" ];
+      [ "tune"; "-d"; "synthetic1"; "-q"; "6" ];
+      [ "serve"; "-d"; "synthetic1"; "--port"; "0" ];
+    ]
+  in
+  List.iter
+    (fun cmd ->
+      List.iter
+        (fun (flag, values) ->
+          List.iter
+            (fun v ->
+              let args = cmd @ [ flag ^ "=" ^ v ] in
+              let label = String.concat " " args in
+              let code, lines = run_cli args in
+              Alcotest.(check int) (label ^ ": exit 2") 2 code;
+              match lines with
+              | [ line ] ->
+                Alcotest.(check bool)
+                  (label ^ ": names the flag") true
+                  (Astring_contains.contains line flag)
+              | _ ->
+                Alcotest.fail
+                  (Printf.sprintf "%s: %d stderr lines, expected 1" label
+                     (List.length lines)))
+            values)
+        bad)
+    commands
+
 let () =
   Alcotest.run "im_online_smoke"
-    [ ("daemon", [ Alcotest.test_case "serve smoke" `Slow test_smoke ]) ]
+    [
+      ("daemon", [ Alcotest.test_case "serve smoke" `Slow test_smoke ]);
+      ( "flags",
+        [
+          Alcotest.test_case "bad --compress/--prune-support rejected" `Quick
+            test_bad_fractions_rejected;
+        ] );
+    ]

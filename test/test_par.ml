@@ -1,7 +1,7 @@
-(* Tests for the im_par domain pool and the domain-safe caches behind
-   it: pool lifecycle, exception propagation, ordering determinism, and
-   sharded cost-service and Derive.Batch counter exactness under
-   concurrent hammering. *)
+(* Tests for the im_par domain pool and the domain-safe caches: pool
+   lifecycle, exception propagation, ordering determinism, and the
+   single-lock cost service and atom cache keeping bit-identical costs
+   and exact counters when 4 domains hammer them at once. *)
 
 module Pool = Im_par.Pool
 module Service = Im_costsvc.Service
@@ -121,28 +121,40 @@ let i_scan = Index.make ~table:"t" [ "b"; "c" ]
 let i_order = Index.make ~table:"t" [ "e"; "b" ]
 let initial = [ i_seek; i_scan; i_order ]
 
-(* ---- Sharded service: counters under concurrency ---- *)
-
-let test_sharded_counters_match_sequential () =
-  (* 10 distinct queries, each issued 8 times, costed on an 8-shard
-     service hammered through a 4-domain pool: every counter total and
-     every cost must equal the single-shard sequential run. The service
-     holds the shard lock through the optimizer call, so concurrent
-     same-key misses serialize and the counters stay exact. *)
-  let queries = List.init 10 (fun i -> point ~id:(Printf.sprintf "h%d" i) i) in
-  let hammer = List.concat (List.init 8 (fun _ -> queries)) in
-  let seq_svc = Service.create db in
-  let seq_costs = List.map (fun q -> Service.query_cost seq_svc [] q) hammer in
-  let par_svc = Service.create ~shards:8 db in
-  Alcotest.(check int) "shards rounded to 8" 8 (Service.shard_count par_svc);
-  let pool = Pool.create ~domains:4 () in
-  let par_costs =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () ->
-        Pool.parallel_map pool (fun q -> Service.query_cost par_svc [] q) hammer)
+(* [work] run on 4 domains at once, all starting together, so
+   concurrent misses on one key are likely; each domain's results in
+   [work]'s order. *)
+let hammer work =
+  let start = Atomic.make false in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get start) do
+              Domain.cpu_relax ()
+            done;
+            work ()))
   in
-  Alcotest.(check (list (float 0.))) "bit-identical costs" seq_costs par_costs;
+  Atomic.set start true;
+  List.map Domain.join domains
+
+let check_counters name seq par =
+  List.iter2
+    (fun (k, seq_v) (_, par_v) ->
+      Alcotest.(check int) (Printf.sprintf "%s %s = sequential" name k) seq_v
+        par_v)
+    seq par
+
+(* ---- Cost service: counters under concurrency ---- *)
+
+let test_service_hammer () =
+  (* 10 distinct queries, each issued 8 times, costed by 4 domains on
+     one service: every cost and counter total must equal a sequential
+     run doing the same work 4 times. The service holds its lock
+     through the what-if resolution, so concurrent same-key misses
+     serialize and the counters stay exact. *)
+  let queries = List.init 10 (fun i -> point ~id:(Printf.sprintf "h%d" i) i) in
+  let work = List.concat (List.init 8 (fun _ -> queries)) in
+  let costs svc () = List.map (fun q -> Service.query_cost svc [] q) work in
   let counters svc =
     [
       ("hits", Service.hits svc);
@@ -152,34 +164,35 @@ let test_sharded_counters_match_sequential () =
       ("entries", Service.size svc);
     ]
   in
-  List.iter2
-    (fun (name, seq_v) (_, par_v) ->
-      Alcotest.(check int) (name ^ " equal across shards") seq_v par_v)
-    (counters seq_svc) (counters par_svc);
+  let seq_svc = Service.create ~derive:true db in
+  let seq_costs = List.init 4 (fun _ -> costs seq_svc ()) in
+  let par_svc = Service.create ~derive:true db in
+  let par_costs = hammer (costs par_svc) in
+  Alcotest.(check (list (list (float 0.)))) "bit-identical costs" seq_costs
+    par_costs;
+  check_counters "service" (counters seq_svc) (counters par_svc);
   Alcotest.(check int) "one miss per distinct query" 10 (Service.misses par_svc)
 
-(* ---- Derive.Batch: domain safety ---- *)
+(* ---- Atom cache: counters under concurrency ---- *)
 
-let test_batch_hammer () =
-  (* Domain-safe Derive.Batch: the same batches hammered from a
-     4-domain pool must produce bitwise the scores of a sequential run
-     AND leave the deriver's atom-cache counters exactly equal — the
-     per-batch mutex holds across the miss path, so concurrent misses
-     on one memo key consult the striped cache exactly once (mirror of
-     the sharded costsvc counter test above). *)
+let test_derive_hammer () =
+  (* Every (query, configuration) cell costed through
+     [Derive.query_cost] by 4 domains on one deriver: costs must equal
+     a sequential run's bitwise and the atom-cache counters must equal
+     a sequential run doing the same work 4 times — misses are
+     computed under the lock, so the loser of a same-key race scores a
+     hit. [q_order] exercises the optimizer fallback. *)
   let queries =
     q_scan :: q_order :: List.init 8 (fun i -> point ~id:(Printf.sprintf "b%d" i) i)
   in
-  let configs =
-    [ []; [ i_seek ]; [ i_scan ]; [ i_seek; i_scan ]; initial ]
+  let configs = [ []; [ i_seek ]; [ i_scan ]; [ i_seek; i_scan ]; initial ] in
+  let cells =
+    List.concat_map (fun q -> List.map (fun c -> (q, c)) configs) queries
   in
-  let work reps = List.concat (List.init reps (fun _ -> configs)) in
-  let run_costs cost_fn batches =
-    List.concat_map
-      (fun b -> List.map (fun c -> cost_fn b c) (work 3))
-      batches
+  let costs d () =
+    List.map (fun (q, c) -> fst (Im_derive.Derive.query_cost d c q)) cells
   in
-  let snapshot d =
+  let counters d =
     [
       ("atom_hits", Im_derive.Derive.atom_hits d);
       ("atom_misses", Im_derive.Derive.atom_misses d);
@@ -188,33 +201,15 @@ let test_batch_hammer () =
       ("fallbacks", Im_derive.Derive.fallbacks d);
     ]
   in
-  (* Sequential reference. *)
   let seq_d = Im_derive.Derive.create db in
-  let seq_batches = List.map (Im_derive.Derive.Batch.create seq_d) queries in
-  let seq_costs = run_costs Im_derive.Derive.Batch.cost seq_batches in
-  let seq_counters = snapshot seq_d in
-  (* Parallel hammer: every (batch, config, rep) cell on 4 domains —
-     many concurrent costings per batch. *)
-  let par_d = Im_derive.Derive.create ~shards:8 db in
-  let par_batches = List.map (Im_derive.Derive.Batch.create par_d) queries in
-  let cells =
-    List.concat_map (fun b -> List.map (fun c -> (b, c)) (work 3)) par_batches
-  in
-  let pool = Pool.create ~domains:4 () in
-  let par_costs =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () ->
-        Pool.parallel_map pool
-          (fun (b, c) -> Im_derive.Derive.Batch.cost b c)
-          cells)
-  in
-  Alcotest.(check (list (float 0.)))
-    "bitwise-equal batch scores" seq_costs par_costs;
-  List.iter2
-    (fun (name, seq_v) (_, par_v) ->
-      Alcotest.(check int) (name ^ " exact under hammer") seq_v par_v)
-    seq_counters (snapshot par_d)
+  let seq_costs = List.init 4 (fun _ -> costs seq_d ()) in
+  let par_d = Im_derive.Derive.create db in
+  let par_costs = hammer (costs par_d) in
+  Alcotest.(check (list (list (float 0.)))) "bit-identical costs" seq_costs
+    par_costs;
+  check_counters "derive" (counters seq_d) (counters par_d);
+  Alcotest.(check bool) "fallback shape exercised" true
+    (Im_derive.Derive.fallbacks par_d > 0)
 
 let () =
   Alcotest.run "im_par"
@@ -226,9 +221,6 @@ let () =
           tc "exception propagation" `Quick test_exception_propagation;
           tc "ordering determinism" `Quick test_ordering_deterministic;
         ] );
-      ( "service",
-        [ tc "sharded counters" `Quick test_sharded_counters_match_sequential ]
-      );
-      ( "derive batch",
-        [ tc "4-domain hammer" `Quick test_batch_hammer ] );
+      ("service", [ tc "4-domain hammer" `Quick test_service_hammer ]);
+      ("derive", [ tc "4-domain hammer" `Quick test_derive_hammer ]);
     ]

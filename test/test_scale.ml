@@ -1,7 +1,7 @@
 (* Tests for the scale subsystem: the streaming workload compactor
    (bucketing determinism, ε = 0 exactness and idempotence, mass
-   preservation, the deviation bound) and batched configuration scoring
-   (bit-identical to the plain cost service). *)
+   preservation, pinned output on a constant-shifted stream, the
+   deviation bound) and the shared compaction/mining prelude. *)
 
 module Scale = Im_scale.Scale
 module Service = Im_costsvc.Service
@@ -148,30 +148,48 @@ let test_fold_accounting () =
     (Some (float_of_int distinct))
     (Im_obs.Metrics.find_value "scale_buckets")
 
-(* ---- Batched scoring: bit-identical to the plain service ---- *)
+(* ---- Compactor output pinned ---- *)
 
-let test_score_matches_service () =
-  let db = Lazy.force sdb in
-  let w = replicate ~times:2 (rags ~seed:51 12 db) in
-  let svc = Service.create ~derive:true db in
-  let t = Scale.create ~eps:0.1 svc in
-  Scale.observe_workload t w;
-  let snap = Scale.snapshot t in
-  let configs =
-    [
-      Config.empty;
-      Im_tuning.Initial_config.build db w ~rng:(Im_util.Rng.create 7) ~n:5;
-      Im_tuning.Initial_config.per_query_union db w;
-    ]
+(* Every integer constant of [q] moved by [delta]: the same template
+   with different literals, which folds across queries at ε > 0. *)
+let shift_constants delta (q : Query.t) =
+  let v = function
+    | Im_sqlir.Value.Int i -> Im_sqlir.Value.Int (i + delta)
+    | x -> x
   in
-  let scores = Scale.score t configs in
-  List.iteri
-    (fun i config ->
-      Alcotest.(check int64)
-        (Printf.sprintf "config %d bit-identical" i)
-        (bits (Service.workload_cost svc config snap))
-        (bits scores.(i)))
-    configs
+  let p = function
+    | Im_sqlir.Predicate.Cmp (op, c, x) -> Im_sqlir.Predicate.Cmp (op, c, v x)
+    | Between (c, a, b) -> Between (c, v a, v b)
+    | In_list (c, xs) -> In_list (c, List.map v xs)
+    | Join _ as j -> j
+  in
+  { q with Query.q_where = List.map p q.Query.q_where }
+
+let test_stats_pinned () =
+  (* Probe sampling answers from the service's deriver; this pins what
+     the compactor makes of a fixed constant-shifted stream at ε = 0.1,
+     down to the bits of the reported bound. *)
+  let db = Lazy.force sdb in
+  let base = Workload.queries (rags ~seed:81 10 db) in
+  let w =
+    Workload.make
+      (List.concat_map
+         (fun delta -> List.map (shift_constants delta) base)
+         [ 0; 1; 0; 3; 2; 0; 5 ])
+  in
+  let svc = Service.create ~derive:true db in
+  let _, st = compress ~eps:0.1 svc w in
+  Alcotest.(check (list int)) "statements, buckets, exact/approx folds, probes"
+    [ 70; 23; 36; 11; 120 ]
+    [
+      st.Scale.st_statements;
+      st.Scale.st_buckets;
+      st.Scale.st_exact_folds;
+      st.Scale.st_approx_folds;
+      st.Scale.st_probe_costs;
+    ];
+  Alcotest.(check string) "bound (hex)" "0x1.6a61f383c735p-4"
+    (Printf.sprintf "%h" st.Scale.st_eps_bound)
 
 (* ---- The deviation bound ---- *)
 
@@ -300,9 +318,11 @@ let () =
           tc "bucketing deterministic" `Quick test_bucketing_deterministic;
           tc "streaming = batch" `Quick test_streaming_matches_batch;
         ] );
-      ("accounting", [ tc "fold accounting" `Quick test_fold_accounting ]);
-      ( "scoring",
-        [ tc "score = service (bitwise)" `Quick test_score_matches_service ] );
+      ( "accounting",
+        [
+          tc "fold accounting" `Quick test_fold_accounting;
+          tc "stats pinned at eps 0.1" `Quick test_stats_pinned;
+        ] );
       ("bound", [ tc "deviation property" `Quick test_bound_property ]);
       ("search", [ tc "eps 0 identity" `Quick test_search_eps0_identity ]);
       ("prepare", [ tc "compaction and mining prelude" `Quick test_prepare ]);
