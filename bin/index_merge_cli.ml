@@ -61,10 +61,6 @@ let workload_arg =
   let doc = "Workload: complex, projection, or tpcd17 (TPC-D only)." in
   Arg.(value & opt string "complex" & info [ "w"; "workload" ] ~docv:"KIND" ~doc)
 
-let queries_arg =
-  let doc = "Number of generated queries (complex/projection workloads)." in
-  Arg.(value & opt int 30 & info [ "q"; "queries" ] ~docv:"N" ~doc)
-
 let initial_arg =
   let doc =
     "Size of the initial configuration built by random per-query tuning; 0 \
@@ -127,23 +123,42 @@ let metrics_arg =
   in
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
-(* An optional float flag whose value must satisfy [ok]. Anything
-   else — unparseable, nan, out of range — is a one-line error and
-   exit 2, like every other bad input, instead of cmdliner's
-   multi-line usage error. *)
-let checked_float_arg ~long ~docv ~expect ok ~doc =
+(* A flag whose value must parse with [parse] and satisfy [ok]; [None]
+   when absent (only an optional flag can be). Anything else —
+   unparseable, nan, out of range — is a one-line error and exit 2,
+   like every other bad input, instead of cmdliner's multi-line usage
+   error. *)
+let checked_arg ?(short = []) ?(required = false) ?absent ~long ~docv ~expect
+    parse ok ~doc =
   let check = function
     | None -> None
     | Some s ->
-      (match float_of_string_opt s with
+      (match parse s with
        | Some v when ok v -> Some v
        | Some _ | None ->
          or_die
            (Error
               (Printf.sprintf "--%s: %s must be %s, got %S" long docv expect s)))
   in
-  let raw = Arg.(value & opt (some string) None & info [ long ] ~docv ~doc) in
+  let names = Arg.info (short @ [ long ]) ?absent ~docv ~doc in
+  let raw =
+    if required then
+      Term.(const Option.some $ Arg.(required & opt (some string) None names))
+    else Arg.(value & opt (some string) None names)
+  in
   Term.(const check $ raw)
+
+(* A page count: an integer >= 0. *)
+let pages_arg ?required ?absent doc =
+  checked_arg ~short:[ "b" ] ?required ?absent ~long:"budget" ~docv:"PAGES"
+    ~expect:"an integer >= 0" int_of_string_opt (fun n -> n >= 0) ~doc
+
+let queries_arg =
+  let doc = "Number of generated queries (complex/projection workloads)." in
+  Term.(
+    const (Option.value ~default:30)
+    $ checked_arg ~short:[ "q" ] ~absent:"30" ~long:"queries" ~docv:"N"
+        ~expect:"an integer >= 1" int_of_string_opt (fun n -> n >= 1) ~doc)
 
 let compress_arg =
   let doc =
@@ -154,7 +169,8 @@ let compress_arg =
      workloads). Reported costs refer to the compressed workload, \
      within the printed bound."
   in
-  checked_float_arg ~long:"compress" ~docv:"EPS" ~expect:"finite and >= 0"
+  checked_arg ~long:"compress" ~docv:"EPS" ~expect:"finite and >= 0"
+    float_of_string_opt
     (fun v -> Float.is_finite v && v >= 0.)
     ~doc
 
@@ -167,7 +183,8 @@ let prune_support_arg =
      always-kept containment and no-evidence survivors). 0 or unset \
      disables pruning and is bit-identical to not passing the flag."
   in
-  checked_float_arg ~long:"prune-support" ~docv:"S" ~expect:"in [0, 1]"
+  checked_arg ~long:"prune-support" ~docv:"S" ~expect:"in [0, 1]"
+    float_of_string_opt
     (fun v -> v >= 0. && v <= 1.)
     ~doc
 
@@ -398,7 +415,7 @@ let explain_cmd =
 
 let budget_arg =
   let doc = "Storage budget for the recommendation, in pages." in
-  Arg.(required & opt (some int) None & info [ "b"; "budget" ] ~docv:"PAGES" ~doc)
+  Term.(const Option.get $ pages_arg ~required:true doc)
 
 let run_advise db_name sf seed wl_kind n_queries file compress prune_support
     budget schema_file data_dir metrics =
@@ -440,7 +457,7 @@ let serve_budget_arg =
     "Storage budget (pages) for every tuning epoch; 0 means half the \
      database's data pages."
   in
-  Arg.(value & opt int 0 & info [ "b"; "budget" ] ~docv:"PAGES" ~doc)
+  Term.(const (Option.value ~default:0) $ pages_arg ~absent:"0" doc)
 
 let window_arg =
   let doc = "Sliding-window capacity in query clusters." in

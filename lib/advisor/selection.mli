@@ -18,6 +18,9 @@ type outcome = {
   s_cells_recosted : int;
       (** per-query what-if lookups made for cells an added index could
           change *)
+  s_cells_certified : int;
+      (** cells an added index could change but provably does not (see
+          {!certifies}), taken from the current row with no lookup *)
   s_cells_reused : int;
       (** per-query costs of scored candidates taken from the current
           row or a still-valid cell, with no lookup *)
@@ -25,6 +28,13 @@ type outcome = {
       (** candidate workload costs answered by an earlier pass over the
           same {!context} *)
 }
+(** Accounting identity, per pass over [n] queries:
+    [s_cells_recosted + s_cells_certified + s_cells_reused
+     + n * s_shared_evals] equals the textbook greedy's lookups, [n]
+    per candidate scored per round. A pass that leaves the rounds an
+    earlier pass scored, by committing a different index there, also
+    fills that index's cells: one more recosted or certified cell per
+    relevant query, outside the identity. *)
 
 type context
 (** What the passes of one advise call share: the cost service, the
@@ -45,6 +55,20 @@ val context :
     {!Im_merging.Cost_eval.default_service} is created, deriving like
     the advisor's. *)
 
+val certifies :
+  Im_catalog.Database.t ->
+  Im_catalog.Config.t ->
+  Im_sqlir.Query.t ->
+  Im_catalog.Index.t ->
+  bool
+(** The access-path certificate: [true] proves the query's cost under
+    [config @ [ix]] bit-identical to its cost under [config], and under
+    [config @ [ix; c]] to its cost under [config @ [c]]. It holds when
+    the query is not a single-table ORDER BY without aggregation and,
+    on every access-path input the planner can request on [ix]'s table,
+    every path [ix] adds (choice or intersection) costs strictly more
+    than the cheapest path through the heap or one index of [config]. *)
+
 val run :
   ?max_indexes:int ->
   ?min_benefit:float ->
@@ -58,8 +82,12 @@ val run :
     {!Im_costsvc.Service.workload_cost}, so the result is bit-identical
     to re-costing the whole workload per candidate. Rounds an earlier
     pass on the same context already scored (the same indexes
-    committed in the same order) reuse its workload costs.
-    [s_optimizer_calls] counts this pass only. *)
+    committed in the same order) reuse its workload costs. A cell
+    {!certifies} proves unchanged takes no lookup, and a committed
+    index leaves valid the cells of the queries it certifies; under
+    [IM_VALIDATE_DERIVE] both are re-planned and checked bit for bit
+    ({!Im_derive.Derive.Mismatch}). [s_optimizer_calls] counts this
+    pass only. *)
 
 val select :
   ?service:Im_costsvc.Service.t ->

@@ -193,6 +193,11 @@ let provider t config q =
     pa_candidates = assemble;
   }
 
+let atom t q (input : Access_path.input) ix =
+  match probe_of input with
+  | None -> Access_path.atom t.db input ix
+  | Some probe -> cached_atom t ~qid:(Query.intern q) ~probe input ix
+
 (* ---- Answering ---- *)
 
 let full_plan t config q = Optimizer.optimize t.db config q

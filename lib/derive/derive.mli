@@ -43,6 +43,9 @@ type fallback = Order_sort
 
 val fallback_to_string : fallback -> string
 
+val classify : Im_sqlir.Query.t -> fallback option
+(** The fallback class of the query, [None] when derivable. *)
+
 type t
 
 val create : ?validate:bool -> Im_catalog.Database.t -> t
@@ -61,6 +64,15 @@ val plan : t -> Im_catalog.Config.t -> Im_sqlir.Query.t -> answer
     atoms when derivable, from a full optimization otherwise (and the
     answer says which). Bit-identical to
     [Im_optimizer.Optimizer.optimize] in both cases. *)
+
+val atom :
+  t ->
+  Im_sqlir.Query.t ->
+  Im_optimizer.Access_path.input ->
+  Im_catalog.Index.t ->
+  Im_optimizer.Access_path.atom
+(** {!Im_optimizer.Access_path.atom} of the index on one input of the
+    query, through the cache. *)
 
 val query_plan : t -> Im_catalog.Config.t -> Im_sqlir.Query.t -> Im_optimizer.Plan.t
 (** [plan] without the provenance. *)

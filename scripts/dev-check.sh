@@ -4,9 +4,10 @@
 # cost cross-checked against a full optimization — results must not
 # depend on derivation; the goldens under test/golden pin the CLI's
 # output), the daemon fault and tenant tests, the serve smoke, the
-# derive and cost-service benchmarks (emit BENCH_derive.json /
-# BENCH_costsvc.json), compression and pruning identity smokes
-# (--compress 0 and --prune-support 0 must be no-ops), the
+# metrics smokes (merge's optimizer calls, advise's certified
+# selection cells), the derive and cost-service benchmarks (emit
+# BENCH_derive.json / BENCH_costsvc.json), compression and pruning
+# identity smokes (--compress 0 and --prune-support 0 must be no-ops), the
 # domain-pool tests at IM_DOMAINS=0 and 4, the scale and
 # frontier-pruning bench smokes, and formatting when ocamlformat is
 # installed (skipped gracefully when not — the CI container does not
@@ -27,8 +28,11 @@ OCAMLPARAM="_,warn-error=+a" dune build @all
 echo "== dune runtest =="
 dune runtest --force
 
-# Every derived cost cross-checked against a full optimization: any
-# divergence raises Derive.Mismatch and fails the suite.
+# Every derived cost cross-checked against a full optimization, and
+# every selection cell the access-path certificate takes without a
+# lookup (certified, or kept by narrowed staleness) re-planned outside
+# the cost service: any divergence raises Derive.Mismatch and fails
+# the suite.
 echo "== dune runtest (IM_VALIDATE_DERIVE=1, derivation cross-checked) =="
 IM_VALIDATE_DERIVE=1 dune runtest --force
 
@@ -56,6 +60,13 @@ dune exec bin/index_merge_cli.exe -- merge -d synthetic1 -q 6 --metrics \
   | grep -q 'optimizer_calls_total{kind="access"}' \
   || { echo "metrics smoke FAILED: optimizer_calls_total missing"; exit 1; }
 echo "metrics smoke OK"
+
+echo "== selection metrics smoke (the certificate answers cells) =="
+certified=$(dune exec bin/index_merge_cli.exe -- advise -d synthetic1 -b 1500 \
+  -q 30 --metrics | awk '$1 == "selection_cells_certified_total" { print $2 }')
+[ "${certified:-0}" -gt 0 ] \
+  || { echo "selection metrics smoke FAILED: no certified cells"; exit 1; }
+echo "selection metrics smoke OK ($certified certified cells)"
 
 echo "== domain-pool tests (IM_DOMAINS=0 and 4) =="
 # Pool lifecycle, ordering and exceptions, and the 4-domain hammers

@@ -391,6 +391,145 @@ let test_shared_context_matches_textbook () =
        (fun n -> List.mem n !diverged)
        [ "synthetic1"; "synthetic2"; "tpcd17" ])
 
+(* ---- The access-path certificate ---- *)
+
+module Access_path = Im_optimizer.Access_path
+module Optimizer = Im_optimizer.Optimizer
+
+let cost config q = Im_optimizer.Plan.cost (Optimizer.optimize db config q)
+
+(* The certificate's two sides on the plain input of [t]: [ix]'s lower
+   bound (its own choices and its intersection building block) and the
+   best path under [config]. *)
+let bound_and_best config q ix =
+  let input = Optimizer.access_input q "t" in
+  let a = Access_path.atom db input ix in
+  let lb =
+    List.fold_left
+      (fun acc (ch : Access_path.choice) -> Float.min acc ch.Access_path.cost)
+      (match a.Access_path.at_seek with
+       | Some ss -> ss.Access_path.ss_base
+       | None -> Float.infinity)
+      a.Access_path.at_choices
+  in
+  (lb, (Access_path.best db config input).Access_path.cost)
+
+let q_eq_a =
+  Query.make ~id:"q_eq_a"
+    ~select:[ Query.Sel_col (cr "t" "c") ]
+    ~where:[ Predicate.Cmp (Predicate.Eq, cr "t" "a", Value.Int 17) ]
+    [ "t" ]
+
+let test_certificate_refuses_order () =
+  (* Every path of the all-column index costs more than the heap scan,
+     but it delivers ORDER BY e and so saves the sort: only the
+     single-table ORDER BY exclusion stops the certificate. *)
+  let q = List.nth (Workload.queries workload) 2 in
+  let ix = Index.make ~table:"t" [ "e"; "b"; "a"; "c"; "d" ] in
+  let lb, best = bound_and_best Config.empty q ix in
+  Alcotest.(check bool) "every path of the index is pricier" true (lb > best);
+  Alcotest.(check bool) "yet the index lowers the cost" true
+    (cost [ ix ] q < cost Config.empty q);
+  Alcotest.(check bool) "refused" false (Selection.certifies db Config.empty q ix)
+
+let test_certificate_refuses_intersection () =
+  (* The b seek alone loses to the a seek, but intersecting the two rid
+     sets beats both: its seek base, not its choices, bounds it. *)
+  let q =
+    Query.make ~id:"q_eq_ab"
+      ~select:[ Query.Sel_col (cr "t" "d") ]
+      ~where:
+        [
+          Predicate.Cmp (Predicate.Eq, cr "t" "a", Value.Int 17);
+          Predicate.Cmp (Predicate.Eq, cr "t" "b", Value.Int 5);
+        ]
+      [ "t" ]
+  in
+  let config = [ Index.make ~table:"t" [ "a" ] ] in
+  let ix = Index.make ~table:"t" [ "b" ] in
+  let input = Optimizer.access_input q "t" in
+  let own =
+    List.fold_left
+      (fun acc (ch : Access_path.choice) -> Float.min acc ch.Access_path.cost)
+      Float.infinity (Access_path.atom db input ix).Access_path.at_choices
+  in
+  let _, best = bound_and_best config q ix in
+  Alcotest.(check bool) "the b seek alone loses" true (own > best);
+  Alcotest.(check bool) "the intersection wins" true
+    (cost (config @ [ ix ]) q < cost config q);
+  Alcotest.(check bool) "refused" false (Selection.certifies db config q ix)
+
+let test_certificate_refuses_tie () =
+  (* t(b, c) and t(c, b) cover q_scan with equal key widths and no seek
+     prefix: the candidate's covering scan ties the current best
+     exactly, and only a strict win certifies. *)
+  let q = List.nth (Workload.queries workload) 1 in
+  let config = [ Index.make ~table:"t" [ "b"; "c" ] ] in
+  let ix = Index.make ~table:"t" [ "c"; "b" ] in
+  let lb, best = bound_and_best config q ix in
+  same_bits "exact tie" best lb;
+  Alcotest.(check bool) "refused" false (Selection.certifies db config q ix)
+
+(* A covering seek on a makes the covering scan of t(c, a) — which has
+   no seek prefix, hence no intersection — a strict loser. *)
+let dominated_config = [ Index.make ~table:"t" [ "a"; "c" ] ]
+let dominated = Index.make ~table:"t" [ "c"; "a" ]
+
+let test_certificate_accepts_dominated () =
+  let lb, best = bound_and_best dominated_config q_eq_a dominated in
+  Alcotest.(check bool) "strictly dominated" true (lb > best);
+  Alcotest.(check bool) "certified" true
+    (Selection.certifies db dominated_config q_eq_a dominated);
+  same_bits "cost unchanged"
+    (cost dominated_config q_eq_a)
+    (cost (dominated_config @ [ dominated ]) q_eq_a)
+
+let test_certificate_kept_query () =
+  (* Narrowed staleness: once the certified index is committed, the
+     query's cost under any further candidate is its cost under that
+     candidate alone. *)
+  Alcotest.(check bool) "certified" true
+    (Selection.certifies db dominated_config q_eq_a dominated);
+  List.iter
+    (fun cols ->
+      let c = Index.make ~table:"t" cols in
+      same_bits
+        ("with " ^ Index.to_string c)
+        (cost (dominated_config @ [ c ]) q_eq_a)
+        (cost (dominated_config @ [ dominated; c ]) q_eq_a))
+    [ [ "a" ]; [ "a"; "c"; "b" ]; [ "b" ]; [ "c" ]; [ "a"; "e" ]; [ "e"; "b" ] ]
+
+let test_certificate_counts () =
+  (* synthetic1 at q=30 (the CLI's workload): certified cells appear,
+     and recosted + certified + reused equals the textbook greedy's
+     lookups, n per remaining candidate per round. *)
+  let s1 = Im_workload.Synthetic.database ~seed:1 Im_workload.Synthetic.synthetic1 in
+  let w = Im_workload.Ragsgen.generate s1 ~rng:(Rng.create 10) ~n:30 in
+  let budget = 1500 in
+  let o = Selection.select ~service:(deriving_service s1) s1 w ~budget_pages:budget in
+  Alcotest.(check bool) "cells certified" true (o.Selection.s_cells_certified > 0);
+  let cands =
+    List.concat_map
+      (fun q -> Im_tuning.Candidates.for_query (Database.schema s1) q)
+      (Workload.queries w)
+    |> Im_util.List_ext.dedup_keep_order Index.equal
+  in
+  let textbook = ref 0 in
+  for r = 0 to o.Selection.s_rounds - 1 do
+    let config = Im_util.List_ext.take r o.Selection.s_config in
+    let pages = Database.config_storage_pages s1 config in
+    List.iter
+      (fun c ->
+        if (not (Config.mem c config)) && pages + Database.index_pages s1 c <= budget
+        then textbook := !textbook + List.length w.Workload.entries)
+      cands
+  done;
+  Alcotest.(check int) "no shared rounds" 0 o.Selection.s_shared_evals;
+  Alcotest.(check int) "recosted + certified + reused = textbook lookups"
+    !textbook
+    (o.Selection.s_cells_recosted + o.Selection.s_cells_certified
+   + o.Selection.s_cells_reused)
+
 let advise_fingerprint (o : Advisor.outcome) =
   String.concat "; "
     (List.map (fun it -> Index.to_string it.Merge.it_index) o.Advisor.a_final)
@@ -435,6 +574,17 @@ let () =
             test_shared_context_matches_textbook;
           tc "advise identical at 0 and 4 domains" `Quick
             test_advise_domain_identity;
+        ] );
+      ( "certify",
+        [
+          tc "refuses a pricier order provider" `Quick
+            test_certificate_refuses_order;
+          tc "refuses a cheaper intersection" `Quick
+            test_certificate_refuses_intersection;
+          tc "refuses an exact tie" `Quick test_certificate_refuses_tie;
+          tc "accepts a dominated index" `Quick test_certificate_accepts_dominated;
+          tc "kept query unchanged" `Quick test_certificate_kept_query;
+          tc "synthetic1 q=30 counts" `Quick test_certificate_counts;
         ] );
       ( "advisor",
         [

@@ -514,29 +514,29 @@ let test_service_pinned_epochs () =
     ~prune_support:(Some 0.1)
     [
       "epoch[bootstrap]: 12/16 clusters, diff +9 -0 =0, pages 0 -> 841, \
-       window cost 26233.5 -> 7482.0 (benefit 71.5%), 962 optimizer calls, \
+       window cost 26233.5 -> 7482.0 (benefit 71.5%), 156 optimizer calls, \
        compressed 12 -> 12 statements (bound eps 0), pruned 0/0 pair \
        candidates (support 0.1)";
       "epoch[forced]: 12/32 clusters, diff +3 -3 =6, pages 841 -> 537, \
-       window cost 21861.0 -> 23753.5 (benefit -8.7%), 787 optimizer calls, \
+       window cost 21861.0 -> 23753.5 (benefit -8.7%), 110 optimizer calls, \
        compressed 12 -> 12 statements (bound eps 0), pruned 0/0 pair \
        candidates (support 0.1)";
     ];
   check "prune-support 0.1" ~compress:None ~prune_support:(Some 0.1)
     [
       "epoch[bootstrap]: 12/16 clusters, diff +9 -0 =0, pages 0 -> 841, \
-       window cost 26233.5 -> 7482.0 (benefit 71.5%), 962 optimizer calls, \
+       window cost 26233.5 -> 7482.0 (benefit 71.5%), 156 optimizer calls, \
        pruned 0/0 pair candidates (support 0.1)";
       "epoch[forced]: 12/32 clusters, diff +3 -3 =6, pages 841 -> 537, \
-       window cost 21861.0 -> 23753.5 (benefit -8.7%), 787 optimizer calls, \
+       window cost 21861.0 -> 23753.5 (benefit -8.7%), 110 optimizer calls, \
        pruned 0/0 pair candidates (support 0.1)";
     ];
   check "neither" ~compress:None ~prune_support:None
     [
       "epoch[bootstrap]: 12/16 clusters, diff +21 -0 =0, pages 0 -> 1459, \
-       window cost 26233.5 -> 2099.5 (benefit 92.0%), 6065 optimizer calls";
+       window cost 26233.5 -> 2099.5 (benefit 92.0%), 846 optimizer calls";
       "epoch[forced]: 12/32 clusters, diff +2 -1 =20, pages 1459 -> 1477, \
-       window cost 4877.6 -> 4882.3 (benefit -0.1%), 4954 optimizer calls";
+       window cost 4877.6 -> 4882.3 (benefit -0.1%), 592 optimizer calls";
     ]
 
 let () =

@@ -156,30 +156,41 @@ let run_cli args =
 
 let test_bad_fractions_rejected () =
   (* --compress EPS must be finite and >= 0, --prune-support S in
-     [0, 1]: every bad value, on every subcommand taking the flag, is
-     one stderr line and exit 2 — never a run on a nan budget or a
-     silent clamp. *)
-  let bad =
-    [
-      ("--compress", [ "nan"; "-3"; "inf"; "x" ]);
-      ("--prune-support", [ "7"; "nan"; "-0.1"; "1.5" ]);
-    ]
-  in
+     [0, 1], -q/--queries N an integer >= 1 and -b/--budget PAGES an
+     integer >= 0: every bad value, on every subcommand taking the
+     flag, is one stderr line and exit 2 — never a run on a nan budget,
+     an empty workload or a silent clamp. *)
+  let compress = ("--compress", [ "nan"; "-3"; "inf"; "x" ]) in
+  let prune = ("--prune-support", [ "7"; "nan"; "-0.1"; "1.5" ]) in
+  let queries = ("--queries", [ "-3"; "0"; "x"; "1.5" ]) in
+  let budget = ("--budget", [ "-5"; "-4"; "x"; "1.5" ]) in
+  (* Each subcommand with the flags it validates; a well-formed
+     -q/-b is passed too, unless that is the flag under test. *)
   let commands =
     [
-      [ "merge"; "-d"; "synthetic1"; "-q"; "6" ];
-      [ "advise"; "-d"; "synthetic1"; "-q"; "6" ];
-      [ "tune"; "-d"; "synthetic1"; "-q"; "6" ];
-      [ "serve"; "-d"; "synthetic1"; "--port"; "0" ];
+      ("merge", [ ("--queries", "6") ], [ compress; prune; queries ]);
+      ( "advise",
+        [ ("--queries", "6"); ("--budget", "100") ],
+        [ compress; prune; queries; budget ] );
+      ("tune", [ ("--queries", "6") ], [ compress; prune; queries ]);
+      ("explain", [], [ queries ]);
+      ("generate", [], [ queries ]);
+      ("serve", [ ("--port", "0") ], [ compress; prune; budget ]);
     ]
   in
   List.iter
-    (fun cmd ->
+    (fun (sub, fixed, flags) ->
       List.iter
         (fun (flag, values) ->
           List.iter
             (fun v ->
-              let args = cmd @ [ flag ^ "=" ^ v ] in
+              let args =
+                [ sub; "-d"; "synthetic1" ]
+                @ List.concat_map
+                    (fun (f, x) -> if f = flag then [] else [ f ^ "=" ^ x ])
+                    fixed
+                @ [ flag ^ "=" ^ v ]
+              in
               let label = String.concat " " args in
               let code, lines = run_cli args in
               Alcotest.(check int) (label ^ ": exit 2") 2 code;
@@ -193,7 +204,7 @@ let test_bad_fractions_rejected () =
                   (Printf.sprintf "%s: %d stderr lines, expected 1" label
                      (List.length lines)))
             values)
-        bad)
+        flags)
     commands
 
 let () =
