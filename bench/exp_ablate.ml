@@ -100,15 +100,15 @@ let run_compression () =
          (List.init 5 (fun copy ->
               List.map
                 (fun (e : Workload.entry) ->
+                  let q = e.Workload.query in
                   {
                     e with
                     Workload.query =
-                      {
-                        e.Workload.query with
-                        Im_sqlir.Query.q_id =
-                          Printf.sprintf "%s#%d"
-                            e.Workload.query.Im_sqlir.Query.q_id copy;
-                      };
+                      Im_sqlir.Query.make
+                        ~id:(Printf.sprintf "%s#%d" q.Im_sqlir.Query.q_id copy)
+                        ~select:q.q_select ~where:q.q_where
+                        ~group_by:q.q_group_by ~order_by:q.q_order_by
+                        q.q_tables;
                   })
                 workload.Workload.entries)))
   in

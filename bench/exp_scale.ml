@@ -143,7 +143,7 @@ let run_offline db =
   let compactor = Scale.create ~eps svc in
   (* Exact per-distinct counts, so Cost(W,C) is computable without
      materializing the 100k-entry workload. *)
-  let counts : (int, int * Query.t) Hashtbl.t = Hashtbl.create 256 in
+  let counts : (string, int * Query.t) Hashtbl.t = Hashtbl.create 256 in
   let invocations_before = Optimizer.invocations () in
   let streamed, stream_s =
     Im_util.Stopwatch.time (fun () ->
@@ -151,7 +151,7 @@ let run_offline db =
           Workload_file.fold ~schema:(Database.schema db) path ~init:0
             ~f:(fun n q freq ->
               Scale.observe compactor ?freq q;
-              let id = Query.intern q in
+              let id = q.Query.q_canon in
               (match Hashtbl.find_opt counts id with
                | Some (c, rep) -> Hashtbl.replace counts id (c + 1, rep)
                | None -> Hashtbl.add counts id (1, q));

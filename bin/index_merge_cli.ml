@@ -153,12 +153,20 @@ let pages_arg ?required ?absent doc =
   checked_arg ~short:[ "b" ] ?required ?absent ~long:"budget" ~docv:"PAGES"
     ~expect:"an integer >= 0" int_of_string_opt (fun n -> n >= 0) ~doc
 
-let queries_arg =
-  let doc = "Number of generated queries (complex/projection workloads)." in
+(* A checked flag with a default: [absent] is both the documented and
+   the parsed default. *)
+let defaulted_arg ?short ~long ~docv ~expect ~absent parse ok ~doc =
   Term.(
-    const (Option.value ~default:30)
-    $ checked_arg ~short:[ "q" ] ~absent:"30" ~long:"queries" ~docv:"N"
-        ~expect:"an integer >= 1" int_of_string_opt (fun n -> n >= 1) ~doc)
+    const (fun v -> Option.value v ~default:(Option.get (parse absent)))
+    $ checked_arg ?short ~absent ~long ~docv ~expect parse ok ~doc)
+
+let positive_int_arg ?short ~long ~docv ~absent doc =
+  defaulted_arg ?short ~long ~docv ~expect:"an integer >= 1" ~absent
+    int_of_string_opt (fun n -> n >= 1) ~doc
+
+let queries_arg =
+  positive_int_arg ~short:[ "q" ] ~long:"queries" ~docv:"N" ~absent:"30"
+    "Number of generated queries (complex/projection workloads)."
 
 let compress_arg =
   let doc =
@@ -459,25 +467,33 @@ let serve_budget_arg =
   in
   Term.(const (Option.value ~default:0) $ pages_arg ~absent:"0" doc)
 
+let threshold_arg ~long ~docv ~absent doc =
+  defaulted_arg ~long ~docv ~expect:"finite and >= 0" ~absent
+    float_of_string_opt
+    (fun v -> Float.is_finite v && v >= 0.)
+    ~doc
+
 let window_arg =
-  let doc = "Sliding-window capacity in query clusters." in
-  Arg.(value & opt int 48 & info [ "window" ] ~docv:"CLUSTERS" ~doc)
+  positive_int_arg ~long:"window" ~docv:"CLUSTERS" ~absent:"48"
+    "Sliding-window capacity in query clusters."
 
 let decay_arg =
-  let doc = "Per-statement frequency decay of the window (0 < d <= 1)." in
-  Arg.(value & opt float 0.995 & info [ "decay" ] ~docv:"FACTOR" ~doc)
+  defaulted_arg ~long:"decay" ~docv:"FACTOR" ~expect:"in (0, 1]"
+    ~absent:"0.995" float_of_string_opt
+    (fun d -> d > 0. && d <= 1.)
+    ~doc:"Per-statement frequency decay of the window (0 < d <= 1)."
 
 let check_every_arg =
-  let doc = "Statements between drift checks." in
-  Arg.(value & opt int 32 & info [ "check-every" ] ~docv:"N" ~doc)
+  positive_int_arg ~long:"check-every" ~docv:"N" ~absent:"32"
+    "Statements between drift checks."
 
 let drift_threshold_arg =
-  let doc = "Drift trigger: total-variation divergence of the query mix." in
-  Arg.(value & opt float 0.35 & info [ "drift-threshold" ] ~docv:"TV" ~doc)
+  threshold_arg ~long:"drift-threshold" ~docv:"TV" ~absent:"0.35"
+    "Drift trigger: total-variation divergence of the query mix."
 
 let cost_threshold_arg =
-  let doc = "Drift trigger: relative cost regression of the window." in
-  Arg.(value & opt float 0.30 & info [ "cost-threshold" ] ~docv:"FRACTION" ~doc)
+  threshold_arg ~long:"cost-threshold" ~docv:"FRACTION" ~absent:"0.3"
+    "Drift trigger: relative cost regression of the window."
 
 let read_timeout_arg =
   let doc = "Idle-connection read timeout in seconds." in

@@ -24,8 +24,11 @@ type outcome = {
   a_pruning : Im_mine.Mine.stats option;
 }
 
-let advise ?service ?(relax = 2.0) ?compress ?prune ?prune_support db
-    workload ~budget_pages =
+(* The selection phase's budget relaxation. *)
+let relax = 2.0
+
+let advise ?service ?compress ?prune ?prune_support db workload ~budget_pages
+    =
   (* One memoizing cost service spans all three phases: configurations
      costed during relaxed selection are cache hits for the dual merge
      and the plain selection. *)

@@ -50,7 +50,6 @@ type outcome = {
 
 val advise :
   ?service:Im_costsvc.Service.t ->
-  ?relax:float ->
   ?compress:float ->
   ?prune:Im_mine.Mine.frontier ->
   ?prune_support:float ->
@@ -58,8 +57,8 @@ val advise :
   Im_workload.Workload.t ->
   budget_pages:int ->
   outcome
-(** [advise db w ~budget_pages] with relaxation factor [?relax]
-    (default 2.0) for the selection phase. All three phases share one
+(** [advise db w ~budget_pages] with relaxation factor 2.0 for the
+    selection phase. All three phases share one
     memoizing cost service — [?service] to supply it (the online layer
     carries one across epochs), otherwise a fresh
     {!Im_merging.Cost_eval.default_service}, which answers misses from

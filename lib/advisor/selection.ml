@@ -194,7 +194,7 @@ let context ?service ?prune db workload =
   let probes =
     Array.map (fun q -> if Derive.classify q = None then probes db q else [||]) queries
   in
-  (* Query-major, like the fill: consecutive atoms share one query. *)
+  (* Query-major, like the fill. *)
   let lbs = Array.map (fun js -> Array.make (Array.length js) [||]) cand_queries in
   Array.iteri
     (fun j qcells ->
@@ -228,7 +228,12 @@ let context ?service ?prune db workload =
     base_calls = Service.opt_calls svc - calls_before;
   }
 
-let run ?(max_indexes = 40) ?(min_benefit = 0.002) ctx ~budget_pages =
+(* A pass stops at [max_indexes] indexes, or when the best candidate
+   improves workload cost by no more than [min_benefit] relative. *)
+let max_indexes = 40
+let min_benefit = 0.002
+
+let run ctx ~budget_pages =
   let svc = ctx.svc in
   let calls_before = Service.opt_calls svc in
   let m = Array.length ctx.cands and n = Array.length ctx.queries in
@@ -266,8 +271,10 @@ let run ?(max_indexes = 40) ?(min_benefit = 0.002) ctx ~budget_pages =
       end
       else if alive.(c) then incr shared
     done;
-    (* Query-major fill of the stale cells: consecutive what-if calls
-       share one query. A certified cell is the query's current cost. *)
+    (* Query-major fill of the stale cells. Keys are field reads, so
+       the order buys no lookup; it is kept because the cost service's
+       LRU recency, and so its hit, miss and eviction counts, follow
+       it. A certified cell is the query's current cost. *)
     let filled_before = !recosted + !certs in
     Array.iteri
       (fun j qcells ->
@@ -392,7 +399,7 @@ let run ?(max_indexes = 40) ?(min_benefit = 0.002) ctx ~budget_pages =
     s_shared_evals = !shared;
   }
 
-let select ?service ?max_indexes ?min_benefit ?prune db workload ~budget_pages =
+let select ?service ?prune db workload ~budget_pages =
   let ctx = context ?service ?prune db workload in
-  let o = run ?max_indexes ?min_benefit ctx ~budget_pages in
+  let o = run ctx ~budget_pages in
   { o with s_optimizer_calls = o.s_optimizer_calls + ctx.base_calls }

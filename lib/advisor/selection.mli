@@ -69,13 +69,10 @@ val certifies :
     every path [ix] adds (choice or intersection) costs strictly more
     than the cheapest path through the heap or one index of [config]. *)
 
-val run :
-  ?max_indexes:int ->
-  ?min_benefit:float ->
-  context ->
-  budget_pages:int ->
-  outcome
-(** One greedy pass at [budget_pages] over the context's candidates.
+val run : context -> budget_pages:int -> outcome
+(** One greedy pass at [budget_pages] over the context's candidates:
+    at most 40 indexes, stopping when the best candidate improves
+    workload cost by less than 0.2 % relative.
     Exact and incremental: a candidate's cost under [C ∪ {ix}] re-costs
     only the queries referencing [ix]'s table (every other query keeps
     its cost under [C]), and is the same left-to-right weighted fold as
@@ -91,16 +88,12 @@ val run :
 
 val select :
   ?service:Im_costsvc.Service.t ->
-  ?max_indexes:int ->
-  ?min_benefit:float ->
   ?prune:Im_mine.Mine.frontier ->
   Im_catalog.Database.t ->
   Im_workload.Workload.t ->
   budget_pages:int ->
   outcome
-(** Defaults: at most 40 indexes, stop when the best candidate improves
-    workload cost by less than 0.2 % relative. [select] is
-    {!run} on a fresh {!context}; [s_optimizer_calls] includes the
+(** {!run} on a fresh {!context}; [s_optimizer_calls] includes the
     base costing. [?service] shares the memoizing cost service with
     other phases. Its cache is a bounded LRU, so a second [select] on
     the same service may re-cost configurations the first one saw: to

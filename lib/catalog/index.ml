@@ -1,8 +1,52 @@
 module Schema = Im_sqlir.Schema
 
-type t = { idx_name : string; idx_table : string; idx_columns : string list }
+type t = {
+  idx_name : string;
+  idx_table : string;
+  idx_columns : string list;
+  idx_id : int;
+}
 
 let default_name table cols = "ix_" ^ table ^ "__" ^ String.concat "_" cols
+
+(* Identity is assigned once, at construction: dense ids hash-consed on
+   (table, column sequence) — exactly the definition equality, names
+   excluded. The table is global and append-only; ids are never reused,
+   so an id is a stable, collision-free stand-in for the definition in
+   cache keys.
+
+   Domain safety: the mapping is published as an immutable map behind
+   an [Atomic], so the hit path is a lock-free read of a snapshot;
+   misses take the mutex and re-check before assigning the next dense
+   id (double-checked insert). *)
+module Id_key = struct
+  type t = string * string list
+
+  let compare (ta, ca) (tb, cb) =
+    match String.compare ta tb with
+    | 0 -> Stdlib.compare ca cb
+    | c -> c
+end
+
+module Id_map = Map.Make (Id_key)
+
+let id_lock = Mutex.create ()
+let id_map : int Id_map.t Atomic.t = Atomic.make Id_map.empty
+let next_id = ref 0 (* under [id_lock] *)
+
+let id_of key =
+  match Id_map.find_opt key (Atomic.get id_map) with
+  | Some id -> id
+  | None ->
+    Mutex.protect id_lock (fun () ->
+        let m = Atomic.get id_map in
+        match Id_map.find_opt key m with
+        | Some id -> id
+        | None ->
+          let id = !next_id in
+          incr next_id;
+          Atomic.set id_map (Id_map.add key id m);
+          id)
 
 let make ?name ~table cols =
   if cols = [] then invalid_arg "Index.make: no columns";
@@ -13,55 +57,11 @@ let make ?name ~table cols =
     idx_name = (match name with Some n -> n | None -> default_name table cols);
     idx_table = table;
     idx_columns = cols;
+    idx_id = id_of (table, cols);
   }
 
-let equal a b = a.idx_table = b.idx_table && a.idx_columns = b.idx_columns
-
-(* Interned identity: dense ids hash-consed on (table, column sequence)
-   — exactly the definition equality of [equal], names excluded. The
-   table is global and append-only; ids are never reused, so an id is a
-   stable, collision-free stand-in for the definition in cache keys.
-
-   Domain safety: the mapping is published as an immutable map behind
-   an [Atomic], so the hit path is a lock-free read of a snapshot;
-   misses take the mutex and re-check before assigning the next dense
-   id (double-checked insert). A Hashtbl would race under concurrent
-   resize, a plain mutex would serialize every hot-path lookup. *)
-module Intern_key = struct
-  type t = string * string list
-
-  let compare (ta, ca) (tb, cb) =
-    match String.compare ta tb with
-    | 0 -> Stdlib.compare ca cb
-    | c -> c
-end
-
-module Intern_map = Map.Make (Intern_key)
-
-let intern_lock = Mutex.create ()
-let intern_map : int Intern_map.t Atomic.t = Atomic.make Intern_map.empty
-let intern_count = Atomic.make 0
-
-let intern t =
-  let key = (t.idx_table, t.idx_columns) in
-  match Intern_map.find_opt key (Atomic.get intern_map) with
-  | Some id -> id
-  | None ->
-    Mutex.lock intern_lock;
-    let m = Atomic.get intern_map in
-    let id =
-      match Intern_map.find_opt key m with
-      | Some id -> id
-      | None ->
-        let id = Atomic.get intern_count in
-        Atomic.set intern_map (Intern_map.add key id m);
-        Atomic.incr intern_count;
-        id
-    in
-    Mutex.unlock intern_lock;
-    id
-
-let interned_definitions () = Atomic.get intern_count
+let id t = t.idx_id
+let equal a b = a.idx_id = b.idx_id
 
 let compare a b =
   match String.compare a.idx_table b.idx_table with

@@ -9,6 +9,7 @@ type t = private {
   idx_name : string;
   idx_table : string;
   idx_columns : string list;  (** ordered key columns, distinct *)
+  idx_id : int;  (** identity of (table, column sequence); see {!id} *)
 }
 
 val make : ?name:string -> table:string -> string list -> t
@@ -19,20 +20,20 @@ val make : ?name:string -> table:string -> string list -> t
 
 val equal : t -> t -> bool
 (** Same table and same column sequence (order matters: the paper's
-    Example 1 counts k! distinct mergings of k columns). *)
+    Example 1 counts k! distinct mergings of k columns) — an id
+    comparison. *)
 
 val compare : t -> t -> int
+(** Lexicographic on (table, column sequence); output is sorted by it. *)
 
-val intern : t -> int
-(** Dense integer id of the definition, hash-consed on (table, column
-    sequence): [intern a = intern b] iff [equal a b]. Ids are assigned
-    on first use, never reused, and are process-global — two structurally
-    equal definitions built independently share one id, so an id array
-    is a collision-free cache key where concatenated name strings are
-    not (column names may themselves contain separators). *)
-
-val interned_definitions : unit -> int
-(** Number of distinct definitions interned so far. *)
+val id : t -> int
+(** Dense integer id of the definition, assigned by {!make} and
+    hash-consed on (table, column sequence): [id a = id b] iff
+    [equal a b], whatever the names. Ids are never reused and are
+    process-global — two structurally equal definitions built
+    independently share one id, so an id array is a collision-free
+    cache key where concatenated name strings are not (column names may
+    themselves contain separators). *)
 
 val same_columns : t -> t -> bool
 (** Same table and same column *set* (order ignored). *)

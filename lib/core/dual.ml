@@ -23,9 +23,12 @@ type outcome = {
 let items_pages db items =
   Database.config_storage_pages db (Merge.config_of_items items)
 
+(* Merge candidates costed per round, after the storage shortlist. *)
+let candidates_per_round = 6
+
 let run ?service ?(merge_pair = Merge_pair.Cost_based)
-    ?(cost_model = Cost_eval.Optimizer_estimated) ?(candidates_per_round = 6)
-    ?prune db workload ~initial ~budget_pages =
+    ?(cost_model = Cost_eval.Optimizer_estimated) ?prune db workload ~initial
+    ~budget_pages =
   let evaluator = Cost_eval.create ?service cost_model db workload in
   if not (Cost_eval.is_numeric evaluator) then
     invalid_arg "Dual.run: a numeric cost model is required";

@@ -32,7 +32,6 @@ val run :
   ?service:Im_costsvc.Service.t ->
   ?merge_pair:Merge_pair.procedure ->
   ?cost_model:Cost_eval.model ->
-  ?candidates_per_round:int ->
   ?prune:Im_mine.Mine.frontier ->
   Im_catalog.Database.t ->
   Im_workload.Workload.t ->

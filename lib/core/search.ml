@@ -53,14 +53,14 @@ let items_pages db items =
   Database.config_storage_pages db (Merge.config_of_items items)
 
 (* Per-index page counts are pure in the index definition (for a fixed
-   database), so both searches memoize them by interned id instead of
+   database), so both searches memoize them by index id instead of
    re-deriving the size model per candidate pair per iteration. The sum
    over items equals [Database.config_storage_pages] because a
    configuration's storage is defined as the sum of its indexes'. *)
 let page_memo db =
   let memo = Hashtbl.create 64 in
   fun ix ->
-    let id = Index.intern ix in
+    let id = ix.Index.idx_id in
     match Hashtbl.find_opt memo id with
     | Some pages -> pages
     | None ->

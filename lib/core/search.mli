@@ -51,7 +51,7 @@ val storage_reduction : outcome -> float
 
 val page_memo : Im_catalog.Database.t -> Im_catalog.Index.t -> int
 (** [page_memo db] returns a memoizing page counter: per-index storage
-    pages cached by interned id for the life of the returned closure.
+    pages cached by index id for the life of the returned closure.
     Valid as long as the database's row counts do not change. The sum
     over a configuration equals
     {!Im_catalog.Database.config_storage_pages}. *)
@@ -76,7 +76,7 @@ val run :
     (the paper's Figure 5 setting). [?service] shares a memoizing cost
     service with other runs (configurations costed by one strategy are
     cache hits for another); counters in the outcome are per-run deltas
-    either way. Page counts are memoized by interned index id, and only
+    either way. Page counts are memoized by index id, and only
     queries whose relevant index set changed are re-optimized after a
     merge — the others are cache hits.
 

@@ -34,7 +34,7 @@ type counters = {
   c_fallbacks : int;
 }
 
-type key = { k_query : int; k_relevant : int array }
+type key = { k_query : string; k_relevant : int array }
 
 type node = {
   n_key : key;
@@ -160,19 +160,21 @@ let evict_lru t =
 (* The paper's "only relevant queries need re-optimization": the key is
    the query plus the configuration restricted to the query's tables, so
    changing indexes of other tables leaves the key — and the cached cost
-   — untouched. Identities are interned ids, never concatenated name
-   strings, so no column-name choice can alias two configurations. *)
+   — untouched. Both identities were computed when the values were
+   built: the query's canonical text and the indexes' ids, never
+   concatenated name strings, so no column-name choice can alias two
+   configurations. *)
 let key_of q config =
   let qtables = q.Query.q_tables in
   let ids =
     List.filter_map
       (fun ix ->
-        if List.mem ix.Index.idx_table qtables then Some (Index.intern ix)
+        if List.mem ix.Index.idx_table qtables then Some ix.Index.idx_id
         else None)
       config
   in
   let arr = Array.of_list (List.sort_uniq Int.compare ids) in
-  { k_query = Query.intern q; k_relevant = arr }
+  { k_query = q.Query.q_canon; k_relevant = arr }
 
 (* ---- Costing ---- *)
 
@@ -298,7 +300,7 @@ let invalidate_index t ix =
   (match t.deriver with
    | Some d -> ignore (Im_derive.Derive.invalidate_index d ix)
    | None -> ());
-  let id = Index.intern ix in
+  let id = ix.Index.idx_id in
   remove_if t (fun n -> Array.exists (Int.equal id) n.n_key.k_relevant)
 
 let invalidate_table t tbl =

@@ -5,7 +5,7 @@
     epoch runner) flows through one instance of this service. Per-query
     what-if optimizer costs are memoized under the key
 
-    {[ (Query.intern q, sorted [Index.intern] ids of C restricted to q's tables) ]}
+    {[ (q.q_canon, sorted idx_id of the indexes of C on q's tables) ]}
 
     — the paper's "only relevant queries need re-optimization" rule
     (merging indexes of other tables leaves the key untouched), with
@@ -14,9 +14,13 @@
     whether it is the greedy search, the exhaustive search, the
     selection phase, or a later tuning epoch.
 
-    Keys are interned integer ids, never concatenated name strings, so
-    adversarial column names (containing [","] or [";"]) cannot alias
-    two distinct configurations.
+    Both halves are identities the values carry from construction —
+    the query's canonical text ({!Im_sqlir.Query.make}) and the
+    indexes' ids ({!Im_catalog.Index.make}) — so building a key
+    re-derives nothing, and two statements with different [q_id] but
+    identical text share entries. Index ids, never concatenated name
+    strings, so adversarial column names (containing [","] or [";"])
+    cannot alias two distinct configurations.
 
     The cache is a bounded LRU: hits refresh recency, insertion beyond
     capacity evicts the least-recently-used entry. Counters (hits,

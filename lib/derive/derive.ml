@@ -34,22 +34,23 @@ type answer = {
 
 (* ---- Keys ----
 
-   Atoms are keyed by interned ids plus the probe column: for a fixed
-   database, (query id, table, probe column) uniquely determines the
-   [Access_path.input] the planner will ask about — selections and
-   required columns are functions of the query, the per-probe
-   selectivity is the probe column's density — so a cached atom is the
-   atom for every configuration containing that index. *)
+   Atoms are keyed by the identities the values carry — the query's
+   canonical text and the index's id — plus the probe column: for a
+   fixed database, (query text, table, probe column) uniquely
+   determines the [Access_path.input] the planner will ask about —
+   selections and required columns are functions of the query, the
+   per-probe selectivity is the probe column's density — so a cached
+   atom is the atom for every configuration containing that index. *)
 
 type atom_key = {
-  ak_query : int;
+  ak_query : string;
   ak_table : string;
   ak_probe : string option;
   ak_index : int;
 }
 
 type heap_key = {
-  hk_query : int;
+  hk_query : string;
   hk_table : string;
   hk_probe : string option;
 }
@@ -129,13 +130,13 @@ let probe_of (input : Access_path.input) =
   | [ (col, _) ] -> Some (Some col)
   | _ :: _ :: _ -> None (* not a shape the planner produces; bypass *)
 
-let cached_atom t ~qid ~probe (input : Access_path.input) ix =
+let cached_atom t q ~probe (input : Access_path.input) ix =
   let key =
     {
-      ak_query = qid;
+      ak_query = q.Query.q_canon;
       ak_table = input.Access_path.ap_table;
       ak_probe = probe;
-      ak_index = Index.intern ix;
+      ak_index = ix.Index.idx_id;
     }
   in
   locked t (fun () ->
@@ -156,9 +157,13 @@ let cached_atom t ~qid ~probe (input : Access_path.input) ix =
         Metrics.Gauge.add m_atom_entries 1.0;
         a)
 
-let cached_heap t ~qid ~probe (input : Access_path.input) =
+let cached_heap t q ~probe (input : Access_path.input) =
   let key =
-    { hk_query = qid; hk_table = input.Access_path.ap_table; hk_probe = probe }
+    {
+      hk_query = q.Query.q_canon;
+      hk_table = input.Access_path.ap_table;
+      hk_probe = probe;
+    }
   in
   locked t (fun () ->
       match Hashtbl.find_opt t.heaps key with
@@ -172,7 +177,6 @@ let cached_heap t ~qid ~probe (input : Access_path.input) =
 (* ---- The derived provider ---- *)
 
 let provider t config q =
-  let qid = Query.intern q in
   let assemble input =
     match probe_of input with
     | None ->
@@ -180,10 +184,10 @@ let provider t config q =
          compute directly — still exact, just uncached. *)
       Access_path.candidates t.db config input
     | Some probe ->
-      let heap = cached_heap t ~qid ~probe input in
+      let heap = cached_heap t q ~probe input in
       let atoms =
         List.map
-          (fun ix -> cached_atom t ~qid ~probe input ix)
+          (fun ix -> cached_atom t q ~probe input ix)
           (Config.on_table config input.Access_path.ap_table)
       in
       Access_path.assemble t.db input ~heap atoms
@@ -196,7 +200,7 @@ let provider t config q =
 let atom t q (input : Access_path.input) ix =
   match probe_of input with
   | None -> Access_path.atom t.db input ix
-  | Some probe -> cached_atom t ~qid:(Query.intern q) ~probe input ix
+  | Some probe -> cached_atom t q ~probe input ix
 
 (* ---- Answering ---- *)
 
@@ -263,7 +267,7 @@ let invalidate_table t tbl =
     ~heap_doomed:(fun k -> k.hk_table = tbl)
 
 let invalidate_index t ix =
-  let id = Index.intern ix in
+  let id = ix.Index.idx_id in
   remove_where t
     ~atom_doomed:(fun k -> k.ak_index = id)
     ~heap_doomed:(fun _ -> false)

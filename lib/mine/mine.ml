@@ -19,10 +19,10 @@ type table_acc = { ta_sets : (string, itemset) Hashtbl.t }
 
 type t = {
   mn_by_table : (string, table_acc) Hashtbl.t;
-  (* Dense interned query id -> the statement's per-table itemsets,
-     resolved once: a repeated statement is one intern plus this lookup
-     and a few field bumps — never a second referenced-columns walk. *)
-  mn_by_query : (int, itemset list) Hashtbl.t;
+  (* Canonical query text -> the statement's per-table itemsets,
+     resolved once: a repeated statement is this lookup and a few field
+     bumps — never a second referenced-columns walk. *)
+  mn_by_query : (string, itemset list) Hashtbl.t;
   mutable mn_statements : int;
   mutable mn_mass : float;
   mutable mn_itemsets : int;
@@ -60,10 +60,9 @@ let itemset_for t tbl cols =
     t.mn_itemsets <- t.mn_itemsets + 1;
     s
 
-let observe t ?(freq = 1.0) ?qid q =
-  let qid = match qid with Some id -> id | None -> Query.intern q in
+let observe t ?(freq = 1.0) q =
   let sets =
-    match Hashtbl.find_opt t.mn_by_query qid with
+    match Hashtbl.find_opt t.mn_by_query q.Query.q_canon with
     | Some sets -> sets
     | None ->
       let sets =
@@ -74,7 +73,7 @@ let observe t ?(freq = 1.0) ?qid q =
             | cols -> Some (itemset_for t tbl cols))
           q.Query.q_tables
       in
-      Hashtbl.add t.mn_by_query qid sets;
+      Hashtbl.add t.mn_by_query q.Query.q_canon sets;
       sets
   in
   t.mn_statements <- t.mn_statements + 1;

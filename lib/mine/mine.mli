@@ -12,9 +12,9 @@
     drawn from. Counting is Eclat-style and tid-less: itemsets are keyed
     by sorted column-set key, supports are accumulated incrementally as
     frequency mass (so [-- freq:] annotations and the decayed online
-    window both weigh in), and a statement seen before is one
-    {!Im_sqlir.Query.intern} plus per-table hash hits — the memo is
-    keyed by the dense interned query id, never a rescan of the SQL.
+    window both weigh in), and a statement seen before is per-table
+    hash hits — the memo is keyed by the canonical text the query
+    carries ([q_canon]), never a rescan of the SQL.
 
     {1 The frontier}
 
@@ -57,11 +57,11 @@ type t
 
 val create : unit -> t
 
-val observe : t -> ?freq:float -> ?qid:int -> Im_sqlir.Query.t -> unit
-(** Stream one statement in ([freq] defaults to 1). Callers that
-    already interned the query pass [~qid] so the hot intake path does
-    not re-canonicalize (the {!Im_scale.Scale} compactor feeds bucket
-    leaders this way at admission time). *)
+val observe : t -> ?freq:float -> Im_sqlir.Query.t -> unit
+(** Stream one statement in ([freq] defaults to 1). A repeat of a
+    canonically identical statement is one hash lookup on its
+    [q_canon] (the {!Im_scale.Scale} compactor feeds bucket leaders
+    this way at admission time). *)
 
 val observe_workload : t -> Im_workload.Workload.t -> unit
 (** {!observe} every entry, in order, with its frequency. *)

@@ -65,6 +65,8 @@ let create ?options ?pool:_ ?(initial = Config.empty) db ~budget_pages =
     | Some o -> o
     | None -> default_options ~budget_pages
   in
+  if opts.o_check_every < 1 then
+    invalid_arg "Service.create: o_check_every < 1";
   {
     db;
     opts;

@@ -60,7 +60,7 @@ val create :
     one lock lets an epoch on the worker domain share it with the
     dispatch thread. Raises
     [Invalid_argument] when the options' window parameters are out of
-    range ({!Window.create}). *)
+    range ({!Window.create}) or [o_check_every < 1]. *)
 
 type event =
   | Rejected of string  (** statement did not parse / validate *)

@@ -18,16 +18,12 @@ type t = {
   mutable w_slots : slot list;
   mutable w_statements : int;
   mutable w_evictions : int;
-  (* Last observed (query, signature): a run of textually identical
-     statements (the common shape of streamed intake) computes its
-     signature once and reuses it, skipping the per-statement colref
-     extraction. *)
-  mutable w_last : (Query.t * Compress.signature) option;
 }
 
 let create ?(capacity = 48) ?(decay = 0.995) ?(threshold = 0.25) () =
   if capacity < 1 then invalid_arg "Window.create: capacity < 1";
-  if decay <= 0. || decay > 1. then invalid_arg "Window.create: decay outside (0, 1]";
+  if not (decay > 0. && decay <= 1.) then
+    invalid_arg "Window.create: decay outside (0, 1] or NaN";
   if Float.is_nan threshold || threshold < 0. then
     invalid_arg "Window.create: threshold < 0 or NaN";
   {
@@ -37,7 +33,6 @@ let create ?(capacity = 48) ?(decay = 0.995) ?(threshold = 0.25) () =
     w_slots = [];
     w_statements = 0;
     w_evictions = 0;
-    w_last = None;
   }
 
 let evict_lightest t =
@@ -53,14 +48,7 @@ let evict_lightest t =
 let observe t q =
   t.w_statements <- t.w_statements + 1;
   List.iter (fun s -> s.s_freq <- s.s_freq *. t.w_decay) t.w_slots;
-  let sg =
-    match t.w_last with
-    | Some (lq, lsg) when Query.equal_ignoring_id lq q -> lsg
-    | _ ->
-      let sg = Compress.signature q in
-      t.w_last <- Some (q, sg);
-      sg
-  in
+  let sg = Compress.signature q in
   match
     List.find_opt
       (fun s -> Compress.distance sg s.s_signature <= t.w_threshold)

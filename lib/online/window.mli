@@ -26,7 +26,7 @@ val create : ?capacity:int -> ?decay:float -> ?threshold:float -> unit -> t
     compression's exact-signature default because a stream repeats
     near-identical shapes with varying constants and column subsets.
     Raises [Invalid_argument] if [capacity < 1], [decay] is outside
-    [(0, 1]], or [threshold] is negative or NaN. A statement founds a
+    [(0, 1]] or NaN, or [threshold] is negative or NaN. A statement founds a
     slot only when it lies farther than [threshold] from every live
     slot, so live slots carry pairwise distinct signatures. *)
 

@@ -15,7 +15,7 @@
     caller's core is never idle.
 
     Determinism: {!parallel_map} returns results in input order, and a
-    task is pure modulo domain-safe caches (the cost service, interned
+    task is pure modulo domain-safe caches (the cost service, index
     ids) — so callers that fix their own combination order get
     bit-identical results at any pool size.
 

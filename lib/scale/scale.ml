@@ -23,7 +23,6 @@ type probes = {
 
 type bucket = {
   bu_leader : Query.t;
-  bu_leader_id : int;  (* interned canonical id of the leader *)
   mutable bu_mass : float;
   mutable bu_statements : int;
   mutable bu_residual : float;  (* mass of non-leader-canonical members *)
@@ -49,7 +48,7 @@ type t = {
      — for free, O(1) per repeated statement. *)
   sc_mine : Im_mine.Mine.t option;
   sc_by_sig : (string, bucket) Hashtbl.t;
-  sc_by_query : (int, member) Hashtbl.t;
+  sc_by_query : (string, member) Hashtbl.t;  (* keyed by [q_canon] *)
   mutable sc_order : bucket list;  (* reversed creation order *)
   mutable sc_buckets : int;
   mutable sc_statements : int;
@@ -140,7 +139,7 @@ let ensure_probes t b =
     let probes = { probes with pr_leader = leader } in
     b.bu_probes <- Some probes;
     (* The leader's own mass starts strengthening L from here on. *)
-    (match Hashtbl.find_opt t.sc_by_query b.bu_leader_id with
+    (match Hashtbl.find_opt t.sc_by_query b.bu_leader.Query.q_canon with
      | Some m when m.mb_bucket == b -> m.mb_floor <- array_min leader
      | Some _ | None -> ());
     probes
@@ -152,22 +151,17 @@ let admits t ~spread ~floor ~freq =
   slack *. (t.sc_delta +. (freq *. spread))
   <= t.sc_eps *. (t.sc_floor +. (freq *. floor))
 
-(* [qid] is the statement's interned id, computed once in [observe] —
-   the intake hot path must not re-canonicalize per fold (ROADMAP item
-   1: signature interning dominated at ~15 µs/stmt; a repeat statement
-   is now one intern + hash lookups). *)
-let fold_into t b ~qid ~freq ~spread ~floor =
+let fold_into t b q ~freq ~spread ~floor =
   (* Mine the fold as its leader: the statement's mass lands exactly
      where the compressed snapshot will carry it. *)
-  Option.iter
-    (fun m -> Im_mine.Mine.observe m ~freq ~qid:b.bu_leader_id b.bu_leader)
-    t.sc_mine;
+  Option.iter (fun m -> Im_mine.Mine.observe m ~freq b.bu_leader) t.sc_mine;
   t.sc_statements <- t.sc_statements + 1;
   t.sc_mass <- t.sc_mass +. freq;
   t.sc_floor <- t.sc_floor +. (freq *. floor);
   b.bu_mass <- b.bu_mass +. freq;
   b.bu_statements <- b.bu_statements + 1;
-  if qid = b.bu_leader_id then t.sc_exact <- t.sc_exact + 1
+  if String.equal q.Query.q_canon b.bu_leader.Query.q_canon then
+    t.sc_exact <- t.sc_exact + 1
   else begin
     t.sc_approx <- t.sc_approx + 1;
     t.sc_delta <- t.sc_delta +. (freq *. spread);
@@ -175,12 +169,11 @@ let fold_into t b ~qid ~freq ~spread ~floor =
     b.bu_residual <- b.bu_residual +. freq
   end
 
-let create_bucket t ~qid q ~freq ~floor =
-  Option.iter (fun m -> Im_mine.Mine.observe m ~freq ~qid q) t.sc_mine;
+let create_bucket t q ~freq ~floor =
+  Option.iter (fun m -> Im_mine.Mine.observe m ~freq q) t.sc_mine;
   let b =
     {
       bu_leader = q;
-      bu_leader_id = qid;
       bu_mass = 0.;
       bu_statements = 0;
       bu_residual = 0.;
@@ -190,7 +183,7 @@ let create_bucket t ~qid q ~freq ~floor =
   in
   t.sc_order <- b :: t.sc_order;
   t.sc_buckets <- t.sc_buckets + 1;
-  Hashtbl.replace t.sc_by_query b.bu_leader_id
+  Hashtbl.replace t.sc_by_query q.Query.q_canon
     { mb_bucket = b; mb_spread = 0.; mb_floor = floor };
   (* A new leader is a statement of its own bucket, not a fold. *)
   t.sc_statements <- t.sc_statements + 1;
@@ -200,7 +193,7 @@ let create_bucket t ~qid q ~freq ~floor =
   b.bu_statements <- 1;
   b
 
-let try_admit t b ~qid q ~freq =
+let try_admit t b q ~freq =
   let probes = ensure_probes t b in
   let costs = sample_costs t probes q in
   let floor = array_min costs in
@@ -210,23 +203,20 @@ let try_admit t b ~qid q ~freq =
     costs;
   let spread = !spread in
   if admits t ~spread ~floor ~freq then begin
-    Hashtbl.replace t.sc_by_query qid
+    Hashtbl.replace t.sc_by_query q.Query.q_canon
       { mb_bucket = b; mb_spread = spread; mb_floor = floor };
-    fold_into t b ~qid ~freq ~spread ~floor
+    fold_into t b q ~freq ~spread ~floor
   end
   else
     (* Over budget: own bucket, exact from now on — its sampled floor
        still strengthens the denominator. *)
-    ignore (create_bucket t ~qid q ~freq ~floor)
+    ignore (create_bucket t q ~freq ~floor)
 
 let observe t ?(freq = 1.0) q =
-  (* One canonicalization per statement: [qid] is threaded through
-     every fold/admission step below, so a repeated statement (the hot
-     path at 100k–1M-statement scale) does exactly one [Query.intern]
-     plus hash lookups — never a second canonical-string build and
+  (* A repeated statement (the hot path at 100k–1M-statement scale) is
+     hash lookups on the canonical text [Query.make] already built —
      never a signature computation. *)
-  let qid = Query.intern q in
-  match Hashtbl.find_opt t.sc_by_query qid with
+  match Hashtbl.find_opt t.sc_by_query q.Query.q_canon with
   | Some m ->
     if m.mb_spread > 0. && not (admits t ~spread:m.mb_spread ~floor:m.mb_floor ~freq)
     then
@@ -234,21 +224,20 @@ let observe t ?(freq = 1.0) q =
          demote the query to its own bucket (mass already folded was
          admitted under the invariant and stays accounted in Δ).
          [create_bucket] replaces the query's member record. *)
-      ignore (create_bucket t ~qid q ~freq ~floor:m.mb_floor)
+      ignore (create_bucket t q ~freq ~floor:m.mb_floor)
     else
-      fold_into t m.mb_bucket ~qid ~freq ~spread:m.mb_spread
-        ~floor:m.mb_floor
+      fold_into t m.mb_bucket q ~freq ~spread:m.mb_spread ~floor:m.mb_floor
   | None ->
     if t.sc_eps <= 0. then
       (* ε = 0: only canonically identical statements fold — one bucket
          per distinct query, no sampling, Δ stays 0. *)
-      ignore (create_bucket t ~qid q ~freq ~floor:0.)
+      ignore (create_bucket t q ~freq ~floor:0.)
     else begin
       let key = Compress.signature_key (Compress.signature q) in
       match Hashtbl.find_opt t.sc_by_sig key with
-      | Some b -> try_admit t b ~qid q ~freq
+      | Some b -> try_admit t b q ~freq
       | None ->
-        Hashtbl.add t.sc_by_sig key (create_bucket t ~qid q ~freq ~floor:0.)
+        Hashtbl.add t.sc_by_sig key (create_bucket t q ~freq ~floor:0.)
     end
 
 let observe_workload t (w : Workload.t) =

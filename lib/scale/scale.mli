@@ -4,7 +4,7 @@
 
     {1 The compactor}
 
-    Statements stream in one at a time and are bucketed by the interned
+    Statements stream in one at a time and are bucketed by the
     physical-design signature key of {!Im_workload.Compress} — a hash
     lookup, never a linear leader scan. The first query of a bucket is
     its leader; later statements fold their frequency into the leader.
@@ -67,7 +67,8 @@ val eps : t -> float
 
 val observe : t -> ?freq:float -> Im_sqlir.Query.t -> unit
 (** Stream one statement in ([freq] defaults to 1). O(1) hash work for
-    a repeated statement; probe sampling happens at most once per
+    a repeated statement, keyed on the canonical text the query carries
+    ([q_canon]); probe sampling happens at most once per
     distinct query. *)
 
 val observe_workload : t -> Im_workload.Workload.t -> unit

@@ -55,19 +55,45 @@ let comparison_to_string = function
   | Gt -> ">"
   | Ge -> ">="
 
-let colref_to_string c = c.cr_table ^ "." ^ c.cr_column
+let add_colref buf c =
+  Buffer.add_string buf c.cr_table;
+  Buffer.add_char buf '.';
+  Buffer.add_string buf c.cr_column
 
-let to_string = function
+(* Straight into the buffer, no intermediate strings: every query's
+   canonical text is rendered through here once, at construction. *)
+let add_to_buffer buf p =
+  let add = Buffer.add_string buf in
+  match p with
   | Cmp (op, c, v) ->
-    Printf.sprintf "%s %s %s" (colref_to_string c) (comparison_to_string op)
-      (Value.to_string v)
+    add_colref buf c;
+    add " ";
+    add (comparison_to_string op);
+    add " ";
+    add (Value.to_string v)
   | Between (c, lo, hi) ->
-    Printf.sprintf "%s BETWEEN %s AND %s" (colref_to_string c)
-      (Value.to_string lo) (Value.to_string hi)
+    add_colref buf c;
+    add " BETWEEN ";
+    add (Value.to_string lo);
+    add " AND ";
+    add (Value.to_string hi)
   | In_list (c, vs) ->
-    Printf.sprintf "%s IN (%s)" (colref_to_string c)
-      (String.concat ", " (List.map Value.to_string vs))
+    add_colref buf c;
+    add " IN (";
+    List.iteri
+      (fun i v ->
+        if i > 0 then add ", ";
+        add (Value.to_string v))
+      vs;
+    add ")"
   | Join (a, b) ->
-    Printf.sprintf "%s = %s" (colref_to_string a) (colref_to_string b)
+    add_colref buf a;
+    add " = ";
+    add_colref buf b
+
+let to_string p =
+  let buf = Buffer.create 32 in
+  add_to_buffer buf p;
+  Buffer.contents buf
 
 let pp fmt p = Format.pp_print_string fmt (to_string p)

@@ -46,3 +46,9 @@ val is_equality_on : t -> colref -> bool
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val add_colref : Buffer.t -> colref -> unit
+(** Appends [table.column]. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends {!to_string}'s text without building it. *)

@@ -12,8 +12,64 @@ type t = {
   q_where : Predicate.t list;
   q_group_by : Predicate.colref list;
   q_order_by : (Predicate.colref * order_dir) list;
+  q_canon : string;
 }
 
+let agg_to_string = function
+  | Count_star -> "COUNT"
+  | Sum -> "SUM"
+  | Avg -> "AVG"
+  | Min -> "MIN"
+  | Max -> "MAX"
+
+(* The canonical text: every clause, never the id — rendered straight
+   into one buffer, since [make] pays it for every statement. *)
+let render ~tables ~select ~where ~group_by ~order_by =
+  let buf = Buffer.create 128 in
+  let add = Buffer.add_string buf in
+  let add_list sep f xs =
+    List.iteri
+      (fun i x ->
+        if i > 0 then add sep;
+        f x)
+      xs
+  in
+  add "SELECT ";
+  add_list ", "
+    (function
+      | Sel_col c -> Predicate.add_colref buf c
+      | Sel_agg (Count_star, None) -> add "COUNT(*)"
+      | Sel_agg (fn, Some c) ->
+        add (agg_to_string fn);
+        add "(";
+        Predicate.add_colref buf c;
+        add ")"
+      | Sel_agg (fn, None) ->
+        add (agg_to_string fn);
+        add "(*)")
+    select;
+  add " FROM ";
+  add_list ", " add tables;
+  if where <> [] then begin
+    add " WHERE ";
+    add_list " AND " (Predicate.add_to_buffer buf) where
+  end;
+  if group_by <> [] then begin
+    add " GROUP BY ";
+    add_list ", " (Predicate.add_colref buf) group_by
+  end;
+  if order_by <> [] then begin
+    add " ORDER BY ";
+    add_list ", "
+      (fun (c, dir) ->
+        Predicate.add_colref buf c;
+        add (match dir with Asc -> " ASC" | Desc -> " DESC"))
+      order_by
+  end;
+  Buffer.contents buf
+
+(* The canonical text is built here, once per query: every cache keyed
+   on a query reads [q_canon] instead of re-rendering it. *)
 let make ?(id = "q") ?(select = [ Sel_agg (Count_star, None) ]) ?(where = [])
     ?(group_by = []) ?(order_by = []) tables =
   {
@@ -23,7 +79,11 @@ let make ?(id = "q") ?(select = [ Sel_agg (Count_star, None) ]) ?(where = [])
     q_where = where;
     q_group_by = group_by;
     q_order_by = order_by;
+    q_canon = render ~tables ~select ~where ~group_by ~order_by;
   }
+
+let canonical_string q = q.q_canon
+let to_sql q = q.q_canon
 
 let select_item_refs = function
   | Sel_col c -> [ c ]
@@ -178,110 +238,3 @@ let select_columns q tbl =
 
 let has_aggregates q =
   List.exists (function Sel_agg _ -> true | Sel_col _ -> false) q.q_select
-
-let agg_to_string = function
-  | Count_star -> "COUNT"
-  | Sum -> "SUM"
-  | Avg -> "AVG"
-  | Min -> "MIN"
-  | Max -> "MAX"
-
-let select_item_to_string = function
-  | Sel_col c -> c.cr_table ^ "." ^ c.cr_column
-  | Sel_agg (Count_star, None) -> "COUNT(*)"
-  | Sel_agg (fn, Some c) ->
-    Printf.sprintf "%s(%s.%s)" (agg_to_string fn) c.cr_table c.cr_column
-  | Sel_agg (fn, None) -> agg_to_string fn ^ "(*)"
-
-let to_sql q =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf "SELECT ";
-  Buffer.add_string buf
-    (String.concat ", " (List.map select_item_to_string q.q_select));
-  Buffer.add_string buf " FROM ";
-  Buffer.add_string buf (String.concat ", " q.q_tables);
-  if q.q_where <> [] then begin
-    Buffer.add_string buf " WHERE ";
-    Buffer.add_string buf
-      (String.concat " AND " (List.map Predicate.to_string q.q_where))
-  end;
-  if q.q_group_by <> [] then begin
-    Buffer.add_string buf " GROUP BY ";
-    Buffer.add_string buf
-      (String.concat ", "
-         (List.map
-            (fun (c : Predicate.colref) -> c.cr_table ^ "." ^ c.cr_column)
-            q.q_group_by))
-  end;
-  if q.q_order_by <> [] then begin
-    Buffer.add_string buf " ORDER BY ";
-    Buffer.add_string buf
-      (String.concat ", "
-         (List.map
-            (fun ((c : Predicate.colref), dir) ->
-              c.cr_table ^ "." ^ c.cr_column
-              ^ match dir with Asc -> " ASC" | Desc -> " DESC")
-            q.q_order_by))
-  end;
-  Buffer.contents buf
-
-let canonical_string q = to_sql q
-
-(* Structural equality modulo [q_id], without rendering either side.
-   The record holds only strings, variants and lists, so polymorphic
-   equality is exact — and far cheaper than building two canonical
-   strings. *)
-let equal_ignoring_id a b = a == b || { a with q_id = b.q_id } = b
-
-(* Interned identity: dense ids hash-consed on [canonical_string] — the
-   id-independent text equality used for duplicate detection. Two
-   statements with different [q_id] but identical text share one id, so
-   caches keyed by it stay warm across a stream of arriving statements
-   (each of which gets a fresh id). *)
-(* Domain safety: same pattern as [Im_catalog.Index.intern] — the
-   mapping is an immutable map published through an [Atomic], giving a
-   lock-free read on the hit path; misses take the mutex and re-check
-   before assigning the next dense id. *)
-module Intern_map = Map.Make (String)
-
-let intern_lock = Mutex.create ()
-let intern_map : int Intern_map.t Atomic.t = Atomic.make Intern_map.empty
-let intern_count = Atomic.make 0
-
-(* Last interned (query, id), shared process-wide. Streamed intake is
-   dominated by runs of textually identical statements (fresh [q_id]
-   each, so physical equality never hits); checking the newcomer
-   against the last one with [equal_ignoring_id] skips the
-   canonical-string build — the measured ~15 µs/stmt hot spot at
-   100k-statement scale — on every repeat. Plain [Atomic] single-entry
-   cache: racing domains at worst overwrite each other's entry and
-   fall through to the map, never returning a wrong id. *)
-let last_intern : (t * int) option Atomic.t = Atomic.make None
-
-let intern q =
-  match Atomic.get last_intern with
-  | Some (lq, id) when equal_ignoring_id lq q -> id
-  | _ ->
-    let key = canonical_string q in
-    let id =
-      match Intern_map.find_opt key (Atomic.get intern_map) with
-      | Some id -> id
-      | None ->
-        Mutex.lock intern_lock;
-        let m = Atomic.get intern_map in
-        let id =
-          match Intern_map.find_opt key m with
-          | Some id -> id
-          | None ->
-            let id = Atomic.get intern_count in
-            Atomic.set intern_map (Intern_map.add key id m);
-            Atomic.incr intern_count;
-            id
-        in
-        Mutex.unlock intern_lock;
-        id
-    in
-    Atomic.set last_intern (Some (q, id));
-    id
-
-let interned_queries () = Atomic.get intern_count

@@ -15,13 +15,16 @@ type select_item =
       (** [Sel_agg (Count_star, None)] is [COUNT( * )]; other aggregates
           carry their argument column. *)
 
-type t = {
+type t = private {
   q_id : string;  (** identifier for workload bookkeeping *)
   q_tables : string list;  (** FROM clause; names unique *)
   q_select : select_item list;
   q_where : Predicate.t list;  (** conjunction *)
   q_group_by : Predicate.colref list;
   q_order_by : (Predicate.colref * order_dir) list;
+  q_canon : string;
+      (** {!canonical_string}, rendered once by {!make}: the query's
+          identity in every cache keyed on a query *)
 }
 
 val make :
@@ -32,7 +35,9 @@ val make :
   ?order_by:(Predicate.colref * order_dir) list ->
   string list ->
   t
-(** [make tables] builds a query; [?select] defaults to [COUNT( * )]. *)
+(** [make tables] builds a query; [?select] defaults to [COUNT( * )].
+    The canonical text is rendered here, once; every other accessor
+    reads it. *)
 
 val validate : Schema.t -> t -> (unit, string) result
 (** Check that every referenced table is in FROM and in the schema, every
@@ -65,23 +70,12 @@ val select_columns : t -> string -> string list
 
 val has_aggregates : t -> bool
 
-val equal_ignoring_id : t -> t -> bool
-(** Structural equality modulo [q_id]. Implies equal
-    {!canonical_string}s, but is computed without rendering either. *)
-
 val canonical_string : t -> string
-(** Deterministic rendering used for duplicate detection in workload
-    compression (identical text modulo [q_id]). *)
+(** Deterministic rendering used for duplicate detection and as the
+    query half of every cache key ([q_canon]): identical text modulo
+    [q_id], distinct for queries differing in any constant, column or
+    clause. A field read. *)
 
 val to_sql : t -> string
-(** SQL-ish pretty form, for display and logs. *)
-
-val intern : t -> int
-(** Dense integer id hash-consed on {!canonical_string}: queries with
-    identical text (modulo [q_id]) share one id, queries differing in
-    any constant, column or clause do not. Ids are assigned on first
-    use, never reused, and are process-global — the stable half of the
-    [(query, relevant sub-configuration)] cost-cache key. *)
-
-val interned_queries : unit -> int
-(** Number of distinct query texts interned so far. *)
+(** SQL-ish pretty form, for display and logs (the same text as
+    {!canonical_string}). *)

@@ -9,9 +9,10 @@
 # BENCH_derive.json / BENCH_costsvc.json), compression and pruning
 # identity smokes (--compress 0 and --prune-support 0 must be no-ops), the
 # domain-pool tests at IM_DOMAINS=0 and 4, the scale and
-# frontier-pruning bench smokes, and formatting when ocamlformat is
+# frontier-pruning bench smokes, formatting when ocamlformat is
 # installed (skipped gracefully when not — the CI container does not
-# ship it).
+# ship it), and last the lib/ line count with its delta against
+# HEAD~1 (scripts/lib-lines.sh).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -135,5 +136,8 @@ if command -v ocamlformat >/dev/null 2>&1; then
 else
   echo "== fmt skipped (ocamlformat not installed) =="
 fi
+
+echo "== lib/ line count =="
+scripts/lib-lines.sh
 
 echo "== dev-check OK =="

@@ -56,6 +56,29 @@ let test_index_equal_order_matters () =
   (* Default names encode the definition. *)
   Alcotest.(check bool) "names differ" false (ab.Index.idx_name = ba.Index.idx_name)
 
+(* Identity is assigned by [make] from (table, column sequence): names
+   do not enter it, column order does, and it does not depend on which
+   values or which domain built the definition. *)
+let test_index_ids () =
+  let ab = Index.make ~table:"t" [ "a"; "b" ] in
+  let named = Index.make ~name:"custom" ~table:"t" [ "a"; "b" ] in
+  Alcotest.(check int) "name does not enter the id" (Index.id ab)
+    (Index.id named);
+  Alcotest.(check bool) "equal across names" true (Index.equal ab named);
+  let ba = Index.make ~table:"t" [ "b"; "a" ] in
+  Alcotest.(check bool) "column order changes the id" true
+    (Index.id ab <> Index.id ba);
+  let fresh s = String.init (String.length s) (String.get s) in
+  let rebuilt = Index.make ~table:(fresh "t") [ fresh "a"; fresh "b" ] in
+  Alcotest.(check int) "rebuilt from fresh strings" (Index.id ab)
+    (Index.id rebuilt);
+  let elsewhere =
+    Domain.join (Domain.spawn (fun () -> Index.make ~table:"t" [ "a"; "b" ]))
+  in
+  Alcotest.(check int) "built on another domain" (Index.id ab)
+    (Index.id elsewhere);
+  Alcotest.(check int) "field and accessor agree" ab.Index.idx_id (Index.id ab)
+
 let test_index_prefix_covers () =
   let a = Index.make ~table:"t" [ "a" ] in
   let ab = Index.make ~table:"t" [ "a"; "b" ] in
@@ -213,6 +236,7 @@ let () =
         [
           tc "make rejects bad input" `Quick test_index_make_rejects;
           tc "equality and order" `Quick test_index_equal_order_matters;
+          tc "ids from definitions" `Quick test_index_ids;
           tc "prefix/covers/leading" `Quick test_index_prefix_covers;
           tc "widths" `Quick test_index_widths;
           tc "validate" `Quick test_index_validate;

@@ -1,4 +1,4 @@
-(* Tests for the unified memoizing cost service: interned keys,
+(* Tests for the unified memoizing cost service: identity keys,
    hit/miss accounting, LRU eviction order, invalidation, the
    string-key collision regression, relevant-subconfig incremental
    re-costing, and update-cost charging. *)
@@ -152,11 +152,11 @@ let test_cross_statement_reuse () =
     (Service.opt_calls svc);
   Alcotest.(check bool) "index helps the point query" true (with_ix <= c1)
 
-(* ---- Collision regression (satellite: interned vs string keys) ---- *)
+(* ---- Collision regression: index ids vs string keys ---- *)
 
 (* The retired caches keyed entries on concatenated names: columns
    joined with "," and definitions joined with ";". Replicated here to
-   pin down the aliasing bug the interned keys fix. *)
+   pin down the aliasing bug the index-id keys fix. *)
 let old_style_key q config =
   let relevant =
     List.filter
@@ -172,7 +172,7 @@ let old_style_key q config =
   in
   Query.canonical_string q ^ "|" ^ String.concat ";" names
 
-let test_interned_keys_cannot_collide () =
+let test_index_ids_cannot_collide () =
   (* A column legitimately named "a,b" next to columns "a" and "b":
      nothing in the schema layer forbids it. *)
   let tricky_schema =
@@ -197,9 +197,9 @@ let test_interned_keys_cannot_collide () =
     (old_style_key q [ two_cols ])
     (old_style_key q [ one_col ]);
   (* ...so a string-keyed cache would serve s(a,b)'s cost for s("a,b").
-     Interned ids keep them apart: the second costing is a miss. *)
-  Alcotest.(check bool) "interned ids differ" true
-    (Index.intern two_cols <> Index.intern one_col);
+     Index ids keep them apart: the second costing is a miss. *)
+  Alcotest.(check bool) "index ids differ" true
+    (Index.id two_cols <> Index.id one_col);
   let svc = Service.create db in
   ignore (Service.query_cost svc [ two_cols ] q);
   let calls = Service.opt_calls svc in
@@ -353,6 +353,6 @@ let () =
             test_foreign_indexes_leave_cost_unchanged;
         ] );
       ( "keys",
-        [ tc "no string-key collisions" `Quick test_interned_keys_cannot_collide ] );
+        [ tc "no string-key collisions" `Quick test_index_ids_cannot_collide ] );
       ("updates", [ tc "maintenance charged" `Quick test_update_cost_charged ]);
     ]

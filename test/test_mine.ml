@@ -84,27 +84,6 @@ let test_feed_order_determinism () =
         s2.Mine.fs_supported_tables)
     [ 0.0; 0.05; 0.2; 0.5 ]
 
-(* The hot intake path: pre-interned qids must not change anything. *)
-let test_qid_path_matches () =
-  let db = Lazy.force sdb in
-  let w = rags ~seed:22 10 db in
-  let plain = Mine.create () and interned = Mine.create () in
-  List.iter
-    (fun (e : Workload.entry) ->
-      Mine.observe plain ~freq:e.Workload.freq e.Workload.query;
-      Mine.observe interned ~freq:e.Workload.freq
-        ~qid:(Query.intern e.Workload.query)
-        e.Workload.query)
-    w.Workload.entries;
-  let f1 = Mine.frontier plain ~support:0.1 in
-  let f2 = Mine.frontier interned ~support:0.1 in
-  List.iter
-    (fun (table, cols) ->
-      Alcotest.(check (float 0.)) "same support"
-        (Mine.support_of f1 ~table cols)
-        (Mine.support_of f2 ~table cols))
-    (footprints w)
-
 (* ---- Support monotonicity: raising S never grows the frontier ---- *)
 
 let test_support_monotonic () =
@@ -302,7 +281,6 @@ let () =
       ( "determinism",
         [
           tc "feed order" `Quick test_feed_order_determinism;
-          tc "qid path" `Quick test_qid_path_matches;
         ] );
       ("monotonicity", [ tc "raising S never grows" `Quick test_support_monotonic ]);
       ( "keep rules",

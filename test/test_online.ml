@@ -114,6 +114,8 @@ let test_window_validation () =
   in
   rejects "capacity 0" (fun () -> Window.create ~capacity:0 ());
   rejects "decay 0" (fun () -> Window.create ~decay:0. ());
+  rejects "decay above 1" (fun () -> Window.create ~decay:1.5 ());
+  rejects "NaN decay" (fun () -> Window.create ~decay:Float.nan ());
   rejects "negative threshold" (fun () -> Window.create ~threshold:(-0.01) ());
   rejects "NaN threshold" (fun () -> Window.create ~threshold:Float.nan ());
   ignore (Window.create ~threshold:0. ())
@@ -355,6 +357,26 @@ let test_epoch_run () =
 
 let service_stream w = List.map Query.to_sql (Workload.queries w)
 
+(* A zero drift-check period would divide by zero at the first check
+   after bootstrap; window parameters are checked by [Window.create]. *)
+let test_service_validation () =
+  let db = Lazy.force syn_db in
+  let budget_pages = 100 in
+  let with_opts f =
+    let options = f (Service.default_options ~budget_pages) in
+    fun () -> ignore (Service.create ~options db ~budget_pages)
+  in
+  Alcotest.check_raises "check every 0"
+    (Invalid_argument "Service.create: o_check_every < 1")
+    (with_opts (fun o -> { o with Service.o_check_every = 0 }));
+  Alcotest.check_raises "NaN decay"
+    (Invalid_argument "Window.create: decay outside (0, 1] or NaN")
+    (with_opts (fun o -> { o with Service.o_decay = Float.nan }));
+  Alcotest.check_raises "window 0"
+    (Invalid_argument "Window.create: capacity < 1")
+    (with_opts (fun o -> { o with Service.o_capacity = 0 }));
+  with_opts (fun o -> { o with Service.o_check_every = 1 }) ()
+
 let test_service_bootstrap_and_stats () =
   let db = Lazy.force syn_db in
   let budget_pages = max 1 (Database.data_pages db / 2) in
@@ -582,5 +604,6 @@ let () =
             test_service_thousand_statements_capped;
           tc "compressed and pruned epochs pinned" `Quick
             test_service_pinned_epochs;
+          tc "validation" `Quick test_service_validation;
         ] );
     ]

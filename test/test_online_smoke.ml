@@ -157,13 +157,21 @@ let run_cli args =
 let test_bad_fractions_rejected () =
   (* --compress EPS must be finite and >= 0, --prune-support S in
      [0, 1], -q/--queries N an integer >= 1 and -b/--budget PAGES an
-     integer >= 0: every bad value, on every subcommand taking the
-     flag, is one stderr line and exit 2 — never a run on a nan budget,
-     an empty workload or a silent clamp. *)
+     integer >= 0; serve's --window and --check-every are integers
+     >= 1, --decay is in (0, 1] and both drift thresholds are finite
+     and >= 0: every bad value, on every subcommand taking the flag, is
+     one stderr line and exit 2 — never a run on a nan budget, an empty
+     workload, a silent clamp, a daemon that dies at its first drift
+     check or a window whose masses turn NaN. *)
   let compress = ("--compress", [ "nan"; "-3"; "inf"; "x" ]) in
   let prune = ("--prune-support", [ "7"; "nan"; "-0.1"; "1.5" ]) in
   let queries = ("--queries", [ "-3"; "0"; "x"; "1.5" ]) in
   let budget = ("--budget", [ "-5"; "-4"; "x"; "1.5" ]) in
+  let window = ("--window", [ "0"; "-2"; "x" ]) in
+  let decay = ("--decay", [ "0"; "1.5"; "nan"; "-0.5" ]) in
+  let check_every = ("--check-every", [ "0"; "-1"; "1.5" ]) in
+  let drift = ("--drift-threshold", [ "nan"; "-0.1"; "inf" ]) in
+  let cost = ("--cost-threshold", [ "nan"; "-1"; "x" ]) in
   (* Each subcommand with the flags it validates; a well-formed
      -q/-b is passed too, unless that is the flag under test. *)
   let commands =
@@ -175,7 +183,9 @@ let test_bad_fractions_rejected () =
       ("tune", [ ("--queries", "6") ], [ compress; prune; queries ]);
       ("explain", [], [ queries ]);
       ("generate", [], [ queries ]);
-      ("serve", [ ("--port", "0") ], [ compress; prune; budget ]);
+      ( "serve",
+        [ ("--port", "0") ],
+        [ compress; prune; budget; window; decay; check_every; drift; cost ] );
     ]
   in
   List.iter

@@ -163,7 +163,9 @@ let shift_constants delta (q : Query.t) =
     | In_list (c, xs) -> In_list (c, List.map v xs)
     | Join _ as j -> j
   in
-  { q with Query.q_where = List.map p q.Query.q_where }
+  Query.make ~id:q.Query.q_id ~select:q.Query.q_select
+    ~where:(List.map p q.Query.q_where) ~group_by:q.Query.q_group_by
+    ~order_by:q.Query.q_order_by q.Query.q_tables
 
 let test_stats_pinned () =
   (* Probe sampling answers from the service's deriver; this pins what

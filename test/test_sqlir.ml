@@ -260,14 +260,32 @@ let test_query_analyses () =
     (List.length (Query.selection_predicates q_join "dept"));
   Alcotest.(check bool) "no aggregates" false (Query.has_aggregates q_join)
 
+(* [q_join] rebuilt through [Query.make] with a different id and/or
+   ORDER BY. *)
+let q_join_with ?(id = q_join.Query.q_id) ?(order_by = q_join.Query.q_order_by)
+    () =
+  Query.make ~id ~select:q_join.Query.q_select ~where:q_join.Query.q_where
+    ~order_by q_join.Query.q_tables
+
 let test_query_canonical () =
-  let q2 = { q_join with Query.q_id = "other" } in
+  let q2 = q_join_with ~id:"other" () in
   Alcotest.(check string) "id does not affect canonical form"
     (Query.canonical_string q_join)
     (Query.canonical_string q2);
-  let q3 = { q_join with Query.q_order_by = [ (cr "emp" "name", Query.Desc) ] } in
+  let q3 = q_join_with ~order_by:[ (cr "emp" "name", Query.Desc) ] () in
   Alcotest.(check bool) "different order dir differs" false
     (Query.canonical_string q_join = Query.canonical_string q3)
+
+(* The canonical text is carried in the value, built once by [make]:
+   independent of [q_id] and the same text [canonical_string] reads. *)
+let test_query_carries_canon () =
+  let q2 = q_join_with ~id:"other" () in
+  Alcotest.(check string) "q_canon ignores q_id" q_join.Query.q_canon
+    q2.Query.q_canon;
+  Alcotest.(check string) "q_canon is the canonical string"
+    (Query.canonical_string q2) q2.Query.q_canon;
+  Alcotest.(check string) "rendered from the clauses"
+    "SELECT COUNT(*) FROM emp" (Query.make ~id:"x" [ "emp" ]).Query.q_canon
 
 let test_query_to_sql () =
   let s = Query.to_sql q_join in
@@ -326,6 +344,7 @@ let () =
           tc "validate errors" `Quick test_query_validate_errors;
           tc "column analyses" `Quick test_query_analyses;
           tc "canonical string" `Quick test_query_canonical;
+          tc "canonical text carried" `Quick test_query_carries_canon;
           tc "to_sql" `Quick test_query_to_sql;
           tc "aggregate query" `Quick test_agg_query;
         ] );

@@ -343,11 +343,14 @@ let test_compress_dedups_same_signature () =
              Value.Int 1) ]
       [ "t0" ]
   in
-  let q2 = { q1 with Query.q_id = "b";
-             q_where = [ Im_sqlir.Predicate.Cmp
-                           (Im_sqlir.Predicate.Eq,
-                            Im_sqlir.Predicate.colref "t0" "t0_c0",
-                            Value.Int 2) ] } in
+  let q2 =
+    Query.make ~id:"b"
+      ~where:
+        [ Im_sqlir.Predicate.Cmp
+            (Im_sqlir.Predicate.Eq, Im_sqlir.Predicate.colref "t0" "t0_c0",
+             Value.Int 2) ]
+      [ "t0" ]
+  in
   let w = Workload.make [ q1; q2 ] in
   let c = Compress.compress w in
   Alcotest.(check int) "merged to one" 1 (Workload.size c);
