@@ -496,28 +496,28 @@ let cost_threshold_arg =
     "Drift trigger: relative cost regression of the window."
 
 let read_timeout_arg =
-  let doc = "Idle-connection read timeout in seconds." in
-  Arg.(value & opt float 30.0 & info [ "read-timeout" ] ~docv:"SECONDS" ~doc)
+  defaulted_arg ~long:"read-timeout" ~docv:"SECONDS" ~expect:"finite and > 0"
+    ~absent:"30." float_of_string_opt
+    (fun v -> Float.is_finite v && v > 0.)
+    ~doc:"Idle-connection read timeout in seconds."
 
 let max_connections_arg =
-  let doc = "Global cap on concurrent connections." in
-  Arg.(value & opt int 64 & info [ "max-connections" ] ~docv:"N" ~doc)
+  positive_int_arg ~long:"max-connections" ~docv:"N" ~absent:"64"
+    "Global cap on concurrent connections."
 
 let max_tenant_connections_arg =
-  let doc =
-    "Per-tenant cap on concurrent connections (0 = same as \
-     --max-connections)."
-  in
-  Arg.(value & opt int 0 & info [ "max-tenant-connections" ] ~docv:"N" ~doc)
+  defaulted_arg ~long:"max-tenant-connections" ~docv:"N"
+    ~expect:"an integer >= 0" ~absent:"0" int_of_string_opt
+    (fun n -> n >= 0)
+    ~doc:
+      "Per-tenant cap on concurrent connections (0 = same as \
+       --max-connections)."
 
 let max_output_bytes_arg =
-  let doc =
+  positive_int_arg ~long:"max-output-bytes" ~docv:"BYTES" ~absent:"1048576"
     "Per-connection output-queue byte cap; a slow reader whose queue \
      would exceed it is closed (backpressure) instead of buffering \
      unboundedly."
-  in
-  Arg.(
-    value & opt int 1_048_576 & info [ "max-output-bytes" ] ~docv:"BYTES" ~doc)
 
 let tenant_arg =
   let doc =

@@ -26,12 +26,10 @@ let items_pages db items =
 (* Merge candidates costed per round, after the storage shortlist. *)
 let candidates_per_round = 6
 
-let run ?service ?(merge_pair = Merge_pair.Cost_based)
-    ?(cost_model = Cost_eval.Optimizer_estimated) ?prune db workload ~initial
-    ~budget_pages =
-  let evaluator = Cost_eval.create ?service cost_model db workload in
-  if not (Cost_eval.is_numeric evaluator) then
-    invalid_arg "Dual.run: a numeric cost model is required";
+let run ?service ?prune db workload ~initial ~budget_pages =
+  let evaluator =
+    Cost_eval.create ?service Cost_eval.Optimizer_estimated db workload
+  in
   let svc = Cost_eval.service evaluator in
   let calls_before = Service.opt_calls svc in
   let index_pages = Search.page_memo db in
@@ -47,8 +45,8 @@ let run ?service ?(merge_pair = Merge_pair.Cost_based)
             workload
         in
         let merge_indexes current i1 i2 =
-          Merge_pair.merge merge_pair ~db ~workload ~seek ~service:svc
-            ~current i1 i2
+          Merge_pair.merge Merge_pair.Cost_based ~db ~workload ~seek
+            ~service:svc ~current i1 i2
         in
         let rec loop items iterations =
           if memo_items_pages items <= budget_pages then (items, iterations)

@@ -30,18 +30,16 @@ type outcome = {
 
 val run :
   ?service:Im_costsvc.Service.t ->
-  ?merge_pair:Merge_pair.procedure ->
-  ?cost_model:Cost_eval.model ->
   ?prune:Im_mine.Mine.frontier ->
   Im_catalog.Database.t ->
   Im_workload.Workload.t ->
   initial:Im_catalog.Config.t ->
   budget_pages:int ->
   outcome
-(** Defaults: MergePair-Cost, optimizer-estimated cost (the model must
-    be numeric — [Invalid_argument] otherwise), 6 costed candidates per
-    round. [?service] shares the memoizing cost service with other
-    phases (the advisor threads one through selection and merging);
+(** Pairs merge by MergePair-Cost under optimizer-estimated cost, 6
+    costed candidates per round. [?service] shares the memoizing cost
+    service with other phases (the advisor threads one through
+    selection and merging);
     [d_optimizer_calls] is the per-run delta either way. If no sequence
     of merges fits the budget, the outcome has [d_fits = false] and
     carries the smallest configuration reached.

@@ -1,33 +1,20 @@
-type t = {
-  min_clusters : int;
-  max_clusters : int;
-  grow_above : float;
-  shrink_below : float;
-  mutable current : int;
-  mutable epochs : int;
-}
+let min_clusters = 4
+let max_clusters = 64
+let initial = 16
+let grow_above = 0.05
+let shrink_below = 0.01
 
-let create ?(min_clusters = 4) ?(max_clusters = 64) ?(initial = 16)
-    ?(grow_above = 0.05) ?(shrink_below = 0.01) () =
-  if min_clusters < 1 then invalid_arg "Budget.create: min_clusters < 1";
-  if max_clusters < min_clusters then
-    invalid_arg "Budget.create: max_clusters < min_clusters";
-  {
-    min_clusters;
-    max_clusters;
-    grow_above;
-    shrink_below;
-    current = max min_clusters (min initial max_clusters);
-    epochs = 0;
-  }
+type t = { mutable current : int; mutable epochs : int }
+
+let create () = { current = initial; epochs = 0 }
 
 let current t = t.current
 
-let clamp t n = max t.min_clusters (min n t.max_clusters)
+let clamp n = max min_clusters (min n max_clusters)
 
 let record t ~benefit =
   t.epochs <- t.epochs + 1;
-  if benefit >= t.grow_above then t.current <- clamp t (t.current * 2)
-  else if benefit < t.shrink_below then t.current <- clamp t (t.current / 2)
+  if benefit >= grow_above then t.current <- clamp (t.current * 2)
+  else if benefit < shrink_below then t.current <- clamp (t.current / 2)
 
 let epochs t = t.epochs

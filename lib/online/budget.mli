@@ -7,24 +7,16 @@
     what-if optimizer invocations scale linearly with the clusters
     handed to the advisor, so capping clusters caps invocations.
 
-    Rule: an epoch that realized relative benefit ≥ [grow_above] doubles
-    the next allocation (drift is paying off — look wider); one that
-    realized < [shrink_below] halves it (the configuration is already
-    good — stop burning optimizer calls); anything between keeps the
-    allocation. Always clamped to [[min_clusters, max_clusters]]. *)
+    Rule: an epoch that realized relative benefit ≥ 5 % doubles the
+    next allocation (drift is paying off — look wider); one that
+    realized < 1 % halves it (the configuration is already good — stop
+    burning optimizer calls); anything between keeps the allocation.
+    The allocation starts at 16 clusters and is always clamped to
+    [[4, 64]]. *)
 
 type t
 
-val create :
-  ?min_clusters:int ->
-  ?max_clusters:int ->
-  ?initial:int ->
-  ?grow_above:float ->
-  ?shrink_below:float ->
-  unit ->
-  t
-(** Defaults: min 4, max 64, initial 16, grow above 5 % benefit, shrink
-    below 1 %. *)
+val create : unit -> t
 
 val current : t -> int
 (** Clusters the next epoch may re-tune. *)

@@ -19,18 +19,19 @@ let m_fires = Im_obs.Metrics.counter "online_drift_fires_total"
 type t = {
   div_threshold : float;
   cost_threshold : float;
-  match_threshold : float;
   mutable baseline : baseline option;
   mutable checks : int;
   mutable fires : int;
 }
 
-let create ?(div_threshold = 0.35) ?(cost_threshold = 0.30)
-    ?(match_threshold = 0.25) () =
+let create ?(div_threshold = 0.35) ?(cost_threshold = 0.30) () =
+  if Float.is_nan div_threshold || div_threshold < 0. then
+    invalid_arg "Drift.create: div_threshold < 0 or NaN";
+  if Float.is_nan cost_threshold || cost_threshold < 0. then
+    invalid_arg "Drift.create: cost_threshold < 0 or NaN";
   {
     div_threshold;
     cost_threshold;
-    match_threshold;
     baseline = None;
     checks = 0;
     fires = 0;
@@ -48,9 +49,9 @@ let distribution (w : Workload.t) =
       w.Workload.entries
 
 (* Project [dist] onto [buckets]: each entry's share goes to the nearest
-   bucket within [match_threshold], the remainder to an implicit "other"
+   bucket within [Window.threshold], the remainder to an implicit "other"
    bucket. Returns (per-bucket shares, other share). *)
-let project t buckets dist =
+let project buckets dist =
   let shares = Array.make (List.length buckets) 0. in
   let other = ref 0. in
   List.iter
@@ -64,14 +65,14 @@ let project t buckets dist =
             best := i
           end)
         buckets;
-      if !best >= 0 && !best_d <= t.match_threshold then
+      if !best >= 0 && !best_d <= Window.threshold then
         shares.(!best) <- shares.(!best) +. share
       else other := !other +. share)
     dist;
   (shares, !other)
 
-let total_variation t buckets current =
-  let q, q_other = project t buckets current in
+let total_variation buckets current =
+  let q, q_other = project buckets current in
   let sum = ref q_other in
   (* baseline "other" share is 0 by construction *)
   List.iteri
@@ -99,7 +100,7 @@ let check t service config window =
   | None ->
     { v_divergence = 0.; v_regression = 0.; v_fired = false; v_reason = "-" }
   | Some b ->
-    let divergence = total_variation t b.b_buckets (distribution window) in
+    let divergence = total_variation b.b_buckets (distribution window) in
     let regression =
       if b.b_unit_cost <= 0. then 0.
       else

@@ -9,7 +9,7 @@
       window's signature distribution and the baseline's exceeds
       [div_threshold]. Distributions are compared by projecting both
       onto the baseline's signature buckets (nearest leader within
-      [match_threshold]; anything further lands in an "other" bucket),
+      {!Window.threshold}; anything further lands in an "other" bucket),
       so renamed ids and changed constants do not register as drift but
       genuinely new query shapes do; or
     - {b cost regression}: the current window's per-unit-mass cost under
@@ -29,15 +29,11 @@ type verdict = {
   v_reason : string;  (** "divergence", "cost", "divergence+cost" or "-" *)
 }
 
-val create :
-  ?div_threshold:float ->
-  ?cost_threshold:float ->
-  ?match_threshold:float ->
-  unit ->
-  t
-(** Defaults: [div_threshold = 0.35], [cost_threshold = 0.30],
-    [match_threshold = 0.25] (aligned with the window's clustering
-    threshold). *)
+val create : ?div_threshold:float -> ?cost_threshold:float -> unit -> t
+(** Defaults: [div_threshold = 0.35], [cost_threshold = 0.30]. Raises
+    [Invalid_argument] when either is negative or NaN (a NaN threshold
+    would never fire); values above 1 are legal and disable the
+    divergence trigger. *)
 
 val has_baseline : t -> bool
 (** False until the first {!rebase}; {!check} never fires without a

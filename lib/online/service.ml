@@ -10,14 +10,10 @@ type options = {
   o_budget_pages : int;
   o_capacity : int;
   o_decay : float;
-  o_cluster_threshold : float;
   o_div_threshold : float;
   o_cost_threshold : float;
   o_check_every : int;
   o_warmup : int;
-  o_min_clusters : int;
-  o_max_clusters : int;
-  o_initial_clusters : int;
   o_compress : float option;
   o_prune_support : float option;
 }
@@ -27,14 +23,10 @@ let default_options ~budget_pages =
     o_budget_pages = budget_pages;
     o_capacity = 48;
     o_decay = 0.995;
-    o_cluster_threshold = 0.25;
     o_div_threshold = 0.35;
     o_cost_threshold = 0.30;
     o_check_every = 32;
     o_warmup = 24;
-    o_min_clusters = 4;
-    o_max_clusters = 64;
-    o_initial_clusters = 16;
     o_compress = None;
     o_prune_support = None;
   }
@@ -71,16 +63,11 @@ let create ?options ?pool:_ ?(initial = Config.empty) db ~budget_pages =
     db;
     opts;
     cache = Im_merging.Cost_eval.default_service db;
-    window =
-      Window.create ~capacity:opts.o_capacity ~decay:opts.o_decay
-        ~threshold:opts.o_cluster_threshold ();
+    window = Window.create ~capacity:opts.o_capacity ~decay:opts.o_decay ();
     drift =
       Drift.create ~div_threshold:opts.o_div_threshold
-        ~cost_threshold:opts.o_cost_threshold
-        ~match_threshold:opts.o_cluster_threshold ();
-    budget =
-      Budget.create ~min_clusters:opts.o_min_clusters
-        ~max_clusters:opts.o_max_clusters ~initial:opts.o_initial_clusters ();
+        ~cost_threshold:opts.o_cost_threshold ();
+    budget = Budget.create ();
     live = initial;
     epochs = [];
     seq = 0;

@@ -18,14 +18,10 @@ type options = {
   o_budget_pages : int;  (** storage budget for every epoch's advisor run *)
   o_capacity : int;  (** window cluster capacity *)
   o_decay : float;  (** per-statement frequency decay *)
-  o_cluster_threshold : float;  (** window leader-clustering distance *)
   o_div_threshold : float;  (** drift: total-variation trigger *)
   o_cost_threshold : float;  (** drift: relative cost-regression trigger *)
   o_check_every : int;  (** statements between drift checks *)
   o_warmup : int;  (** statements before the bootstrap epoch *)
-  o_min_clusters : int;  (** epoch budget floor *)
-  o_max_clusters : int;  (** epoch budget ceiling *)
-  o_initial_clusters : int;  (** epoch budget start *)
   o_compress : float option;
       (** when set, every epoch compresses its window snapshot through
           the {!Im_scale.Scale} compactor at this deviation budget
@@ -37,9 +33,11 @@ type options = {
 }
 
 val default_options : budget_pages:int -> options
-(** Capacity 48, decay 0.995, cluster threshold 0.25, divergence 0.35,
-    cost regression 0.30, check every 32, warmup 24, cluster budget
-    4..64 starting at 16, compression and frontier pruning off. *)
+(** Capacity 48, decay 0.995, divergence 0.35, cost regression 0.30,
+    check every 32, warmup 24, compression and frontier pruning off.
+    The window's clustering distance ({!Window.threshold}, which drift
+    projection shares) and the epoch cluster budget ({!Budget}: 4..64
+    starting at 16) are constants, not options. *)
 
 type t
 
@@ -59,8 +57,9 @@ val create :
     tuning epochs answer misses from cached access-path atoms, and its
     one lock lets an epoch on the worker domain share it with the
     dispatch thread. Raises
-    [Invalid_argument] when the options' window parameters are out of
-    range ({!Window.create}) or [o_check_every < 1]. *)
+    [Invalid_argument] when the options' window parameters
+    ({!Window.create}) or drift thresholds ({!Drift.create}) are out of
+    range, or [o_check_every < 1]. *)
 
 type event =
   | Rejected of string  (** statement did not parse / validate *)

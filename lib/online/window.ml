@@ -14,22 +14,20 @@ type slot = {
 type t = {
   w_capacity : int;
   w_decay : float;
-  w_threshold : float;
   mutable w_slots : slot list;
   mutable w_statements : int;
   mutable w_evictions : int;
 }
 
-let create ?(capacity = 48) ?(decay = 0.995) ?(threshold = 0.25) () =
+let threshold = 0.25
+
+let create ?(capacity = 48) ?(decay = 0.995) () =
   if capacity < 1 then invalid_arg "Window.create: capacity < 1";
   if not (decay > 0. && decay <= 1.) then
     invalid_arg "Window.create: decay outside (0, 1] or NaN";
-  if Float.is_nan threshold || threshold < 0. then
-    invalid_arg "Window.create: threshold < 0 or NaN";
   {
     w_capacity = capacity;
     w_decay = decay;
-    w_threshold = threshold;
     w_slots = [];
     w_statements = 0;
     w_evictions = 0;
@@ -51,7 +49,7 @@ let observe t q =
   let sg = Compress.signature q in
   match
     List.find_opt
-      (fun s -> Compress.distance sg s.s_signature <= t.w_threshold)
+      (fun s -> Compress.distance sg s.s_signature <= threshold)
       t.w_slots
   with
   | Some s ->

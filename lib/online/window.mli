@@ -2,7 +2,7 @@
 
     Arriving statements are leader-clustered online by their
     physical-design signature ({!Im_workload.Compress}): a statement
-    whose signature lies within [threshold] of an existing cluster
+    whose signature lies within {!threshold} of an existing cluster
     leader adds its mass there, otherwise it founds a new cluster.
     Before each arrival every cluster's frequency is multiplied by
     [decay], so the window is an exponentially-weighted sliding window
@@ -20,15 +20,18 @@ type cluster = {
 
 type t
 
-val create : ?capacity:int -> ?decay:float -> ?threshold:float -> unit -> t
-(** Defaults: [capacity = 48] clusters, [decay = 0.995] (half-life of
-    ~139 statements), [threshold = 0.25] — looser than batch
-    compression's exact-signature default because a stream repeats
-    near-identical shapes with varying constants and column subsets.
-    Raises [Invalid_argument] if [capacity < 1], [decay] is outside
-    [(0, 1]] or NaN, or [threshold] is negative or NaN. A statement founds a
+val threshold : float
+(** Leader-clustering distance, 0.25: looser than the batch compactor's
+    exact signature keys because a stream repeats near-identical shapes
+    with varying constants and column subsets. {!Drift} projects onto
+    its baseline buckets at the same distance. A statement founds a
     slot only when it lies farther than [threshold] from every live
     slot, so live slots carry pairwise distinct signatures. *)
+
+val create : ?capacity:int -> ?decay:float -> unit -> t
+(** Defaults: [capacity = 48] clusters, [decay = 0.995] (half-life of
+    ~139 statements). Raises [Invalid_argument] if [capacity < 1] or
+    [decay] is outside [(0, 1]] or NaN. *)
 
 val observe : t -> Im_sqlir.Query.t -> unit
 

@@ -1,10 +1,8 @@
 module Config = Im_catalog.Config
 module Workload = Im_workload.Workload
 
-let build ?max_attempts db workload ~rng ~n =
-  let max_attempts =
-    match max_attempts with Some m -> m | None -> 20 * n
-  in
+let build db workload ~rng ~n =
+  let max_attempts = 20 * n in
   let queries = Array.of_list (Workload.queries workload) in
   if Array.length queries = 0 then Config.empty
   else begin

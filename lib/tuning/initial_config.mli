@@ -5,16 +5,15 @@
     required number of indexes were generated." *)
 
 val build :
-  ?max_attempts:int ->
   Im_catalog.Database.t ->
   Im_workload.Workload.t ->
   rng:Im_util.Rng.t ->
   n:int ->
   Im_catalog.Config.t
 (** Accumulate per-query recommendations (deduplicated) until [n]
-    indexes are collected, or until [max_attempts] random query picks
-    (default [20 * n]) have been exhausted — workloads with little
-    index potential may top out below [n]. *)
+    indexes are collected, or until [20 * n] random query picks have
+    been exhausted — workloads with little index potential may top out
+    below [n]. *)
 
 val per_query_union :
   Im_catalog.Database.t -> Im_workload.Workload.t -> Im_catalog.Config.t

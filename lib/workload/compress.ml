@@ -61,50 +61,3 @@ let distance a b =
     in
     Float.min 1.0 d
   end
-
-(* Exact-signature bucketing: distance 0 iff equal signature keys, so a
-   hash lookup replaces the linear leader scan — O(n) over the workload
-   instead of O(n · leaders). First-seen entry stays the leader and
-   bucket order is first-appearance order, exactly like the scan. *)
-let compress_exact (w : Workload.t) =
-  let buckets : (string, Workload.entry ref) Hashtbl.t = Hashtbl.create 64 in
-  let order : Workload.entry ref list ref = ref [] in
-  List.iter
-    (fun (e : Workload.entry) ->
-      let key = signature_key (signature e.Workload.query) in
-      match Hashtbl.find_opt buckets key with
-      | Some leader ->
-        leader :=
-          { !leader with Workload.freq = !leader.Workload.freq +. e.Workload.freq }
-      | None ->
-        let leader = ref e in
-        Hashtbl.add buckets key leader;
-        order := leader :: !order)
-    w.Workload.entries;
-  { w with Workload.entries = List.rev_map (fun e -> !e) !order }
-
-let compress ?(threshold = 0.0) (w : Workload.t) =
-  if threshold = 0.0 then compress_exact w
-  else begin
-    let leaders : (signature * Workload.entry ref) list ref = ref [] in
-    List.iter
-      (fun (e : Workload.entry) ->
-        let sg = signature e.Workload.query in
-        match
-          List.find_opt (fun (sg', _) -> distance sg sg' <= threshold) !leaders
-        with
-        | Some (_, leader) ->
-          leader :=
-            { !leader with
-              Workload.freq = !leader.Workload.freq +. e.Workload.freq }
-        | None -> leaders := !leaders @ [ (sg, ref e) ])
-      w.Workload.entries;
-    { w with Workload.entries = List.map (fun (_, e) -> !e) !leaders }
-  end
-
-let compression_ratio ~original ~compressed =
-  if Workload.size original = 0 then 0.
-  else
-    1.
-    -. (float_of_int (Workload.size compressed)
-        /. float_of_int (Workload.size original))

@@ -1,13 +1,14 @@
-(** Distance-based workload compression.
+(** Physical-design signatures of queries: the distance that workload
+    compression and the online window cluster by.
 
     The paper's §3.5.3 lists workload compression as the lever for
     taming optimizer invocations and points beyond exact duplicate
     removal (later developed as "Compressing SQL Workloads", Chaudhuri,
-    Gupta & Narasayya). This module implements the leader-clustering
-    variant: queries whose *physical-design signatures* — the sets of
-    tables, referenced columns, sargable columns and order/group columns
-    that drive index choices — are close enough get represented by one
-    of them, with frequencies summed.
+    Gupta & Narasayya). A query's signature is the sets of tables,
+    referenced columns, sargable columns and order/group columns that
+    drive index choices. The batch compactor ([Im_scale.Scale])
+    buckets by {!signature_key}; the online window ([Im_online.Window])
+    and drift detector cluster by {!distance}.
 
     Distance 0 means identical signatures (a superset of textual
     equality: constants are ignored, since two point queries on the same
@@ -26,19 +27,4 @@ val signature_key : signature -> string
     [distance a b = 0.] (iff every component set is equal). Separator
     characters are control bytes no SQL identifier contains, so
     adversarial names cannot alias two distinct signatures. This is the
-    hash key the exact-bucketing path (and the streaming compactor of
-    [Im_scale]) uses. *)
-
-val compress :
-  ?threshold:float -> Workload.t -> Workload.t
-(** Leader clustering: entries are visited in order; an entry joins the
-    first existing leader within [threshold] (its frequency is added to
-    the leader's), otherwise it becomes a leader. [threshold] defaults
-    to 0.0 — pure signature-duplicate elimination, strictly stronger
-    than {!Workload.compress_identical}; that exact case buckets by
-    {!signature_key} in a hash table (O(n), not O(n·leaders)) and is
-    entry-for-entry identical to the linear leader scan. The update
-    profile is kept. *)
-
-val compression_ratio : original:Workload.t -> compressed:Workload.t -> float
-(** [1 - size compressed / size original]. *)
+    hash key the streaming compactor of [Im_scale] buckets by. *)

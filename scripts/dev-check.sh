@@ -11,7 +11,8 @@
 # domain-pool tests at IM_DOMAINS=0 and 4, the scale and
 # frontier-pruning bench smokes, formatting when ocamlformat is
 # installed (skipped gracefully when not — the CI container does not
-# ship it), and last the lib/ line count with its delta against
+# ship it), and last lib/'s line count, optional-argument count and
+# Online.Service.options field count, each with its delta against
 # HEAD~1 (scripts/lib-lines.sh).
 set -eu
 
@@ -137,7 +138,7 @@ else
   echo "== fmt skipped (ocamlformat not installed) =="
 fi
 
-echo "== lib/ line count =="
+echo "== lib/ lines and knobs =="
 scripts/lib-lines.sh
 
 echo "== dev-check OK =="

@@ -1,22 +1,49 @@
 #!/bin/sh
-# Line count of lib/'s OCaml sources (.ml + .mli) in the working tree,
-# and its delta against a git revision:
+# Size of lib/ in the working tree, each with its delta against a git
+# revision:
 #
 #   scripts/lib-lines.sh [BASE]      # BASE defaults to HEAD~1
 #
-# Every change reports this number: same behaviour from less code.
+# - lines of OCaml source (.ml + .mli);
+# - optional arguments in the interfaces: every `?label:` in a
+#   lib/**/*.mli signature, comments stripped;
+# - fields of `Online.Service.options` (lib/online/service.mli).
+#
+# Every change reports these numbers: same behaviour from less code
+# and fewer knobs.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-count() { find lib -type f \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l; }
-
 base="${1:-HEAD~1}"
-now=$(count)
+
+# Each counter reads one stream: the tree's files, or BASE's.
+lines() { wc -l; }
+optionals() {
+  perl -0777 -ne '1 while s/\(\*(?:(?!\(\*|\*\)).)*\*\)//gs;
+    my $n = () = /\?[a-z_][A-Za-z0-9_\x27]*\s*:/g; print "$n\n"'
+}
+fields() { sed -n '/^type options = {/,/^}/p' | grep -c '^ *o_[a-z_]* :' || true; }
+
+tree_sources() { find lib -type f \( -name '*.ml' -o -name '*.mli' \) -exec cat {} +; }
+tree_mli() { find lib -type f -name '*.mli' -exec cat {} +; }
+base_sources() { git archive "$base" lib | tar -xO --wildcards '*.ml' '*.mli'; }
+base_mli() { git archive "$base" lib | tar -xO --wildcards '*.mli'; }
+
+report() { # label now before
+  printf '%s: %d (%+d vs %s)\n' "$1" "$2" "$(($2 - $3))" "$base"
+}
+
+now_lines=$(tree_sources | lines)
+now_opts=$(tree_mli | optionals)
+now_fields=$(fields < lib/online/service.mli)
 if git rev-parse --verify --quiet "$base^{commit}" >/dev/null; then
-  before=$(git archive "$base" lib \
-    | tar -xO --wildcards '*.ml' '*.mli' | wc -l)
-  printf 'lib/ .ml+.mli lines: %d (%+d vs %s)\n' "$now" "$((now - before))" "$base"
+  report "lib/ .ml+.mli lines" "$now_lines" "$(base_sources | lines)"
+  report "lib/ .mli optional arguments" "$now_opts" "$(base_mli | optionals)"
+  report "Online.Service.options fields" "$now_fields" \
+    "$(git show "$base:lib/online/service.mli" | fields)"
 else
-  printf 'lib/ .ml+.mli lines: %d (no revision %s to compare)\n' "$now" "$base"
+  printf 'lib/ .ml+.mli lines: %d (no revision %s to compare)\n' "$now_lines" "$base"
+  printf 'lib/ .mli optional arguments: %d\n' "$now_opts"
+  printf 'Online.Service.options fields: %d\n' "$now_fields"
 fi

@@ -104,13 +104,6 @@ let test_dual_impossible_budget () =
   Alcotest.(check bool) "still a minimal merged configuration" true
     (Merge.is_minimal_merged_configuration ~initial o.Dual.d_items)
 
-let test_dual_rejects_no_cost_model () =
-  Alcotest.check_raises "numeric model required"
-    (Invalid_argument "Dual.run: a numeric cost model is required") (fun () ->
-      ignore
-        (Dual.run ~cost_model:Cost_eval.default_no_cost db workload ~initial
-           ~budget_pages:10))
-
 let test_dual_empty_initial () =
   let o = Dual.run db workload ~initial:[] ~budget_pages:100 in
   Alcotest.(check bool) "fits" true o.Dual.d_fits;
@@ -557,7 +550,6 @@ let () =
           tc "trivial budget" `Quick test_dual_trivial_budget;
           tc "shrinks to budget" `Quick test_dual_shrinks_to_budget;
           tc "impossible budget" `Quick test_dual_impossible_budget;
-          tc "rejects no-cost model" `Quick test_dual_rejects_no_cost_model;
           tc "empty initial" `Quick test_dual_empty_initial;
           qtest prop_dual_budget_soundness;
         ] );

@@ -18,6 +18,7 @@ module Value = Im_sqlir.Value
 module Synthetic = Im_workload.Synthetic
 module Ragsgen = Im_workload.Ragsgen
 module Rng = Im_util.Rng
+module Compress = Im_workload.Compress
 
 let tc = Alcotest.test_case
 
@@ -59,7 +60,7 @@ let test_window_capacity_capped () =
     List.map (fun (t : Im_sqlir.Schema.table) -> t.Im_sqlir.Schema.tbl_name)
       schema.Im_sqlir.Schema.tables
   in
-  let w = Window.create ~capacity:8 ~threshold:0.0 () in
+  let w = Window.create ~capacity:8 () in
   (* >1000 statements over many distinct signatures: the acceptance
      criterion's no-unbounded-growth property. *)
   let n = ref 0 in
@@ -82,7 +83,9 @@ let test_window_capacity_capped () =
     (Window.total_mass w <= 1. /. (1. -. 0.995) +. 1e-6)
 
 let test_window_decay () =
-  let w = Window.create ~decay:0.5 ~threshold:0.0 () in
+  let w = Window.create ~decay:0.5 () in
+  (* Two columns of one table are 0.65 apart, beyond Window.threshold:
+     two clusters. *)
   Window.observe w (point_query "t0" "t0_c0" 1);
   Window.observe w (point_query "t0" "t0_c1" 1);
   (* First cluster decayed once: 0.5; second fresh: 1.0. *)
@@ -116,16 +119,13 @@ let test_window_validation () =
   rejects "decay 0" (fun () -> Window.create ~decay:0. ());
   rejects "decay above 1" (fun () -> Window.create ~decay:1.5 ());
   rejects "NaN decay" (fun () -> Window.create ~decay:Float.nan ());
-  rejects "negative threshold" (fun () -> Window.create ~threshold:(-0.01) ());
-  rejects "NaN threshold" (fun () -> Window.create ~threshold:Float.nan ());
-  ignore (Window.create ~threshold:0. ())
+  ignore (Window.create ~decay:1. ())
 
 (* A window founds a slot only when the statement's signature lies
-   farther than [threshold] >= 0 from every live slot, so its slots
-   carry pairwise distinct signature keys: the exact-signature
-   compression of its snapshot is the identity. Random streams mix
-   generated queries (exact repeats) with point queries (constant
-   variants of one signature). *)
+   farther than [Window.threshold] from every live slot, so its
+   snapshot's entries carry pairwise distinct signature keys. Random
+   streams mix generated queries (exact repeats) with point queries
+   (constant variants of one signature). *)
 let window_stream_pool =
   lazy
     (let db = Lazy.force syn_db in
@@ -133,13 +133,11 @@ let window_stream_pool =
 
 let prop_window_snapshot_compressed =
   QCheck.Test.make ~name:"window snapshot is signature-compressed" ~count:100
-    QCheck.(
-      quad (int_bound 100_000) (int_range 1 16) (int_range 1 200)
-        (oneof [ always 0.0; always 0.25; float_bound_inclusive 1.0 ]))
-    (fun (seed, capacity, n, threshold) ->
+    QCheck.(triple (int_bound 100_000) (int_range 1 16) (int_range 1 200))
+    (fun (seed, capacity, n) ->
       let pool = Lazy.force window_stream_pool in
       let rng = Rng.create seed in
-      let w = Window.create ~capacity ~threshold () in
+      let w = Window.create ~capacity () in
       for _ = 1 to n do
         Window.observe w
           (if Rng.bool rng then Rng.pick rng pool
@@ -149,13 +147,12 @@ let prop_window_snapshot_compressed =
                (Printf.sprintf "%s_c%d" tbl (Rng.int rng 3))
                (Rng.int rng 50))
       done;
-      let snap = Window.to_workload w in
-      let compressed = Im_workload.Compress.compress snap in
-      List.equal
-        (fun (a : Workload.entry) (b : Workload.entry) ->
-          a.Workload.query == b.Workload.query
-          && Float.equal a.Workload.freq b.Workload.freq)
-        snap.Workload.entries compressed.Workload.entries)
+      let keys =
+        List.map
+          (fun q -> Compress.signature_key (Compress.signature q))
+          (Workload.queries (Window.to_workload w))
+      in
+      List.length (List.sort_uniq String.compare keys) = List.length keys)
 
 (* ---- Cost service as the online what-if cache ---- *)
 
@@ -284,7 +281,7 @@ let test_drift_cost_regression_fires () =
 (* ---- Budget ---- *)
 
 let test_budget_reallocation () =
-  let b = Budget.create ~min_clusters:4 ~max_clusters:64 ~initial:16 () in
+  let b = Budget.create () in
   Alcotest.(check int) "initial" 16 (Budget.current b);
   Budget.record b ~benefit:0.2;
   Alcotest.(check int) "good epoch doubles" 32 (Budget.current b);
@@ -300,13 +297,6 @@ let test_budget_reallocation () =
   Budget.record b ~benefit:0.03;
   Alcotest.(check int) "middling benefit holds" 4 (Budget.current b);
   Alcotest.(check int) "epochs counted" 8 (Budget.epochs b)
-
-let test_budget_validation () =
-  Alcotest.check_raises "min < 1" (Invalid_argument "Budget.create: min_clusters < 1")
-    (fun () -> ignore (Budget.create ~min_clusters:0 ()));
-  Alcotest.check_raises "max < min"
-    (Invalid_argument "Budget.create: max_clusters < min_clusters") (fun () ->
-      ignore (Budget.create ~min_clusters:8 ~max_clusters:4 ()))
 
 (* ---- Epoch diff ---- *)
 
@@ -358,7 +348,8 @@ let test_epoch_run () =
 let service_stream w = List.map Query.to_sql (Workload.queries w)
 
 (* A zero drift-check period would divide by zero at the first check
-   after bootstrap; window parameters are checked by [Window.create]. *)
+   after bootstrap; window parameters are checked by [Window.create],
+   drift thresholds by [Drift.create]. *)
 let test_service_validation () =
   let db = Lazy.force syn_db in
   let budget_pages = 100 in
@@ -375,6 +366,21 @@ let test_service_validation () =
   Alcotest.check_raises "window 0"
     (Invalid_argument "Window.create: capacity < 1")
     (with_opts (fun o -> { o with Service.o_capacity = 0 }));
+  (* A NaN drift threshold never fires ([x > nan] is false). *)
+  Alcotest.check_raises "NaN divergence threshold"
+    (Invalid_argument "Drift.create: div_threshold < 0 or NaN")
+    (with_opts (fun o -> { o with Service.o_div_threshold = Float.nan }));
+  Alcotest.check_raises "negative cost threshold"
+    (Invalid_argument "Drift.create: cost_threshold < 0 or NaN")
+    (with_opts (fun o -> { o with Service.o_cost_threshold = -0.1 }));
+  Alcotest.check_raises "negative divergence threshold"
+    (Invalid_argument "Drift.create: div_threshold < 0 or NaN") (fun () ->
+      ignore (Drift.create ~div_threshold:(-0.01) ()));
+  Alcotest.check_raises "NaN cost threshold"
+    (Invalid_argument "Drift.create: cost_threshold < 0 or NaN") (fun () ->
+      ignore (Drift.create ~cost_threshold:Float.nan ()));
+  (* Above 1 disables divergence (total variation is at most 1). *)
+  ignore (Drift.create ~div_threshold:1.1 ~cost_threshold:0. ());
   with_opts (fun o -> { o with Service.o_check_every = 1 }) ()
 
 let test_service_bootstrap_and_stats () =
@@ -589,7 +595,6 @@ let () =
       ( "budget",
         [
           tc "reallocation" `Quick test_budget_reallocation;
-          tc "validation" `Quick test_budget_validation;
         ] );
       ( "epoch",
         [

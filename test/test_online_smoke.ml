@@ -1,8 +1,9 @@
 (* End-to-end smoke test for the `serve` daemon: spawn the real CLI
    binary on an ephemeral port, stream statements over TCP, exercise
    STATS / EPOCH / CONFIG / QUIT / SHUTDOWN, and insist on a clean
-   exit; then check that the CLI rejects out-of-range --compress and
-   --prune-support values on every subcommand. Runs as part of `dune runtest` (see test/dune, which declares
+   exit; then check that the CLI rejects out-of-range values of its
+   checked flags (--compress, --prune-support and the rest) on every
+   subcommand. Runs as part of `dune runtest` (see test/dune, which declares
    the dependency on the binary). *)
 
 let cli () =
@@ -158,11 +159,15 @@ let test_bad_fractions_rejected () =
   (* --compress EPS must be finite and >= 0, --prune-support S in
      [0, 1], -q/--queries N an integer >= 1 and -b/--budget PAGES an
      integer >= 0; serve's --window and --check-every are integers
-     >= 1, --decay is in (0, 1] and both drift thresholds are finite
-     and >= 0: every bad value, on every subcommand taking the flag, is
-     one stderr line and exit 2 — never a run on a nan budget, an empty
-     workload, a silent clamp, a daemon that dies at its first drift
-     check or a window whose masses turn NaN. *)
+     >= 1, --decay is in (0, 1], both drift thresholds are finite
+     and >= 0, --max-connections and --max-output-bytes are integers
+     >= 1, --max-tenant-connections an integer >= 0 and --read-timeout
+     finite and > 0: every bad value, on every subcommand taking the
+     flag, is one stderr line and exit 2 — never a run on a nan budget,
+     an empty workload, a silent clamp, a daemon that dies at its first
+     drift check, a window whose masses turn NaN, a daemon that refuses
+     every client or one that never (or always) reaps idle
+     connections. *)
   let compress = ("--compress", [ "nan"; "-3"; "inf"; "x" ]) in
   let prune = ("--prune-support", [ "7"; "nan"; "-0.1"; "1.5" ]) in
   let queries = ("--queries", [ "-3"; "0"; "x"; "1.5" ]) in
@@ -172,6 +177,10 @@ let test_bad_fractions_rejected () =
   let check_every = ("--check-every", [ "0"; "-1"; "1.5" ]) in
   let drift = ("--drift-threshold", [ "nan"; "-0.1"; "inf" ]) in
   let cost = ("--cost-threshold", [ "nan"; "-1"; "x" ]) in
+  let max_conns = ("--max-connections", [ "0"; "-1"; "x" ]) in
+  let read_timeout = ("--read-timeout", [ "nan"; "-1"; "0"; "inf" ]) in
+  let max_output = ("--max-output-bytes", [ "0"; "-5"; "1.5" ]) in
+  let max_tenant = ("--max-tenant-connections", [ "-1"; "x" ]) in
   (* Each subcommand with the flags it validates; a well-formed
      -q/-b is passed too, unless that is the flag under test. *)
   let commands =
@@ -185,7 +194,10 @@ let test_bad_fractions_rejected () =
       ("generate", [], [ queries ]);
       ( "serve",
         [ ("--port", "0") ],
-        [ compress; prune; budget; window; decay; check_every; drift; cost ] );
+        [
+          compress; prune; budget; window; decay; check_every; drift; cost;
+          max_conns; read_timeout; max_output; max_tenant;
+        ] );
     ]
   in
   List.iter

@@ -297,7 +297,7 @@ let test_ragsgen_executes () =
     (fun q -> ignore (Im_engine.Exec.run_query db [] q))
     (Workload.queries w)
 
-(* ---- Distance-based compression ---- *)
+(* ---- Signatures and compression ---- *)
 
 module Compress = Im_workload.Compress
 
@@ -334,6 +334,18 @@ let test_compress_signature_distance () =
   Alcotest.(check (float 1e-9)) "disjoint tables" 1.
     (Compress.distance (sg q1) (sg q3))
 
+(* The tuning path's batch compactor, [Scale.prepare ~compress] (the
+   CLI's --compress): it folds only statements with equal signature
+   keys, under a deviation budget. *)
+let compact ?(eps = 0.05) (w : Workload.t) =
+  let db = Lazy.force syn_db in
+  let c, _, _ =
+    Im_scale.Scale.prepare ~compress:eps
+      (Im_merging.Cost_eval.default_service db)
+      w
+  in
+  c
+
 let test_compress_dedups_same_signature () =
   let q1 =
     Query.make ~id:"a"
@@ -352,36 +364,18 @@ let test_compress_dedups_same_signature () =
       [ "t0" ]
   in
   let w = Workload.make [ q1; q2 ] in
-  let c = Compress.compress w in
+  let c = compact w in
   Alcotest.(check int) "merged to one" 1 (Workload.size c);
   Alcotest.(check (float 1e-9)) "frequency summed" 2. (Workload.total_freq c);
-  Alcotest.(check (float 1e-9)) "ratio" 0.5
-    (Compress.compression_ratio ~original:w ~compressed:c)
-
-let test_compress_threshold_behavior () =
-  let db = Lazy.force syn_db in
-  let w = Ragsgen.generate db ~rng:(Rng.create 56) ~n:30 in
-  let strict = Compress.compress ~threshold:0.0 w in
-  let loose = Compress.compress ~threshold:0.5 w in
-  Alcotest.(check bool) "looser threshold compresses at least as much" true
-    (Workload.size loose <= Workload.size strict);
-  Alcotest.(check bool) "strict never grows" true
-    (Workload.size strict <= Workload.size w);
-  Alcotest.(check (float 1e-6)) "total frequency preserved"
-    (Workload.total_freq w) (Workload.total_freq loose);
-  (* threshold 1.0 collapses everything sharing any table into leaders;
-     at most #tables leaders remain. *)
-  let all = Compress.compress ~threshold:1.0 w in
-  Alcotest.(check bool) "extreme threshold collapses hard" true
-    (Workload.size all <= Workload.size loose)
+  Alcotest.(check string) "first statement leads" (Query.canonical_string q1)
+    (Query.canonical_string (List.hd (Workload.queries c)))
 
 let test_compress_deterministic () =
-  (* Same seed, same workload, same clustering — the online window
-     depends on the leader choice being stable. *)
+  (* Same seed, same workload, same buckets — leaders and folded
+     frequencies do not depend on the service instance. *)
   let db = Lazy.force syn_db in
   let run () =
-    let w = Ragsgen.generate db ~rng:(Rng.create 91) ~n:25 in
-    Compress.compress ~threshold:0.4 w
+    compact ~eps:0.4 (Ragsgen.generate db ~rng:(Rng.create 91) ~n:25)
   in
   let c1 = run () and c2 = run () in
   Alcotest.(check (list string)) "identical leaders"
@@ -391,27 +385,8 @@ let test_compress_deterministic () =
     (List.map (fun e -> e.Workload.freq) c1.Workload.entries)
     (List.map (fun e -> e.Workload.freq) c2.Workload.entries)
 
-let test_compress_idempotent () =
-  (* Compressing an already-compressed workload changes nothing: every
-     surviving leader is farther than the threshold from every other. *)
-  let db = Lazy.force syn_db in
-  let w = Ragsgen.generate db ~rng:(Rng.create 92) ~n:30 in
-  List.iter
-    (fun threshold ->
-      let once = Compress.compress ~threshold w in
-      let twice = Compress.compress ~threshold once in
-      Alcotest.(check int) "size stable" (Workload.size once)
-        (Workload.size twice);
-      Alcotest.(check (list string)) "entries stable"
-        (List.map Query.canonical_string (Workload.queries once))
-        (List.map Query.canonical_string (Workload.queries twice));
-      Alcotest.(check (list (float 1e-9))) "frequencies stable"
-        (List.map (fun e -> e.Workload.freq) once.Workload.entries)
-        (List.map (fun e -> e.Workload.freq) twice.Workload.entries))
-    [ 0.0; 0.25; 0.5 ]
-
 let test_compress_preserves_mass () =
-  (* Total frequency mass survives clustering at every threshold. *)
+  (* Total frequency mass survives compaction at every budget. *)
   let db = Lazy.force syn_db in
   let w0 = Ragsgen.generate db ~rng:(Rng.create 93) ~n:40 in
   let w =
@@ -421,32 +396,11 @@ let test_compress_preserves_mass () =
          w0.Workload.entries)
   in
   List.iter
-    (fun threshold ->
-      let c = Compress.compress ~threshold w in
+    (fun eps ->
+      let c = compact ~eps w in
       Alcotest.(check (float 1e-6)) "mass preserved" (Workload.total_freq w)
         (Workload.total_freq c))
     [ 0.0; 0.1; 0.3; 0.7; 1.0 ]
-
-let test_compress_hashed_equals_linear () =
-  (* threshold 0 takes the O(n) hashed path; an infinitesimal positive
-     threshold takes the linear leader scan but can only merge
-     distance-0 (identical-signature) pairs — the two must agree
-     exactly, leaders, order and frequencies included. *)
-  let db = Lazy.force syn_db in
-  let w0 = Ragsgen.generate db ~rng:(Rng.create 94) ~n:40 in
-  let w =
-    Workload.of_entries ~name:"dup"
-      (w0.Workload.entries @ w0.Workload.entries)
-  in
-  let hashed = Compress.compress ~threshold:0.0 w in
-  let linear = Compress.compress ~threshold:1e-12 w in
-  Alcotest.(check int) "same size" (Workload.size linear) (Workload.size hashed);
-  Alcotest.(check (list string)) "same leaders in same order"
-    (List.map Query.canonical_string (Workload.queries linear))
-    (List.map Query.canonical_string (Workload.queries hashed));
-  Alcotest.(check (list (float 1e-9))) "same frequencies"
-    (List.map (fun e -> e.Workload.freq) linear.Workload.entries)
-    (List.map (fun e -> e.Workload.freq) hashed.Workload.entries)
 
 let test_signature_key () =
   let db = Lazy.force syn_db in
@@ -469,7 +423,7 @@ let test_signature_key () =
 let test_compress_preserves_updates () =
   let q = Query.make ~id:"u" [ "t0" ] in
   let w = Workload.with_updates (Workload.make [ q ]) [ ("t0", 10) ] in
-  let c = Compress.compress w in
+  let c = compact w in
   Alcotest.(check bool) "updates kept" true (Workload.has_updates c)
 
 (* ---- Workload files ---- *)
@@ -698,11 +652,8 @@ let () =
         [
           tc "signature distance" `Quick test_compress_signature_distance;
           tc "dedups same signature" `Quick test_compress_dedups_same_signature;
-          tc "threshold behavior" `Quick test_compress_threshold_behavior;
           tc "deterministic" `Quick test_compress_deterministic;
-          tc "idempotent" `Quick test_compress_idempotent;
           tc "preserves mass" `Quick test_compress_preserves_mass;
-          tc "hashed path = linear path" `Quick test_compress_hashed_equals_linear;
           tc "signature key" `Quick test_signature_key;
           tc "preserves updates" `Quick test_compress_preserves_updates;
         ] );
