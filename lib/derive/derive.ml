@@ -35,24 +35,25 @@ type answer = {
 (* ---- Keys ----
 
    Atoms are keyed by the identities the values carry — the query's
-   canonical text and the index's id — plus the probe column: for a
-   fixed database, (query text, table, probe column) uniquely
+   canonical text and the index's id — plus the probe columns: for a
+   fixed database, (query text, table, probe columns) uniquely
    determines the [Access_path.input] the planner will ask about —
    selections and required columns are functions of the query, the
-   per-probe selectivity is the probe column's density — so a cached
-   atom is the atom for every configuration containing that index. *)
+   per-probe selectivities are the probe columns' densities — so a
+   cached atom is the atom for every configuration containing that
+   index. *)
 
 type atom_key = {
   ak_query : string;
   ak_table : string;
-  ak_probe : string option;
+  ak_probe : string list;
   ak_index : int;
 }
 
 type heap_key = {
   hk_query : string;
   hk_table : string;
-  hk_probe : string option;
+  hk_probe : string list;
 }
 
 (* The atom and heap tables and their hit/miss counts are touched only
@@ -125,17 +126,14 @@ let classify q =
 (* ---- Atom cache ---- *)
 
 let probe_of (input : Access_path.input) =
-  match input.Access_path.ap_param_eq with
-  | [] -> Some None
-  | [ (col, _) ] -> Some (Some col)
-  | _ :: _ :: _ -> None (* not a shape the planner produces; bypass *)
+  List.map fst input.Access_path.ap_param_eq
 
-let cached_atom t q ~probe (input : Access_path.input) ix =
+let atom t q (input : Access_path.input) ix =
   let key =
     {
       ak_query = q.Query.q_canon;
       ak_table = input.Access_path.ap_table;
-      ak_probe = probe;
+      ak_probe = probe_of input;
       ak_index = ix.Index.idx_id;
     }
   in
@@ -157,12 +155,12 @@ let cached_atom t q ~probe (input : Access_path.input) ix =
         Metrics.Gauge.add m_atom_entries 1.0;
         a)
 
-let cached_heap t q ~probe (input : Access_path.input) =
+let cached_heap t q (input : Access_path.input) =
   let key =
     {
       hk_query = q.Query.q_canon;
       hk_table = input.Access_path.ap_table;
-      hk_probe = probe;
+      hk_probe = probe_of input;
     }
   in
   locked t (fun () ->
@@ -178,29 +176,14 @@ let cached_heap t q ~probe (input : Access_path.input) =
 
 let provider t config q =
   let assemble input =
-    match probe_of input with
-    | None ->
-      (* Multi-binding parameterization: no cache key shape for it, so
-         compute directly — still exact, just uncached. *)
-      Access_path.candidates t.db config input
-    | Some probe ->
-      let heap = cached_heap t q ~probe input in
-      let atoms =
-        List.map
-          (fun ix -> cached_atom t q ~probe input ix)
-          (Config.on_table config input.Access_path.ap_table)
-      in
-      Access_path.assemble t.db input ~heap atoms
+    Access_path.assemble t.db input ~heap:(cached_heap t q input)
+      (List.map (atom t q input)
+         (Config.on_table config input.Access_path.ap_table))
   in
   {
     Optimizer.pa_best = (fun input -> Access_path.best_of (assemble input));
     pa_candidates = assemble;
   }
-
-let atom t q (input : Access_path.input) ix =
-  match probe_of input with
-  | None -> Access_path.atom t.db input ix
-  | Some probe -> cached_atom t q ~probe input ix
 
 (* ---- Answering ---- *)
 

@@ -6,11 +6,9 @@
    enough for the optimizer hot path.
 
    Identity is (name, sorted labels). Renderings:
-   - [dump]        stable alphabetical "name{k="v"} value" lines for
-                   tests and the daemon's METRICS verb;
-   - [exposition]  Prometheus text format ("# TYPE" + cumulative
-                   le-buckets) for scraping;
-   - [to_json]     a JSON array embedded in bench artifacts. *)
+   - [dump]     stable alphabetical "name{k="v"} value" lines for
+                tests and the daemon's METRICS verb;
+   - [to_json]  a JSON array embedded in bench artifacts. *)
 
 module Stopwatch = Im_util.Stopwatch
 
@@ -285,51 +283,6 @@ let dump_lines registry =
 
 let dump ?(registry = default) () =
   String.concat "" (List.map (fun l -> l ^ "\n") (dump_lines registry))
-
-let exposition ?(registry = default) () =
-  let buf = Buffer.create 1024 in
-  let typed = Hashtbl.create 16 in
-  List.iter
-    (fun (k, m) ->
-      if not (Hashtbl.mem typed k.k_name) then begin
-        Hashtbl.add typed k.k_name ();
-        Buffer.add_string buf
-          (Printf.sprintf "# TYPE %s %s\n" k.k_name (kind_name m))
-      end;
-      let l = labels_repr k.k_labels in
-      match m with
-      | M_counter c ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s%s %d\n" k.k_name l (Counter.value c))
-      | M_gauge g ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s%s %s\n" k.k_name l (float_repr (Gauge.value g)))
-      | M_histogram h ->
-        let cum = ref 0 in
-        Array.iteri
-          (fun i cell ->
-            let n = Atomic.get cell in
-            if n > 0 || i = Histogram.buckets - 1 then begin
-              cum := !cum + n;
-              let le =
-                if i = Histogram.buckets - 1 then "+Inf"
-                else float_repr (Histogram.bucket_upper i)
-              in
-              let with_le =
-                List.sort compare (("le", le) :: k.k_labels)
-              in
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket%s %d\n" k.k_name
-                   (labels_repr with_le) !cum)
-            end)
-          h.Histogram.counts;
-        Buffer.add_string buf
-          (Printf.sprintf "%s_sum%s %s\n" k.k_name l
-             (float_repr (Histogram.sum h)));
-        Buffer.add_string buf
-          (Printf.sprintf "%s_count%s %d\n" k.k_name l (Histogram.count h)))
-    (sorted_metrics registry);
-  Buffer.contents buf
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 2) in

@@ -9,8 +9,8 @@
     same name with a different metric kind raises [Invalid_argument].
 
     Renderings: {!dump} (stable alphabetical lines, used by tests and
-    the daemon's [METRICS] verb), {!exposition} (Prometheus text
-    format) and {!to_json} (for bench artifacts). *)
+    the daemon's [METRICS] verb) and {!to_json} (for bench
+    artifacts). *)
 
 type labels = (string * string) list
 
@@ -96,10 +96,6 @@ val dump : ?registry:registry -> unit -> string
 
 val dump_lines : registry -> string list
 (** {!dump} as a list of lines (no trailing newlines). *)
-
-val exposition : ?registry:registry -> unit -> string
-(** Prometheus text exposition: [# TYPE] headers, cumulative
-    [_bucket{le="..."}] lines for histograms, [_sum] and [_count]. *)
 
 val to_json : ?registry:registry -> unit -> string
 (** JSON array of [{name, kind, labels, value|count/sum/percentiles}]

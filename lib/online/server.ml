@@ -49,6 +49,8 @@ let command_histogram line =
   let verb = if List.mem_assoc verb m_command_seconds then verb else "other" in
   List.assoc verb m_command_seconds
 
+let m_stmt_seconds = List.assoc "stmt" m_command_seconds
+
 (* ---- Tenants ---- *)
 
 (* One tenant session: a [Service.t] (own window, drift detector,
@@ -118,10 +120,6 @@ type conn = {
   mutable stalled : bool;
       (* head-of-queue EPOCH is waiting for the tenant's in-flight
          epoch to commit; the line stays queued, no budget is spent *)
-  mutable replay : string list;
-      (* raw STMT sqls handed back by [Service.feed_batch_async] when a
-         trigger interrupted a pipelined batch; dispatched (under their
-         already-assigned ids) before [pending] once the epoch lands *)
 }
 
 (* An off-thread epoch the dispatch loop is waiting on, keyed by the
@@ -184,6 +182,11 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(read_timeout = 30.)
     ?(max_connections = 64) ?max_tenant_connections
     ?(max_output_bytes = 1_048_576) ?(tenant = "default") ?(tenants = [])
     ?(weights = []) ?(factory = no_factory) service =
+  if max_connections < 1 then invalid_arg "Server.create: max_connections < 1";
+  if not (Float.is_finite read_timeout && read_timeout > 0.) then
+    invalid_arg "Server.create: read_timeout must be finite and > 0";
+  if max_output_bytes < 1 then
+    invalid_arg "Server.create: max_output_bytes < 1";
   if not (valid_tenant_name tenant) then
     invalid_arg ("Server.create: invalid tenant name " ^ tenant);
   List.iter
@@ -247,7 +250,7 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(read_timeout = 30.)
       (match max_tenant_connections with
        | Some n when n > 0 -> n
        | Some _ | None -> max_connections);
-    max_output_bytes = max 1 max_output_bytes;
+    max_output_bytes;
     factory;
     sessions;
     default_tenant = tenant;
@@ -364,12 +367,11 @@ let flush_out t conn =
   done
 
 (* Replies this connection has not received yet: queued output,
-   commands still to dispatch (pending or replayed), or an epoch
-   running off-thread on its behalf. *)
+   commands still to dispatch, or an epoch running off-thread on its
+   behalf. *)
 let owes_replies conn =
   conn.out.oq_bytes > 0
   || (not (Queue.is_empty conn.pending))
-  || conn.replay <> []
   || conn.awaiting_epoch
 
 (* A closing connection goes once its output drains; a half-closed one
@@ -393,7 +395,6 @@ let respond t conn reply =
       (* Count the close once, not once per reply dropped after it. *)
       if not conn.closing then Metrics.Counter.incr m_backpressure;
       Queue.clear conn.pending;
-      conn.replay <- [];
       conn.closing <- true
     end
     else begin
@@ -426,7 +427,7 @@ let sync_interest t conn =
 let has_dispatch_work conn =
   (not conn.closed) && (not conn.closing) && (not conn.awaiting_epoch)
   && (not conn.stalled)
-  && (conn.replay <> [] || not (Queue.is_empty conn.pending))
+  && not (Queue.is_empty conn.pending)
 
 let note_backlog t conn =
   if has_dispatch_work conn then Hashtbl.replace t.backlog conn.fd conn
@@ -581,8 +582,6 @@ let handle_command t conn line =
   | _ -> (`Reply "ERR unknown command", `Keep)
 
 let dispatch_one t conn line =
-  t.commands_served <- t.commands_served + 1;
-  Metrics.Counter.incr m_commands;
   let `Reply reply, action =
     Metrics.time (command_histogram line) (fun () ->
         handle_command t conn line)
@@ -599,14 +598,6 @@ let dispatch_one t conn line =
      respond t conn reply;
      t.running <- false)
 
-(* Is [line] a feedable statement ("STMT <sql>" with nonempty sql)?
-   Empty STMTs answer an error without consuming a statement id, so
-   they must not join a batch. *)
-let stmt_sql line =
-  let verb, rest = split_verb line in
-  if String.uppercase_ascii verb = "STMT" && rest <> "" then Some rest
-  else None
-
 (* Hand an epoch thunk to the worker domain and pause this connection
    until its completion is delivered. *)
 let submit_epoch t s conn kind job =
@@ -616,118 +607,54 @@ let submit_epoch t s conn kind job =
   conn.awaiting_epoch <- true;
   Metrics.Counter.incr m_epoch_offloaded
 
-(* Dispatch a run of raw STMT sqls through the async intake: a fired
-   trigger becomes an off-thread epoch (the triggering statement's
-   reply waits for it; the statements behind it go to [conn.replay]).
-   The per-verb histogram records the mean per-statement intake
-   latency of the run. *)
-let dispatch_stmt_run t conn sqls =
-  match conn.session with
-  | None ->
-    let n = List.length sqls in
-    t.commands_served <- t.commands_served + n;
-    Metrics.Counter.add m_commands n;
-    List.iter (fun _ -> respond t conn no_tenant_reply) sqls
-  | Some s -> (
-    let h = List.assoc "stmt" m_command_seconds in
-    let (events, trigger, leftover), elapsed =
-      Im_util.Stopwatch.time (fun () ->
-          Service.feed_batch_async s.s_service sqls)
-    in
-    let applied =
-      List.length events + (match trigger with Some _ -> 1 | None -> 0)
-    in
-    t.commands_served <- t.commands_served + applied;
-    Metrics.Counter.add m_commands applied;
-    Metrics.Counter.add s.s_commands applied;
-    let per = if applied = 0 then 0. else elapsed /. float_of_int applied in
-    List.iter
-      (fun ev ->
-        Metrics.Histogram.observe h per;
-        respond t conn (stmt_reply ev))
-      events;
-    match trigger with
-    | None -> ()
-    | Some trig ->
-      let job = Service.begin_epoch s.s_service trig in
-      conn.replay <- leftover @ conn.replay;
-      submit_epoch t s conn `Stmt job)
+(* Feed one statement through the session's intake. A fired trigger
+   becomes an off-thread epoch: the statement's reply waits for it and
+   the lines behind it stay in [conn.pending] until it lands. The
+   latency histogram records the intake time of statements that fire
+   nothing; a triggering statement's latency is its epoch's, recorded
+   by [handle_completion]. *)
+let dispatch_stmt t conn s sql =
+  Metrics.Counter.incr s.s_commands;
+  match Im_util.Stopwatch.time (fun () -> Service.intake s.s_service sql) with
+  | (ev, None), elapsed ->
+    Metrics.Histogram.observe m_stmt_seconds elapsed;
+    respond t conn (stmt_reply ev)
+  | (_, Some trig), _ ->
+    submit_epoch t s conn `Stmt (Service.begin_epoch s.s_service trig)
 
-(* Dispatch up to [min !budget cap] lines on one connection,
-   decrementing the session's shared [budget]. Contiguous STMT runs go
-   through [dispatch_stmt_run]; an EPOCH verb offloads (or stalls
-   behind the tenant's in-flight epoch). *)
+(* Dispatch up to [min !budget cap] lines on one connection, one at a
+   time, decrementing the session's shared [budget]. A STMT feeds the
+   session; an EPOCH verb offloads (or stalls behind the tenant's
+   in-flight epoch); either one that leaves the connection awaiting an
+   epoch ends the turn. *)
 let dispatch_conn t conn budget ~cap =
   let turn = ref (min !budget cap) in
-  let spend n =
-    turn := !turn - n;
-    budget := !budget - n
-  in
   let continue = ref true in
   while !continue && !turn > 0 && t.running && has_dispatch_work conn do
-    if conn.replay <> [] then begin
-      (* Statements handed back when a trigger split their batch:
-         they re-feed under their pre-assigned ids, ahead of anything
-         newly read. *)
-      let rec take n l =
-        if n = 0 then ([], l)
-        else
-          match l with
-          | [] -> ([], [])
-          | x :: rest ->
-            let a, b = take (n - 1) rest in
-            (x :: a, b)
-      in
-      let now, later = take !turn conn.replay in
-      conn.replay <- later;
-      spend (List.length now);
-      dispatch_stmt_run t conn now
-    end
-    else
-      match stmt_sql (Queue.peek conn.pending) with
-      | Some _ ->
-        (* Gather the whole contiguous STMT run within this turn. *)
-        let sqls = ref [] in
-        let gathering = ref true in
-        while !gathering && !turn > 0 && not (Queue.is_empty conn.pending) do
-          match stmt_sql (Queue.peek conn.pending) with
-          | Some sql ->
-            ignore (Queue.pop conn.pending);
-            spend 1;
-            sqls := sql :: !sqls
-          | None -> gathering := false
-        done;
-        dispatch_stmt_run t conn (List.rev !sqls)
-      | None -> (
-        let line = Queue.peek conn.pending in
-        let verb, _ = split_verb line in
-        if String.uppercase_ascii verb = "EPOCH" then (
-          match conn.session with
-          | None ->
-            ignore (Queue.pop conn.pending);
-            spend 1;
-            t.commands_served <- t.commands_served + 1;
-            Metrics.Counter.incr m_commands;
-            respond t conn no_tenant_reply
-          | Some s when Service.epoch_in_flight s.s_service ->
-            (* The line stays queued: it re-dispatches after this
-               tenant's in-flight epoch commits. No budget spent. *)
-            conn.stalled <- true;
-            continue := false
-          | Some s -> (
-            ignore (Queue.pop conn.pending);
-            spend 1;
-            t.commands_served <- t.commands_served + 1;
-            Metrics.Counter.incr m_commands;
-            Metrics.Counter.incr s.s_commands;
-            match Service.begin_forced_epoch s.s_service with
-            | Error msg -> respond t conn ("ERR " ^ msg)
-            | Ok job -> submit_epoch t s conn `Forced job))
-        else begin
-          ignore (Queue.pop conn.pending);
-          spend 1;
-          dispatch_one t conn line
-        end)
+    let line = Queue.peek conn.pending in
+    let verb, rest = split_verb line in
+    match (String.uppercase_ascii verb, conn.session) with
+    | "EPOCH", Some s when Service.epoch_in_flight s.s_service ->
+      (* The line stays queued: it re-dispatches after this tenant's
+         in-flight epoch commits. No budget spent. *)
+      conn.stalled <- true;
+      continue := false
+    | command -> (
+      ignore (Queue.pop conn.pending);
+      decr turn;
+      decr budget;
+      t.commands_served <- t.commands_served + 1;
+      Metrics.Counter.incr m_commands;
+      match command with
+      | "STMT", _ when rest = "" -> dispatch_one t conn line
+      | "STMT", Some s -> dispatch_stmt t conn s rest
+      | "EPOCH", Some s -> (
+        Metrics.Counter.incr s.s_commands;
+        match Service.begin_forced_epoch s.s_service with
+        | Error msg -> respond t conn ("ERR " ^ msg)
+        | Ok job -> submit_epoch t s conn `Forced job)
+      | ("STMT" | "EPOCH"), None -> respond t conn no_tenant_reply
+      | _ -> dispatch_one t conn line)
   done;
   if not conn.closed then begin
     flush_out t conn;
@@ -965,7 +892,6 @@ let admit t fd =
         closed = false;
         awaiting_epoch = false;
         stalled = false;
-        replay = [];
       }
     in
     (match session with

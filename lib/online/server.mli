@@ -48,15 +48,13 @@
     so one pipelining tenant cannot starve accepts or other tenants.
     Rounds with undispatched input re-poll with a zero timeout;
     budget-exhausted rounds count [server_fairness_deferred_total].
-    Contiguous pipelined [STMT] runs are fed as one batch via
-    {!Service.feed_batch_async}.
+    Every [STMT] is fed on its own through {!Service.intake}.
 
     Epochs never run on the dispatch thread: a fired trigger or
     [EPOCH] verb snapshots the service ({!Service.begin_epoch}) and
     runs on the worker domain. The triggering connection waits for
-    exactly that reply (its remaining pipeline replays afterwards
-    under the same statement ids, so the reply stream is the one
-    one-at-a-time intake would give) while every other connection —
+    exactly that reply (the commands it pipelined behind the trigger
+    stay queued until the epoch lands) while every other connection —
     same tenant included — keeps dispatching against the last
     committed configuration. A concurrent [EPOCH] on the same tenant
     queues behind the in-flight one. An epoch that raises answers
@@ -114,8 +112,10 @@ val create :
     unless one is provided — it receives the [db] spec, defaulting to
     the tenant name). Spawns the epoch worker domain. Tenant names are
     restricted to [[A-Za-z0-9_.-]{1,64}] because they become metric
-    label values; invalid or duplicate names raise [Invalid_argument].
-    Raises [Unix_error] when binding fails. *)
+    label values; invalid or duplicate names raise [Invalid_argument],
+    as do [max_connections < 1], a [read_timeout] that is not finite
+    and [> 0], and [max_output_bytes < 1] — all before any socket is
+    opened. Raises [Unix_error] when binding fails. *)
 
 val port : t -> int
 (** The actually bound port (useful with [port = 0]). *)

@@ -150,14 +150,11 @@ let tune_decision t =
 
 (* ---- Intake ----
 
-   [observe] takes one statement through the window/drift state
-   machine and returns a fired trigger instead of running it: [feed]
-   runs that epoch in process, the daemon hands it to its worker.
-   Intake time excludes epochs either way. *)
-
-let parse t ~seq sql =
-  Parser.parse_query ~schema:(Database.schema t.db)
-    ~id:(Printf.sprintf "S%d" seq) sql
+   [intake] parses one statement under the next id and takes it
+   through the window/drift state machine, returning a fired trigger
+   instead of running it: [feed] runs that epoch in process, the
+   daemon hands it to its worker. Intake time excludes epochs either
+   way. *)
 
 let observe t parsed =
   t.seq <- t.seq + 1;
@@ -173,37 +170,30 @@ let observe t parsed =
     let ev_drift, trigger = tune_decision t in
     (Observed { ev_drift; ev_epoch = None }, trigger)
 
-let timed_intake t f =
-  let result, elapsed = Im_util.Stopwatch.time f in
+let intake t sql =
+  let result, elapsed =
+    Im_util.Stopwatch.time (fun () ->
+        let id = Printf.sprintf "S%d" (t.seq + 1) in
+        observe t (Parser.parse_query ~schema:(Database.schema t.db) ~id sql))
+  in
   t.feed_seconds <- t.feed_seconds +. elapsed;
   result
 
 let feed t sql =
-  match timed_intake t (fun () -> observe t (parse t ~seq:(t.seq + 1) sql)) with
+  match intake t sql with
   | Observed o, Some trigger ->
     Observed { o with ev_epoch = Some (run_epoch t trigger) }
   | event, _ -> event
 
-(* A pipelined run parses up front under pre-assigned ids, then applies
-   results in order until a statement fires a trigger: that statement
-   is fed (window observed, [seq] advanced) but produces no event, and
-   the unapplied raw statements after it are handed back for the
-   caller to replay once the epoch commits. Replayed text re-parses
-   under the same ids ([seq] only advanced past applied statements),
-   so the event stream is identical to feeding one statement at a
-   time. *)
 let feed_batch_async t sqls =
-  timed_intake t (fun () ->
-      let base = t.seq in
-      let rec apply acc = function
-        | [] -> (List.rev acc, None, [])
-        | (parsed, _) :: rest -> (
-          match observe t parsed with
-          | ev, None -> apply (ev :: acc) rest
-          | _, Some trigger -> (List.rev acc, Some trigger, List.map snd rest))
-      in
-      apply []
-        (List.mapi (fun i sql -> (parse t ~seq:(base + i + 1) sql, sql)) sqls))
+  let rec go acc = function
+    | [] -> (List.rev acc, None, [])
+    | sql :: rest -> (
+      match intake t sql with
+      | ev, None -> go (ev :: acc) rest
+      | _, Some trigger -> (List.rev acc, Some trigger, rest))
+  in
+  go [] sqls
 
 let force_epoch t =
   if Window.cluster_count t.window = 0 then Error "window is empty"

@@ -69,13 +69,19 @@ type event =
           (** when an epoch ran ({!feed} only) *)
     }
 
+val intake : t -> string -> event * Epoch.trigger option
+(** Ingest one SQL statement (text, trailing [';'] allowed): parse it
+    under the next statement id ([S<n>]), observe it in the window and
+    run the drift decision, timed into the intake seconds. The event
+    never carries [ev_epoch]: a fired trigger comes back instead, for
+    the caller to run ({!begin_epoch} + run + {!commit_epoch}). While
+    that epoch is in flight, further intake observes without
+    triggering. *)
+
 val feed : t -> string -> event
-(** Ingest one SQL statement (text, trailing [';'] allowed) in
-    process: the {!feed_batch_async} intake for one statement, then a
-    fired trigger's epoch runs right here ({!begin_epoch} + run +
-    {!commit_epoch}) and lands in [ev_epoch]. An epoch that raises is
-    aborted (the committed state is kept) and the exception
-    propagates. *)
+(** {!intake}, then a fired trigger's epoch runs right here in process
+    and lands in [ev_epoch]. An epoch that raises is aborted (the
+    committed state is kept) and the exception propagates. *)
 
 val force_epoch : t -> (Epoch.outcome, string) result
 (** Run an epoch now, in process; [Error] on an empty window. *)
@@ -86,12 +92,11 @@ val force_epoch : t -> (Epoch.outcome, string) result
     flight} and returns a thunk closed over a snapshot of everything
     the epoch reads (committed config, immutable window workload,
     cluster budget); the thunk is safe to run on a worker domain while
-    the dispatch thread keeps feeding this service. While in flight,
-    drift checks and further triggers are suppressed and
-    [config]/[stats] answer from the last committed state.
-    {!feed_batch_async} returns a fired {!Epoch.trigger} instead of
-    running it. [commit_epoch]/[abort_epoch] must be called from the
-    dispatch thread. *)
+    the dispatch thread keeps feeding this service through {!intake}.
+    While in flight, drift checks and further triggers are suppressed
+    and [config]/[stats] answer from the last committed state.
+    [commit_epoch]/[abort_epoch] must be called from the dispatch
+    thread. *)
 
 val epoch_in_flight : t -> bool
 
@@ -112,16 +117,11 @@ val abort_epoch : t -> unit
 
 val feed_batch_async :
   t -> string list -> event list * Epoch.trigger option * string list
-(** Ingest a pipelined run of statements: the run parses up front
-    under pre-assigned ids, then each result is applied to the
-    window/drift state machine in arrival order, until the first
-    statement that fires a trigger. That statement is fed (window
-    observed, id assigned) but produces no event — its reply depends
-    on the epoch outcome — and the raw statements after it are
-    returned unapplied for the caller to replay after [commit_epoch]
-    or [abort_epoch] (they re-parse under the same pre-assigned ids,
-    so the event stream matches feeding one statement at a time).
-    Returned events never carry [ev_epoch]. *)
+(** {!intake} over a list, stopping at the first statement that fires
+    a trigger: the events of the statements before it, the trigger,
+    and the statements after it unread. Kept only for the serve
+    workload of the repository benchmark, which calls it with one
+    statement; it goes away once that calls {!intake}. *)
 
 val config : t -> Im_catalog.Config.t
 val config_pages : t -> int

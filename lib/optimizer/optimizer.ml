@@ -44,6 +44,8 @@ let count_call (plan : Plan.t) =
      | Plan.Sort _ -> m_calls_sort
      | Plan.Hash_aggregate _ -> m_calls_hash_aggregate)
 
+(* FROM-clause sizes up to this bound are planned with exhaustive
+   left-deep enumeration; larger ones greedily. *)
 let join_order_limit = 5
 
 (* ---- Single-table building blocks ---- *)

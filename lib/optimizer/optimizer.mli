@@ -48,6 +48,3 @@ val invocations : unit -> int
 
 val reset_invocations : unit -> unit
 
-val join_order_limit : int
-(** FROM-clause sizes up to this bound are planned with exhaustive
-    left-deep enumeration; larger ones greedily. *)

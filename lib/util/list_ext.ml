@@ -60,8 +60,6 @@ let replace_assoc k v bindings =
     List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) bindings
   else bindings @ [ (k, v) ]
 
-let zip_with_index xs = List.mapi (fun i x -> (i, x)) xs
-
 let average = function
   | [] -> 0.
   | xs -> sum_by_f Fun.id xs /. float_of_int (List.length xs)

@@ -30,7 +30,5 @@ val index_of : ('a -> bool) -> 'a list -> int option
 val replace_assoc : 'k -> 'v -> ('k * 'v) list -> ('k * 'v) list
 (** Replace the binding for the key (polymorphic equality), or add it. *)
 
-val zip_with_index : 'a list -> (int * 'a) list
-
 val average : float list -> float
 (** Arithmetic mean; 0. on the empty list. *)

@@ -3,7 +3,8 @@
 # errors, the whole test suite twice (plain, and with every derived
 # cost cross-checked against a full optimization — results must not
 # depend on derivation; the goldens under test/golden pin the CLI's
-# output), the daemon fault and tenant tests, the serve smoke, the
+# output), the daemon fault and tenant tests three more times each
+# (both have flaked on dispatch-loop timing before), the serve smoke, the
 # metrics smokes (merge's optimizer calls, advise's certified
 # selection cells), the derive and cost-service benchmarks (emit
 # BENCH_derive.json / BENCH_costsvc.json), compression and pruning
@@ -42,12 +43,15 @@ IM_VALIDATE_DERIVE=1 dune runtest --force
 # hit (EPIPE unwinding the serve loop, half-close reply loss,
 # one-accept-per-round, blocking overload writes, silent oversized
 # closes); run them explicitly even though runtest covers them, so a
-# failure is impossible to miss.
-echo "== daemon fault tests =="
-dune exec test/test_server_faults.exe
-
-echo "== daemon tenant isolation tests =="
-dune exec test/test_online_tenants.exe
+# failure is impossible to miss. Three runs each: both suites race real
+# sockets against the dispatch loop and have flaked on its timing
+# before, so one green run proves little.
+for run in 1 2 3; do
+  echo "== daemon fault tests (run $run/3) =="
+  dune exec test/test_server_faults.exe
+  echo "== daemon tenant isolation tests (run $run/3) =="
+  dune exec test/test_online_tenants.exe
+done
 
 echo "== bench: serve smoke, 2 tenants x 100 pipelined clients (BENCH_serve_smoke.json) =="
 # exp_serve hard-asserts zero reply loss, zero ERR replies, zero

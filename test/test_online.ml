@@ -567,6 +567,90 @@ let test_service_pinned_epochs () =
        window cost 4877.6 -> 4882.3 (benefit -0.1%), 592 optimizer calls";
     ]
 
+(* The async intake must reproduce in-process feeding: the same stream,
+   crossing a bootstrap and a drift epoch, fed one statement at a time
+   with [feed] and in runs of 7 through [feed_batch_async] (each fired
+   trigger run begin/run/commit, the unread rest re-fed). A triggering
+   statement's event is its epoch, as the daemon answers it. *)
+let test_service_async_intake_matches_feed () =
+  let db = Lazy.force syn_db in
+  let budget_pages = max 1 (Database.data_pages db / 2) in
+  let options =
+    {
+      (Service.default_options ~budget_pages) with
+      Service.o_warmup = 8;
+      o_check_every = 8;
+      o_decay = 0.9;
+    }
+  in
+  let sqls tbl_cols =
+    List.map (fun (tbl, col, v) -> Query.to_sql (point_query tbl col v)) tbl_cols
+  in
+  let phase_a = sqls [ ("t0", "t0_c0", 1); ("t0", "t0_c1", 2) ] in
+  let phase_b = sqls [ ("t2", "t2_c0", 1); ("t3", "t3_c1", 2) ] in
+  let stream =
+    List.init 32 (fun i -> List.nth phase_a (i mod 2))
+    @ [ "SELECT nothing FROM nowhere" ]
+    @ List.init 64 (fun i -> List.nth phase_b (i mod 2))
+  in
+  let epoch_line o = "epoch " ^ strip_elapsed (Epoch.summary o) in
+  let render = function
+    | Service.Rejected msg -> "rejected " ^ msg
+    | Service.Observed { ev_epoch = Some o; _ } -> epoch_line o
+    | Service.Observed { ev_drift = Some v; ev_epoch = None } ->
+      Printf.sprintf "observed drift=%h regression=%h fired=%b reason=%s"
+        v.Drift.v_divergence v.Drift.v_regression v.Drift.v_fired
+        v.Drift.v_reason
+    | Service.Observed { ev_drift = None; ev_epoch = None } -> "observed"
+  in
+  let finish svc events =
+    ( events,
+      Service.statements svc,
+      Service.rejected svc,
+      List.rev_map (fun o -> strip_elapsed (Epoch.summary o))
+        (Service.epochs svc) )
+  in
+  let fed =
+    let svc = Service.create ~options db ~budget_pages in
+    finish svc (List.map (fun sql -> render (Service.feed svc sql)) stream)
+  in
+  let batched =
+    let svc = Service.create ~options db ~budget_pages in
+    let rec take n = function
+      | x :: rest when n > 0 ->
+        let run, later = take (n - 1) rest in
+        (x :: run, later)
+      | l -> ([], l)
+    in
+    let rec go acc = function
+      | [] -> List.rev acc
+      | sqls -> (
+        let run, later = take 7 sqls in
+        let events, trigger, unread = Service.feed_batch_async svc run in
+        let acc = List.rev_append (List.map render events) acc in
+        match trigger with
+        | None -> go acc later
+        | Some trig ->
+          let outcome = Service.begin_epoch svc trig () in
+          Service.commit_epoch svc outcome;
+          go (epoch_line outcome :: acc) (unread @ later))
+    in
+    finish svc (go [] stream)
+  in
+  let events, statements, rejected, summaries = fed in
+  let triggers =
+    List.map
+      (fun s -> String.sub s 0 (String.index s ':'))
+      summaries
+  in
+  Alcotest.(check bool) "bootstrap and drift epochs ran" true
+    (List.mem "epoch[bootstrap]" triggers && List.mem "epoch[drift]" triggers);
+  let b_events, b_statements, b_rejected, b_summaries = batched in
+  Alcotest.(check (list string)) "events" events b_events;
+  Alcotest.(check int) "statements" statements b_statements;
+  Alcotest.(check int) "rejected" rejected b_rejected;
+  Alcotest.(check (list string)) "epoch summaries" summaries b_summaries
+
 let () =
   Alcotest.run "im_online"
     [
@@ -610,5 +694,7 @@ let () =
           tc "compressed and pruned epochs pinned" `Quick
             test_service_pinned_epochs;
           tc "validation" `Quick test_service_validation;
+          tc "async intake = feed" `Quick
+            test_service_async_intake_matches_feed;
         ] );
     ]

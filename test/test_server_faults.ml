@@ -18,7 +18,9 @@
      the close, instead of silently dropping the connection;
    - an epoch that raises, whether a STMT or EPOCH triggered it, answers
      ERR and never takes the daemon down;
-   - a tenant dropped while its epoch is in flight. *)
+   - a tenant dropped while its epoch is in flight;
+   - [Server.create] rejects limits that would refuse every client,
+     never reap or reap everything, before it opens a socket. *)
 
 let cli () =
   let here = Filename.dirname Sys.executable_name in
@@ -522,6 +524,52 @@ let test_reap_spares_inflight_epoch () =
       (try Unix.close idle.fd with Unix.Unix_error _ -> ());
       expect_prefix "quit" "OK bye" (request c2 "QUIT"))
 
+let test_create_validation () =
+  (* A listener already holds the port: a [Server.create] that opened
+     its socket before validating would raise EADDRINUSE instead. *)
+  let held = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close held)
+    (fun () ->
+      Unix.bind held (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen held 1;
+      let port =
+        match Unix.getsockname held with
+        | Unix.ADDR_INET (_, p) -> p
+        | Unix.ADDR_UNIX _ -> assert false
+      in
+      let db =
+        Im_workload.Synthetic.database ~seed:1
+          {
+            Im_workload.Synthetic.sp_name = "tiny";
+            sp_tables = 2;
+            sp_cols_lo = 3;
+            sp_cols_hi = 4;
+            sp_rows_lo = 50;
+            sp_rows_hi = 60;
+          }
+      in
+      let service = Im_online.Service.create db ~budget_pages:100 in
+      let create ?max_connections ?read_timeout ?max_output_bytes () =
+        Im_online.Server.create ~port ?max_connections ?read_timeout
+          ?max_output_bytes service
+      in
+      let rejects what msg f =
+        Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+            ignore (f () : Im_online.Server.t))
+      in
+      let connections = "Server.create: max_connections < 1" in
+      let timeout = "Server.create: read_timeout must be finite and > 0" in
+      rejects "no connections" connections (create ~max_connections:0);
+      rejects "negative connections" connections
+        (create ~max_connections:(-3));
+      rejects "nan timeout" timeout (create ~read_timeout:Float.nan);
+      rejects "infinite timeout" timeout (create ~read_timeout:Float.infinity);
+      rejects "zero timeout" timeout (create ~read_timeout:0.);
+      rejects "negative timeout" timeout (create ~read_timeout:(-1.));
+      rejects "no output" "Server.create: max_output_bytes < 1"
+        (create ~max_output_bytes:0))
+
 let () =
   (* Writes to dead sockets must surface as EPIPE, not kill this test
      process. *)
@@ -550,5 +598,6 @@ let () =
             test_pipelined_epoch_failure;
           Alcotest.test_case "tenant dropped mid-epoch" `Slow
             test_tenant_dropped_mid_epoch;
+          Alcotest.test_case "create validation" `Quick test_create_validation;
         ] );
     ]
