@@ -38,6 +38,7 @@ type t = {
   window : Window.t;
   drift : Drift.t;
   budget : Budget.t;
+  prepared : Parser.Prepared.t;  (* statement shapes seen by [intake] *)
   mutable live : Config.t;
   mutable epochs : Epoch.outcome list;  (* most recent first *)
   mutable seq : int;  (* statement id counter *)
@@ -68,6 +69,7 @@ let create ?options ?pool:_ ?(initial = Config.empty) db ~budget_pages =
       Drift.create ~div_threshold:opts.o_div_threshold
         ~cost_threshold:opts.o_cost_threshold ();
     budget = Budget.create ();
+    prepared = Parser.Prepared.create (Database.schema db);
     live = initial;
     epochs = [];
     seq = 0;
@@ -150,7 +152,8 @@ let tune_decision t =
 
 (* ---- Intake ----
 
-   [intake] parses one statement under the next id and takes it
+   [intake] parses one statement under the next id (through the
+   service's own prepared-statement cache) and takes it
    through the window/drift state machine, returning a fired trigger
    instead of running it: [feed] runs that epoch in process, the
    daemon hands it to its worker. Intake time excludes epochs either
@@ -174,7 +177,7 @@ let intake t sql =
   let result, elapsed =
     Im_util.Stopwatch.time (fun () ->
         let id = Printf.sprintf "S%d" (t.seq + 1) in
-        observe t (Parser.parse_query ~schema:(Database.schema t.db) ~id sql))
+        observe t (Parser.Prepared.parse t.prepared ~id sql))
   in
   t.feed_seconds <- t.feed_seconds +. elapsed;
   result

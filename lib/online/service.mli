@@ -71,7 +71,8 @@ type event =
 
 val intake : t -> string -> event * Epoch.trigger option
 (** Ingest one SQL statement (text, trailing [';'] allowed): parse it
-    under the next statement id ([S<n>]), observe it in the window and
+    under the next statement id ([S<n>]) through the service's own
+    {!Im_sqlir.Parser.Prepared} cache, observe it in the window and
     run the drift decision, timed into the intake seconds. The event
     never carries [ev_epoch]: a fired trigger comes back instead, for
     the caller to run ({!begin_epoch} + run + {!commit_epoch}). While

@@ -31,130 +31,175 @@ let is_digit c = c >= '0' && c <= '9'
    approximation of 30.4-day months. *)
 let day_of_date y m d = ((y - 1992) * 365) + int_of_float (30.4 *. float_of_int (m - 1)) + d
 
-let tokenize input =
+(* ---- Literal readers ----
+
+   [tokenize] and [shape] both read literals through these, so they
+   agree on where every literal starts and ends and what it is worth.
+   Each takes the literal's first index ([read_date]: the end of its
+   DATE word) and returns its token and the index just past it; a
+   malformed literal raises [Lex_error]. *)
+
+exception Lex_error of int * string
+
+let rec skip_while p input i =
+  if i < String.length input && p input.[i] then skip_while p input (i + 1)
+  else i
+
+(* String literal; '' escapes a quote. *)
+let read_string input i =
   let n = String.length input in
-  let error pos msg = Error (Printf.sprintf "char %d: %s" pos msg) in
-  let rec skip_line_comment i = if i < n && input.[i] <> '\n' then skip_line_comment (i + 1) else i in
-  let rec go i acc =
-    if i >= n then Ok (List.rev (Eof :: acc))
-    else begin
+  let buf = Buffer.create 16 in
+  let rec str from =
+    match String.index_from_opt input from '\'' with
+    | None -> raise (Lex_error (i, "unterminated string literal"))
+    | Some j ->
+      Buffer.add_substring buf input from (j - from);
+      if j + 1 < n && input.[j + 1] = '\'' then begin
+        Buffer.add_char buf '\'';
+        str (j + 2)
+      end
+      else (String_lit (Buffer.contents buf), j + 1)
+  in
+  str (i + 1)
+
+let int_literal input start stop =
+  match int_of_string_opt (String.sub input start (stop - start)) with
+  | Some v -> v
+  | None -> raise (Lex_error (start, "integer literal out of range"))
+
+let read_number input i =
+  let n = String.length input in
+  let digits j = skip_while is_digit input j in
+  let j = digits (if input.[i] = '-' then i + 1 else i) in
+  let fraction = j < n && input.[j] = '.' in
+  let j = if fraction then digits (j + 1) else j in
+  (* Exponent part, as %g prints it: e+06, E-3, e12. *)
+  let d = if j + 1 < n && (input.[j + 1] = '+' || input.[j + 1] = '-') then j + 2 else j + 1 in
+  let exponent =
+    j < n && (input.[j] = 'e' || input.[j] = 'E') && d < n && is_digit input.[d]
+  in
+  let j = if exponent then digits d else j in
+  if fraction || exponent then (Float_lit (float_of_string (String.sub input i (j - i))), j)
+  else (Int_lit (int_literal input i j), j)
+
+(* At the end [j] of a word that reads DATE. [date:N] is the raw
+   day-number form Value.to_string emits, so that Query.to_sql output
+   parses back; [DATE 'yyyy-mm-dd'] is a literal; a bare DATE (as in
+   DDL column types) stays a keyword: [None]. *)
+let read_date input j =
+  let n = String.length input in
+  if j < n && input.[j] = ':' then begin
+    let k = skip_while is_digit input (j + 1) in
+    if k = j + 1 then raise (Lex_error (j, "expected digits after date:"))
+    else Some (Date_lit (int_literal input (j + 1) k), k)
+  end
+  else begin
+    let k = skip_while (fun c -> c = ' ' || c = '\t') input j in
+    if k < n && input.[k] = '\'' then begin
+      match String.index_from_opt input (k + 1) '\'' with
+      | None -> raise (Lex_error (k, "unterminated DATE literal"))
+      | Some close ->
+        let body = String.sub input (k + 1) (close - k - 1) in
+        (match List.map int_of_string_opt (String.split_on_char '-' body) with
+         | [ Some y; Some m; Some d ] -> Some (Date_lit (day_of_date y m d), close + 1)
+         | _ -> raise (Lex_error (k, "malformed DATE literal: " ^ body)))
+    end
+    else None
+  end
+
+(* The end of [table.column] when the word ending at [j] is followed by
+   [.column], else [j]. *)
+let qualified_end input j =
+  if j + 1 < String.length input && input.[j] = '.' && is_ident_start input.[j + 1]
+  then skip_while is_ident_char input (j + 1)
+  else j
+
+(* The one walk over a text that [tokenize] and [shape] share. It skips
+   whitespace and comments, reads each literal itself, and hands it to
+   [literal i (token, j)]; a word (identifier or keyword) goes to
+   [word i j] and any other character to [punct i c]. Each callback
+   returns the index to resume at. *)
+let walk input ~literal ~word ~punct =
+  let n = String.length input in
+  let rec go i =
+    if i < n then begin
       let c = input.[i] in
-      if c = ' ' || c = '\t' || c = '\n' || c = '\r' then go (i + 1) acc
+      if c = ' ' || c = '\t' || c = '\n' || c = '\r' then go (i + 1)
       else if c = '-' && i + 1 < n && input.[i + 1] = '-' then
-        go (skip_line_comment i) acc
-      else if c = ',' then go (i + 1) (Comma :: acc)
-      else if c = '(' then go (i + 1) (Lparen :: acc)
-      else if c = ')' then go (i + 1) (Rparen :: acc)
-      else if c = ';' then go (i + 1) (Semicolon :: acc)
-      else if c = '*' then go (i + 1) (Star :: acc)
-      else if c = '=' then go (i + 1) (Op "=" :: acc)
-      else if c = '<' then
-        if i + 1 < n && input.[i + 1] = '=' then go (i + 2) (Op "<=" :: acc)
-        else if i + 1 < n && input.[i + 1] = '>' then go (i + 2) (Op "<>" :: acc)
-        else go (i + 1) (Op "<" :: acc)
-      else if c = '>' then
-        if i + 1 < n && input.[i + 1] = '=' then go (i + 2) (Op ">=" :: acc)
-        else go (i + 1) (Op ">" :: acc)
-      else if c = '\'' then begin
-        (* String literal; '' escapes a quote. *)
-        let buf = Buffer.create 16 in
-        let rec str j =
-          if j >= n then error i "unterminated string literal"
-          else if input.[j] = '\'' then
-            if j + 1 < n && input.[j + 1] = '\'' then begin
-              Buffer.add_char buf '\'';
-              str (j + 2)
-            end
-            else go (j + 1) (String_lit (Buffer.contents buf) :: acc)
-          else begin
-            Buffer.add_char buf input.[j];
-            str (j + 1)
-          end
-        in
-        str (i + 1)
-      end
-      else if is_digit c || (c = '-' && i + 1 < n && is_digit input.[i + 1])
-      then begin
-        let j = ref i in
-        if input.[!j] = '-' then incr j;
-        while !j < n && is_digit input.[!j] do incr j done;
-        let saw_fraction = !j < n && input.[!j] = '.' in
-        if saw_fraction then begin
-          incr j;
-          while !j < n && is_digit input.[!j] do incr j done
-        end;
-        (* Exponent part, as %g prints it: e+06, E-3, e12. *)
-        let saw_exponent =
-          !j < n
-          && (input.[!j] = 'e' || input.[!j] = 'E')
-          && (!j + 1 < n
-              && (is_digit input.[!j + 1]
-                 || ((input.[!j + 1] = '+' || input.[!j + 1] = '-')
-                    && !j + 2 < n && is_digit input.[!j + 2])))
-        in
-        if saw_exponent then begin
-          incr j;
-          if input.[!j] = '+' || input.[!j] = '-' then incr j;
-          while !j < n && is_digit input.[!j] do incr j done
-        end;
-        let s = String.sub input i (!j - i) in
-        if saw_fraction || saw_exponent then
-          go !j (Float_lit (float_of_string s) :: acc)
-        else go !j (Int_lit (int_of_string s) :: acc)
-      end
+        go (skip_while (fun c -> c <> '\n') input i)
+      else if c = '\'' then go (literal i (read_string input i))
+      else if is_digit c || (c = '-' && i + 1 < n && is_digit input.[i + 1]) then
+        go (literal i (read_number input i))
       else if is_ident_start c then begin
-        let j = ref i in
-        while !j < n && is_ident_char input.[!j] do incr j done;
-        let word = String.sub input i (!j - i) in
-        let upper = String.uppercase_ascii word in
-        if upper = "DATE" && !j < n && input.[!j] = ':' then begin
-          (* date:N — the raw day-number form Value.to_string emits, so
-             that Query.to_sql output parses back. *)
-          let k = ref (!j + 1) in
-          let start = !k in
-          while !k < n && is_digit input.[!k] do incr k done;
-          if !k = start then error !j "expected digits after date:"
-          else
-            go !k (Date_lit (int_of_string (String.sub input start (!k - start))) :: acc)
-        end
-        else if upper = "DATE" then begin
-          (* DATE 'yyyy-mm-dd' is a literal; a bare DATE (as in DDL
-             column types) stays a keyword. *)
-          let k = ref !j in
-          while !k < n && (input.[!k] = ' ' || input.[!k] = '\t') do incr k done;
-          if !k < n && input.[!k] = '\'' then begin
-            let close = ref (!k + 1) in
-            while !close < n && input.[!close] <> '\'' do incr close done;
-            if !close >= n then error !k "unterminated DATE literal"
-            else begin
-              let body = String.sub input (!k + 1) (!close - !k - 1) in
-              match String.split_on_char '-' body with
-              | [ y; m; d ] ->
-                (match
-                   (int_of_string_opt y, int_of_string_opt m, int_of_string_opt d)
-                 with
-                 | Some y, Some m, Some d ->
-                   go (!close + 1) (Date_lit (day_of_date y m d) :: acc)
-                 | _ -> error !k ("malformed DATE literal: " ^ body))
-              | _ -> error !k ("malformed DATE literal: " ^ body)
-            end
-          end
-          else go !j (Kw "DATE" :: acc)
-        end
-        else if List.mem upper keywords then go !j (Kw upper :: acc)
-        else if !j < n && input.[!j] = '.' && !j + 1 < n && is_ident_start input.[!j + 1]
-        then begin
-          let k = ref (!j + 1) in
-          while !k < n && is_ident_char input.[!k] do incr k done;
-          let col = String.sub input (!j + 1) (!k - !j - 1) in
-          go !k (Qualified (word, col) :: acc)
-        end
-        else go !j (Ident word :: acc)
+        let j = skip_while is_ident_char input i in
+        let date = j - i = 4 && String.uppercase_ascii (String.sub input i 4) = "DATE" in
+        match if date then read_date input j else None with
+        | Some lit -> go (literal i lit)
+        | None -> go (word i j)
       end
-      else error i (Printf.sprintf "unexpected character %C" c)
+      else go (punct i c)
     end
   in
-  go 0 []
+  go 0
+
+let tokenize input =
+  let n = String.length input in
+  let acc = ref [] in
+  let push tok j =
+    acc := tok :: !acc;
+    j
+  in
+  let op i len = push (Op (String.sub input i len)) (i + len) in
+  let word i j =
+    let word = String.sub input i (j - i) in
+    let upper = String.uppercase_ascii word in
+    let k = qualified_end input j in
+    if List.mem upper keywords then push (Kw upper) j
+    else if k > j then push (Qualified (word, String.sub input (j + 1) (k - j - 1))) k
+    else push (Ident word) j
+  in
+  let punct i = function
+    | ',' -> push Comma (i + 1)
+    | '(' -> push Lparen (i + 1)
+    | ')' -> push Rparen (i + 1)
+    | ';' -> push Semicolon (i + 1)
+    | '*' -> push Star (i + 1)
+    | '<' when i + 1 < n && (input.[i + 1] = '=' || input.[i + 1] = '>') -> op i 2
+    | '>' when i + 1 < n && input.[i + 1] = '=' -> op i 2
+    | '=' | '<' | '>' -> op i 1
+    | c -> raise (Lex_error (i, Printf.sprintf "unexpected character %C" c))
+  in
+  match walk input ~literal:(fun _ (tok, j) -> push tok j) ~word ~punct with
+  | () -> Ok (List.rev (Eof :: !acc))
+  | exception Lex_error (pos, msg) -> Error (Printf.sprintf "char %d: %s" pos msg)
+
+(* [tokenize]'s walk without building tokens: the text between literals
+   is copied a run at a time, each literal becomes a tag byte for its
+   kind. [tokenize] rejects those bytes outside comments, so in a shape
+   a tag is a literal or part of a comment. *)
+let shape input key =
+  let lits = ref [] and run = ref 0 in
+  let literal i (tok, j) =
+    Buffer.add_substring key input !run (i - !run);
+    Buffer.add_char key
+      (match tok with
+       | Int_lit _ -> '\001'
+       | Float_lit _ -> '\002'
+       | String_lit _ -> '\003'
+       | _ -> '\004');
+    lits := tok :: !lits;
+    run := j;
+    j
+  in
+  let punct i = function
+    | ',' | '(' | ')' | '*' | ';' | '=' | '<' | '>' -> i + 1
+    | _ -> raise Exit
+  in
+  match walk input ~literal ~word:(fun _ j -> qualified_end input j) ~punct with
+  | () ->
+    Buffer.add_substring key input !run (String.length input - !run);
+    Some (List.rev !lits)
+  | exception (Lex_error _ | Exit) -> None
 
 let pp_token = function
   | Ident s -> s

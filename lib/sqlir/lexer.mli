@@ -22,13 +22,16 @@ type token =
   | Semicolon
   | Eof
 
-val keywords : string list
-(** SELECT FROM WHERE AND GROUP ORDER BY ASC DESC BETWEEN IN COUNT SUM
-    AVG MIN MAX DATE *)
-
 val tokenize : string -> (token list, string) result
 (** Tokenize a statement (or several, separated by semicolons). Errors
     carry a position. SQL comments ([-- ...] to end of line) are
-    skipped. *)
+    skipped. An integer literal (or [date:N] day number) that does not
+    fit an OCaml [int] is an error, never an exception. *)
+
+val shape : string -> Buffer.t -> token list option
+(** [shape text key] appends [text] to [key] with each literal replaced
+    by a one-byte tag for its kind, and returns the literals in order.
+    Texts with equal shapes tokenize alike up to literal values. [None]
+    on a character or literal {!tokenize} rejects. *)
 
 val pp_token : token -> string

@@ -57,37 +57,33 @@ let parse_colref st =
 
 (* ---- Literals ---- *)
 
-type raw_literal = Rint of int | Rfloat of float | Rstr of string | Rdate of int
-
 let parse_literal st =
   match peek st with
-  | Int_lit i ->
+  | (Int_lit _ | Float_lit _ | String_lit _ | Date_lit _) as lit ->
     advance st;
-    Rint i
-  | Float_lit f ->
-    advance st;
-    Rfloat f
-  | String_lit s ->
-    advance st;
-    Rstr s
-  | Date_lit d ->
-    advance st;
-    Rdate d
+    lit
   | other -> fail "expected a literal, found %s" (pp_token other)
+
+(* A literal token as a value of column type [ty]; [None] when it does
+   not fit. *)
+let coerce_value ty lit =
+  match (ty, lit) with
+  | Datatype.Int, Int_lit i -> Some (Value.Int i)
+  | Datatype.Float, Int_lit i -> Some (Value.Float (float_of_int i))
+  | Datatype.Float, Float_lit f -> Some (Value.Float f)
+  | Datatype.Date, Int_lit i -> Some (Value.Date i)
+  | Datatype.Date, Date_lit d -> Some (Value.Date d)
+  | Datatype.Varchar n, String_lit s when String.length s <= n -> Some (Value.Str s)
+  | _, _ -> None
 
 let coerce st (c : Predicate.colref) lit =
   let ty = Schema.column_type st.schema c.Predicate.cr_table c.Predicate.cr_column in
-  match (ty, lit) with
-  | Datatype.Int, Rint i -> Value.Int i
-  | Datatype.Float, Rint i -> Value.Float (float_of_int i)
-  | Datatype.Float, Rfloat f -> Value.Float f
-  | Datatype.Date, Rint i -> Value.Date i
-  | Datatype.Date, Rdate d -> Value.Date d
-  | Datatype.Varchar n, Rstr s when String.length s <= n -> Value.Str s
-  | Datatype.Varchar n, Rstr s ->
+  match (coerce_value ty lit, ty, lit) with
+  | Some v, _, _ -> v
+  | None, Datatype.Varchar n, String_lit s ->
     fail "string %S too long for %s.%s (varchar %d)" s c.Predicate.cr_table
       c.Predicate.cr_column n
-  | _, _ ->
+  | None, _, _ ->
     fail "literal does not fit the type of %s.%s" c.Predicate.cr_table
       c.Predicate.cr_column
 
@@ -312,3 +308,86 @@ let parse_statements ~schema ?(id_prefix = "Q") text =
            Error (Printf.sprintf "statement %d: unknown table or column" i))
     in
     go 1 [] stmts
+
+(* ---- Prepared statements ----
+
+   A shape ({!Lexer.shape}) fixes the tokens up to literal values, hence
+   every choice [parse_one_statement] makes but the literals' coercions
+   ([Query.validate] checks nothing they have not). A hit coerces the new
+   literals into the cached query's slots; a miss, or a literal that does
+   not fit, goes through [parse_query], so errors read as they do there. *)
+module Prepared = struct
+  (* Slots are the literals of [q_where] in order: [Cmp] has one,
+     [Between] two, [In_list] one per value, [Join] none. *)
+  type template = { skeleton : Query.t; slot_types : Datatype.t list }
+
+  type t = {
+    p_schema : Schema.t;
+    templates : (string, template) Hashtbl.t;
+    key : Buffer.t;
+  }
+
+  let capacity = 1024
+
+  let create schema =
+    { p_schema = schema; templates = Hashtbl.create 64; key = Buffer.create 256 }
+
+  let size t = Hashtbl.length t.templates
+
+  let slot_types schema (q : Query.t) =
+    let ty (c : Predicate.colref) = Schema.column_type schema c.cr_table c.cr_column in
+    List.concat_map
+      (function
+        | Predicate.Cmp (_, c, _) -> [ ty c ]
+        | Predicate.Between (c, _, _) -> [ ty c; ty c ]
+        | Predicate.In_list (c, vs) -> List.map (fun _ -> ty c) vs
+        | Predicate.Join _ -> [])
+      q.Query.q_where
+
+  let instantiate tpl ~id lits =
+    let values = ref (List.map2 coerce_value tpl.slot_types lits) in
+    let value () =
+      match !values with
+      | Some v :: rest ->
+        values := rest;
+        v
+      | _ -> raise Exit
+    in
+    let fill = function
+      | Predicate.Cmp (op, c, _) -> Predicate.Cmp (op, c, value ())
+      | Predicate.Between (c, _, _) ->
+        let lo = value () in
+        Predicate.Between (c, lo, value ())
+      | Predicate.In_list (c, vs) -> Predicate.In_list (c, List.map (fun _ -> value ()) vs)
+      | Predicate.Join _ as p -> p
+    in
+    let q = tpl.skeleton in
+    match List.map fill q.Query.q_where with
+    | where ->
+      Some
+        (Query.make ~id ~select:q.Query.q_select ~where ~group_by:q.Query.q_group_by
+           ~order_by:q.Query.q_order_by q.Query.q_tables)
+    | exception Exit -> None
+
+  let parse t ~id text =
+    let full () = parse_query ~schema:t.p_schema ~id text in
+    Buffer.clear t.key;
+    match Lexer.shape text t.key with
+    | None -> full ()
+    | Some lits -> (
+      let key = Buffer.contents t.key in
+      match Hashtbl.find_opt t.templates key with
+      | Some tpl -> (
+        match instantiate tpl ~id lits with Some q -> Ok q | None -> full ())
+      | None ->
+        let result = full () in
+        (match result with
+         | Ok q ->
+           let slot_types = slot_types t.p_schema q in
+           if List.compare_lengths slot_types lits = 0 then begin
+             if Hashtbl.length t.templates >= capacity then Hashtbl.clear t.templates;
+             Hashtbl.add t.templates key { skeleton = q; slot_types }
+           end
+         | Error _ -> ());
+        result)
+end

@@ -11,11 +11,6 @@ let colref cr_table cr_column = { cr_table; cr_column }
 
 let equal_colref a b = a.cr_table = b.cr_table && a.cr_column = b.cr_column
 
-let compare_colref a b =
-  match String.compare a.cr_table b.cr_table with
-  | 0 -> String.compare a.cr_column b.cr_column
-  | c -> c
-
 let is_join = function Join _ -> true | Cmp _ | Between _ | In_list _ -> false
 
 let selection_column = function

@@ -20,7 +20,6 @@ type t =
 
 val colref : string -> string -> colref
 val equal_colref : colref -> colref -> bool
-val compare_colref : colref -> colref -> int
 
 val is_join : t -> bool
 

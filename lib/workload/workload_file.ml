@@ -48,6 +48,7 @@ exception Fold_error of string
    toggles the quote state twice, so naive toggling tracks it
    correctly) and outside [--] line comments. *)
 let fold_lines ~schema ~id_prefix next_line ~init ~f =
+  let prepared = Im_sqlir.Parser.Prepared.create schema in
   let buf = Buffer.create 256 in
   let pending : float Queue.t = Queue.create () in
   let annotations = ref 0 in
@@ -60,7 +61,7 @@ let fold_lines ~schema ~id_prefix next_line ~init ~f =
     if String.trim text <> "" then begin
       incr statements;
       let id = Printf.sprintf "%s%d" id_prefix !statements in
-      match Im_sqlir.Parser.parse_query ~schema ~id text with
+      match Im_sqlir.Parser.Prepared.parse prepared ~id text with
       | Error msg ->
         raise (Fold_error (Printf.sprintf "statement %d: %s" !statements msg))
       | Ok q ->

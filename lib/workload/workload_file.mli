@@ -15,7 +15,9 @@
     [-- FREQ:3.5] all parse. Frequencies must be positive numbers —
     zero, negative or malformed values are a parse error, never
     silently dropped. [--] comments that are not frequency annotations
-    are ignored. *)
+    are ignored. Statements parse through one
+    {!Im_sqlir.Parser.Prepared} cache per call, with
+    {!Im_sqlir.Parser.parse_query}'s results. *)
 
 val parse :
   schema:Im_sqlir.Schema.t ->

@@ -9,10 +9,11 @@
 # selection cells), the derive and cost-service benchmarks (emit
 # BENCH_derive.json / BENCH_costsvc.json), compression and pruning
 # identity smokes (--compress 0 and --prune-support 0 must be no-ops), the
-# domain-pool tests at IM_DOMAINS=0 and 4, the scale and
-# frontier-pruning bench smokes, formatting when ocamlformat is
-# installed (skipped gracefully when not — the CI container does not
-# ship it), and last lib/'s line count, optional-argument count and
+# domain-pool tests at IM_DOMAINS=0 and 4, the scale, intake and
+# frontier-pruning bench smokes (intake asserts the prepared-statement
+# cache parses every generated statement exactly as the parser does),
+# formatting when ocamlformat is installed (skipped gracefully when
+# not — the CI container does not ship it), and last lib/'s line count, optional-argument count and
 # Online.Service.options field count, each with its delta against
 # HEAD~1 (scripts/lib-lines.sh).
 set -eu
@@ -119,6 +120,13 @@ echo "== bench: scale compression smoke, 1k statements (BENCH_scale_smoke.json) 
 # sublinear, and --compress 0 reproduces the fig5/6 searches exactly.
 IM_SCALE_N=1000 IM_BENCH_OUT=BENCH_scale_smoke.json dune exec bench/main.exe -- scale
 echo "wrote BENCH_scale_smoke.json"
+
+echo "== bench: intake smoke, prepared parse = parse_query (BENCH_intake_smoke.json) =="
+# exp_intake hard-asserts Parser.Prepared.parse returns exactly what
+# parse_query returns on every generated statement of all three
+# databases, and reports us/statement per intake layer.
+IM_BENCH_OUT=BENCH_intake_smoke.json dune exec bench/main.exe -- intake
+echo "wrote BENCH_intake_smoke.json"
 
 echo "== bench: frontier-pruning smoke (BENCH_mine_smoke.json) =="
 # exp_mine hard-asserts the pruned searches evaluate measurably fewer

@@ -245,6 +245,278 @@ let prop_generated_roundtrip =
       | Ok q' -> Query.canonical_string q = Query.canonical_string q'
       | Error msg -> QCheck.Test.fail_reportf "%s: %s" msg sql)
 
+(* ---- Literal range ---- *)
+
+let test_integer_overflow () =
+  let overflow = "char 30: integer literal out of range" in
+  Alcotest.(check (result reject string)) "int_of_string never escapes"
+    (Error overflow)
+    (Result.map ignore
+       (Parser.parse_query ~schema
+          "SELECT o_id FROM orders WHERE 99999999999999999999 = o_id"));
+  (match Lexer.tokenize "date:99999999999999999999" with
+   | Error msg ->
+     Alcotest.(check string) "date:N too" "char 5: integer literal out of range" msg
+   | Ok _ -> Alcotest.fail "overflowing date:N accepted");
+  (match Lexer.tokenize "4611686018427387903 -4611686018427387904" with
+   | Ok [ Lexer.Int_lit a; Lexer.Int_lit b; Lexer.Eof ] ->
+     Alcotest.(check (pair int int)) "max_int and min_int still fit"
+       (max_int, min_int) (a, b)
+   | Ok _ | Error _ -> Alcotest.fail "int range edges not recognized")
+
+(* ---- Prepared statements ---- *)
+
+let same_result what expected got =
+  match (expected, got) with
+  | Ok q, Ok q' when q = q' -> ()
+  | Error m, Error m' when String.equal m m' -> ()
+  | _ ->
+    let show = function
+      | Ok q -> Printf.sprintf "Ok %s [%s]" (Query.to_sql q) q.Query.q_id
+      | Error m -> "Error " ^ m
+    in
+    Alcotest.failf "%s: parse_query gives %s, Prepared.parse gives %s" what
+      (show expected) (show got)
+
+let check_prepared cache ~id text =
+  same_result text (Parser.parse_query ~schema ~id text)
+    (Parser.Prepared.parse cache ~id text)
+
+let test_prepared_hit_coercion_error () =
+  let cache = Parser.Prepared.create schema in
+  check_prepared cache ~id:"a" "SELECT o_id FROM orders WHERE o_status = 'OPEN'";
+  check_prepared cache ~id:"b" "SELECT o_id FROM orders WHERE o_status = 'SHIPPED'";
+  Alcotest.(check int) "one shape" 1 (Parser.Prepared.size cache);
+  (* Same shape, but the string is too long for varchar(10). *)
+  (match
+     Parser.Prepared.parse cache ~id:"c"
+       "SELECT o_id FROM orders WHERE o_status = 'much too long for ten'"
+   with
+   | Error msg ->
+     Alcotest.(check string) "parse_query's message"
+       "string \"much too long for ten\" too long for orders.o_status (varchar 10)"
+       msg
+   | Ok _ -> Alcotest.fail "overlong string accepted on a hit");
+  (* An int shape against a float column coerces; the same shape with a
+     float literal is a different shape, and against an int column an
+     error. *)
+  check_prepared cache ~id:"d" "SELECT o_id FROM orders WHERE o_cust = 7 AND o_total < 3";
+  check_prepared cache ~id:"e" "SELECT o_id FROM orders WHERE o_cust = 8 AND o_total < 4";
+  check_prepared cache ~id:"f" "SELECT o_id FROM orders WHERE o_cust = 8.5 AND o_total < 4";
+  check_prepared cache ~id:"g"
+    "SELECT o_id FROM orders WHERE o_cust = 99999999999999999999 AND o_total < 4"
+
+let test_prepared_capacity () =
+  let cache = Parser.Prepared.create schema in
+  let shape i = Printf.sprintf "SELECT o_id FROM orders WHERE o_id = 1%s" (String.make i ' ') in
+  for i = 0 to Parser.Prepared.capacity - 1 do
+    check_prepared cache ~id:"q" (shape i)
+  done;
+  Alcotest.(check int) "full" Parser.Prepared.capacity (Parser.Prepared.size cache);
+  check_prepared cache ~id:"q" (shape 0);
+  Alcotest.(check int) "a hit adds nothing" Parser.Prepared.capacity
+    (Parser.Prepared.size cache);
+  check_prepared cache ~id:"q" (shape Parser.Prepared.capacity);
+  Alcotest.(check int) "cleared before the next insert" 1
+    (Parser.Prepared.size cache)
+
+let test_prepared_errors_unchanged () =
+  let cache = Parser.Prepared.create schema in
+  List.iter
+    (fun text ->
+      (* Twice: a failed parse is never cached. *)
+      check_prepared cache ~id:"q" text;
+      check_prepared cache ~id:"q" text)
+    [
+      "";
+      "   -- only a comment";
+      ";";
+      "SELECT o_id FROM orders; SELECT c_id FROM customer";
+      "SELECT o_id FROM orders WHERE o_id = 1; SELECT o_id FROM orders WHERE o_id = 2";
+      "SELECT o_id FROM orders WHERE o_id = 'x'";
+      "SELECT o_id FROM orders WHERE o_id = 1 @";
+      "SELECT o_id FROM orders WHERE o_status = 'open";
+      "SELECT o_id FROM orders WHERE o_date = DATE '1994-13'";
+      "SELECT o_id FROM orders WHERE o_date = date:";
+      "SELECT o_id FROM orders WHERE 5";
+      "SELECT o_id FROM orders WHERE o_id IN ()";
+    ];
+  Alcotest.(check int) "nothing cached" 0 (Parser.Prepared.size cache)
+
+(* Property: [Prepared.parse] equals [parse_query] (structurally, so the
+   id and canonical text too, and the error text on failure) on
+   generated workloads for all three databases. Each case renders one
+   query in a random layout (keyword case, whitespace, comments) and
+   then with three sets of perturbed constants under that layout, and
+   feeds the first text again, so every shape that parses is hit. *)
+let prop_prepared_equals_parse =
+  let dbs =
+    [
+      Im_workload.Tpcd.database ~sf:0.002 ();
+      Im_workload.Synthetic.database ~seed:1 Im_workload.Synthetic.synthetic1;
+      Im_workload.Synthetic.database ~seed:2 Im_workload.Synthetic.synthetic2;
+    ]
+  in
+  let pool =
+    List.concat_map
+      (fun db ->
+        let schema = Im_catalog.Database.schema db in
+        let rng = Im_util.Rng.create 5 in
+        let cache = Parser.Prepared.create schema in
+        List.map
+          (fun q -> (schema, cache, Query.to_sql q))
+          (Im_workload.Workload.queries (Im_workload.Ragsgen.generate db ~rng ~n:40)
+          @ Im_workload.Workload.queries (Im_workload.Projgen.generate db ~rng ~n:10)
+          @ if Schema.mem_table schema "lineitem" then Im_workload.Tpcd_queries.all
+            else []))
+      dbs
+    |> Array.of_list
+  in
+  (* Canonical SQL split into words and separators; a word is a
+     keyword, identifier, operator or literal. *)
+  let pieces sql =
+    let n = String.length sql in
+    let rec go i acc =
+      if i >= n then List.rev acc
+      else
+        match sql.[i] with
+        | ' ' -> go (i + 1) acc
+        | (',' | '(' | ')') as c -> go (i + 1) (`Sep (String.make 1 c) :: acc)
+        | '\'' ->
+          let j = String.index_from sql (i + 1) '\'' in
+          go (j + 1) (`Str (String.sub sql (i + 1) (j - i - 1)) :: acc)
+        | _ ->
+          let j = ref i in
+          while !j < n && not (List.mem sql.[!j] [ ' '; ','; '('; ')' ]) do incr j done;
+          go !j (`Word (String.sub sql i (!j - i)) :: acc)
+    in
+    go 0 []
+  in
+  let pick rng xs = List.nth xs (Random.State.int rng (List.length xs)) in
+  let number rng =
+    pick rng
+      [
+        string_of_int (Random.State.int rng 100);
+        string_of_int (-Random.State.int rng 100);
+        "99999999999999999999"; "-99999999999999999999";
+        string_of_int max_int; string_of_int min_int;
+        "2.5"; "-0.75"; "1e3"; "-7.5E-1"; "3."; "2e+2";
+      ]
+  in
+  let str rng =
+    let len = pick rng [ 0; 3; 8; 10; 11; 25; 40 ] in
+    String.concat ""
+      (List.init len (fun _ ->
+           if Random.State.int rng 8 = 0 then "''"
+           else String.make 1 (Char.chr (97 + Random.State.int rng 26))))
+  in
+  let date rng =
+    let ymd () =
+      Printf.sprintf "%d-%d-%02d" (1992 + Random.State.int rng 8)
+        (1 + Random.State.int rng 12) (1 + Random.State.int rng 28)
+    in
+    pick rng
+      [
+        Printf.sprintf "date:%d" (Random.State.int rng 3000);
+        Printf.sprintf "DATE '%s'" (ymd ());
+        Printf.sprintf "date   '%s'" (ymd ());
+        "date:99999999999999999999";
+        string_of_int (Random.State.int rng 3000);
+      ]
+  in
+  (* A literal's new text: mostly the same kind, sometimes any kind. *)
+  let perturb rng lit =
+    let kind =
+      if Random.State.int rng 5 = 0 then pick rng [ `N; `S; `D ] else lit
+    in
+    match kind with
+    | `N -> number rng
+    | `S -> "'" ^ str rng ^ "'"
+    | `D -> date rng
+  in
+  let keywords =
+    [ "SELECT"; "FROM"; "WHERE"; "AND"; "GROUP"; "ORDER"; "BY"; "ASC"; "DESC";
+      "BETWEEN"; "IN"; "COUNT"; "SUM"; "AVG"; "MIN"; "MAX" ]
+  in
+  let keyword_case rng w =
+    String.map
+      (fun c -> if Random.State.bool rng then Char.lowercase_ascii c else c)
+      w
+  in
+  let gap rng ~needed =
+    match Random.State.int rng 8 with
+    | 0 when not needed -> ""
+    | 1 -> "\n"
+    | 2 -> "\t "
+    | 3 -> "  -- a comment with 1 'quote\n"
+    | 4 -> "\r\n  "
+    | _ -> " "
+  in
+  let render ~layout ~constants sql =
+    let buf = Buffer.create 256 in
+    let prev_word = ref false in
+    List.iter
+      (fun p ->
+        let is_word = match p with `Sep _ -> false | `Word _ | `Str _ -> true in
+        if Buffer.length buf > 0 then
+          Buffer.add_string buf (gap layout ~needed:(is_word && !prev_word));
+        prev_word := is_word;
+        Buffer.add_string buf
+          (match p with
+           | `Sep s -> s
+           | `Str s ->
+             if Random.State.int constants 3 = 0 then perturb constants `S
+             else "'" ^ s ^ "'"
+           | `Word w when List.mem w keywords -> keyword_case layout w
+           | `Word w when String.length w > 5 && String.sub w 0 5 = "date:" ->
+             perturb constants `D
+           | `Word w when w.[0] = '-' || (w.[0] >= '0' && w.[0] <= '9') ->
+             perturb constants `N
+           | `Word w -> w))
+      (pieces sql);
+    if Random.State.bool layout then Buffer.add_string buf ";";
+    Buffer.contents buf
+  in
+  let counter = ref 0 in
+  let check schema cache text =
+    incr counter;
+    let id = Printf.sprintf "P%d" !counter in
+    let expected = Parser.parse_query ~schema ~id text in
+    let got = Parser.Prepared.parse cache ~id text in
+    let same =
+      match (expected, got) with
+      | Ok q, Ok q' ->
+        q = q' && String.equal q.Query.q_canon q'.Query.q_canon
+        && String.equal q.Query.q_id q'.Query.q_id
+      | Error m, Error m' -> String.equal m m'
+      | _ -> false
+    in
+    if not same then QCheck.Test.fail_reportf "differs on %S" text;
+    got
+  in
+  (* 600 cases add fewer shapes than a cache holds, so the repeated text
+     is always answered from the template: its tables are the very list
+     the template holds, not a fresh parse's. *)
+  QCheck.Test.make ~name:"Prepared.parse = parse_query on perturbed workloads"
+    ~count:600
+    QCheck.(pair (int_bound (Array.length pool - 1)) (pair int int))
+    (fun (i, (layout_seed, constant_seed)) ->
+      let schema, cache, sql = pool.(i) in
+      let constants = Random.State.make [| constant_seed |] in
+      let text () =
+        render ~layout:(Random.State.make [| layout_seed |]) ~constants sql
+      in
+      let first = text () in
+      let r1 = check schema cache first in
+      ignore (check schema cache (text ()));
+      ignore (check schema cache (text ()));
+      match (r1, check schema cache first) with
+      | Ok q, Ok q' ->
+        q.Query.q_tables == q'.Query.q_tables
+        || QCheck.Test.fail_reportf "repeated text not served from the cache: %S"
+             first
+      | _ -> true)
+
 let () =
   Alcotest.run "im_parser"
     [
@@ -268,5 +540,13 @@ let () =
           tc "rejections" `Quick test_parse_errors;
           tc "TPC-D Q6 text" `Quick test_parse_tpcd_query_on_real_schema;
           QCheck_alcotest.to_alcotest prop_generated_roundtrip;
+          tc "integer literal out of range" `Quick test_integer_overflow;
+        ] );
+      ( "prepared",
+        [
+          tc "hit with a failing coercion" `Quick test_prepared_hit_coercion_error;
+          tc "cleared at capacity" `Quick test_prepared_capacity;
+          tc "errors unchanged" `Quick test_prepared_errors_unchanged;
+          QCheck_alcotest.to_alcotest prop_prepared_equals_parse;
         ] );
     ]

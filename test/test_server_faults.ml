@@ -20,7 +20,10 @@
      ERR and never takes the daemon down;
    - a tenant dropped while its epoch is in flight;
    - [Server.create] rejects limits that would refuse every client,
-     never reap or reap everything, before it opens a socket. *)
+     never reap or reap everything, before it opens a socket;
+   - a STMT whose integer literal overflows an OCaml int answers ERR;
+     the lexer's [int_of_string] used to escape the event loop and end
+     the daemon. *)
 
 let cli () =
   let here = Filename.dirname Sys.executable_name in
@@ -570,6 +573,33 @@ let test_create_validation () =
       rejects "no output" "Server.create: max_output_bytes < 1"
         (create ~max_output_bytes:0))
 
+let test_overflowing_literal () =
+  let d = start_daemon () in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let c = connect d.port in
+      let overflow =
+        "STMT SELECT COUNT(*) FROM t0 WHERE t0.t0_c1 = 99999999999999999999"
+      in
+      let expect_overflow what =
+        let resp = request c overflow in
+        expect_prefix what "ERR " resp;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names the range" what resp)
+          true
+          (Astring_contains.contains resp "integer literal out of range")
+      in
+      expect_overflow "overflow";
+      (* The same shape with a literal that fits parses and is cached;
+         the overflowing one still answers ERR after it. *)
+      expect_prefix "fitting literal" "OK observed"
+        (request c "STMT SELECT COUNT(*) FROM t0 WHERE t0.t0_c1 = 9");
+      expect_overflow "overflow after a cached shape";
+      let c2 = connect d.port in
+      expect_prefix "stats on a second connection" "OK " (request c2 "STATS");
+      expect_prefix "quit" "OK bye" (request c2 "QUIT"))
+
 let () =
   (* Writes to dead sockets must surface as EPIPE, not kill this test
      process. *)
@@ -599,5 +629,6 @@ let () =
           Alcotest.test_case "tenant dropped mid-epoch" `Slow
             test_tenant_dropped_mid_epoch;
           Alcotest.test_case "create validation" `Quick test_create_validation;
+          Alcotest.test_case "overflowing literal" `Slow test_overflowing_literal;
         ] );
     ]
