@@ -3,7 +3,7 @@
 
    Usage: dune exec bench/main.exe [-- experiment ...]
    where experiment is one of e0a e0b fig5 fig6 fig7 fig8 ablate costval
-   micro online costsvc derive scale mine serve intake
+   micro online costsvc derive scale mine intake
    (default: everything). *)
 
 let experiments =
@@ -22,7 +22,6 @@ let experiments =
     ("derive", Exp_derive.run);
     ("scale", Exp_scale.run);
     ("mine", Exp_mine.run);
-    ("serve", Exp_serve.run);
     ("intake", Exp_intake.run);
   ]
 

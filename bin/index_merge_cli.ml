@@ -619,13 +619,12 @@ let run_serve db_name sf seed schema_file data_dir port budget window decay
                  pages, window %d clusters)\n%!"
     (Im_online.Server.port server) budget_pages window;
   Printf.printf "tenants: %s (max %d connections, %d per tenant, %d \
-                 output bytes, backend %s)\n%!"
+                 output bytes)\n%!"
     (String.concat " " (Im_online.Server.tenants server))
     max_connections
     (if max_tenant_connections > 0 then max_tenant_connections
      else max_connections)
-    max_output_bytes
-    (Im_online.Server.event_backend server);
+    max_output_bytes;
   let handle_stop _ = Im_online.Server.shutdown server in
   ignore (Sys.signal Sys.sigint (Sys.Signal_handle handle_stop));
   ignore (Sys.signal Sys.sigterm (Sys.Signal_handle handle_stop));

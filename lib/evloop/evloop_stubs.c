@@ -1,14 +1,13 @@
-/* C stubs for the readiness layer: epoll(7) on Linux, poll(2)
-   everywhere, and an rlimit helper so benches can raise the
-   open-file ceiling before driving thousands of sockets.
+/* C stubs for the readiness layer: poll(2), and an rlimit helper so
+   callers can raise the open-file ceiling before opening fds past
+   FD_SETSIZE.
 
    File descriptors cross the boundary as plain ints (on Unix the
    OCaml runtime represents Unix.file_descr as the fd integer; the
-   OCaml side converts with "%identity"). Every blocking syscall
-   releases the runtime lock so other domains keep running. */
+   OCaml side converts with "%identity"). The blocking poll releases
+   the runtime lock so other domains keep running. */
 
 #include <caml/mlvalues.h>
-#include <caml/alloc.h>
 #include <caml/memory.h>
 #include <caml/fail.h>
 #include <caml/threads.h>
@@ -16,118 +15,11 @@
 
 #include <errno.h>
 #include <poll.h>
-#include <stdlib.h>
-#include <string.h>
 #include <sys/resource.h>
-#include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 /* Interest bits shared with evloop.ml. */
 #define IM_EV_READ 1
 #define IM_EV_WRITE 2
-
-/* ---- epoll ---- */
-
-CAMLprim value caml_im_evloop_epoll_available(value unit)
-{
-#ifdef __linux__
-  return Val_true;
-#else
-  (void)unit;
-  return Val_false;
-#endif
-}
-
-#ifdef __linux__
-
-CAMLprim value caml_im_evloop_epoll_create(value unit)
-{
-  int fd = epoll_create1(EPOLL_CLOEXEC);
-  if (fd == -1) uerror("epoll_create1", Nothing);
-  (void)unit;
-  return Val_int(fd);
-}
-
-static uint32_t events_of_interest(int interest)
-{
-  uint32_t ev = 0;
-  if (interest & IM_EV_READ) ev |= EPOLLIN;
-  if (interest & IM_EV_WRITE) ev |= EPOLLOUT;
-  return ev;
-}
-
-/* op: 0 = add, 1 = modify, 2 = delete. */
-CAMLprim value caml_im_evloop_epoll_ctl(value epfd, value op, value fd,
-                                        value interest)
-{
-  struct epoll_event ev;
-  int ops[3] = { EPOLL_CTL_ADD, EPOLL_CTL_MOD, EPOLL_CTL_DEL };
-  memset(&ev, 0, sizeof(ev));
-  ev.events = events_of_interest(Int_val(interest));
-  ev.data.fd = Int_val(fd);
-  if (epoll_ctl(Int_val(epfd), ops[Int_val(op)], Int_val(fd), &ev) == -1)
-    uerror("epoll_ctl", Nothing);
-  return Val_unit;
-}
-
-#define IM_EPOLL_MAX_EVENTS 512
-
-/* Returns an (fd, ready-bits) array. HUP/ERR surface as both readable
-   (the read path sees EOF/ECONNRESET) and writable (a pending flush
-   sees EPIPE), matching level-triggered select semantics. */
-CAMLprim value caml_im_evloop_epoll_wait(value epfd, value timeout_ms)
-{
-  CAMLparam2(epfd, timeout_ms);
-  CAMLlocal2(arr, pair);
-  struct epoll_event evs[IM_EPOLL_MAX_EVENTS];
-  int n;
-  caml_release_runtime_system();
-  n = epoll_wait(Int_val(epfd), evs, IM_EPOLL_MAX_EVENTS,
-                 Int_val(timeout_ms));
-  caml_acquire_runtime_system();
-  if (n == -1) {
-    if (errno == EINTR) n = 0;
-    else uerror("epoll_wait", Nothing);
-  }
-  arr = caml_alloc(n, 0);
-  for (int i = 0; i < n; i++) {
-    uint32_t e = evs[i].events;
-    int bits = 0;
-    if (e & (EPOLLIN | EPOLLPRI | EPOLLHUP | EPOLLERR)) bits |= IM_EV_READ;
-    if (e & (EPOLLOUT | EPOLLHUP | EPOLLERR)) bits |= IM_EV_WRITE;
-    pair = caml_alloc_tuple(2);
-    Store_field(pair, 0, Val_int(evs[i].data.fd));
-    Store_field(pair, 1, Val_int(bits));
-    Store_field(arr, i, pair);
-  }
-  CAMLreturn(arr);
-}
-
-#else /* !__linux__ */
-
-CAMLprim value caml_im_evloop_epoll_create(value unit)
-{
-  (void)unit;
-  caml_failwith("epoll is not available on this platform");
-}
-
-CAMLprim value caml_im_evloop_epoll_ctl(value epfd, value op, value fd,
-                                        value interest)
-{
-  (void)epfd; (void)op; (void)fd; (void)interest;
-  caml_failwith("epoll is not available on this platform");
-}
-
-CAMLprim value caml_im_evloop_epoll_wait(value epfd, value timeout_ms)
-{
-  (void)epfd; (void)timeout_ms;
-  caml_failwith("epoll is not available on this platform");
-}
-
-#endif
 
 /* ---- poll ---- */
 

@@ -5,7 +5,7 @@
    pulls from a mutex+condition queue in submission order; finished
    jobs land on a completion list the event loop drains at each
    wake-up, and every completion fires the [wakeup] callback (the
-   daemon's self-pipe) so a loop blocked in epoll/poll notices without
+   daemon's self-pipe) so a loop blocked in poll notices without
    polling.
 
    An epoch is a hundreds-of-milliseconds batch that must never run

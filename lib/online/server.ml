@@ -270,7 +270,6 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(read_timeout = 30.)
   }
 
 let port t = t.bound_port
-let event_backend t = Evloop.backend_name t.ev
 let shutdown t = t.running <- false
 let connections_served t = t.connections_served
 let commands_served t = t.commands_served
@@ -408,8 +407,8 @@ let respond t conn reply =
   end
 
 (* Push this connection's desired interest set to the readiness layer;
-   [Evloop.modify] skips the syscall when nothing changed, so calling
-   this after every state transition is cheap. *)
+   [Evloop.modify] is one array store, so calling this after every
+   state transition is cheap. *)
 let sync_interest t conn =
   if not conn.closed then begin
     let read =
@@ -1018,9 +1017,9 @@ let serve t =
       ready;
     List.iter
       (fun (conn, ev) ->
-        (* Epoll and poll report HUP/ERR regardless of the interest
-           mask: gate on the interest the server actually holds so a
-           paused connection is not read early. *)
+        (* Poll reports HUP/ERR regardless of the interest mask:
+           gate on the interest the server actually holds so a paused
+           connection is not read early. *)
         if
           ev.Evloop.ev_read && (not conn.closed) && (not conn.closing)
           && (not conn.eof)
@@ -1052,7 +1051,6 @@ let serve t =
   Hashtbl.reset t.backlog;
   Hashtbl.reset t.pending_epochs;
   Metrics.Gauge.set_int m_live 0;
-  Evloop.close t.ev;
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
   try Unix.close t.listener with Unix.Unix_error _ -> ()

@@ -1,9 +1,8 @@
 (** Multi-tenant TCP advisor daemon: a single dispatch thread on the
-    readiness layer ({!Im_evloop.Evloop} — epoll on Linux, poll
-    elsewhere) exposing one {!Service} per tenant over a line
-    protocol. Epoch re-merges run on a dedicated worker domain so a
-    multi-hundred-millisecond tuning pass never stalls the other
-    tenants' statements.
+    [poll(2)] readiness layer ({!Im_evloop.Evloop}) exposing one
+    {!Service} per tenant over a line protocol. Epoch re-merges run on
+    a dedicated worker domain so a multi-hundred-millisecond tuning
+    pass never stalls the other tenants' statements.
 
     Requests are newline-terminated; responses are one [OK ...] or
     [ERR ...] line, except [CONFIG]/[METRICS]/[TENANT LIST] whose
@@ -119,10 +118,6 @@ val create :
 
 val port : t -> int
 (** The actually bound port (useful with [port = 0]). *)
-
-val event_backend : t -> string
-(** The resolved readiness backend: ["epoll"] on Linux, else
-    ["poll"]. *)
 
 val serve : t -> unit
 (** Run the event loop until a client issues [SHUTDOWN] or {!shutdown}

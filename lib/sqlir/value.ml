@@ -46,12 +46,17 @@ let datatype_matches dt v =
   | (Datatype.Int | Datatype.Float | Datatype.Date | Datatype.Varchar _), _ ->
     false
 
+(* Both literal forms parse back to the same value: [%g] when its six
+   significant digits hold the float exactly, else all 17; a quote
+   inside a string is doubled, as the lexer reads it. *)
 let to_string = function
   | Null -> "NULL"
   | Int x -> string_of_int x
-  | Float x -> Printf.sprintf "%g" x
+  | Float x ->
+    let short = Printf.sprintf "%g" x in
+    if float_of_string short = x then short else Printf.sprintf "%.17g" x
   | Date x -> Printf.sprintf "date:%d" x
-  | Str s -> "'" ^ s ^ "'"
+  | Str s -> "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)
 

@@ -3,10 +3,11 @@
 # errors, the whole test suite twice (plain, and with every derived
 # cost cross-checked against a full optimization — results must not
 # depend on derivation; the goldens under test/golden pin the CLI's
-# output), the daemon fault and tenant tests three more times each
-# (both have flaked on dispatch-loop timing before), the serve smoke, the
-# metrics smokes (merge's optimizer calls, advise's certified
-# selection cells), the derive and cost-service benchmarks (emit
+# output), the daemon fault, tenant and readiness tests three more
+# times each (they race real sockets against the dispatch loop, and
+# the tenant and readiness suites carry the pipelined-fleet and
+# epoch-isolation gates), the metrics smokes (merge's optimizer
+# calls, advise's certified selection cells), the derive and cost-service benchmarks (emit
 # BENCH_derive.json / BENCH_costsvc.json), compression and pruning
 # identity smokes (--compress 0 and --prune-support 0 must be no-ops), the
 # domain-pool tests at IM_DOMAINS=0 and 4, the scale, intake and
@@ -44,23 +45,22 @@ IM_VALIDATE_DERIVE=1 dune runtest --force
 # hit (EPIPE unwinding the serve loop, half-close reply loss,
 # one-accept-per-round, blocking overload writes, silent oversized
 # closes); run them explicitly even though runtest covers them, so a
-# failure is impossible to miss. Three runs each: both suites race real
-# sockets against the dispatch loop and have flaked on its timing
-# before, so one green run proves little.
+# failure is impossible to miss. The tenant suite's "pipelined fleet"
+# case gates 100 pipelined clients on 2 tenants (one OK reply per
+# command, no write error, backpressure close or reject, output queue
+# <= 1 MiB); the readiness suite's daemon case gates a bystander's
+# STMT p99 during another tenant's slow epoch. Three runs each: all
+# three suites race real sockets against the dispatch loop and the
+# fault and tenant suites have flaked on its timing before, so one
+# green run proves little.
 for run in 1 2 3; do
   echo "== daemon fault tests (run $run/3) =="
   dune exec test/test_server_faults.exe
   echo "== daemon tenant isolation tests (run $run/3) =="
   dune exec test/test_online_tenants.exe
+  echo "== readiness and epoch isolation tests (run $run/3) =="
+  dune exec test/test_evloop.exe
 done
-
-echo "== bench: serve smoke, 2 tenants x 100 pipelined clients (BENCH_serve_smoke.json) =="
-# exp_serve hard-asserts zero reply loss, zero ERR replies, zero
-# daemon write errors / backpressure closes / rejects, and an output
-# queue under the cap.
-IM_SERVE_CLIENTS=100 IM_SERVE_TENANTS=2 IM_BENCH_OUT=BENCH_serve_smoke.json \
-  dune exec bench/main.exe -- serve
-echo "wrote BENCH_serve_smoke.json"
 
 echo "== metrics smoke (--metrics exposes the registry) =="
 dune exec bin/index_merge_cli.exe -- merge -d synthetic1 -q 6 --metrics \

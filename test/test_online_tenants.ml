@@ -309,6 +309,88 @@ let test_backpressure_close () =
         (request c2 "STATS");
       expect "quit" "OK bye" (request c2 "QUIT"))
 
+let test_pipelined_fleet () =
+  (* 100 clients spread over 2 tenants each pipeline TENANT USE plus 20
+     commands (STMTs on their tenant's own table, a STATS every tenth)
+     in one write, half-close, and only then read: every command must
+     get exactly one OK reply before the daemon closes the connection,
+     and the daemon must count no write error, backpressure close or
+     rejected connection, with its output-queue high-water under the
+     1 MiB default cap. *)
+  let clients = 100 and depth = 20 in
+  let tenants = [| "synthetic1"; "t2" |] in
+  let d =
+    start_daemon
+      ~args:
+        [
+          "--tenant"; "t2=synthetic1"; "--max-connections";
+          string_of_int (clients + 8);
+        ]
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let fleet =
+        List.init clients (fun i ->
+            let table = Printf.sprintf "t%d" (i mod 2) in
+            let b = Buffer.create 1024 in
+            Printf.bprintf b "TENANT USE %s\n" tenants.(i mod 2);
+            for k = 1 to depth do
+              if k mod 10 = 0 then Buffer.add_string b "STATS\n"
+              else
+                Printf.bprintf b "STMT SELECT %s_c0 FROM %s WHERE %s_c0 = %d\n"
+                  table table table ((i * depth) + k)
+            done;
+            let c = connect d.port in
+            output_string c.oc (Buffer.contents b);
+            flush c.oc;
+            Unix.shutdown c.fd Unix.SHUTDOWN_SEND;
+            c)
+      in
+      List.iteri
+        (fun i c ->
+          let replies = ref [] in
+          (try
+             while true do
+               replies := input_line c.ic :: !replies
+             done
+           with End_of_file -> ());
+          Unix.close c.fd;
+          Alcotest.(check int)
+            (Printf.sprintf "client %d: one reply per command" i)
+            (depth + 1) (List.length !replies);
+          List.iter
+            (fun r -> expect_prefix (Printf.sprintf "client %d reply" i) "OK" r)
+            !replies)
+        fleet;
+      let c = connect d.port in
+      let m = read_metrics c in
+      List.iter
+        (fun name ->
+          Alcotest.(check (float 0.)) name 0. (metric m name))
+        [
+          "server_write_errors_total"; "server_backpressure_closed_total";
+          "server_connections_rejected_total";
+        ];
+      Alcotest.(check bool)
+        (Printf.sprintf "out queue high-water %.0f <= 1 MiB"
+           (metric m "server_out_queue_max_bytes"))
+        true
+        (metric m "server_out_queue_max_bytes" <= 1_048_576.);
+      (* Each tenant observed exactly its half of the fleet's STMTs. *)
+      let head = request c "TENANT LIST" in
+      let stmts = clients / 2 * (depth - (depth / 10)) in
+      List.iter
+        (fun row ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S counts %d statements" row stmts)
+            true
+            (Astring_contains.contains row
+               (Printf.sprintf "statements=%d " stmts)))
+        (read_body c head);
+      expect "quit" "OK bye" (request c "QUIT"))
+
 let () =
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   Alcotest.run "im_online_tenants"
@@ -320,5 +402,6 @@ let () =
           Alcotest.test_case "weights" `Slow test_tenant_weights;
           Alcotest.test_case "backpressure close" `Slow
             test_backpressure_close;
+          Alcotest.test_case "pipelined fleet" `Slow test_pipelined_fleet;
         ] );
     ]

@@ -156,6 +156,44 @@ let test_parse_roundtrip_to_sql () =
   Alcotest.(check string) "fixpoint" (Query.canonical_string q1)
     (Query.canonical_string q2)
 
+(* Literals that the canonical text once rendered lossily: an embedded
+   quote, 7+ significant digits, and an IN-list value holding what
+   looks like a list separator. Each parses back from to_sql, and
+   survives a workload file save/load, with the same canonical text
+   and the same values. *)
+let test_literal_text_roundtrip () =
+  let texts =
+    [
+      "SELECT o_id FROM orders WHERE o_status = 'it''s'";
+      "SELECT o_id FROM orders WHERE o_status IN ('x'', ''y', 'x', 'y')";
+      "SELECT o_id FROM orders WHERE o_total = 10266.23";
+      "SELECT o_id FROM orders WHERE o_total BETWEEN 1234567.5 AND \
+       123456789.25";
+      "SELECT o_id FROM orders WHERE o_total < 0.1234567";
+    ]
+  in
+  let qs = List.map parse texts in
+  let same what a b =
+    Alcotest.(check string) what (Query.canonical_string a)
+      (Query.canonical_string b);
+    Alcotest.(check bool) (what ^ ": same predicates") true
+      (a.Query.q_where = b.Query.q_where)
+  in
+  List.iter (fun q -> same "to_sql parses back" q (parse (Query.to_sql q))) qs;
+  Alcotest.(check bool) "IN-list values keep their own text" false
+    (Query.canonical_string (parse "SELECT o_id FROM orders WHERE o_status \
+                                    IN ('x'', ''y')")
+    = Query.canonical_string (parse "SELECT o_id FROM orders WHERE o_status \
+                                     IN ('x', 'y')"));
+  let path = Filename.temp_file "im_literals" ".sql" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Im_workload.Workload_file.save (Im_workload.Workload.make qs) path;
+      match Im_workload.Workload_file.load ~schema path with
+      | Error m -> Alcotest.fail m
+      | Ok w -> List.iter2 (same "saved and loaded") qs (Im_workload.Workload.queries w))
+
 let test_parse_statements_script () =
   let script =
     "SELECT o_id FROM orders;\n-- second one\nSELECT c_id FROM customer;"
@@ -541,6 +579,7 @@ let () =
           tc "TPC-D Q6 text" `Quick test_parse_tpcd_query_on_real_schema;
           QCheck_alcotest.to_alcotest prop_generated_roundtrip;
           tc "integer literal out of range" `Quick test_integer_overflow;
+          tc "literal text round-trip" `Quick test_literal_text_roundtrip;
         ] );
       ( "prepared",
         [
