@@ -8,7 +8,6 @@ type t = {
   stats_cache : (string * string, Im_stats.Column_stats.t) Hashtbl.t;
   stats_lock : Mutex.t;  (* guards stats_cache only *)
   materialized : (string, Bptree.t) Hashtbl.t;  (* keyed by index name *)
-  mat_defs : (string, Index.t) Hashtbl.t;
   stats_seed : int;
   sample_threshold : int;
   sample_size : int;
@@ -35,7 +34,6 @@ let create ?(seed = 42) ?(sample_threshold = 20_000) ?(sample_size = 5_000)
     stats_cache = Hashtbl.create 64;
     stats_lock = Mutex.create ();
     materialized = Hashtbl.create 16;
-    mat_defs = Hashtbl.create 16;
     stats_seed = seed;
     sample_threshold;
     sample_size;
@@ -99,9 +97,6 @@ let index_pages t ix =
 let config_storage_pages t config =
   Config.storage_pages t.db_schema ~row_count:(row_count t) config
 
-let index_key t ix rid =
-  Heap.project (heap t ix.Index.idx_table) rid ix.Index.idx_columns
-
 let materialize t ix =
   match Hashtbl.find_opt t.materialized ix.Index.idx_name with
   | Some tree -> tree
@@ -115,32 +110,4 @@ let materialize t ix =
       Bptree.bulk_load ~key_width:(Index.key_width t.db_schema ix) entries
     in
     Hashtbl.replace t.materialized ix.Index.idx_name tree;
-    Hashtbl.replace t.mat_defs ix.Index.idx_name ix;
     tree
-
-let drop_materialized t ix =
-  Hashtbl.remove t.materialized ix.Index.idx_name;
-  Hashtbl.remove t.mat_defs ix.Index.idx_name
-
-let invalidate_stats t tbl =
-  Mutex.lock t.stats_lock;
-  let keys =
-    Hashtbl.fold
-      (fun (tbl', col) _ acc -> if tbl' = tbl then (tbl', col) :: acc else acc)
-      t.stats_cache []
-  in
-  List.iter (Hashtbl.remove t.stats_cache) keys;
-  Mutex.unlock t.stats_lock
-
-let insert_row t tbl row =
-  let h = heap t tbl in
-  let rid = Heap.append h row in
-  Hashtbl.iter
-    (fun name tree ->
-      match Hashtbl.find_opt t.mat_defs name with
-      | Some ix when ix.Index.idx_table = tbl ->
-        Bptree.insert tree (index_key t ix rid) rid
-      | Some _ | None -> ())
-    t.materialized;
-  invalidate_stats t tbl;
-  rid

@@ -5,7 +5,11 @@
     what the optimizer consults, so a *hypothetical* index can be costed
     without being materialized. Materialization builds a real
     {!Im_storage.Bptree} and is only needed by the executor and by the
-    maintenance-cost validation tests. *)
+    maintenance-cost validation tests.
+
+    A database never changes once created: its statistics, and every
+    cost cached over them (the cost service, the atom cache), stay
+    valid for its whole life. *)
 
 type t
 
@@ -40,14 +44,3 @@ val index_pages : t -> Index.t -> int
 
 val materialize : t -> Index.t -> Im_storage.Bptree.t
 (** Build (or return the cached) physical B+-tree for the index. *)
-
-val drop_materialized : t -> Index.t -> unit
-
-val index_key : t -> Index.t -> int -> Im_sqlir.Value.t array
-(** Key of row [rid] under the index's column order. *)
-
-val insert_row : t -> string -> Im_sqlir.Value.t array -> int
-(** Append a row to the table's heap and to every *materialized* index
-    on it; statistics are invalidated. Returns the rid. *)
-
-val invalidate_stats : t -> string -> unit

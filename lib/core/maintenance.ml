@@ -46,7 +46,7 @@ let config_batch_cost db config ~inserts =
            (Config.on_table config tbl))
     inserts
 
-let generate_insert_rows db ~rng ~table ~fraction =
+let generate_inserts db ~rng ~table ~fraction =
   let h = Database.heap db table in
   let n = Heap.row_count h in
   let k = max 1 (int_of_float (fraction *. float_of_int n)) in

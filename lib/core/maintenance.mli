@@ -24,7 +24,7 @@ val config_batch_cost :
 (** Total maintenance cost of a batch: heap appends plus every affected
     index of the configuration. [inserts] maps table → row count. *)
 
-val generate_insert_rows :
+val generate_inserts :
   Im_catalog.Database.t ->
   rng:Im_util.Rng.t ->
   table:string ->

@@ -14,7 +14,6 @@ module Stopwatch = Im_util.Stopwatch
 let m_hits = Metrics.counter "costsvc_hits_total"
 let m_misses = Metrics.counter "costsvc_misses_total"
 let m_evictions = Metrics.counter "costsvc_evictions_total"
-let m_invalidated = Metrics.counter "costsvc_invalidated_total"
 
 let m_lookup_hit =
   Metrics.histogram ~labels:[ ("outcome", "hit") ] "costsvc_lookup_seconds"
@@ -29,7 +28,6 @@ type counters = {
   c_hits : int;
   c_misses : int;
   c_evictions : int;
-  c_invalidated : int;
   c_derived : int;
   c_fallbacks : int;
 }
@@ -39,7 +37,6 @@ type key = { k_query : string; k_relevant : int array }
 type node = {
   n_key : key;
   n_cost : float;
-  n_tables : string list;
   mutable n_prev : node option;  (* toward the MRU end *)
   mutable n_next : node option;  (* toward the LRU end *)
 }
@@ -63,7 +60,6 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable invalidated : int;
   mutable derived : int;
   mutable fallbacks : int;
   cost_evals : int Atomic.t;  (* workload-level; bumped outside [lock] *)
@@ -85,7 +81,6 @@ let create ?(capacity = 8192) ?update_cost ?(derive = false) db =
     hits = 0;
     misses = 0;
     evictions = 0;
-    invalidated = 0;
     derived = 0;
     fallbacks = 0;
     cost_evals = Atomic.make 0;
@@ -105,7 +100,6 @@ let counters t =
         c_hits = t.hits;
         c_misses = t.misses;
         c_evictions = t.evictions;
-        c_invalidated = t.invalidated;
         c_derived = t.derived;
         c_fallbacks = t.fallbacks;
       })
@@ -214,15 +208,7 @@ let query_cost t config q =
             cost
         in
         if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
-        let n =
-          {
-            n_key = key;
-            n_cost = c;
-            n_tables = q.Query.q_tables;
-            n_prev = None;
-            n_next = None;
-          }
-        in
+        let n = { n_key = key; n_cost = c; n_prev = None; n_next = None } in
         Hashtbl.add t.tbl key n;
         push_mru t n;
         Metrics.Counter.incr m_misses;
@@ -268,26 +254,6 @@ let workload_cost ?query_cost:override t config w =
 let workload_cost_by_entry t config w cost =
   combine t config w (fun i _ -> cost i)
 
-(* ---- Invalidation ---- *)
-
-let remove_if t pred =
-  locked t (fun () ->
-      let doomed =
-        Hashtbl.fold (fun _ n acc -> if pred n then n :: acc else acc) t.tbl []
-      in
-      (* Single pass: count while removing. *)
-      let k =
-        List.fold_left
-          (fun k n ->
-            Hashtbl.remove t.tbl n.n_key;
-            unlink t n;
-            k + 1)
-          0 doomed
-      in
-      t.invalidated <- t.invalidated + k;
-      Metrics.Counter.add m_invalidated k;
-      k)
-
 (* Uncached by design: plans are bulky and the derived path already
    makes producing one cheap. Used by the search layers for seek/scan
    usage analysis, where the service decides how a plan is obtained. *)
@@ -295,22 +261,3 @@ let query_plan t config q =
   match t.deriver with
   | Some d -> Im_derive.Derive.query_plan d config q
   | None -> Im_optimizer.Optimizer.optimize t.db config q
-
-let invalidate_index t ix =
-  (match t.deriver with
-   | Some d -> ignore (Im_derive.Derive.invalidate_index d ix)
-   | None -> ());
-  let id = ix.Index.idx_id in
-  remove_if t (fun n -> Array.exists (Int.equal id) n.n_key.k_relevant)
-
-let invalidate_table t tbl =
-  (match t.deriver with
-   | Some d -> ignore (Im_derive.Derive.invalidate_table d tbl)
-   | None -> ());
-  remove_if t (fun n -> List.mem tbl n.n_tables)
-
-let clear t =
-  (match t.deriver with
-   | Some d -> Im_derive.Derive.clear d
-   | None -> ());
-  ignore (remove_if t (fun _ -> true))

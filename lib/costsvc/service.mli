@@ -23,7 +23,9 @@
     cannot alias two distinct configurations.
 
     The cache is a bounded LRU: hits refresh recency, insertion beyond
-    capacity evicts the least-recently-used entry. Counters (hits,
+    capacity evicts the least-recently-used entry. A loaded database
+    never changes, so no cached cost goes stale: entries leave only by
+    eviction. Counters (hits,
     misses, evictions, optimizer calls, workload evaluations) are
     cumulative per service and reported by the CLI [merge] report and
     the daemon's STATS line.
@@ -34,13 +36,7 @@
     on a miss runs under that lock: concurrent misses on one key
     serialize and the loser scores a hit, which keeps
     hit/miss/optimizer-call totals exactly equal to a sequential run
-    and never duplicates what-if work.
-
-    Invalidation is the {e owner's} duty: the service never observes
-    data changes. Whoever mutates the database (row inserts changing
-    statistics) must call {!invalidate_table}; whoever distrusts a
-    definition's costs can call {!invalidate_index}; {!clear} drops
-    everything. *)
+    and never duplicates what-if work. *)
 
 type t
 
@@ -51,7 +47,6 @@ type counters = {
   c_hits : int;
   c_misses : int;
   c_evictions : int;  (** capacity evictions (LRU order) *)
-  c_invalidated : int;  (** entries dropped by explicit invalidation *)
   c_derived : int;  (** misses answered from cached atoms (no optimizer) *)
   c_fallbacks : int;  (** misses the deriver routed to the optimizer *)
 }
@@ -112,18 +107,6 @@ val query_plan :
 
 val deriver : t -> Im_derive.Derive.t option
 (** The attached atom cache, when [~derive:true]. *)
-
-val invalidate_index : t -> Im_catalog.Index.t -> int
-(** Drop every cached cost whose relevant sub-configuration contains
-    the definition (and its atoms, when deriving). Returns the number
-    of cost entries dropped. *)
-
-val invalidate_table : t -> string -> int
-(** Drop every cached cost of a query referencing the table (use after
-    data/statistics changes on it), and its atoms when deriving.
-    Returns the number of cost entries dropped. *)
-
-val clear : t -> unit
 
 val counters : t -> counters
 

@@ -8,9 +8,9 @@ module Plan = Im_optimizer.Plan
 module Metrics = Im_obs.Metrics
 
 (* Process-wide metrics, aggregated across every deriver instance. The
-   entries gauge tracks live atoms net of invalidation; instances that
-   are dropped without [clear] keep their contribution (same contract
-   as every other per-instance gauge in the registry). *)
+   live entry count is per deriver ({!atom_entries}): a process-wide
+   gauge could only ever grow, since nothing subtracts a dropped
+   deriver's entries. *)
 let m_derived = Metrics.counter "derive_hits_total"
 
 let m_fallback_order_sort =
@@ -18,7 +18,6 @@ let m_fallback_order_sort =
 
 let m_atom_hits = Metrics.counter "derive_atom_hits_total"
 let m_atom_misses = Metrics.counter "derive_atom_misses_total"
-let m_atom_entries = Metrics.gauge "derive_atom_entries"
 let m_validations = Metrics.counter "derive_validations_total"
 
 exception Mismatch of string
@@ -152,7 +151,6 @@ let atom t q (input : Access_path.input) ix =
         t.atom_misses <- t.atom_misses + 1;
         Metrics.Counter.incr m_atom_misses;
         Hashtbl.add t.atoms key a;
-        Metrics.Gauge.add m_atom_entries 1.0;
         a)
 
 let cached_heap t q (input : Access_path.input) =
@@ -169,7 +167,6 @@ let cached_heap t q (input : Access_path.input) =
       | None ->
         let h = Access_path.heap_choice t.db input in
         Hashtbl.add t.heaps key h;
-        Metrics.Gauge.add m_atom_entries 1.0;
         h)
 
 (* ---- The derived provider ---- *)
@@ -220,41 +217,3 @@ let query_plan t config q = (plan t config q).a_plan
 let query_cost t config q =
   let a = plan t config q in
   (Plan.cost a.a_plan, a.a_fallback)
-
-(* ---- Invalidation ---- *)
-
-let remove_where t ~atom_doomed ~heap_doomed =
-  locked t (fun () ->
-      let doomed_atoms =
-        Hashtbl.fold
-          (fun k _ acc -> if atom_doomed k then k :: acc else acc)
-          t.atoms []
-      in
-      let doomed_heaps =
-        Hashtbl.fold
-          (fun k _ acc -> if heap_doomed k then k :: acc else acc)
-          t.heaps []
-      in
-      List.iter (Hashtbl.remove t.atoms) doomed_atoms;
-      List.iter (Hashtbl.remove t.heaps) doomed_heaps;
-      let k = List.length doomed_atoms + List.length doomed_heaps in
-      Metrics.Gauge.add m_atom_entries (-.float_of_int k);
-      k)
-
-(* Every number in an atom derives from the keyed table's statistics
-   (selections, densities, row counts, page counts are all of that
-   table), so table-keyed invalidation is sound. *)
-let invalidate_table t tbl =
-  remove_where t
-    ~atom_doomed:(fun k -> k.ak_table = tbl)
-    ~heap_doomed:(fun k -> k.hk_table = tbl)
-
-let invalidate_index t ix =
-  let id = ix.Index.idx_id in
-  remove_where t
-    ~atom_doomed:(fun k -> k.ak_index = id)
-    ~heap_doomed:(fun _ -> false)
-
-let clear t =
-  ignore
-    (remove_where t ~atom_doomed:(fun _ -> true) ~heap_doomed:(fun _ -> true))

@@ -81,15 +81,6 @@ val query_cost :
   t -> Im_catalog.Config.t -> Im_sqlir.Query.t -> float * fallback option
 (** The plan's cost plus how it was obtained. *)
 
-val invalidate_table : t -> string -> int
-(** Drop every atom of the table (after data/statistics changes).
-    Returns the number of cache entries dropped. *)
-
-val invalidate_index : t -> Im_catalog.Index.t -> int
-(** Drop every atom of the index definition. *)
-
-val clear : t -> unit
-
 val derived : t -> int
 (** Answers assembled from atoms (no optimizer invocation). *)
 
@@ -103,6 +94,8 @@ val atom_hits : t -> int
 val atom_misses : t -> int
 
 val atom_entries : t -> int
-(** Live cached units (atoms + heap baselines). *)
+(** Cached units (atoms + heap baselines) of this deriver. A loaded
+    database never changes, so no atom goes stale and the cache only
+    grows. *)
 
 val validating : t -> bool

@@ -39,9 +39,10 @@ let normalize_labels labels =
 
 (* ---- Individual metrics ---- *)
 
-(* All metric cells are [Atomic]s: instrumented code runs on every
-   domain of the im_par pool, and plain mutable fields would lose
-   updates (and are data races under the OCaml 5 memory model). *)
+(* All metric cells are [Atomic]s: instrumented code runs on the
+   daemon's dispatch thread and its epoch worker domain at once, and
+   plain mutable fields would lose updates (and are data races under
+   the OCaml 5 memory model). *)
 
 module Counter = struct
   type t = int Atomic.t

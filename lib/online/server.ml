@@ -152,6 +152,10 @@ type t = {
   mutable rr_cursor : int;  (* rotates tenant service order per round *)
   mutable last_reap : float;
   mutable running : bool;
+  mutable accepting : bool;
+      (* the listener's read interest; dropped while accept(2) answers
+         EMFILE/ENFILE, so the level-triggered loop does not spin on a
+         backlog it cannot take *)
   mutable connections_served : int;
   mutable commands_served : int;
   mutable out_high_water : int;
@@ -175,6 +179,12 @@ let max_pending_lines = 1024
 
 (* A single line longer than this is abuse, not SQL. *)
 let max_line_bytes = 1_000_000
+
+(* Descriptors the daemon needs besides its connections: stdio, the
+   listener, the wake pipe, and the transient fd of a rejected
+   connect. [serve] raises the soft RLIMIT_NOFILE toward
+   [max_connections] plus this. *)
+let fd_headroom = 64
 
 let no_factory _ = Error "tenant creation is not configured"
 
@@ -264,6 +274,7 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(read_timeout = 30.)
     rr_cursor = 0;
     last_reap = Im_util.Stopwatch.now_s ();
     running = false;
+    accepting = true;
     connections_served = 0;
     commands_served = 0;
     out_high_water = 0;
@@ -312,6 +323,12 @@ let stmt_reply = function
 
 (* ---- Connection lifecycle ---- *)
 
+let set_accepting t on =
+  if t.accepting <> on then begin
+    t.accepting <- on;
+    Evloop.modify t.ev t.listener ~read:on ~write:false
+  end
+
 let close_conn t conn =
   if not conn.closed then begin
     conn.closed <- true;
@@ -325,7 +342,9 @@ let close_conn t conn =
        Metrics.Gauge.set_int s.s_live s.s_conns
      | None -> ());
     conn.session <- None;
-    Metrics.Gauge.set_int m_live (Hashtbl.length t.conns)
+    Metrics.Gauge.set_int m_live (Hashtbl.length t.conns);
+    (* A descriptor came free: accept again if we ran out. *)
+    set_accepting t true
   end
 
 (* Write as much queued output as the socket accepts. A peer that
@@ -538,8 +557,10 @@ let handle_tenant t conn rest =
 
 (* Returns the response plus whether the daemon should stop / the
    connection should close. Service verbs dispatch through the
-   connection's bound session. Statements and EPOCH never reach here:
-   [dispatch_conn] feeds the one and offloads the other. *)
+   connection's bound session. Well-formed statements and EPOCHs
+   never reach here: [dispatch_conn] feeds the one and offloads the
+   other. A verb that takes no arguments answers ERR when given
+   some, and does nothing else. *)
 let handle_command t conn line =
   let verb, rest = split_verb line in
   let with_session f =
@@ -551,6 +572,9 @@ let handle_command t conn line =
   in
   match (String.uppercase_ascii verb, rest) with
   | "STMT", _ -> (`Reply "ERR empty statement", `Keep)
+  | (("STATS" | "CONFIG" | "EPOCH" | "METRICS" | "QUIT" | "SHUTDOWN") as v), _
+    when rest <> "" ->
+    (`Reply ("ERR usage: " ^ v ^ " takes no arguments"), `Keep)
   | "STATS", _ ->
     (with_session (fun s -> `Reply ("OK " ^ stats_line s.s_service)), `Keep)
   | "CONFIG", _ ->
@@ -633,7 +657,7 @@ let dispatch_conn t conn budget ~cap =
     let line = Queue.peek conn.pending in
     let verb, rest = split_verb line in
     match (String.uppercase_ascii verb, conn.session) with
-    | "EPOCH", Some s when Service.epoch_in_flight s.s_service ->
+    | "EPOCH", Some s when rest = "" && Service.epoch_in_flight s.s_service ->
       (* The line stays queued: it re-dispatches after this tenant's
          in-flight epoch commits. No budget spent. *)
       conn.stalled <- true;
@@ -645,7 +669,10 @@ let dispatch_conn t conn budget ~cap =
       t.commands_served <- t.commands_served + 1;
       Metrics.Counter.incr m_commands;
       match command with
+      (* An empty STMT or an EPOCH with arguments: [handle_command]
+         answers ERR. *)
       | "STMT", _ when rest = "" -> dispatch_one t conn line
+      | "EPOCH", _ when rest <> "" -> dispatch_one t conn line
       | "STMT", Some s -> dispatch_stmt t conn s rest
       | "EPOCH", Some s -> (
         Metrics.Counter.incr s.s_commands;
@@ -905,7 +932,11 @@ let admit t fd =
 
 (* Accept every connection the kernel has queued, not one per loop
    round: a burst of N connects previously took N rounds. Bounded so a
-   connect flood cannot starve established connections either. *)
+   connect flood cannot starve established connections either. Out of
+   descriptors, the burst ends and the listener stops being polled
+   until a connection closes, or until the next reap tick (ENFILE is
+   system-wide: another process may free one): the connects wait in
+   the kernel backlog. *)
 let accept_burst t =
   let accepted = ref 0 in
   let continue = ref true in
@@ -918,6 +949,9 @@ let accept_burst t =
       continue := false
     | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EINTR), _, _) ->
       ()
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+      set_accepting t false;
+      continue := false
   done;
   if float_of_int !accepted > Metrics.Gauge.value m_accept_burst then
     Metrics.Gauge.set_int m_accept_burst !accepted
@@ -932,6 +966,7 @@ let reap_idle t =
   let now = Im_util.Stopwatch.now_s () in
   if now -. t.last_reap >= 0.5 then begin
     t.last_reap <- now;
+    set_accepting t true;
     let snapshot = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
     List.iter
       (fun conn ->
@@ -975,6 +1010,7 @@ let drain_wake t =
 
 let serve t =
   t.running <- true;
+  ignore (Evloop.raise_fd_limit (t.max_connections + fd_headroom));
   Unix.set_nonblock t.listener;
   while t.running do
     (* Undispatched work (fairness-deferred or newly read) re-polls

@@ -25,6 +25,10 @@
     SHUTDOWN               OK shutting down, stop the whole daemon
     v}
 
+    A verb shown without arguments answers [ERR usage: ...] when more
+    text follows it and does nothing else: [SHUTDOWN now] does not stop
+    the daemon.
+
     Every connection is bound to the default tenant on accept, so
     sessions that never issue a TENANT verb behave exactly like the
     single-tenant daemon. [STMT]/[STATS]/[CONFIG]/[EPOCH] dispatch
@@ -34,7 +38,11 @@
     Admission control: a global connection cap and a per-tenant cap
     (checked on accept against the default tenant and on [TENANT
     USE]); rejected connections get a best-effort [ERR too many
-    connections] on a nonblocking fd. Output is a per-connection
+    connections] on a nonblocking fd. {!serve} raises the soft
+    RLIMIT_NOFILE toward [max_connections] plus a fixed headroom; if
+    [accept] still runs out of descriptors, the listener is not polled
+    again until a connection closes, and the waiting connects stay in
+    the kernel's backlog. Output is a per-connection
     byte-capped queue — when a slow reader's queue would exceed
     [max_output_bytes] the overflowing reply is dropped, the
     connection is marked closing (it drains what was queued, then

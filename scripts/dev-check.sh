@@ -10,8 +10,7 @@
 # calls, advise's certified selection cells), the derive and cost-service benchmarks (emit
 # BENCH_derive.json / BENCH_costsvc.json), compression and pruning
 # identity smokes (--compress 0 and --prune-support 0 must be no-ops), the
-# domain-pool tests at IM_DOMAINS=0 and 4, the scale, intake and
-# frontier-pruning bench smokes (intake asserts the prepared-statement
+# scale, intake and frontier-pruning bench smokes (intake asserts the prepared-statement
 # cache parses every generated statement exactly as the parser does),
 # formatting when ocamlformat is installed (skipped gracefully when
 # not — the CI container does not ship it), and last lib/'s line count, optional-argument count and
@@ -27,9 +26,6 @@ cd "$(dirname "$0")/.."
 echo "== dune build @all (warnings as errors) =="
 OCAMLPARAM="_,warn-error=+a" dune build @all
 
-# One plain leg: nothing under lib/ or bin/ reads IM_DOMAINS or the
-# shared pool any more, so the suite runs the same code at any pool
-# size (test_par's own legs below still pin both sizes).
 echo "== dune runtest =="
 dune runtest --force
 
@@ -74,14 +70,6 @@ certified=$(dune exec bin/index_merge_cli.exe -- advise -d synthetic1 -b 1500 \
 [ "${certified:-0}" -gt 0 ] \
   || { echo "selection metrics smoke FAILED: no certified cells"; exit 1; }
 echo "selection metrics smoke OK ($certified certified cells)"
-
-echo "== domain-pool tests (IM_DOMAINS=0 and 4) =="
-# Pool lifecycle, ordering and exceptions, and the 4-domain hammers
-# on one single-lock cost service and one atom cache (bit-identical
-# costs, counters equal to a sequential run) — explicitly at both
-# pool sizes.
-IM_DOMAINS=0 dune exec test/test_par.exe
-IM_DOMAINS=4 dune exec test/test_par.exe
 
 echo "== compression identity (--compress 0 vs plain) =="
 # eps = 0 folds only canonically identical statements, so on the

@@ -17,7 +17,6 @@ module Selection = Im_advisor.Selection
 module Advisor = Im_advisor.Advisor
 module Rng = Im_util.Rng
 module Service = Im_costsvc.Service
-module Pool = Im_par.Pool
 
 let tc = Alcotest.test_case
 let qtest = QCheck_alcotest.to_alcotest
@@ -523,25 +522,6 @@ let test_certificate_counts () =
     (o.Selection.s_cells_recosted + o.Selection.s_cells_certified
    + o.Selection.s_cells_reused)
 
-let advise_fingerprint (o : Advisor.outcome) =
-  String.concat "; "
-    (List.map (fun it -> Index.to_string it.Merge.it_index) o.Advisor.a_final)
-  ^ Printf.sprintf " | %h %h %h %h %d %d" o.Advisor.a_base_cost
-      o.Advisor.a_selected_cost o.Advisor.a_plain_cost o.Advisor.a_final_cost
-      o.Advisor.a_selected_pages o.Advisor.a_final_pages
-
-let test_advise_domain_identity () =
-  let name, db, w, budget, _ = List.hd (Lazy.force oracle_setups) in
-  let at domains =
-    Pool.set_default_domains domains;
-    advise_fingerprint (Advisor.advise db w ~budget_pages:budget)
-  in
-  let before = Pool.default_domains () in
-  let d0 = at 0 in
-  let d4 = at 4 in
-  Pool.set_default_domains before;
-  Alcotest.(check string) (name ^ ": advise at 0 and 4 domains") d0 d4
-
 let () =
   Alcotest.run "im_advisor"
     [
@@ -564,8 +544,6 @@ let () =
           tc "select = textbook greedy" `Quick test_selection_matches_textbook;
           tc "shared context = textbook greedy" `Quick
             test_shared_context_matches_textbook;
-          tc "advise identical at 0 and 4 domains" `Quick
-            test_advise_domain_identity;
         ] );
       ( "certify",
         [

@@ -168,40 +168,9 @@ let test_database_materialize () =
   let tree = Database.materialize db ix in
   Alcotest.(check int) "all rows indexed" 500 (Bptree.entry_count tree);
   Alcotest.(check bool) "cached" true (tree == Database.materialize db ix);
-  (match Bptree.check_invariants tree with
-   | Ok () -> ()
-   | Error m -> Alcotest.fail m);
-  Database.drop_materialized db ix;
-  let tree2 = Database.materialize db ix in
-  Alcotest.(check bool) "rebuilt after drop" true (tree2 != tree)
-
-let test_database_index_key () =
-  let db = fresh_db () in
-  let ix = Index.make ~table:"t" [ "c"; "a" ] in
-  let k = Database.index_key db ix 3 in
-  Alcotest.(check bool) "column order respected" true
-    (Value.equal k.(0) (Value.Str "s003") && Value.equal k.(1) (Value.Int 3))
-
-let test_database_insert_row () =
-  let db = fresh_db () in
-  let ix = Index.make ~table:"t" [ "a" ] in
-  let tree = Database.materialize db ix in
-  let before = Bptree.entry_count tree in
-  let stats_before = Database.stats db "t" "a" in
-  let rid =
-    Database.insert_row db "t"
-      [| Value.Int 999; Value.Float 0.; Value.Str "zz"; Value.Date 1 |]
-  in
-  Alcotest.(check int) "rid appended" 500 rid;
-  Alcotest.(check int) "heap grew" 501 (Database.row_count db "t");
-  Alcotest.(check int) "index grew" (before + 1) (Bptree.entry_count tree);
-  let stats_after = Database.stats db "t" "a" in
-  Alcotest.(check bool) "stats invalidated" true (stats_before != stats_after);
-  (* The other table's indexes are untouched. *)
-  let tree_u = Database.materialize db (Index.make ~table:"u" [ "x" ]) in
-  ignore (Database.insert_row db "t"
-            [| Value.Int 1; Value.Float 0.; Value.Str "a"; Value.Date 1 |]);
-  Alcotest.(check int) "u index unchanged" 100 (Bptree.entry_count tree_u)
+  match Bptree.check_invariants tree with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m
 
 let test_database_index_pages_hypothetical () =
   (* index_pages works without materializing: a what-if index. *)
@@ -254,8 +223,6 @@ let () =
           tc "stats sampling threshold" `Quick
             test_database_stats_sampling_threshold;
           tc "materialize" `Quick test_database_materialize;
-          tc "index key order" `Quick test_database_index_key;
-          tc "insert row" `Quick test_database_insert_row;
           tc "hypothetical index pages" `Quick
             test_database_index_pages_hypothetical;
         ] );

@@ -1,7 +1,7 @@
 (* Tests for the unified memoizing cost service: identity keys,
-   hit/miss accounting, LRU eviction order, invalidation, the
-   string-key collision regression, relevant-subconfig incremental
-   re-costing, and update-cost charging. *)
+   hit/miss accounting, LRU eviction order, the string-key collision
+   regression, relevant-subconfig incremental re-costing, update-cost
+   charging, and exact counters when 4 domains share one service. *)
 
 module Service = Im_costsvc.Service
 module Database = Im_catalog.Database
@@ -94,38 +94,6 @@ let test_lru_eviction_order () =
   ignore (Service.query_cost svc [] qb);
   Alcotest.(check int) "LRU entry was evicted" (calls + 1)
     (Service.opt_calls svc)
-
-(* ---- Invalidation ---- *)
-
-let test_invalidation () =
-  let svc = Service.create db in
-  let q_t = point "t" "a" 1 in
-  let q_u = point "u" "x" 1 in
-  let ix_t = Index.make ~table:"t" [ "a" ] in
-  ignore (Service.query_cost svc [] q_t);
-  ignore (Service.query_cost svc [ ix_t ] q_t);
-  ignore (Service.query_cost svc [] q_u);
-  Alcotest.(check int) "three entries" 3 (Service.size svc);
-  (* By definition: only the entry whose relevant sub-config holds it. *)
-  Alcotest.(check int) "invalidate_index drops one" 1
-    (Service.invalidate_index svc ix_t);
-  let calls = Service.opt_calls svc in
-  ignore (Service.query_cost svc [ ix_t ] q_t);
-  Alcotest.(check int) "dropped entry re-optimizes" (calls + 1)
-    (Service.opt_calls svc);
-  (* By table: every cached cost of a query touching [t]. *)
-  Alcotest.(check int) "invalidate_table drops t's entries" 2
-    (Service.invalidate_table svc "t");
-  let calls = Service.opt_calls svc in
-  ignore (Service.query_cost svc [] q_u);
-  Alcotest.(check int) "u untouched by t invalidation" calls
-    (Service.opt_calls svc);
-  Alcotest.(check int) "invalidations counted" 3
-    (Service.counters svc).Service.c_invalidated;
-  Service.clear svc;
-  Alcotest.(check int) "clear empties" 0 (Service.size svc);
-  ignore (Service.query_cost svc [] q_u);
-  Alcotest.(check int) "cold after clear" (calls + 1) (Service.opt_calls svc)
 
 (* ---- Cross-epoch reuse (the deleted Whatif module's semantics) ---- *)
 
@@ -335,6 +303,38 @@ let test_update_cost_charged () =
         created without ~update_cost") (fun () ->
       ignore (Service.workload_cost bare config w))
 
+(* ---- Counters under concurrency ---- *)
+
+let test_service_hammer () =
+  (* 10 distinct queries, each issued 8 times, costed by 4 domains on
+     one service: every cost and counter total must equal a sequential
+     run doing the same work 4 times. The service holds its lock
+     through the what-if resolution, so concurrent same-key misses
+     serialize and the counters stay exact. *)
+  let db = Lazy.force Domain_hammer.db in
+  let queries =
+    List.init 10 (fun i -> Domain_hammer.point ~id:(Printf.sprintf "h%d" i) i)
+  in
+  let work = List.concat (List.init 8 (fun _ -> queries)) in
+  let costs svc () = List.map (fun q -> Service.query_cost svc [] q) work in
+  let counters svc =
+    [
+      ("hits", Service.hits svc);
+      ("misses", Service.misses svc);
+      ("opt_calls", Service.opt_calls svc);
+      ("evictions", Service.evictions svc);
+      ("entries", Service.size svc);
+    ]
+  in
+  let seq_svc = Service.create ~derive:true db in
+  let seq_costs = List.init 4 (fun _ -> costs seq_svc ()) in
+  let par_svc = Service.create ~derive:true db in
+  let par_costs = Domain_hammer.hammer (costs par_svc) in
+  Alcotest.(check (list (list (float 0.)))) "bit-identical costs" seq_costs
+    par_costs;
+  Domain_hammer.check_counters "service" (counters seq_svc) (counters par_svc);
+  Alcotest.(check int) "one miss per distinct query" 10 (Service.misses par_svc)
+
 let () =
   Alcotest.run "im_costsvc"
     [
@@ -344,7 +344,6 @@ let () =
           tc "capacity validation" `Quick test_capacity_validation;
         ] );
       ("lru", [ tc "eviction order" `Quick test_lru_eviction_order ]);
-      ("invalidation", [ tc "index/table/clear" `Quick test_invalidation ]);
       ( "reuse",
         [
           tc "cross-statement reuse" `Quick test_cross_statement_reuse;
@@ -355,4 +354,5 @@ let () =
       ( "keys",
         [ tc "no string-key collisions" `Quick test_index_ids_cannot_collide ] );
       ("updates", [ tc "maintenance charged" `Quick test_update_cost_charged ]);
+      ("service", [ tc "4-domain hammer" `Quick test_service_hammer ]);
     ]

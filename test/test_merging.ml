@@ -630,9 +630,9 @@ let test_config_batch_cost_fewer_indexes_cheaper () =
     (Printf.sprintf "maintenance drops (%.1f -> %.1f)" before after)
     true (after < before)
 
-let test_generate_insert_rows () =
+let test_generate_inserts () =
   let rng = Rng.create 3 in
-  let rows = Maintenance.generate_insert_rows db ~rng ~table:"t" ~fraction:0.01 in
+  let rows = Maintenance.generate_inserts db ~rng ~table:"t" ~fraction:0.01 in
   Alcotest.(check int) "1%% of 12000" 120 (List.length rows);
   List.iter
     (fun row ->
@@ -647,7 +647,7 @@ let test_measured_vs_modeled () =
   (* The model and real B+-tree insertions should agree within an order
      of magnitude (the model prices IO, the tree counts raw writes). *)
   let rng = Rng.create 4 in
-  let rows = Maintenance.generate_insert_rows db ~rng ~table:"t" ~fraction:0.01 in
+  let rows = Maintenance.generate_inserts db ~rng ~table:"t" ~fraction:0.01 in
   let ix = Index.make ~table:"t" [ "a"; "c" ] in
   let measured = Maintenance.measured_index_batch_cost db ix ~rows in
   let modeled = Maintenance.index_batch_cost db ix ~inserts:(List.length rows) in
@@ -735,7 +735,7 @@ let () =
           tc "index batch cost monotone" `Quick test_index_batch_cost_monotone;
           tc "merged config cheaper" `Quick
             test_config_batch_cost_fewer_indexes_cheaper;
-          tc "generate insert rows" `Quick test_generate_insert_rows;
+          tc "generate insert rows" `Quick test_generate_inserts;
           tc "measured vs modeled" `Quick test_measured_vs_modeled;
         ] );
       ("report", [ tc "strings" `Quick test_report_strings ]);

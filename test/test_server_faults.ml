@@ -23,7 +23,12 @@
      never reap or reap everything, before it opens a socket;
    - a STMT whose integer literal overflows an OCaml int answers ERR;
      the lexer's [int_of_string] used to escape the event loop and end
-     the daemon. *)
+     the daemon;
+   - running out of file descriptors: accept(2)'s EMFILE used to end
+     the daemon; now the connects wait in the backlog until a
+     connection closes;
+   - a no-argument verb followed by more text answers ERR and does
+     nothing else ([SHUTDOWN now] used to stop the daemon). *)
 
 let cli () =
   let here = Filename.dirname Sys.executable_name in
@@ -41,9 +46,13 @@ type daemon = {
   port : int;
 }
 
+(* With [nofile], a shell sets the daemon's soft and hard
+   RLIMIT_NOFILE and execs it in place, so [pid] is still the
+   daemon's. The pipe and the clients' sockets are close-on-exec, so a
+   daemon inherits no descriptor of an earlier test. *)
 let start_daemon ?(check_every = 1_000_000) ?(read_timeout = "30")
-    ?(args = []) ?(env = []) () =
-  let out_read, out_write = Unix.pipe ~cloexec:false () in
+    ?(args = []) ?(env = []) ?nofile () =
+  let out_read, out_write = Unix.pipe ~cloexec:true () in
   let argv =
     [
       cli (); "serve"; "-d"; "synthetic1"; "--port"; "0"; "--check-every";
@@ -51,8 +60,16 @@ let start_daemon ?(check_every = 1_000_000) ?(read_timeout = "30")
     ]
     @ args
   in
+  let argv =
+    match nofile with
+    | None -> argv
+    | Some n ->
+      "/bin/sh" :: "-c"
+      :: Printf.sprintf "ulimit -n %d && exec \"$0\" \"$@\"" n
+      :: argv
+  in
   let pid =
-    Unix.create_process_env (cli ()) (Array.of_list argv)
+    Unix.create_process_env (List.hd argv) (Array.of_list argv)
       (Array.append (Unix.environment ()) (Array.of_list env))
       Unix.stdin out_write Unix.stderr
   in
@@ -77,7 +94,7 @@ let stop_daemon d =
 type client = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
 let connect ?rcvbuf port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (match rcvbuf with
    | Some n -> Unix.setsockopt_int fd Unix.SO_RCVBUF n
    | None -> ());
@@ -600,6 +617,97 @@ let test_overflowing_literal () =
       expect_prefix "stats on a second connection" "OK " (request c2 "STATS");
       expect_prefix "quit" "OK bye" (request c2 "QUIT"))
 
+let alive d =
+  match Unix.waitpid [ Unix.WNOHANG ] d.pid with
+  | 0, _ -> true
+  | _ -> false
+
+(* Wait at most [within] seconds for one STATS reply on each client:
+   the clients that answered, and the ones still waiting. *)
+let await_stats clients ~within =
+  let deadline = Unix.gettimeofday () +. within in
+  let rec go answered waiting =
+    let left = deadline -. Unix.gettimeofday () in
+    if waiting = [] || left <= 0. then (answered, waiting)
+    else
+      match Unix.select (List.map (fun c -> c.fd) waiting) [] [] left with
+      | [], _, _ -> (answered, waiting)
+      | ready, _, _ ->
+        let now, still =
+          List.partition (fun c -> List.mem c.fd ready) waiting
+        in
+        List.iter
+          (fun c -> expect_prefix "stats reply" "OK " (input_line c.ic))
+          now;
+        go (now @ answered) still
+  in
+  go [] clients
+
+let test_out_of_descriptors () =
+  (* 40 clients against a daemon allowed 32 descriptors (soft and hard
+     limit, so it cannot raise them) and 64 connections: accept runs
+     out of descriptors long before the connection cap. *)
+  let d = start_daemon ~nofile:32 ~args:[ "--max-connections"; "64" ] () in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let clients = List.init 40 (fun _ -> connect d.port) in
+      List.iter
+        (fun c ->
+          output_string c.oc "STATS\n";
+          flush c.oc)
+        clients;
+      let answered, waiting = await_stats clients ~within:1. in
+      Alcotest.(check bool) "daemon alive after EMFILE" true (alive d);
+      Alcotest.(check bool)
+        (Printf.sprintf "admitted connections answer (%d)"
+           (List.length answered))
+        true (answered <> []);
+      Alcotest.(check bool)
+        (Printf.sprintf "the limit held some back (%d waiting)"
+           (List.length waiting))
+        true (waiting <> []);
+      (* Closing the admitted connections frees descriptors: the ones
+         waiting in the backlog are accepted and answered. *)
+      List.iter (fun c -> Unix.close c.fd) answered;
+      let late, still = await_stats waiting ~within:10. in
+      Alcotest.(check int) "every waiting client answered" 0
+        (List.length still);
+      Alcotest.(check bool) "daemon alive" true (alive d);
+      let c = List.hd late in
+      expect_prefix "shutdown" "OK shutting down" (request c "SHUTDOWN");
+      match Unix.waitpid [] d.pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "daemon did not exit cleanly")
+
+let test_strict_verbs () =
+  let d = start_daemon () in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let c = connect d.port in
+      expect_prefix "stmt" "OK observed"
+        (request c "STMT SELECT t0_c0 FROM t0 WHERE t0_c0 = 1");
+      List.iter
+        (fun line -> expect_prefix line "ERR usage: " (request c line))
+        [
+          "STATS now"; "CONFIG 0"; "EPOCH now"; "epoch force"; "METRICS all";
+          "QUIT now"; "SHUTDOWN now"; "shutdown please";
+        ];
+      (* None of them acted: no epoch ran, the connection is open and
+         the daemon still serves. *)
+      let stats = request c "STATS" in
+      expect_prefix "stats" "OK " stats;
+      Alcotest.(check bool)
+        (Printf.sprintf "no epoch in %S" stats)
+        true
+        (Astring_contains.contains stats " epochs=0/0/0 ");
+      Alcotest.(check bool) "daemon alive" true (alive d);
+      expect_prefix "shutdown" "OK shutting down" (request c "SHUTDOWN");
+      match Unix.waitpid [] d.pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "daemon did not exit cleanly")
+
 let () =
   (* Writes to dead sockets must surface as EPIPE, not kill this test
      process. *)
@@ -630,5 +738,7 @@ let () =
             test_tenant_dropped_mid_epoch;
           Alcotest.test_case "create validation" `Quick test_create_validation;
           Alcotest.test_case "overflowing literal" `Slow test_overflowing_literal;
+          Alcotest.test_case "out of descriptors" `Slow test_out_of_descriptors;
+          Alcotest.test_case "strict verbs" `Slow test_strict_verbs;
         ] );
     ]
