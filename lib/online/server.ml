@@ -14,6 +14,10 @@ let m_write_errors = Metrics.counter "server_write_errors_total"
 let m_backpressure = Metrics.counter "server_backpressure_closed_total"
 let m_overlong = Metrics.counter "server_overlong_lines_total"
 
+(* write(2) calls that moved reply bytes; bytes_out / writes is the
+   mean write size. *)
+let m_writes = Metrics.counter "server_writes_total"
+
 (* High-water mark of any connection's queued output, and the largest
    number of connections accepted in a single loop round (1 forever
    means the accept loop is serializing bursts again). *)
@@ -95,20 +99,24 @@ let make_session ?(weight = 1) name service =
 
 (* ---- Connections ---- *)
 
-(* Output is a byte-capped queue of reply chunks with a head offset, so
-   a partial write never re-copies the rest of the queue (the old
-   [String.sub] tail made a slow reader O(bytes^2)). *)
-type outq = {
-  oq : string Queue.t;
-  mutable oq_head : int;  (* bytes of [Queue.peek oq] already written *)
-  mutable oq_bytes : int;  (* total unsent bytes *)
+(* Output is one contiguous byte buffer: replies are appended in place
+   and [flush_out] hands every queued byte to a single write(2), so a
+   turn's replies leave together, not one segment per reply. Bytes
+   [ob_sent, ob_end) are unsent. A partial write only advances
+   [ob_sent]; the live tail slides down only when room is needed and
+   the sent prefix is at least half the buffer, so a slow reader costs
+   amortized O(bytes), never O(bytes^2). *)
+type outbuf = {
+  mutable ob : Bytes.t;
+  mutable ob_sent : int;
+  mutable ob_end : int;
 }
 
 type conn = {
   fd : Unix.file_descr;
   buf : Buffer.t;  (* incomplete trailing line *)
   pending : string Queue.t;  (* complete lines awaiting dispatch *)
-  out : outq;
+  out : outbuf;
   mutable session : session option;  (* None after TENANT DROP *)
   mutable last_active : float;  (* monotonic seconds, Stopwatch.now_s *)
   mutable closing : bool;  (* discard input; close once output drains *)
@@ -141,6 +149,7 @@ type t = {
   sessions : (string, session) Hashtbl.t;
   default_tenant : string;
   conns : (Unix.file_descr, conn) Hashtbl.t;
+  rbuf : Bytes.t;  (* every connection's reads land here first *)
   ev : Evloop.t;
   wake_r : Unix.file_descr;  (* worker completions poke this pipe *)
   wake_w : Unix.file_descr;
@@ -179,6 +188,15 @@ let max_pending_lines = 1024
 
 (* A single line longer than this is abuse, not SQL. *)
 let max_line_bytes = 1_000_000
+
+(* The most one read takes from a connection per loop round. This also
+   bounds the commands one round takes in, and so the replies that
+   leave together in one write: a deeply pipelining client gets its
+   first replies back while its later commands are still being
+   dispatched. With 64 KiB reads, perfbench serve's 64-deep closed
+   loop got each batch's replies in a single write and saturated 16 %
+   lower (144k against 171k statements/s on 2 cores). *)
+let read_bytes = 4096
 
 (* Descriptors the daemon needs besides its connections: stdio, the
    listener, the wake pipe, and the transient fd of a rejected
@@ -265,6 +283,7 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(read_timeout = 30.)
     sessions;
     default_tenant = tenant;
     conns = Hashtbl.create 64;
+    rbuf = Bytes.create read_bytes;
     ev;
     wake_r;
     wake_w;
@@ -347,39 +366,63 @@ let close_conn t conn =
     set_accepting t true
   end
 
-(* Write as much queued output as the socket accepts. A peer that
-   disconnected mid-reply surfaces here as EPIPE/ECONNRESET (EBADF or
-   ENOTCONN if the fd was already torn down): that peer's failure must
-   not unwind the serve loop — count it and drop only this
-   connection. *)
+(* ---- Output buffer ---- *)
+
+(* Bytes queued on this connection and not yet written. *)
+let queued conn = conn.out.ob_end - conn.out.ob_sent
+
+(* A drained buffer larger than this is dropped rather than kept, so
+   one large CONFIG or METRICS reply does not pin its memory for the
+   life of the connection. *)
+let out_keep_bytes = 65_536
+
+let out_drained o =
+  o.ob_sent <- 0;
+  o.ob_end <- 0;
+  if Bytes.length o.ob > out_keep_bytes then o.ob <- Bytes.empty
+
+(* Make room for [n] more bytes at [ob_end]: slide the live bytes down
+   when the sent prefix is at least half the buffer (the copy is no
+   longer than what was sent since the last slide), else grow
+   geometrically. *)
+let out_reserve o n =
+  let size = Bytes.length o.ob in
+  if o.ob_end + n > size then begin
+    let live = o.ob_end - o.ob_sent in
+    let dst =
+      if 2 * o.ob_sent >= size && live + n <= size then o.ob
+      else Bytes.create (max (2 * size) (max 1024 (live + n)))
+    in
+    Bytes.blit o.ob o.ob_sent dst 0 live;
+    o.ob <- dst;
+    o.ob_sent <- 0;
+    o.ob_end <- live
+  end
+
+(* Hand everything queued to one write(2), and write again only after
+   a partial one, until the socket takes no more (a single write moves
+   at most 64 KiB). A peer that disconnected mid-reply surfaces here
+   as EPIPE/ECONNRESET (EBADF or ENOTCONN if the fd was already torn
+   down): that peer's failure must not unwind the serve loop — count
+   it and drop only this connection. *)
 let flush_out t conn =
+  let o = conn.out in
   let continue = ref (not conn.closed) in
-  while !continue && not (Queue.is_empty conn.out.oq) do
-    let head = Queue.peek conn.out.oq in
-    let off = conn.out.oq_head in
-    let len = String.length head - off in
-    match Unix.write_substring conn.fd head off len with
+  while !continue && o.ob_end > o.ob_sent do
+    match Unix.single_write conn.fd o.ob o.ob_sent (o.ob_end - o.ob_sent) with
     | n ->
       Metrics.Counter.add m_bytes_out n;
-      conn.out.oq_bytes <- conn.out.oq_bytes - n;
-      if n = len then begin
-        ignore (Queue.pop conn.out.oq);
-        conn.out.oq_head <- 0
-      end
-      else begin
-        conn.out.oq_head <- off + n;
-        continue := false  (* kernel buffer full: wait for writable *)
-      end
+      Metrics.Counter.incr m_writes;
+      o.ob_sent <- o.ob_sent + n;
+      if o.ob_sent = o.ob_end then out_drained o
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      continue := false
+      continue := false  (* kernel buffer full: wait for writable *)
     | exception
         Unix.Unix_error
           ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF | Unix.ENOTCONN), _, _)
       ->
       Metrics.Counter.incr m_write_errors;
-      Queue.clear conn.out.oq;
-      conn.out.oq_head <- 0;
-      conn.out.oq_bytes <- 0;
+      out_drained o;
       close_conn t conn;
       continue := false
   done
@@ -388,7 +431,7 @@ let flush_out t conn =
    commands still to dispatch, or an epoch running off-thread on its
    behalf. *)
 let owes_replies conn =
-  conn.out.oq_bytes > 0
+  queued conn > 0
   || (not (Queue.is_empty conn.pending))
   || conn.awaiting_epoch
 
@@ -408,18 +451,21 @@ let maybe_close_drained t conn =
    then closes) and the event is counted. *)
 let respond t conn reply =
   if not conn.closed then begin
-    let chunk = reply ^ "\n" in
-    if conn.out.oq_bytes + String.length chunk > t.max_output_bytes then begin
+    let n = String.length reply + 1 in
+    if queued conn + n > t.max_output_bytes then begin
       (* Count the close once, not once per reply dropped after it. *)
       if not conn.closing then Metrics.Counter.incr m_backpressure;
       Queue.clear conn.pending;
       conn.closing <- true
     end
     else begin
-      Queue.push chunk conn.out.oq;
-      conn.out.oq_bytes <- conn.out.oq_bytes + String.length chunk;
-      if conn.out.oq_bytes > t.out_high_water then begin
-        t.out_high_water <- conn.out.oq_bytes;
+      let o = conn.out in
+      out_reserve o n;
+      Bytes.blit_string reply 0 o.ob o.ob_end (n - 1);
+      Bytes.set o.ob (o.ob_end + n - 1) '\n';
+      o.ob_end <- o.ob_end + n;
+      if queued conn > t.out_high_water then begin
+        t.out_high_water <- queued conn;
         Metrics.Gauge.set_int m_out_high_water t.out_high_water
       end
     end
@@ -434,7 +480,7 @@ let sync_interest t conn =
       (not conn.closing) && (not conn.eof)
       && Queue.length conn.pending < max_pending_lines
     in
-    let write = conn.out.oq_bytes > 0 in
+    let write = queued conn > 0 in
     Evloop.modify t.ev conn.fd ~read ~write
   end
 
@@ -845,8 +891,7 @@ let extract_lines conn =
   if !pos < len then Buffer.add_substring conn.buf s !pos (len - !pos)
 
 let read_chunk t conn =
-  let bytes = Bytes.create 4096 in
-  match Unix.read conn.fd bytes 0 4096 with
+  match Unix.read conn.fd t.rbuf 0 (Bytes.length t.rbuf) with
   | 0 ->
     (* Half close: the peer promises no more input. Answer what it
        already pipelined, drain the replies, then close — closing here
@@ -858,7 +903,7 @@ let read_chunk t conn =
   | n ->
     conn.last_active <- Im_util.Stopwatch.now_s ();
     Metrics.Counter.add m_bytes_in n;
-    Buffer.add_subbytes conn.buf bytes 0 n;
+    Buffer.add_subbytes conn.buf t.rbuf 0 n;
     extract_lines conn;
     if Buffer.length conn.buf > max_line_bytes then begin
       (* A single line this long is abuse, not SQL: diagnose, count,
@@ -893,6 +938,12 @@ let reject_fd fd msg =
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* Replies go out with Nagle's algorithm off: with it on, a reply
+   written while an earlier one is unacknowledged waits for the ACK
+   that rides on the client's next command (the client delays its
+   ACK), so a paced client gets every reply one command interval late.
+   [flush_out] coalesces a turn's replies into one write, so the flag
+   does not turn each reply into its own segment. *)
 let admit t fd =
   Unix.set_nonblock fd;
   let session = Hashtbl.find_opt t.sessions t.default_tenant in
@@ -903,6 +954,8 @@ let admit t fd =
     | None -> false
   then reject_fd fd tenant_overload_msg
   else begin
+    (try Unix.setsockopt fd Unix.TCP_NODELAY true
+     with Unix.Unix_error _ -> ());
     Evloop.add t.ev fd ~read:true ~write:false;
     t.connections_served <- t.connections_served + 1;
     let conn =
@@ -910,7 +963,7 @@ let admit t fd =
         fd;
         buf = Buffer.create 256;
         pending = Queue.create ();
-        out = { oq = Queue.create (); oq_head = 0; oq_bytes = 0 };
+        out = { ob = Bytes.empty; ob_sent = 0; ob_end = 0 };
         session = None;
         last_active = Im_util.Stopwatch.now_s ();
         closing = false;
@@ -980,7 +1033,7 @@ let reap_idle t =
           flush_out t conn;
           if not conn.closed then
             if
-              conn.out.oq_bytes = 0
+              queued conn = 0
               (* Pending output on a still-writable socket means the
                  main loop will drain it next round; reap only sockets
                  that stopped accepting bytes. The probe goes through
@@ -1044,7 +1097,7 @@ let serve t =
     if !wake_ready then drain_wake t;
     List.iter
       (fun (conn, ev) ->
-        if ev.Evloop.ev_write && (not conn.closed) && conn.out.oq_bytes > 0
+        if ev.Evloop.ev_write && (not conn.closed) && queued conn > 0
         then begin
           flush_out t conn;
           maybe_close_drained t conn;

@@ -43,10 +43,12 @@
     [accept] still runs out of descriptors, the listener is not polled
     again until a connection closes, and the waiting connects stay in
     the kernel's backlog. Output is a per-connection
-    byte-capped queue — when a slow reader's queue would exceed
-    [max_output_bytes] the overflowing reply is dropped, the
-    connection is marked closing (it drains what was queued, then
-    closes) and [server_backpressure_closed_total] is counted.
+    byte-capped buffer, flushed with one [write(2)] of everything
+    queued on a socket with [TCP_NODELAY] set — when a slow reader's
+    buffer would exceed [max_output_bytes] the overflowing reply is
+    dropped, the connection is marked closing (it drains what was
+    queued, then closes) and [server_backpressure_closed_total] is
+    counted.
 
     Fairness: all queued connects are accepted per loop round (not
     one), and dispatch budgets are per {e tenant}, not per connection
@@ -88,7 +90,8 @@
     [server_tenant_connections_live], [server_tenant_commands_total],
     [server_tenant_epochs_total]; process-wide:
     [server_backpressure_closed_total], [server_overlong_lines_total],
-    [server_out_queue_max_bytes] (high-water),
+    [server_out_queue_max_bytes] (high-water), [server_writes_total]
+    (write calls that moved reply bytes),
     [server_accept_burst_max], [server_tenants], plus the per-verb
     latency histograms and byte counters of the single-tenant daemon. *)
 

@@ -2,8 +2,7 @@ module Schema = Im_sqlir.Schema
 
 type t = {
   def : Schema.table;
-  mutable rows : Im_sqlir.Value.t array array;
-  mutable count : int;
+  rows : Im_sqlir.Value.t array array;  (* indexed by rid *)
   col_index : (string, int) Hashtbl.t;
 }
 
@@ -14,34 +13,16 @@ let make_col_index def =
     def.Schema.tbl_columns;
   h
 
-let create def =
-  { def; rows = [||]; count = 0; col_index = make_col_index def }
-
-let ensure_capacity t =
-  if t.count >= Array.length t.rows then begin
-    let cap = max 64 (2 * Array.length t.rows) in
-    let bigger = Array.make cap [||] in
-    Array.blit t.rows 0 bigger 0 t.count;
-    t.rows <- bigger
-  end
-
-let append t row =
-  assert (Array.length row = List.length t.def.Schema.tbl_columns);
-  ensure_capacity t;
-  t.rows.(t.count) <- row;
-  t.count <- t.count + 1;
-  t.count - 1
-
 let of_rows def rows =
-  let t = create def in
-  List.iter (fun r -> ignore (append t r)) rows;
-  t
+  let width = List.length def.Schema.tbl_columns in
+  List.iter (fun row -> assert (Array.length row = width)) rows;
+  { def; rows = Array.of_list rows; col_index = make_col_index def }
 
 let get t rid =
-  if rid < 0 || rid >= t.count then invalid_arg "Heap.get: bad rid";
+  if rid < 0 || rid >= Array.length t.rows then invalid_arg "Heap.get: bad rid";
   t.rows.(rid)
 
-let row_count t = t.count
+let row_count t = Array.length t.rows
 let table_def t = t.def
 
 let column_index t name =
@@ -51,26 +32,23 @@ let column_index t name =
 
 let column_values t name =
   let i = column_index t name in
-  List.init t.count (fun rid -> t.rows.(rid).(i))
+  List.init (Array.length t.rows) (fun rid -> t.rows.(rid).(i))
 
 let project t rid cols =
   let row = get t rid in
   Array.of_list (List.map (fun c -> row.(column_index t c)) cols)
 
 let pages t =
-  Size_model.table_pages ~row_width:(Schema.row_width t.def) ~rows:t.count
+  Size_model.table_pages ~row_width:(Schema.row_width t.def)
+    ~rows:(Array.length t.rows)
 
 let page_of_rid t rid =
   rid / Page.rows_per_page (Schema.row_width t.def)
 
 let iter t f =
-  for rid = 0 to t.count - 1 do
-    f rid t.rows.(rid)
-  done
+  Array.iteri f t.rows
 
 let fold t ~init ~f =
   let acc = ref init in
-  for rid = 0 to t.count - 1 do
-    acc := f !acc rid t.rows.(rid)
-  done;
+  Array.iteri (fun rid row -> acc := f !acc rid row) t.rows;
   !acc

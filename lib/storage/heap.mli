@@ -5,13 +5,9 @@
 
 type t
 
-val create : Im_sqlir.Schema.table -> t
-
 val of_rows : Im_sqlir.Schema.table -> Im_sqlir.Value.t array list -> t
-(** Build from rows; each row must have one value per schema column. *)
-
-val append : t -> Im_sqlir.Value.t array -> int
-(** Append a row, returning its rid. *)
+(** Build from rows; each row must have one value per schema column.
+    Rids are 0..n-1 in list order. A heap never changes once built. *)
 
 val get : t -> int -> Im_sqlir.Value.t array
 val row_count : t -> int

@@ -28,7 +28,12 @@
      the daemon; now the connects wait in the backlog until a
      connection closes;
    - a no-argument verb followed by more text answers ERR and does
-     nothing else ([SHUTDOWN now] used to stop the daemon). *)
+     nothing else ([SHUTDOWN now] used to stop the daemon);
+   - a paced client must not fall into the Nagle/delayed-ACK
+     lock-step: with Nagle on, each reply waited for the ACK riding on
+     the client's next command and arrived one command interval late;
+   - the replies of one pipelined write leave in a few coalesced
+     writes, not one write(2) per reply. *)
 
 let cli () =
   let here = Filename.dirname Sys.executable_name in
@@ -708,6 +713,109 @@ let test_strict_verbs () =
       | _, Unix.WEXITED 0 -> ()
       | _ -> Alcotest.fail "daemon did not exit cleanly")
 
+let test_paced_client_no_lockstep () =
+  (* An open-loop client: each STATS is sent on a 20 ms schedule
+     whether or not earlier replies are in, and each reply is timed
+     from its own command's send. The pipelined pair ahead of them puts
+     two replies in flight at once, which is what starts the
+     lock-step. *)
+  let interval = 0.02 and n = 50 in
+  let total = n + 2 in
+  let d = start_daemon () in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let c = connect d.port in
+      Unix.setsockopt c.fd Unix.TCP_NODELAY true;
+      (* A fresh connection acknowledges its first segments at once
+         (quick-ACK), which would break the lock-step before it forms;
+         request/reply warm-ups move the client to delayed ACKs. *)
+      for _ = 1 to 32 do
+        expect_prefix "warm-up stats" "OK " (request c "STATS")
+      done;
+      let sent = Array.make total 0. and arrived = Array.make total 0. in
+      let send i text =
+        sent.(i) <- Unix.gettimeofday ();
+        ignore (Unix.write_substring c.fd text 0 (String.length text))
+      in
+      send 0 "STATS\nSTATS\n";
+      sent.(1) <- sent.(0);
+      let due k = sent.(0) +. (interval *. float_of_int (k - 1)) in
+      let deadline = sent.(0) +. 10. in
+      let pending = Buffer.create 4096 and chunk = Bytes.create 4096 in
+      let next = ref 2 and got = ref 0 in
+      while !got < total && Unix.gettimeofday () < deadline do
+        let now = Unix.gettimeofday () in
+        let wait = if !next < total then due !next -. now else deadline -. now in
+        (match Unix.select [ c.fd ] [] [] (Float.max 0. wait) with
+         | [], _, _ -> ()
+         | _ ->
+           let k = Unix.read c.fd chunk 0 (Bytes.length chunk) in
+           if k = 0 then Alcotest.fail "daemon closed the connection";
+           let now = Unix.gettimeofday () in
+           Buffer.add_subbytes pending chunk 0 k;
+           let lines = String.split_on_char '\n' (Buffer.contents pending) in
+           let rec take = function
+             | [ partial ] ->
+               Buffer.clear pending;
+               Buffer.add_string pending partial
+             | line :: rest ->
+               expect_prefix "stats reply" "OK " line;
+               arrived.(!got) <- now;
+               incr got;
+               take rest
+             | [] -> ()
+           in
+           take lines);
+        if !next < total && Unix.gettimeofday () >= due !next then begin
+          send !next "STATS\n";
+          incr next
+        end
+      done;
+      Alcotest.(check int) "every command answered" total !got;
+      let lat = Array.init n (fun i -> arrived.(i + 2) -. sent.(i + 2)) in
+      Array.sort compare lat;
+      let median = lat.(n / 2) in
+      Alcotest.(check bool)
+        (Printf.sprintf "paced reply median %.2f ms < 5 ms (max %.2f ms)"
+           (median *. 1e3) (lat.(n - 1) *. 1e3))
+        true (median < 0.005))
+
+let test_replies_coalesced () =
+  (* 200 STMTs in one client write: each dispatch turn's replies (and
+     the bootstrap epoch's held reply) leave in one write(2), so the
+     daemon needs a handful of writes, not 200. *)
+  let n = 200 in
+  let d = start_daemon () in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let c = connect d.port in
+      let b = Buffer.create (n * 48) in
+      for i = 1 to n do
+        Buffer.add_string b (warmup_stmt i ^ "\n")
+      done;
+      output_string c.oc (Buffer.contents b);
+      flush c.oc;
+      let received = ref 0 in
+      for i = 1 to n do
+        let line = input_line c.ic in
+        expect_prefix (Printf.sprintf "reply %d" i) "OK observed" line;
+        received := !received + String.length line + 1
+      done;
+      (* The registry is read before the METRICS reply is written, so
+         the counters cover exactly the 200 replies. *)
+      let m = read_metrics (connect d.port) in
+      let writes = metric m "server_writes_total" in
+      let bytes = metric m "server_bytes_out_total" in
+      Alcotest.(check (float 0.)) "every reply byte counted"
+        (float_of_int !received) bytes;
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f writes for %d replies (%.0f bytes each) <= 25"
+           writes n (bytes /. writes))
+        true
+        (writes >= 1. && writes <= 25.))
+
 let () =
   (* Writes to dead sockets must surface as EPIPE, not kill this test
      process. *)
@@ -740,5 +848,9 @@ let () =
           Alcotest.test_case "overflowing literal" `Slow test_overflowing_literal;
           Alcotest.test_case "out of descriptors" `Slow test_out_of_descriptors;
           Alcotest.test_case "strict verbs" `Slow test_strict_verbs;
+          Alcotest.test_case "paced client no Nagle lock-step" `Slow
+            test_paced_client_no_lockstep;
+          Alcotest.test_case "pipelined replies coalesced" `Slow
+            test_replies_coalesced;
         ] );
     ]

@@ -319,10 +319,12 @@ let emp =
     [ ("id", Datatype.Int); ("name", Datatype.Varchar 10) ]
 
 let test_heap_basic () =
-  let h = Heap.create emp in
-  let r0 = Heap.append h [| Value.Int 1; Value.Str "a" |] in
-  let r1 = Heap.append h [| Value.Int 2; Value.Str "b" |] in
-  Alcotest.(check (list int)) "rids" [ 0; 1 ] [ r0; r1 ];
+  let h =
+    Heap.of_rows emp
+      [ [| Value.Int 1; Value.Str "a" |]; [| Value.Int 2; Value.Str "b" |] ]
+  in
+  Alcotest.(check (list int)) "rids in row order" [ 0; 1 ]
+    (Heap.fold h ~init:[] ~f:(fun acc rid _ -> rid :: acc) |> List.rev);
   Alcotest.(check int) "count" 2 (Heap.row_count h);
   Alcotest.(check bool) "get" true
     (Value.equal (Heap.get h 1).(0) (Value.Int 2));
@@ -341,18 +343,18 @@ let test_heap_column_values () =
     (Value.equal (List.hd (Heap.column_values h "id")) (Value.Int 3))
 
 let test_heap_pages () =
-  let h = Heap.create emp in
-  Alcotest.(check int) "empty heap 1 page" 1 (Heap.pages h);
-  for i = 0 to 9_999 do
-    ignore (Heap.append h [| Value.Int i; Value.Str "z" |])
-  done;
+  Alcotest.(check int) "empty heap 1 page" 1 (Heap.pages (Heap.of_rows emp []));
+  let h =
+    Heap.of_rows emp
+      (List.init 10_000 (fun i -> [| Value.Int i; Value.Str "z" |]))
+  in
   Alcotest.(check bool) "pages grow" true (Heap.pages h > 1);
   Alcotest.(check int) "matches model"
     (Size_model.table_pages ~row_width:14 ~rows:10_000)
     (Heap.pages h)
 
 let test_heap_bad_rid () =
-  let h = Heap.create emp in
+  let h = Heap.of_rows emp [] in
   Alcotest.check_raises "bad rid" (Invalid_argument "Heap.get: bad rid")
     (fun () -> ignore (Heap.get h 0))
 
