@@ -3,9 +3,8 @@
    For each database, runs greedy and exhaustive merge search (N = 5
    initial configurations, three seeds) twice: once with derivation off
    (a [Service.create ~derive:false] service: every what-if cache miss
-   runs the full optimizer) and once with derivation on (misses
-   assembled from cached access-path atoms, falling back only on the
-   order-sort class), and
+   runs the full optimizer) and once with derivation on (every miss
+   assembled from cached access-path atoms), and
 
    - hard-asserts the merged configuration (items with parents, final
      pages, final cost) is identical between the two modes — the
@@ -15,7 +14,7 @@
      acceptance bar: derivation answers what-if calls without running
      the optimizer);
    - records wall-clock per mode and how many misses each deriving run
-     answered by derivation vs fallback.
+     derived.
 
    JSON artifact to $IM_BENCH_OUT (default BENCH_derive.json) for
    dev-check. *)
@@ -53,7 +52,6 @@ type mode_stats = {
   m_invocations : int;  (** optimizer runs across the three seeds *)
   m_seconds : float;
   m_derived : int;  (** misses answered by derivation *)
-  m_fallbacks : int;  (** misses derived-then-abandoned to the optimizer *)
 }
 
 (* (results, stats) for one strategy in one mode over all seeds. *)
@@ -81,7 +79,6 @@ let measure ~derive db workload strategy =
             m_invocations = Optimizer.invocations () - before;
             m_seconds = o.Search.o_elapsed_s;
             m_derived = o.Search.o_derived_costs;
-            m_fallbacks = o.Search.o_derive_fallbacks;
           } ))
       seeds
   in
@@ -91,7 +88,6 @@ let measure ~derive db workload strategy =
       m_invocations = sum (fun m -> m.m_invocations);
       m_seconds = Im_util.List_ext.sum_by_f (fun (_, m) -> m.m_seconds) cells;
       m_derived = sum (fun m -> m.m_derived);
-      m_fallbacks = sum (fun m -> m.m_fallbacks);
     } )
 
 let assert_identical ~db_name ~strategy full derived =
@@ -133,7 +129,6 @@ let run () =
                  string_of_int der.m_invocations;
                  Printf.sprintf "%.1fx"
                    (ratio full.m_invocations der.m_invocations);
-                 Printf.sprintf "%d/%d" der.m_derived der.m_fallbacks;
                  Printf.sprintf "%.3f" full.m_seconds;
                  Printf.sprintf "%.3f" der.m_seconds;
                  "identical";
@@ -141,11 +136,11 @@ let run () =
                Printf.sprintf
                  "      {\"strategy\": \"%s\", \"full_invocations\": %d, \
                   \"derived_invocations\": %d, \"reduction\": %.3f, \
-                  \"derived_costs\": %d, \"fallbacks\": %d, \"full_s\": \
-                  %.3f, \"derived_s\": %.3f}"
+                  \"derived_costs\": %d, \"full_s\": %.3f, \"derived_s\": \
+                  %.3f}"
                  strategy_name full.m_invocations der.m_invocations
                  (ratio full.m_invocations der.m_invocations)
-                 der.m_derived der.m_fallbacks full.m_seconds der.m_seconds )
+                 der.m_derived full.m_seconds der.m_seconds )
            in
            let g_row, g_json = per Search.Greedy "greedy" in
            let e_row, e_json =
@@ -163,8 +158,8 @@ let run () =
       "Optimizer invocations and wall-clock, full vs derived, summed over \
        seeds"
     ~header:
-      [ "db"; "strategy"; "full opt"; "derived opt"; "reduction";
-        "derived/fb"; "full s"; "derived s"; "result" ]
+      [ "db"; "strategy"; "full opt"; "derived opt"; "reduction"; "full s";
+        "derived s"; "result" ]
     ~rows:(List.concat rows);
   let overall = ratio !totals_full !totals_derived in
   Printf.printf

@@ -52,15 +52,17 @@ let run () =
   Printf.printf "stream: %d phase-A statements, then %d phase-B statements\n"
     (List.length stream_a) (List.length stream_b);
   let shift_at = List.length stream_a in
-  List.iteri
-    (fun i sql ->
-      if i = shift_at then
-        Printf.printf "-- query mix shifts at statement %d --\n" i;
-      match Service.feed svc sql with
-      | Service.Rejected msg -> failwith ("statement rejected: " ^ msg)
-      | Service.Observed _ -> ())
-    (stream_a @ stream_b);
-  let epochs = List.rev (Service.epochs svc) in
+  let epochs =
+    List.concat
+      (List.mapi
+         (fun i sql ->
+           if i = shift_at then
+             Printf.printf "-- query mix shifts at statement %d --\n" i;
+           match Service.feed svc sql with
+           | Service.Rejected msg -> failwith ("statement rejected: " ^ msg)
+           | Service.Observed { ev_epoch; _ } -> Option.to_list ev_epoch)
+         (stream_a @ stream_b))
+  in
   Exp_common.print_table ~title:"Tuning epochs over the stream"
     ~header:
       [ "epoch"; "trigger"; "clusters"; "diff"; "pages"; "window cost";

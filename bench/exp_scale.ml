@@ -248,19 +248,23 @@ let run_online db =
   in
   let service = Im_online.Service.create ~options db ~budget_pages in
   let rng = Im_util.Rng.create 99 in
+  let fed = ref [] in
   let (), feed_s =
     Im_util.Stopwatch.time (fun () ->
         for _ = 1 to online_n do
           match Im_online.Service.feed service (next_statement rng texts) with
           | Im_online.Service.Rejected m ->
             failwith ("EXP-SCALE: online reject: " ^ m)
-          | Im_online.Service.Observed _ -> ()
+          | Im_online.Service.Observed { ev_epoch; _ } ->
+            Option.iter (fun o -> fed := o :: !fed) ev_epoch
         done)
   in
-  (match Im_online.Service.force_epoch service with
-   | Ok _ -> ()
-   | Error m -> failwith ("EXP-SCALE: forced epoch failed: " ^ m));
-  let epochs = Im_online.Service.epochs service in
+  let epochs =
+    (* most recent first *)
+    match Im_online.Service.force_epoch service with
+    | Ok o -> o :: !fed
+    | Error m -> failwith ("EXP-SCALE: forced epoch failed: " ^ m)
+  in
   let n_epochs = List.length epochs in
   let epoch_s =
     Im_util.List_ext.sum_by_f

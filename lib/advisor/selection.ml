@@ -82,8 +82,20 @@ let single_best d db config q (input : Access_path.input) =
 (* Strictly above every current best: tie-breaking never matters. *)
 let beats lbs bests = Array.for_all2 (fun lb best -> lb > best) lbs bests
 
+(* A single-table ORDER BY without aggregation is never certified:
+   when its best path needs a sort, [plan_with] may pick a costlier
+   path that provides the order, so a candidate whose own paths all
+   lose to the current best can still change the plan. *)
+let may_trade_sort q =
+  match q.Query.q_tables with
+  | [ _ ] ->
+    q.Query.q_order_by <> []
+    && (not (Query.has_aggregates q))
+    && q.Query.q_group_by = []
+  | _ -> false
+
 let certifies db config q ix =
-  Derive.classify q = None
+  (not (may_trade_sort q))
   &&
   let d = Derive.create db and ps = probes db q in
   beats
@@ -132,7 +144,7 @@ type context = {
   db : Database.t;
   deriver : Derive.t;
   probes : Access_path.input array array;
-      (* per query; [||] for an [Order_sort] shape, never certified *)
+      (* per query; [||] when [may_trade_sort], never certified *)
   root_bests : float array array;  (* per query and probe: heap costs *)
   lbs : float array array array;
       (* per cell (c, k), c's lower bound on each probe of its query *)
@@ -192,7 +204,7 @@ let context ?service ?prune db workload =
     match Service.deriver svc with Some d -> d | None -> Derive.create db
   in
   let probes =
-    Array.map (fun q -> if Derive.classify q = None then probes db q else [||]) queries
+    Array.map (fun q -> if may_trade_sort q then [||] else probes db q) queries
   in
   (* Query-major, like the fill. *)
   let lbs = Array.map (fun js -> Array.make (Array.length js) [||]) cand_queries in

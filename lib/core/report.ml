@@ -34,7 +34,7 @@ let summary (o : Search.outcome) =
   Printf.sprintf
     "storage %d -> %d pages (%.1f%% reduction); %s; %d indexes -> %d; %d \
      iterations, cost_evals %d, opt_calls %d, cache_hits %d, cache_misses \
-     %d, derived %d (%d fallbacks), %.3fs%s%s%s"
+     %d, derived %d, %.3fs%s%s%s"
     o.Search.o_initial_pages o.Search.o_final_pages
     (100. *. Search.storage_reduction o)
     cost_part
@@ -42,7 +42,7 @@ let summary (o : Search.outcome) =
     (List.length o.Search.o_items)
     o.Search.o_iterations o.Search.o_cost_evaluations o.Search.o_optimizer_calls
     o.Search.o_cache_hits o.Search.o_cache_misses o.Search.o_derived_costs
-    o.Search.o_derive_fallbacks o.Search.o_elapsed_s
+    o.Search.o_elapsed_s
     (if o.Search.o_truncated then " (enumeration truncated)" else "")
     compress_part prune_part
 

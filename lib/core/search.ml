@@ -32,7 +32,6 @@ type outcome = {
   o_cache_hits : int;
   o_cache_misses : int;
   o_derived_costs : int;
-  o_derive_fallbacks : int;
   o_elapsed_s : float;
   o_truncated : bool;
   o_compression : Im_scale.Scale.stats option;
@@ -374,7 +373,6 @@ let run ?service ?(merge_pair = Merge_pair.Cost_based)
     o_cache_hits = d.Service.c_hits - b.Service.c_hits;
     o_cache_misses = d.Service.c_misses - b.Service.c_misses;
     o_derived_costs = d.Service.c_derived - b.Service.c_derived;
-    o_derive_fallbacks = d.Service.c_fallbacks - b.Service.c_fallbacks;
     o_elapsed_s = elapsed;
     o_truncated = truncated;
     o_compression = Option.map Im_scale.Scale.stats compactor;

@@ -36,8 +36,6 @@ type outcome = {
   o_cache_misses : int;  (** service cache misses, this run *)
   o_derived_costs : int;
       (** misses answered from cached access-path atoms, this run *)
-  o_derive_fallbacks : int;
-      (** misses the deriver routed to a full optimization, this run *)
   o_elapsed_s : float;
   o_truncated : bool;  (** exhaustive enumeration hit [config_limit] *)
   o_compression : Im_scale.Scale.stats option;

@@ -56,12 +56,9 @@ type t = {
   mutable mru : node option;
   mutable lru : node option;
   mutable query_costs : int;
-  mutable opt_calls : int;
   mutable hits : int;
-  mutable misses : int;
+  mutable misses : int;  (* = what-if resolutions: [opt_calls] *)
   mutable evictions : int;
-  mutable derived : int;
-  mutable fallbacks : int;
   cost_evals : int Atomic.t;  (* workload-level; bumped outside [lock] *)
 }
 
@@ -77,12 +74,9 @@ let create ?(capacity = 8192) ?update_cost ?(derive = false) db =
     mru = None;
     lru = None;
     query_costs = 0;
-    opt_calls = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
-    derived = 0;
-    fallbacks = 0;
     cost_evals = Atomic.make 0;
   }
 
@@ -96,21 +90,18 @@ let counters t =
       {
         c_cost_evals = Atomic.get t.cost_evals;
         c_query_costs = t.query_costs;
-        c_opt_calls = t.opt_calls;
+        c_opt_calls = t.misses;
         c_hits = t.hits;
         c_misses = t.misses;
         c_evictions = t.evictions;
-        c_derived = t.derived;
-        c_fallbacks = t.fallbacks;
+        c_derived = (if Option.is_some t.deriver then t.misses else 0);
+        c_fallbacks = 0;
       })
 
 let cost_evals t = Atomic.get t.cost_evals
-let opt_calls t = locked t (fun () -> t.opt_calls)
+let opt_calls t = locked t (fun () -> t.misses)
 let hits t = locked t (fun () -> t.hits)
-let misses t = locked t (fun () -> t.misses)
 let evictions t = locked t (fun () -> t.evictions)
-let derived t = locked t (fun () -> t.derived)
-let fallbacks t = locked t (fun () -> t.fallbacks)
 let deriver t = t.deriver
 
 (* ---- Intrusive LRU list (under [lock]) ---- *)
@@ -172,6 +163,15 @@ let key_of q config =
 
 (* ---- Costing ---- *)
 
+(* The plan behind every miss. Plans themselves are uncached by
+   design: they are bulky and the derived path already makes producing
+   one cheap. The search layers also call this for seek/scan usage
+   analysis, where the service decides how a plan is obtained. *)
+let query_plan t config q =
+  match t.deriver with
+  | Some d -> Im_derive.Derive.plan d config q
+  | None -> Im_optimizer.Optimizer.optimize t.db config q
+
 let query_cost t config q =
   let t0 = Stopwatch.now_ns () in
   let key = key_of q config in
@@ -189,24 +189,11 @@ let query_cost t config q =
         Metrics.Histogram.observe m_lookup_hit (Stopwatch.elapsed_since_ns t0);
         n.n_cost
       | None ->
+        (* A miss is one what-if resolution ([opt_calls]) whether it
+           ran the optimizer or was derived from atoms;
+           [Optimizer.invocations] counts the actual optimizer runs. *)
         t.misses <- t.misses + 1;
-        (* [opt_calls] keeps meaning "what-if resolutions the cache
-           could not answer" whether the resolution ran the optimizer
-           or was derived from atoms; [Optimizer.invocations] counts
-           the actual optimizer runs. *)
-        t.opt_calls <- t.opt_calls + 1;
-        let c =
-          match t.deriver with
-          | None ->
-            Im_optimizer.Plan.cost
-              (Im_optimizer.Optimizer.optimize t.db config q)
-          | Some d ->
-            let cost, fb = Im_derive.Derive.query_cost d config q in
-            (match fb with
-             | None -> t.derived <- t.derived + 1
-             | Some _ -> t.fallbacks <- t.fallbacks + 1);
-            cost
-        in
+        let c = Im_optimizer.Plan.cost (query_plan t config q) in
         if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
         let n = { n_key = key; n_cost = c; n_prev = None; n_next = None } in
         Hashtbl.add t.tbl key n;
@@ -254,10 +241,3 @@ let workload_cost ?query_cost:override t config w =
 let workload_cost_by_entry t config w cost =
   combine t config w (fun i _ -> cost i)
 
-(* Uncached by design: plans are bulky and the derived path already
-   makes producing one cheap. Used by the search layers for seek/scan
-   usage analysis, where the service decides how a plan is obtained. *)
-let query_plan t config q =
-  match t.deriver with
-  | Some d -> Im_derive.Derive.query_plan d config q
-  | None -> Im_optimizer.Optimizer.optimize t.db config q

@@ -43,12 +43,17 @@ type t
 type counters = {
   c_cost_evals : int;  (** workload-level evaluations *)
   c_query_costs : int;  (** per-query costings, hits included *)
-  c_opt_calls : int;  (** what-if resolutions (misses), however resolved *)
+  c_opt_calls : int;  (** what-if resolutions: one per miss *)
   c_hits : int;
-  c_misses : int;
+  c_misses : int;  (** always [c_opt_calls] *)
   c_evictions : int;  (** capacity evictions (LRU order) *)
-  c_derived : int;  (** misses answered from cached atoms (no optimizer) *)
-  c_fallbacks : int;  (** misses the deriver routed to the optimizer *)
+  c_derived : int;
+      (** misses answered from cached atoms (no optimizer): all of them
+          on a deriving service, none otherwise *)
+  c_fallbacks : int;
+      (** always 0: every miss of a deriving service is derived. Kept
+          only because perfbench's [advise] and [log_merge] workloads
+          read it; it goes at the next perfbench change. *)
 }
 
 val create :
@@ -66,9 +71,8 @@ val create :
     under-charge. [derive] (default false) attaches an
     {!Im_derive.Derive} atom cache that answers cache misses by
     re-assembling cached per-index access-path atoms instead of running
-    the optimizer — bit-identical costs, counted in
-    [c_derived]/[c_fallbacks]; [c_opt_calls] keeps meaning "misses
-    resolved", so existing counter relationships are unchanged. Raises
+    the optimizer — bit-identical costs, counted in [c_derived];
+    [c_opt_calls] keeps meaning "misses resolved". Raises
     [Invalid_argument] if [capacity < 1]. *)
 
 val database : t -> Im_catalog.Database.t
@@ -112,15 +116,10 @@ val counters : t -> counters
 
 val cost_evals : t -> int
 val opt_calls : t -> int
+(** What-if resolutions: the cache misses. *)
+
 val hits : t -> int
-val misses : t -> int
 val evictions : t -> int
-
-val derived : t -> int
-(** Misses resolved from cached atoms — zero optimizer invocations. *)
-
-val fallbacks : t -> int
-(** Misses the deriver routed to a full optimization. *)
 
 val size : t -> int
 (** Live entries (for memory-cap assertions). *)

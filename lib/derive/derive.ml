@@ -12,24 +12,11 @@ module Metrics = Im_obs.Metrics
    gauge could only ever grow, since nothing subtracts a dropped
    deriver's entries. *)
 let m_derived = Metrics.counter "derive_hits_total"
-
-let m_fallback_order_sort =
-  Metrics.counter ~labels:[ ("reason", "order_sort") ] "derive_fallback_total"
-
 let m_atom_hits = Metrics.counter "derive_atom_hits_total"
 let m_atom_misses = Metrics.counter "derive_atom_misses_total"
 let m_validations = Metrics.counter "derive_validations_total"
 
 exception Mismatch of string
-
-type fallback = Order_sort
-
-let fallback_to_string = function Order_sort -> "order_sort"
-
-type answer = {
-  a_plan : Plan.t;
-  a_fallback : fallback option;
-}
 
 (* ---- Keys ----
 
@@ -67,7 +54,6 @@ type t = {
   mutable atom_hits : int;
   mutable atom_misses : int;
   derived : int Atomic.t;
-  fallbacks : int Atomic.t;
   validations : int Atomic.t;
 }
 
@@ -86,14 +72,12 @@ let create ?validate db =
     atom_hits = 0;
     atom_misses = 0;
     derived = Atomic.make 0;
-    fallbacks = Atomic.make 0;
     validations = Atomic.make 0;
   }
 
 let database t = t.db
 let validating t = t.validate
 let derived t = Atomic.get t.derived
-let fallbacks t = Atomic.get t.fallbacks
 let validations t = Atomic.get t.validations
 let locked t f = Mutex.protect t.lock f
 let atom_hits t = locked t (fun () -> t.atom_hits)
@@ -101,26 +85,6 @@ let atom_misses t = locked t (fun () -> t.atom_misses)
 
 let atom_entries t =
   locked t (fun () -> Hashtbl.length t.atoms + Hashtbl.length t.heaps)
-
-(* ---- Classification ----
-
-   The only plan shape whose cost is not assembled purely from the
-   per-table best/candidates the provider serves is the single-table
-   ORDER BY without aggregation: [plan_with] re-examines the {e full}
-   candidate list against the sort, and order-providing accesses
-   interact with which candidate wins overall. The provider serves that
-   list exactly too, so derivation would still be exact — but the class
-   is the designated fallback seam (the taxonomy DESIGN.md §2f
-   documents), kept on the real optimizer so any future order-aware
-   planning change cannot silently break derivation exactness. *)
-let classify q =
-  match q.Query.q_tables with
-  | [ _ ]
-    when q.Query.q_order_by <> []
-         && (not (Query.has_aggregates q))
-         && q.Query.q_group_by = [] ->
-    Some Order_sort
-  | _ -> None
 
 (* ---- Atom cache ---- *)
 
@@ -169,7 +133,11 @@ let cached_heap t q (input : Access_path.input) =
         Hashtbl.add t.heaps key h;
         h)
 
-(* ---- The derived provider ---- *)
+(* ---- The derived provider ----
+
+   Both accessors are served exactly: the per-table best, and the full
+   candidate list [plan_with] weighs against a sort for a single-table
+   ORDER BY, so every query shape derives. *)
 
 let provider t config q =
   let assemble input =
@@ -184,10 +152,8 @@ let provider t config q =
 
 (* ---- Answering ---- *)
 
-let full_plan t config q = Optimizer.optimize t.db config q
-
 let validate_against_full t config q derived_plan =
-  let full = full_plan t config q in
+  let full = Optimizer.optimize t.db config q in
   if not (derived_plan = full) then
     raise
       (Mismatch
@@ -199,21 +165,10 @@ let validate_against_full t config q derived_plan =
   Metrics.Counter.incr m_validations
 
 let plan t config q =
-  match classify q with
-  | Some reason ->
-    Atomic.incr t.fallbacks;
-    (match reason with
-     | Order_sort -> Metrics.Counter.incr m_fallback_order_sort);
-    { a_plan = full_plan t config q; a_fallback = Some reason }
-  | None ->
-    let p = Optimizer.plan_with ~provider:(provider t config q) t.db q in
-    if t.validate then validate_against_full t config q p;
-    Atomic.incr t.derived;
-    Metrics.Counter.incr m_derived;
-    { a_plan = p; a_fallback = None }
+  let p = Optimizer.plan_with ~provider:(provider t config q) t.db q in
+  if t.validate then validate_against_full t config q p;
+  Atomic.incr t.derived;
+  Metrics.Counter.incr m_derived;
+  p
 
-let query_plan t config q = (plan t config q).a_plan
-
-let query_cost t config q =
-  let a = plan t config q in
-  (Plan.cost a.a_plan, a.a_fallback)
+let query_cost t config q = Plan.cost (plan t config q)

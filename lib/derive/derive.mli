@@ -16,10 +16,11 @@
     {b Exactness is bit-level}, not approximate: assembly reproduces
     the direct candidate list including order (first-minimum
     tie-breaking), and the planner core is literally the same code the
-    real optimizer runs. Queries in the fallback taxonomy (currently:
-    single-table ORDER BY without aggregation, where order-providing
-    accesses interact with sort placement — DESIGN.md §2f) are routed
-    to the full optimizer instead, so every answer is exact either way.
+    real optimizer runs. The provider serves both the per-table best
+    and the full candidate list, so sort placement for a single-table
+    ORDER BY derives exactly too: there is no fallback class, and
+    outside validation mode no answer runs the optimizer (DESIGN.md
+    §2f).
 
     Validation: with [~validate:true] (or [IM_VALIDATE_DERIVE] set
     non-empty, non-["0"], read at {!create}) every derived plan is
@@ -36,16 +37,6 @@ exception Mismatch of string
 (** Raised in validation mode when a derived plan diverges from the
     full optimizer. Never raised outside validation mode. *)
 
-type fallback = Order_sort
-    (** Single-table ORDER BY without aggregation: sort placement
-        re-examines the full candidate list against order-providing
-        accesses, the designated fallback seam. *)
-
-val fallback_to_string : fallback -> string
-
-val classify : Im_sqlir.Query.t -> fallback option
-(** The fallback class of the query, [None] when derivable. *)
-
 type t
 
 val create : ?validate:bool -> Im_catalog.Database.t -> t
@@ -54,16 +45,10 @@ val create : ?validate:bool -> Im_catalog.Database.t -> t
 
 val database : t -> Im_catalog.Database.t
 
-type answer = {
-  a_plan : Im_optimizer.Plan.t;
-  a_fallback : fallback option;  (** [None] when derived from atoms *)
-}
-
-val plan : t -> Im_catalog.Config.t -> Im_sqlir.Query.t -> answer
-(** The query's plan under the configuration — assembled from cached
-    atoms when derivable, from a full optimization otherwise (and the
-    answer says which). Bit-identical to
-    [Im_optimizer.Optimizer.optimize] in both cases. *)
+val plan : t -> Im_catalog.Config.t -> Im_sqlir.Query.t -> Im_optimizer.Plan.t
+(** The query's plan under the configuration, assembled from cached
+    atoms by {!Im_optimizer.Optimizer.plan_with}. Bit-identical to
+    [Im_optimizer.Optimizer.optimize]. *)
 
 val atom :
   t ->
@@ -74,18 +59,11 @@ val atom :
 (** {!Im_optimizer.Access_path.atom} of the index on one input of the
     query, through the cache. *)
 
-val query_plan : t -> Im_catalog.Config.t -> Im_sqlir.Query.t -> Im_optimizer.Plan.t
-(** [plan] without the provenance. *)
-
-val query_cost :
-  t -> Im_catalog.Config.t -> Im_sqlir.Query.t -> float * fallback option
-(** The plan's cost plus how it was obtained. *)
+val query_cost : t -> Im_catalog.Config.t -> Im_sqlir.Query.t -> float
+(** The cost of {!plan}. *)
 
 val derived : t -> int
-(** Answers assembled from atoms (no optimizer invocation). *)
-
-val fallbacks : t -> int
-(** Answers routed to the full optimizer. *)
+(** Plans answered (each without an optimizer invocation). *)
 
 val validations : t -> int
 (** Cross-checks performed (validation mode only). *)

@@ -41,8 +41,6 @@ let create () =
     index = Hashtbl.create 64;
   }
 
-let registered t fd = Hashtbl.mem t.index (fd_int fd)
-
 let grow t =
   if t.n = Array.length t.fds then begin
     let cap = 2 * Array.length t.fds in

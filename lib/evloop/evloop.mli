@@ -23,8 +23,6 @@ val remove : t -> Unix.file_descr -> unit
 (** Deregisters [fd]. Must be called before [Unix.close fd]. Unknown
     fds are ignored (close paths may race with HUP cleanup). *)
 
-val registered : t -> Unix.file_descr -> bool
-
 type event = {
   ev_fd : Unix.file_descr;
   ev_read : bool;

@@ -24,6 +24,3 @@ val current : t -> int
 val record : t -> benefit:float -> unit
 (** Report the just-finished epoch's realized relative benefit
     ([(old - new) / old] window cost) and reallocate. *)
-
-val epochs : t -> int
-(** Epochs recorded. *)

@@ -516,7 +516,7 @@ let tenant_list_lines t =
         Printf.sprintf "%s conns=%d statements=%d epochs=%d weight=%d" name
           s.s_conns
           (Service.statements s.s_service)
-          (List.length (Service.epochs s.s_service))
+          (Service.epoch_count s.s_service)
           s.s_weight)
       (tenants t)
   in

@@ -40,7 +40,8 @@ type t = {
   budget : Budget.t;
   prepared : Parser.Prepared.t;  (* statement shapes seen by [intake] *)
   mutable live : Config.t;
-  mutable epochs : Epoch.outcome list;  (* most recent first *)
+  mutable last_epoch : Epoch.outcome option;
+  epoch_counts : int array;  (* committed, by trigger: bootstrap/drift/forced *)
   mutable seq : int;  (* statement id counter *)
   mutable rejected : int;
   mutable feed_seconds : float;
@@ -71,7 +72,8 @@ let create ?options ?pool:_ ?(initial = Config.empty) db ~budget_pages =
     budget = Budget.create ();
     prepared = Parser.Prepared.create (Database.schema db);
     live = initial;
-    epochs = [];
+    last_epoch = None;
+    epoch_counts = Array.make 3 0;
     seq = 0;
     rejected = 0;
     feed_seconds = 0.;
@@ -113,7 +115,11 @@ let begin_epoch t trigger =
 let commit_epoch t outcome =
   t.in_flight <- false;
   t.live <- outcome.Epoch.e_config;
-  t.epochs <- outcome :: t.epochs;
+  t.last_epoch <- Some outcome;
+  let k =
+    match outcome.Epoch.e_trigger with Bootstrap -> 0 | Drift -> 1 | Forced -> 2
+  in
+  t.epoch_counts.(k) <- t.epoch_counts.(k) + 1;
   t.epoch_seconds <- t.epoch_seconds +. outcome.Epoch.e_elapsed_s;
   Budget.record t.budget ~benefit:outcome.Epoch.e_benefit;
   Drift.rebase t.drift t.cache t.live (Window.to_workload t.window)
@@ -210,24 +216,22 @@ let config t = t.live
 let config_pages t = Database.config_storage_pages t.db t.live
 let database t = t.db
 let window t = t.window
-let epochs t = t.epochs
+let last_epoch t = t.last_epoch
+let epoch_count t = Array.fold_left ( + ) 0 t.epoch_counts
 let statements t = t.seq
 let rejected t = t.rejected
-
-let count_trigger t trig =
-  List.length
-    (List.filter (fun (o : Epoch.outcome) -> o.Epoch.e_trigger = trig) t.epochs)
 
 let stats t =
   let i = string_of_int in
   let f2 = Im_util.Ascii_table.f2 in
   let observed = t.seq - t.rejected in
-  (* Compactor figures from the most recent compressed epoch; "-" while
-     compression is off or no epoch has run yet. *)
-  let last_scale =
-    List.find_map (fun (o : Epoch.outcome) -> o.Epoch.e_scale) t.epochs
+  (* Compactor and miner figures from the most recent epoch; "-" while
+     compression (pruning) is off or no epoch has run yet. Both options
+     are fixed per service, so every epoch carries them or none does. *)
+  let last f = Option.bind t.last_epoch f in
+  let scale_row f =
+    match last (fun o -> o.Epoch.e_scale) with None -> "-" | Some st -> f st
   in
-  let scale_row f = match last_scale with None -> "-" | Some st -> f st in
   [
     ("statements", i t.seq);
     ("parse rejects", i t.rejected);
@@ -238,10 +242,8 @@ let stats t =
     ("drift checks", i (Drift.checks t.drift));
     ("drift fires", i (Drift.fires t.drift));
     ("epochs (bootstrap/drift/forced)",
-     Printf.sprintf "%d/%d/%d"
-       (count_trigger t Epoch.Bootstrap)
-       (count_trigger t Epoch.Drift)
-       (count_trigger t Epoch.Forced));
+     Printf.sprintf "%d/%d/%d" t.epoch_counts.(0) t.epoch_counts.(1)
+       t.epoch_counts.(2));
     ("epoch cluster budget", i (Budget.current t.budget));
     ( "scale buckets",
       scale_row (fun st -> i st.Im_scale.Scale.st_buckets) );
@@ -252,8 +254,7 @@ let stats t =
           Printf.sprintf "%.4g of %g" st.Im_scale.Scale.st_eps_bound
             st.Im_scale.Scale.st_eps_budget) );
     ( "mine pruned/kept pairs",
-      match List.find_map (fun (o : Epoch.outcome) -> o.Epoch.e_mine) t.epochs
-      with
+      match last (fun o -> o.Epoch.e_mine) with
       | None -> "-"
       | Some st ->
         Printf.sprintf "%d/%d (support %g)" st.Im_mine.Mine.fs_pruned
@@ -261,7 +262,7 @@ let stats t =
     ("cost_evals", i (Im_costsvc.Service.cost_evals t.cache));
     ("opt_calls", i (Im_costsvc.Service.opt_calls t.cache));
     ("cache_hits", i (Im_costsvc.Service.hits t.cache));
-    ("cache_misses", i (Im_costsvc.Service.misses t.cache));
+    ("cache_misses", i (Im_costsvc.Service.opt_calls t.cache));
     ("cache_evictions", i (Im_costsvc.Service.evictions t.cache));
     ("cache_entries", i (Im_costsvc.Service.size t.cache));
     ("config indexes", i (List.length t.live));

@@ -128,8 +128,13 @@ val config : t -> Im_catalog.Config.t
 val config_pages : t -> int
 val database : t -> Im_catalog.Database.t
 val window : t -> Window.t
-val epochs : t -> Epoch.outcome list
-(** Most recent first. *)
+val last_epoch : t -> Epoch.outcome option
+(** The most recently committed epoch. *)
+
+val epoch_count : t -> int
+(** Epochs committed so far. The service keeps counts, not history:
+    callers that need every outcome collect them from {!feed}'s
+    [ev_epoch], {!force_epoch} and {!commit_epoch}'s argument. *)
 
 val statements : t -> int
 val rejected : t -> int

@@ -42,9 +42,9 @@ let seek_prefix ix ~eq_cols ~range_cols =
   in
   go [] ix.Index.idx_columns
 
-(* Predicates on one column, split into sargable equalities / other
-   sargables / non-sargable filters. *)
-let classify_selections selections =
+(* The columns of one-column predicates, split into sargable
+   equalities and other sargables; non-sargable filters are dropped. *)
+let sargable_columns selections =
   let eq_cols, range_cols =
     List.fold_left
       (fun (eqs, ranges) p ->
@@ -91,7 +91,7 @@ let context db input =
   let sel_all =
     Cardinality.conjunction_selectivity db input.ap_selections *. param_sel
   in
-  let eq_cols, range_cols = classify_selections input.ap_selections in
+  let eq_cols, range_cols = sargable_columns input.ap_selections in
   let eq_cols = List.map fst input.ap_param_eq @ eq_cols in
   {
     cx_db = db;

@@ -126,7 +126,7 @@ let sample_costs t probes q =
   Metrics.Counter.add m_probe_costs n;
   Array.of_list
     (List.map
-       (fun config -> fst (Derive.query_cost t.sc_deriver config q))
+       (fun config -> Derive.query_cost t.sc_deriver config q)
        probes.pr_configs)
 
 let ensure_probes t b =

@@ -21,8 +21,8 @@
     sargable column, one covering index per table, and their union:
     the scan / seek / covering regimes an access path can be in —
     through {!Im_derive.Derive.query_cost}, so sampling re-assembles
-    cached atoms instead of running the optimizer (fallback shapes
-    excepted) and leaves the cost service's counters untouched.
+    cached atoms instead of running the optimizer and leaves the cost
+    service's counters untouched.
     With [spread_q = max_P |cost(q, P) − cost(l, P)|] and
     [floor_q = min_P cost(q, P)], the compactor maintains
 

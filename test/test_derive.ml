@@ -1,9 +1,9 @@
 (* Tests for atomic cost derivation: bit-level exactness against the
-   full optimizer across workloads and configurations, the fallback
-   taxonomy boundaries, validation mode, atom-cache reuse, exact
-   atom-cache counters when 4 domains share one deriver, the deriving
-   cost service, and search-level identity (merge output with and
-   without derivation). *)
+   full optimizer across workloads and configurations, single-table
+   ORDER BY derived without an optimizer run, validation mode,
+   atom-cache reuse, exact atom-cache counters when 4 domains share one
+   deriver, the deriving cost service, and search-level identity (merge
+   output with and without derivation). *)
 
 module Derive = Im_derive.Derive
 module Service = Im_costsvc.Service
@@ -58,13 +58,13 @@ let test_bitwise_exactness () =
         (fun (cname, config) ->
           List.iter
             (fun q ->
-              let derived, _ = Derive.query_cost d config q in
+              let derived = Derive.query_cost d config q in
               check_bitwise
                 (Printf.sprintf "%s/%s/%s" wname cname q.Query.q_id)
                 (full_cost db config q)
                 derived;
               (* And stable on re-derivation. *)
-              let again, _ = Derive.query_cost d config q in
+              let again = Derive.query_cost d config q in
               check_bitwise "re-derivation" derived again)
             (Workload.queries workload))
         (configs db workload))
@@ -92,88 +92,102 @@ let test_random_subsets () =
         (Array.to_list pool)
     in
     let q = queries.(qi) in
-    let derived, _ = Derive.query_cost d config q in
+    let derived = Derive.query_cost d config q in
     bits derived = bits (full_cost db config q)
   in
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:150 ~name:"derived = optimized (bitwise)" gen
        prop)
 
-(* ---- Fallback taxonomy boundaries (handmade schema) ---- *)
+(* ---- Single-table ORDER BY (handmade schema) ---- *)
 
 let schema =
   Schema.make
     [
       Schema.make_table "t"
         [ ("a", Datatype.Int); ("b", Datatype.Int); ("c", Datatype.Int) ];
-      Schema.make_table "u" [ ("x", Datatype.Int); ("y", Datatype.Int) ];
     ]
 
 let rows_t =
   List.init 600 (fun i ->
       [| Value.Int (i mod 50); Value.Int (i mod 9); Value.Int i |])
 
-let rows_u = List.init 200 (fun i -> [| Value.Int i; Value.Int (i mod 50) |])
-let hdb = lazy (Database.create schema [ ("t", rows_t); ("u", rows_u) ])
+let hdb = lazy (Database.create schema [ ("t", rows_t) ])
 let col = Predicate.colref
 
 let sel tbl c = Query.Sel_col (col tbl c)
 let eq tbl c v = Predicate.Cmp (Predicate.Eq, col tbl c, Value.Int v)
 
-let boundary_cases =
-  [
-    (* Single table + ORDER BY, no aggregation: the order-sort class —
-       sort placement re-examines order-providing access paths. *)
-    ( "single-table order by",
-      Query.make ~id:"fb1" ~select:[ sel "t" "a"; sel "t" "b" ]
-        ~where:[ eq "t" "a" 3 ]
-        ~order_by:[ (col "t" "b", Query.Asc) ]
-        [ "t" ],
-      Some Derive.Order_sort );
-    (* Grouped aggregation absorbs the order: derivable. *)
-    ( "grouped order by",
-      Query.make ~id:"fb2"
-        ~select:[ sel "t" "b"; Query.Sel_agg (Query.Count_star, None) ]
-        ~where:[ eq "t" "a" 3 ]
-        ~group_by:[ col "t" "b" ]
-        ~order_by:[ (col "t" "b", Query.Asc) ]
-        [ "t" ],
-      None );
-    (* Multi-table ORDER BY sorts above the join: derivable. *)
-    ( "join order by",
-      Query.make ~id:"fb3" ~select:[ sel "t" "a"; sel "u" "y" ]
-        ~where:[ Predicate.Join (col "t" "a", col "u" "y"); eq "u" "x" 7 ]
-        ~order_by:[ (col "t" "c", Query.Asc) ]
-        [ "t"; "u" ],
-      None );
-    (* No ORDER BY at all: derivable. *)
-    ( "plain point",
-      Query.make ~id:"fb4" ~select:[ sel "t" "a" ] ~where:[ eq "t" "a" 3 ]
-        [ "t" ],
-      None );
-  ]
+(* The 6 orders of t's columns; [perm k n] is the first [n] of the
+   [k]-th. *)
+let perm k n =
+  let orders =
+    [| [ "a"; "b"; "c" ]; [ "a"; "c"; "b" ]; [ "b"; "a"; "c" ];
+       [ "b"; "c"; "a" ]; [ "c"; "a"; "b" ]; [ "c"; "b"; "a" ] |]
+  in
+  List.filteri (fun i _ -> i < n) orders.(k mod 6)
 
-let test_fallback_taxonomy () =
+(* A single-table ORDER BY without aggregation — 1 to 3 keys, each ASC
+   or DESC, optionally behind an equality that pins a seek prefix — and
+   0 to 4 indexes on t, one of them optionally covering the query with
+   the pinned column and the keys leading. Sort placement weighs every
+   candidate against the sort, so these are the plans that read the
+   provider's full candidate list. *)
+let gen_order_case =
+  let open QCheck.Gen in
+  let* keys = map2 perm (int_bound 5) (int_range 1 3)
+  and* dirs = list_repeat 3 bool
+  and* pin = opt (pair (oneofl [ "a"; "b"; "c" ]) (int_bound 49))
+  and* selected = int_range 1 7
+  and* covering = bool
+  and* others =
+    list_size (int_bound 4) (map2 perm (int_bound 5) (int_range 1 3))
+  in
+  let order_by =
+    List.mapi
+      (fun i c -> (col "t" c, if List.nth dirs i then Query.Asc else Query.Desc))
+      keys
+  in
+  let select =
+    List.filteri (fun i _ -> (selected lsr i) land 1 = 1) [ "a"; "b"; "c" ]
+  in
+  let q =
+    Query.make ~id:"ord"
+      ~select:(List.map (sel "t") select)
+      ~where:(match pin with Some (c, v) -> [ eq "t" c v ] | None -> [])
+      ~order_by [ "t" ]
+  in
+  let cover =
+    Im_util.List_ext.dedup_keep_order String.equal
+      (Option.to_list (Option.map fst pin) @ keys @ select)
+  in
+  let config =
+    (if covering then [ cover ] else []) @ others
+    |> List.filteri (fun i _ -> i < 4)
+    |> List.map (Index.make ~table:"t")
+    |> Im_util.List_ext.dedup_keep_order Index.equal
+  in
+  return (q, config)
+
+let print_order_case (q, config) =
+  Printf.sprintf "%s under [%s]" (Query.to_sql q)
+    (String.concat "; " (List.map Index.to_string config))
+
+let test_order_by_derives () =
   let db = Lazy.force hdb in
-  let d = Derive.create db in
-  let config = [ Index.make ~table:"t" [ "a"; "b" ]; Index.make ~table:"t" [ "b" ] ] in
-  List.iter
-    (fun (name, q, expected_fb) ->
-      (match Query.validate schema q with
-       | Ok () -> ()
-       | Error m -> Alcotest.failf "%s: invalid query: %s" name m);
-      let answer = Derive.plan d config q in
-      Alcotest.(check (option string))
-        (name ^ ": provenance")
-        (Option.map Derive.fallback_to_string expected_fb)
-        (Option.map Derive.fallback_to_string answer.Derive.a_fallback);
-      (* Fallback or not, the plan is the optimizer's plan. *)
-      Alcotest.(check bool)
-        (name ^ ": plan identical")
-        true
-        (answer.Derive.a_plan = Optimizer.optimize db config q))
-    boundary_cases;
-  Alcotest.(check bool) "fallbacks counted" true (Derive.fallbacks d > 0)
+  let d = Derive.create ~validate:false db in
+  let prop (q, config) =
+    let before = Optimizer.invocations () in
+    let derived = Derive.plan d config q in
+    let invoked = Optimizer.invocations () - before in
+    if invoked <> 0 then
+      QCheck.Test.fail_reportf "%d optimizer invocations while deriving" invoked;
+    derived = Optimizer.optimize db config q
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"order by: derived = optimized"
+       (QCheck.make ~print:print_order_case gen_order_case)
+       prop)
 
 (* ---- Validation mode ---- *)
 
@@ -228,7 +242,7 @@ let test_derive_hammer () =
      a sequential run's bitwise and the atom-cache counters must equal
      a sequential run doing the same work 4 times — misses are
      computed under the lock, so the loser of a same-key race scores a
-     hit. [q_order] exercises the optimizer fallback. *)
+     hit. [q_order] weighs its access paths against a sort. *)
   let open Domain_hammer in
   let db = Lazy.force db in
   let queries =
@@ -239,7 +253,7 @@ let test_derive_hammer () =
     List.concat_map (fun q -> List.map (fun c -> (q, c)) configs) queries
   in
   let costs d () =
-    List.map (fun (q, c) -> fst (Derive.query_cost d c q)) cells
+    List.map (fun (q, c) -> Derive.query_cost d c q) cells
   in
   let counters d =
     [
@@ -247,7 +261,6 @@ let test_derive_hammer () =
       ("atom_misses", Derive.atom_misses d);
       ("atom_entries", Derive.atom_entries d);
       ("derived", Derive.derived d);
-      ("fallbacks", Derive.fallbacks d);
     ]
   in
   let seq_d = Derive.create db in
@@ -256,9 +269,7 @@ let test_derive_hammer () =
   let par_costs = hammer (costs par_d) in
   Alcotest.(check (list (list (float 0.)))) "bit-identical costs" seq_costs
     par_costs;
-  check_counters "derive" (counters seq_d) (counters par_d);
-  Alcotest.(check bool) "fallback shape exercised" true
-    (Derive.fallbacks par_d > 0)
+  check_counters "derive" (counters seq_d) (counters par_d)
 
 (* ---- The deriving cost service ---- *)
 
@@ -267,24 +278,26 @@ let test_service_derive_identical () =
   let workload = rags_workload db in
   let plain = Service.create db in
   let deriving = Service.create ~derive:true db in
+  let invoked = ref 0 in
   List.iter
     (fun (cname, config) ->
       List.iter
         (fun q ->
-          check_bitwise
-            (Printf.sprintf "%s/%s" cname q.Query.q_id)
-            (Service.query_cost plain config q)
-            (Service.query_cost deriving config q))
+          let expected = Service.query_cost plain config q in
+          let before = Optimizer.invocations () in
+          let got = Service.query_cost deriving config q in
+          invoked := !invoked + (Optimizer.invocations () - before);
+          check_bitwise (Printf.sprintf "%s/%s" cname q.Query.q_id) expected got)
         (Workload.queries workload))
     (configs db workload);
-  (* The invariant existing callers rely on: opt_calls counts resolved
-     misses whether the optimizer ran or not. *)
-  Alcotest.(check int) "opt_calls = misses" (Service.misses deriving)
-    (Service.opt_calls deriving);
-  Alcotest.(check bool) "misses were derived" true (Service.derived deriving > 0);
-  Alcotest.(check int) "derived + fallbacks = misses"
-    (Service.misses deriving)
-    (Service.derived deriving + Service.fallbacks deriving)
+  let c = Service.counters deriving in
+  Alcotest.(check bool) "misses resolved" true (c.Service.c_opt_calls > 0);
+  Alcotest.(check int) "every miss derived" c.Service.c_misses c.Service.c_derived;
+  (* The optimizer ran only to cross-check ([IM_VALIDATE_DERIVE]). *)
+  let validations =
+    Option.fold ~none:0 ~some:Derive.validations (Service.deriver deriving)
+  in
+  Alcotest.(check int) "optimizer ran only to validate" validations !invoked
 
 (* ---- Search-level identity: merge output with and without ---- *)
 
@@ -332,8 +345,8 @@ let () =
         [
           tc "bitwise vs full optimizer" `Quick test_bitwise_exactness;
           tc "random config subsets" `Quick test_random_subsets;
+          tc "order by derives exactly" `Quick test_order_by_derives;
         ] );
-      ("fallbacks", [ tc "taxonomy boundaries" `Quick test_fallback_taxonomy ]);
       ("validation", [ tc "cross-check mode" `Quick test_validation_mode ]);
       ( "atoms",
         [ tc "reuse and invalidation" `Quick test_atom_reuse ] );

@@ -295,8 +295,7 @@ let test_budget_reallocation () =
   Budget.record b ~benefit:0.0;
   Alcotest.(check int) "floored at min" 4 (Budget.current b);
   Budget.record b ~benefit:0.03;
-  Alcotest.(check int) "middling benefit holds" 4 (Budget.current b);
-  Alcotest.(check int) "epochs counted" 8 (Budget.epochs b)
+  Alcotest.(check int) "middling benefit holds" 4 (Budget.current b)
 
 (* ---- Epoch diff ---- *)
 
@@ -395,16 +394,24 @@ let test_service_bootstrap_and_stats () =
   in
   let svc = Service.create ~options db ~budget_pages in
   let stmts = service_stream (Ragsgen.generate db ~rng:(Rng.create 41) ~n:8) in
-  let fed = ref 0 in
+  let fed = ref 0 and epochs = ref [] in
   for rep = 1 to 3 do
     ignore rep;
-    List.iter (fun s -> incr fed; ignore (Service.feed svc s)) stmts
+    List.iter
+      (fun s ->
+        incr fed;
+        match Service.feed svc s with
+        | Service.Observed { ev_epoch = Some o; _ } -> epochs := o :: !epochs
+        | _ -> ())
+      stmts
   done;
   Alcotest.(check int) "statements counted" !fed (Service.statements svc);
   Alcotest.(check int) "nothing rejected" 0 (Service.rejected svc);
-  Alcotest.(check bool) "bootstrap epoch ran" true
-    (List.length (Service.epochs svc) >= 1);
-  (match List.rev (Service.epochs svc) with
+  Alcotest.(check int) "epochs counted" (List.length !epochs)
+    (Service.epoch_count svc);
+  Alcotest.(check bool) "last epoch kept" true
+    (Option.equal ( == ) (Service.last_epoch svc) (List.nth_opt !epochs 0));
+  (match List.rev !epochs with
    | first :: _ ->
      Alcotest.(check bool) "first is bootstrap" true
        (first.Epoch.e_trigger = Epoch.Bootstrap)
@@ -449,8 +456,8 @@ let test_service_drift_retunes () =
   for i = 0 to 31 do
     ignore (Service.feed svc (List.nth phase_a (i mod 2)))
   done;
-  let epochs_after_a = List.length (Service.epochs svc) in
-  Alcotest.(check bool) "bootstrapped in phase A" true (epochs_after_a >= 1);
+  Alcotest.(check bool) "bootstrapped in phase A" true
+    (Service.epoch_count svc >= 1);
   let fired = ref false in
   for i = 0 to 63 do
     match Service.feed svc (List.nth phase_b (i mod 2)) with
@@ -529,9 +536,16 @@ let epoch_summaries ~compress ~prune_support =
   in
   let svc = Service.create ~options db ~budget_pages in
   let stmts = Lazy.force repeats_statements in
-  List.iter (fun sql -> ignore (Service.feed svc sql)) (stmts @ stmts);
-  ignore (Service.force_epoch svc);
-  List.rev_map (fun o -> strip_elapsed (Epoch.summary o)) (Service.epochs svc)
+  let fed =
+    List.filter_map
+      (fun sql ->
+        match Service.feed svc sql with
+        | Service.Observed { ev_epoch; _ } -> ev_epoch
+        | Service.Rejected _ -> None)
+      (stmts @ stmts)
+  in
+  let forced = Result.to_list (Service.force_epoch svc) in
+  List.map (fun o -> strip_elapsed (Epoch.summary o)) (fed @ forced)
 
 let test_service_pinned_epochs () =
   let check name ~compress ~prune_support expected =
@@ -607,8 +621,7 @@ let test_service_async_intake_matches_feed () =
     ( events,
       Service.statements svc,
       Service.rejected svc,
-      List.rev_map (fun o -> strip_elapsed (Epoch.summary o))
-        (Service.epochs svc) )
+      List.assoc "epochs (bootstrap/drift/forced)" (Service.stats svc) )
   in
   let fed =
     let svc = Service.create ~options db ~budget_pages in
@@ -637,19 +650,17 @@ let test_service_async_intake_matches_feed () =
     in
     finish svc (go [] stream)
   in
-  let events, statements, rejected, summaries = fed in
-  let triggers =
-    List.map
-      (fun s -> String.sub s 0 (String.index s ':'))
-      summaries
+  let events, statements, rejected, counts = fed in
+  let ran trigger =
+    List.exists (String.starts_with ~prefix:("epoch epoch[" ^ trigger ^ "]")) events
   in
   Alcotest.(check bool) "bootstrap and drift epochs ran" true
-    (List.mem "epoch[bootstrap]" triggers && List.mem "epoch[drift]" triggers);
-  let b_events, b_statements, b_rejected, b_summaries = batched in
+    (ran "bootstrap" && ran "drift");
+  let b_events, b_statements, b_rejected, b_counts = batched in
   Alcotest.(check (list string)) "events" events b_events;
   Alcotest.(check int) "statements" statements b_statements;
   Alcotest.(check int) "rejected" rejected b_rejected;
-  Alcotest.(check (list string)) "epoch summaries" summaries b_summaries
+  Alcotest.(check string) "epoch counts" counts b_counts
 
 let () =
   Alcotest.run "im_online"
