@@ -523,9 +523,9 @@ let tenant_arg =
   let doc =
     "Pre-create an extra tenant session at startup: NAME, NAME=DB, or \
      NAME[=DB]:WEIGHT (DB one of tpcd/synthetic1/synthetic2, default \
-     NAME; WEIGHT a dispatch-fairness multiplier >= 1, default 1 — a \
-     weight-3 tenant gets three times the per-round command budget). \
-     Repeatable. The -d database becomes the default tenant, named \
+     NAME; WEIGHT a dispatch-fairness multiplier from 1 to 1000000, \
+     default 1 — a weight-3 tenant gets three times the per-round \
+     command budget). Repeatable. The -d database becomes the default tenant, named \
      after it, at weight 1."
   in
   Arg.(
@@ -548,10 +548,13 @@ let parse_tenant_spec spec =
   | Some i ->
     let tail = String.sub spec (i + 1) (String.length spec - i - 1) in
     (match int_of_string_opt tail with
-     | Some w when w >= 1 ->
+     | Some w when w >= 1 && w <= Im_online.Server.max_weight ->
        let name, dbspec = split_db (String.sub spec 0 i) in
        Ok (name, dbspec, w)
-     | Some w -> Error (Printf.sprintf "weight must be >= 1, got %d" w)
+     | Some w ->
+       Error
+         (Printf.sprintf "weight must be in [1, %d], got %d"
+            Im_online.Server.max_weight w)
      | None -> Error (Printf.sprintf "bad weight %S (expected an integer)" tail))
 
 let run_serve db_name sf seed schema_file data_dir port budget window decay

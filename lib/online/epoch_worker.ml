@@ -3,29 +3,26 @@
    Jobs are thunks produced by [Service.begin_epoch]: already closed
    over an immutable snapshot, safe to run on any domain. The worker
    pulls from a mutex+condition queue in submission order; finished
-   jobs land on a completion list the event loop drains at each
-   wake-up, and every completion fires the [wakeup] callback (the
-   daemon's self-pipe) so a loop blocked in poll notices without
-   polling.
+   jobs land, with the tag they were submitted under, on a completion
+   list the event loop drains at each wake-up, and every completion
+   fires the [wakeup] callback (the daemon's self-pipe) so a loop
+   blocked in poll notices without polling.
 
    An epoch is a hundreds-of-milliseconds batch that must never run
    on the dispatch thread; it runs sequentially here, sharing the
    tenant's single-lock caches with the dispatch thread. *)
 
-type completion = {
-  c_id : int;  (* the [submit] ticket this result answers *)
+type 'a completion = {
+  c_tag : 'a;  (* the tag the job was submitted with *)
   c_result : (Epoch.outcome, exn) result;
 }
 
-type job = { j_id : int; j_run : unit -> Epoch.outcome }
-
-type t = {
+type 'a t = {
   lock : Mutex.t;
   nonempty : Condition.t;
-  queue : job Queue.t;
-  mutable completions : completion list;  (* newest first *)
+  queue : ('a * (unit -> Epoch.outcome)) Queue.t;
+  mutable completions : 'a completion list;  (* newest first *)
   mutable stopping : bool;
-  mutable next_id : int;
   wakeup : unit -> unit;
   mutable domain : unit Domain.t option;
 }
@@ -37,11 +34,11 @@ let rec worker_loop t =
   done;
   if Queue.is_empty t.queue && t.stopping then Mutex.unlock t.lock
   else begin
-    let job = Queue.pop t.queue in
+    let tag, run = Queue.pop t.queue in
     Mutex.unlock t.lock;
-    let result = try Ok (job.j_run ()) with e -> Error e in
+    let result = try Ok (run ()) with e -> Error e in
     Mutex.lock t.lock;
-    t.completions <- { c_id = job.j_id; c_result = result } :: t.completions;
+    t.completions <- { c_tag = tag; c_result = result } :: t.completions;
     Mutex.unlock t.lock;
     (try t.wakeup () with _ -> ());
     worker_loop t
@@ -55,7 +52,6 @@ let create ~wakeup =
       queue = Queue.create ();
       completions = [];
       stopping = false;
-      next_id = 0;
       wakeup;
       domain = None;
     }
@@ -63,18 +59,15 @@ let create ~wakeup =
   t.domain <- Some (Domain.spawn (fun () -> worker_loop t));
   t
 
-let submit t run =
+let submit t tag run =
   Mutex.lock t.lock;
   if t.stopping then begin
     Mutex.unlock t.lock;
     invalid_arg "Epoch_worker.submit: worker shut down"
   end;
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  Queue.push { j_id = id; j_run = run } t.queue;
+  Queue.push (tag, run) t.queue;
   Condition.signal t.nonempty;
-  Mutex.unlock t.lock;
-  id
+  Mutex.unlock t.lock
 
 let drain t =
   Mutex.lock t.lock;

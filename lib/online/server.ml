@@ -32,28 +32,48 @@ let m_epoch_offloaded = Metrics.counter "server_epoch_offloaded_total"
 let m_dispatch_stall = Metrics.gauge "server_dispatch_stall_seconds"
 let m_fairness_deferred = Metrics.counter "server_fairness_deferred_total"
 
-(* Per-verb latency histograms; unknown verbs share one "other" series
-   so a hostile client cannot grow the label set. *)
+(* Per-verb latency histograms, keyed by the upper-case verb; unknown
+   verbs share one "other" series so a hostile client cannot grow the
+   label set. *)
 let m_command_seconds =
   List.map
     (fun verb ->
-      ( verb,
+      ( String.uppercase_ascii verb,
         Metrics.histogram ~labels:[ ("verb", verb) ] "server_command_seconds"
       ))
     [ "stmt"; "stats"; "config"; "epoch"; "metrics"; "tenant"; "quit";
       "shutdown"; "other" ]
 
-let command_histogram line =
-  let verb =
-    match String.index_opt line ' ' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  let verb = String.lowercase_ascii verb in
-  let verb = if List.mem_assoc verb m_command_seconds then verb else "other" in
-  List.assoc verb m_command_seconds
+let m_stmt_seconds = List.assoc "STMT" m_command_seconds
+let m_epoch_seconds = List.assoc "EPOCH" m_command_seconds
+let m_other_seconds = List.assoc "OTHER" m_command_seconds
 
-let m_stmt_seconds = List.assoc "stmt" m_command_seconds
+(* A request line, its verb split off once when the line arrives. A
+   well-formed STMT or EPOCH gets its own case; every other line,
+   malformed STMT and EPOCH included, keeps its upper-case verb, its
+   trimmed argument text and the histogram that times it. *)
+type command =
+  | Stmt of string  (* the SQL text, parsed by [Service.intake] *)
+  | Epoch
+  | Other of { verb : string; rest : string; histogram : Metrics.Histogram.t }
+
+let parse_command line =
+  let verb, rest =
+    match String.index_opt line ' ' with
+    | Some i ->
+      ( String.sub line 0 i,
+        String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
+    | None -> (line, "")
+  in
+  match String.uppercase_ascii verb with
+  | "STMT" when rest <> "" -> Stmt rest
+  | "EPOCH" when rest = "" -> Epoch
+  | verb ->
+    let histogram =
+      Option.value ~default:m_other_seconds
+        (List.assoc_opt verb m_command_seconds)
+    in
+    Other { verb; rest; histogram }
 
 (* ---- Tenants ---- *)
 
@@ -115,7 +135,7 @@ type outbuf = {
 type conn = {
   fd : Unix.file_descr;
   buf : Buffer.t;  (* incomplete trailing line *)
-  pending : string Queue.t;  (* complete lines awaiting dispatch *)
+  pending : command Queue.t;  (* complete lines awaiting dispatch *)
   out : outbuf;
   mutable session : session option;  (* None after TENANT DROP *)
   mutable last_active : float;  (* monotonic seconds, Stopwatch.now_s *)
@@ -125,17 +145,6 @@ type conn = {
   mutable awaiting_epoch : bool;
       (* this connection's next reply is an epoch running off-thread;
          dispatch is paused until the completion is delivered *)
-  mutable stalled : bool;
-      (* head-of-queue EPOCH is waiting for the tenant's in-flight
-         epoch to commit; the line stays queued, no budget is spent *)
-}
-
-(* An off-thread epoch the dispatch loop is waiting on, keyed by the
-   [Epoch_worker.submit] ticket. *)
-type pending_epoch = {
-  pe_session : session;
-  pe_conn : conn;  (* where the reply goes (dropped if closed) *)
-  pe_kind : [ `Stmt | `Forced ];
 }
 
 type t = {
@@ -153,11 +162,9 @@ type t = {
   ev : Evloop.t;
   wake_r : Unix.file_descr;  (* worker completions poke this pipe *)
   wake_w : Unix.file_descr;
-  worker : Epoch_worker.t;
-  pending_epochs : (int, pending_epoch) Hashtbl.t;
-  (* Connections with dispatchable work; drives the zero-timeout
-     re-poll and the fairness round, without rescanning every conn. *)
-  backlog : (Unix.file_descr, conn) Hashtbl.t;
+  worker : (session * conn * [ `Stmt | `Forced ]) Epoch_worker.t;
+      (* each job's tag: the tenant it commits to, the connection its
+         reply goes to (dropped if closed), and what asked for it *)
   mutable rr_cursor : int;  (* rotates tenant service order per round *)
   mutable last_reap : float;
   mutable running : bool;
@@ -176,6 +183,11 @@ type t = {
    get a turn; rounds with leftover pending work re-poll with a zero
    timeout. *)
 let commands_per_round = 128
+
+(* The largest tenant weight. A round budget of [commands_per_round]
+   times a weight near [max_int] wraps to zero or below, and that
+   tenant is never served while the loop spins. *)
+let max_weight = 1_000_000
 
 (* When a session has several connections with work, each takes at
    most this many commands per pass so the budget round-robins among
@@ -224,6 +236,13 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(read_timeout = 30.)
       if name = tenant then
         invalid_arg ("Server.create: duplicate tenant " ^ name))
     tenants;
+  List.iter
+    (fun (name, w) ->
+      if w > max_weight then
+        invalid_arg
+          (Printf.sprintf "Server.create: weight %d of tenant %s is above %d" w
+             name max_weight))
+    weights;
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listener Unix.SO_REUSEADDR true;
   (* Accepted sockets inherit the listener's buffer sizes; shrinking
@@ -288,8 +307,6 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(read_timeout = 30.)
     wake_r;
     wake_w;
     worker;
-    pending_epochs = Hashtbl.create 8;
-    backlog = Hashtbl.create 64;
     rr_cursor = 0;
     last_reap = Im_util.Stopwatch.now_s ();
     running = false;
@@ -354,7 +371,6 @@ let close_conn t conn =
     Evloop.remove t.ev conn.fd;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
     Hashtbl.remove t.conns conn.fd;
-    Hashtbl.remove t.backlog conn.fd;
     (match conn.session with
      | Some s ->
        s.s_conns <- s.s_conns - 1;
@@ -484,44 +500,42 @@ let sync_interest t conn =
     Evloop.modify t.ev conn.fd ~read ~write
   end
 
+(* A connection is stalled when its next command is an EPOCH and its
+   tenant's epoch is in flight: the command stays queued, and
+   re-dispatches once that epoch commits. *)
+let stalled conn =
+  match (Queue.peek_opt conn.pending, conn.session) with
+  | Some Epoch, Some s -> Service.epoch_in_flight s.s_service
+  | _ -> false
+
 (* Does this connection have work the dispatcher could make progress
    on right now? Paused states (awaiting an off-thread epoch result,
    stalled behind the tenant's in-flight epoch) are excluded so they
    do not drive zero-timeout spin rounds. *)
 let has_dispatch_work conn =
   (not conn.closed) && (not conn.closing) && (not conn.awaiting_epoch)
-  && (not conn.stalled)
-  && not (Queue.is_empty conn.pending)
-
-let note_backlog t conn =
-  if has_dispatch_work conn then Hashtbl.replace t.backlog conn.fd conn
-  else Hashtbl.remove t.backlog conn.fd
+  && (not (Queue.is_empty conn.pending))
+  && not (stalled conn)
 
 (* ---- Command dispatch ---- *)
 
-let split_verb line =
-  match String.index_opt line ' ' with
-  | Some i ->
-    ( String.sub line 0 i,
-      String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
-  | None -> (line, "")
-
 let no_tenant_reply = "ERR no tenant bound (TENANT USE <name>)"
 
+(* A multi-line reply: [OK <n>], then the [n] lines. *)
+let ok_lines lines =
+  String.concat "\n" (Printf.sprintf "OK %d" (List.length lines) :: lines)
+
 let tenant_list_lines t =
-  let rows =
-    List.map
-      (fun name ->
-        let s = Hashtbl.find t.sessions name in
-        Printf.sprintf "%s conns=%d statements=%d epochs=%d weight=%d" name
-          s.s_conns
-          (Service.statements s.s_service)
-          (Service.epoch_count s.s_service)
-          s.s_weight)
-      (tenants t)
-  in
-  String.concat "\n"
-    (Printf.sprintf "OK %d" (List.length rows) :: rows)
+  ok_lines
+    (List.map
+       (fun name ->
+         let s = Hashtbl.find t.sessions name in
+         Printf.sprintf "%s conns=%d statements=%d epochs=%d weight=%d" name
+           s.s_conns
+           (Service.statements s.s_service)
+           (Service.epoch_count s.s_service)
+           s.s_weight)
+       (tenants t))
 
 let bind_session t conn target =
   match conn.session with
@@ -545,37 +559,37 @@ let bind_session t conn target =
 let handle_tenant t conn rest =
   let words = List.filter (( <> ) "") (String.split_on_char ' ' rest) in
   match words with
-  | [] -> `Reply "ERR tenant subcommand required (CREATE/USE/DROP/LIST)"
+  | [] -> "ERR tenant subcommand required (CREATE/USE/DROP/LIST)"
   | sub :: args ->
     (match (String.uppercase_ascii sub, args) with
-     | "LIST", [] -> `Reply (tenant_list_lines t)
-     | "LIST", _ -> `Reply "ERR tenant list takes no arguments"
+     | "LIST", [] -> tenant_list_lines t
+     | "LIST", _ -> "ERR tenant list takes no arguments"
      | "CREATE", (name :: rest_args) when List.length rest_args <= 1 ->
        if not (valid_tenant_name name) then
-         `Reply "ERR invalid tenant name (want [A-Za-z0-9_.-]{1,64})"
+         "ERR invalid tenant name (want [A-Za-z0-9_.-]{1,64})"
        else if Hashtbl.mem t.sessions name then
-         `Reply (Printf.sprintf "ERR tenant %s exists" name)
+         Printf.sprintf "ERR tenant %s exists" name
        else begin
          let dbspec = match rest_args with [ d ] -> d | _ -> name in
          match t.factory dbspec with
-         | Error msg -> `Reply ("ERR " ^ msg)
+         | Error msg -> "ERR " ^ msg
          | Ok service ->
            Hashtbl.replace t.sessions name (make_session name service);
            Metrics.Gauge.set_int m_tenants (Hashtbl.length t.sessions);
-           `Reply (Printf.sprintf "OK tenant %s created" name)
+           Printf.sprintf "OK tenant %s created" name
        end
-     | "CREATE", _ -> `Reply "ERR usage: TENANT CREATE <name> [<db>]"
+     | "CREATE", _ -> "ERR usage: TENANT CREATE <name> [<db>]"
      | "USE", [ name ] ->
        (match Hashtbl.find_opt t.sessions name with
-        | None -> `Reply (Printf.sprintf "ERR no such tenant %s" name)
+        | None -> Printf.sprintf "ERR no such tenant %s" name
         | Some s ->
           (match bind_session t conn s with
-           | Ok () -> `Reply (Printf.sprintf "OK tenant %s" name)
-           | Error msg -> `Reply ("ERR " ^ msg)))
-     | "USE", _ -> `Reply "ERR usage: TENANT USE <name>"
+           | Ok () -> Printf.sprintf "OK tenant %s" name
+           | Error msg -> "ERR " ^ msg))
+     | "USE", _ -> "ERR usage: TENANT USE <name>"
      | "DROP", [ name ] ->
        (match Hashtbl.find_opt t.sessions name with
-        | None -> `Reply (Printf.sprintf "ERR no such tenant %s" name)
+        | None -> Printf.sprintf "ERR no such tenant %s" name
         | Some s ->
           Hashtbl.remove t.sessions name;
           Metrics.Gauge.set_int m_tenants (Hashtbl.length t.sessions);
@@ -589,90 +603,65 @@ let handle_tenant t conn rest =
               match c.session with
               | Some s' when s' == s ->
                 c.session <- None;
-                c.stalled <- false;
-                note_backlog t c;
                 incr unbound
               | _ -> ())
             t.conns;
           s.s_conns <- 0;
           Metrics.Gauge.set_int s.s_live 0;
-          `Reply
-            (Printf.sprintf "OK tenant %s dropped conns=%d" name !unbound))
-     | "DROP", _ -> `Reply "ERR usage: TENANT DROP <name>"
-     | _ -> `Reply "ERR unknown tenant subcommand (CREATE/USE/DROP/LIST)")
+          Printf.sprintf "OK tenant %s dropped conns=%d" name !unbound)
+     | "DROP", _ -> "ERR usage: TENANT DROP <name>"
+     | _ -> "ERR unknown tenant subcommand (CREATE/USE/DROP/LIST)")
 
-(* Returns the response plus whether the daemon should stop / the
-   connection should close. Service verbs dispatch through the
-   connection's bound session. Well-formed statements and EPOCHs
-   never reach here: [dispatch_conn] feeds the one and offloads the
-   other. A verb that takes no arguments answers ERR when given
-   some, and does nothing else. *)
-let handle_command t conn line =
-  let verb, rest = split_verb line in
+(* Answer one [Other] command: the reply, and whether the connection
+   should close or the daemon stop. Service verbs dispatch through the
+   connection's bound session. A verb that takes no arguments answers
+   ERR when given some, and does nothing else. *)
+let handle_command t conn verb rest =
   let with_session f =
     match conn.session with
-    | None -> `Reply no_tenant_reply
+    | None -> no_tenant_reply
     | Some s ->
       Metrics.Counter.incr s.s_commands;
       f s
   in
-  match (String.uppercase_ascii verb, rest) with
-  | "STMT", _ -> (`Reply "ERR empty statement", `Keep)
-  | (("STATS" | "CONFIG" | "EPOCH" | "METRICS" | "QUIT" | "SHUTDOWN") as v), _
+  match verb with
+  | "STMT" -> ("ERR empty statement", `Keep)
+  | "STATS" | "CONFIG" | "EPOCH" | "METRICS" | "QUIT" | "SHUTDOWN"
     when rest <> "" ->
-    (`Reply ("ERR usage: " ^ v ^ " takes no arguments"), `Keep)
-  | "STATS", _ ->
-    (with_session (fun s -> `Reply ("OK " ^ stats_line s.s_service)), `Keep)
-  | "CONFIG", _ ->
+    ("ERR usage: " ^ verb ^ " takes no arguments", `Keep)
+  | "STATS" -> (with_session (fun s -> "OK " ^ stats_line s.s_service), `Keep)
+  | "CONFIG" ->
     ( with_session (fun s ->
           let db = Service.database s.s_service in
-          let config = Service.config s.s_service in
-          let lines =
-            List.map
-              (fun ix ->
-                Printf.sprintf "%s %d" (Index.to_string ix)
-                  (Database.index_pages db ix))
-              config
-          in
-          `Reply
-            (String.concat "\n"
-               (Printf.sprintf "OK %d" (List.length lines) :: lines))),
+          ok_lines
+            (List.map
+               (fun ix ->
+                 Printf.sprintf "%s %d" (Index.to_string ix)
+                   (Database.index_pages db ix))
+               (Service.config s.s_service))),
       `Keep )
-  | "METRICS", _ ->
-    let lines = Metrics.dump_lines Metrics.default in
-    ( `Reply
-        (String.concat "\n"
-           (Printf.sprintf "OK %d" (List.length lines) :: lines)),
-      `Keep )
-  | "TENANT", _ -> (handle_tenant t conn rest, `Keep)
-  | "QUIT", _ -> (`Reply "OK bye", `Close)
-  | "SHUTDOWN", _ -> (`Reply "OK shutting down", `Stop)
-  | "", _ -> (`Reply "ERR empty command", `Keep)
-  | _ -> (`Reply "ERR unknown command", `Keep)
+  | "METRICS" -> (ok_lines (Metrics.dump_lines Metrics.default), `Keep)
+  | "TENANT" -> (handle_tenant t conn rest, `Keep)
+  | "QUIT" -> ("OK bye", `Close)
+  | "SHUTDOWN" -> ("OK shutting down", `Stop)
+  | "" -> ("ERR empty command", `Keep)
+  | _ -> ("ERR unknown command", `Keep)
 
-let dispatch_one t conn line =
-  let `Reply reply, action =
-    Metrics.time (command_histogram line) (fun () ->
-        handle_command t conn line)
+let dispatch_other t conn ~verb ~rest histogram =
+  let reply, action =
+    Metrics.time histogram (fun () -> handle_command t conn verb rest)
   in
-  (match action with
-   | `Keep -> respond t conn reply
-   | `Close ->
-     conn.closing <- true;
-     Queue.clear conn.pending;
-     respond t conn reply
-   | `Stop ->
-     conn.closing <- true;
-     Queue.clear conn.pending;
-     respond t conn reply;
-     t.running <- false)
+  if action <> `Keep then begin
+    conn.closing <- true;
+    Queue.clear conn.pending;
+    if action = `Stop then t.running <- false
+  end;
+  respond t conn reply
 
 (* Hand an epoch thunk to the worker domain and pause this connection
    until its completion is delivered. *)
 let submit_epoch t s conn kind job =
-  let ticket = Epoch_worker.submit t.worker job in
-  Hashtbl.replace t.pending_epochs ticket
-    { pe_session = s; pe_conn = conn; pe_kind = kind };
+  Epoch_worker.submit t.worker (s, conn, kind) job;
   conn.awaiting_epoch <- true;
   Metrics.Counter.incr m_epoch_offloaded
 
@@ -691,49 +680,35 @@ let dispatch_stmt t conn s sql =
   | (_, Some trig), _ ->
     submit_epoch t s conn `Stmt (Service.begin_epoch s.s_service trig)
 
-(* Dispatch up to [min !budget cap] lines on one connection, one at a
-   time, decrementing the session's shared [budget]. A STMT feeds the
-   session; an EPOCH verb offloads (or stalls behind the tenant's
-   in-flight epoch); either one that leaves the connection awaiting an
-   epoch ends the turn. *)
+(* Dispatch up to [min !budget cap] commands on one connection, one at
+   a time, decrementing the session's shared [budget]. A STMT feeds the
+   session and an EPOCH offloads; either one that leaves the connection
+   awaiting an epoch ends the turn, as does an EPOCH stalled behind the
+   tenant's in-flight epoch (no budget spent). *)
 let dispatch_conn t conn budget ~cap =
   let turn = ref (min !budget cap) in
-  let continue = ref true in
-  while !continue && !turn > 0 && t.running && has_dispatch_work conn do
-    let line = Queue.peek conn.pending in
-    let verb, rest = split_verb line in
-    match (String.uppercase_ascii verb, conn.session) with
-    | "EPOCH", Some s when rest = "" && Service.epoch_in_flight s.s_service ->
-      (* The line stays queued: it re-dispatches after this tenant's
-         in-flight epoch commits. No budget spent. *)
-      conn.stalled <- true;
-      continue := false
-    | command -> (
-      ignore (Queue.pop conn.pending);
-      decr turn;
-      decr budget;
-      t.commands_served <- t.commands_served + 1;
-      Metrics.Counter.incr m_commands;
-      match command with
-      (* An empty STMT or an EPOCH with arguments: [handle_command]
-         answers ERR. *)
-      | "STMT", _ when rest = "" -> dispatch_one t conn line
-      | "EPOCH", _ when rest <> "" -> dispatch_one t conn line
-      | "STMT", Some s -> dispatch_stmt t conn s rest
-      | "EPOCH", Some s -> (
-        Metrics.Counter.incr s.s_commands;
-        match Service.begin_forced_epoch s.s_service with
-        | Error msg -> respond t conn ("ERR " ^ msg)
-        | Ok job -> submit_epoch t s conn `Forced job)
-      | ("STMT" | "EPOCH"), None -> respond t conn no_tenant_reply
-      | _ -> dispatch_one t conn line)
+  while !turn > 0 && t.running && has_dispatch_work conn do
+    let command = Queue.pop conn.pending in
+    decr turn;
+    decr budget;
+    t.commands_served <- t.commands_served + 1;
+    Metrics.Counter.incr m_commands;
+    match (command, conn.session) with
+    | Stmt sql, Some s -> dispatch_stmt t conn s sql
+    | Epoch, Some s -> (
+      Metrics.Counter.incr s.s_commands;
+      match Service.begin_forced_epoch s.s_service with
+      | Error msg -> respond t conn ("ERR " ^ msg)
+      | Ok job -> submit_epoch t s conn `Forced job)
+    | (Stmt _ | Epoch), None -> respond t conn no_tenant_reply
+    | Other { verb; rest; histogram }, _ ->
+      dispatch_other t conn ~verb ~rest histogram
   done;
   if not conn.closed then begin
     flush_out t conn;
     maybe_close_drained t conn;
     sync_interest t conn
-  end;
-  note_backlog t conn
+  end
 
 (* Spend one session's round budget (weight x base) across its
    connections, round-robin in bounded turns so a single pipelining
@@ -759,39 +734,33 @@ let dispatch_session t s conns =
 
 (* One fairness round over every connection with dispatchable work:
    group by session, rotate the session order, give each session its
-   weighted budget. Unbound connections (tenant dropped) share the
-   base budget each. *)
+   weighted budget. Unbound connections (tenant dropped) get the base
+   budget each. Returns whether any connection still has work, so the
+   next poll does not block. *)
 let dispatch_round t =
-  if Hashtbl.length t.backlog > 0 then begin
-    let groups : (string, session * conn list ref) Hashtbl.t =
-      Hashtbl.create 8
-    in
-    let unbound = ref [] in
-    Hashtbl.iter
-      (fun _ conn ->
-        if has_dispatch_work conn then
-          match conn.session with
-          | Some s -> (
-            match Hashtbl.find_opt groups s.s_name with
-            | Some (_, l) -> l := conn :: !l
-            | None -> Hashtbl.replace groups s.s_name (s, ref [ conn ]))
-          | None -> unbound := conn :: !unbound)
-      t.backlog;
+  let groups : (string, session * conn list ref) Hashtbl.t =
+    Hashtbl.create 8
+  in
+  let unbound = ref [] in
+  Hashtbl.iter
+    (fun _ conn ->
+      if has_dispatch_work conn then
+        match conn.session with
+        | Some s -> (
+          match Hashtbl.find_opt groups s.s_name with
+          | Some (_, l) -> l := conn :: !l
+          | None -> Hashtbl.replace groups s.s_name (s, ref [ conn ]))
+        | None -> unbound := conn :: !unbound)
+    t.conns;
+  if Hashtbl.length groups > 0 || !unbound <> [] then begin
     let names =
       List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) groups [])
     in
-    let nnames = List.length names in
+    (* Rotate who goes first so equal-weight tenants alternate. *)
+    let k = t.rr_cursor mod max 1 (List.length names) in
     let names =
-      if nnames <= 1 then names
-      else begin
-        (* Rotate who goes first so equal-weight tenants alternate. *)
-        let k = t.rr_cursor mod nnames in
-        let rec rot i l =
-          if i = 0 then l
-          else match l with [] -> [] | x :: rest -> rot (i - 1) (rest @ [ x ])
-        in
-        rot k names
-      end
+      List.filteri (fun i _ -> i >= k) names
+      @ List.filteri (fun i _ -> i < k) names
     in
     t.rr_cursor <- t.rr_cursor + 1;
     List.iter
@@ -808,87 +777,73 @@ let dispatch_round t =
           dispatch_conn t conn budget ~cap:commands_per_round
         end)
       (List.rev !unbound)
-  end
+  end;
+  Hashtbl.fold (fun _ conn busy -> busy || has_dispatch_work conn) t.conns false
 
 (* ---- Epoch completions ---- *)
 
 (* Land one off-thread epoch on the dispatch thread: commit (or abort)
-   the service state, answer the connection that asked, and unstall
-   any of the tenant's connections queued behind the in-flight mark.
-   A raising epoch answers ERR and leaves the tenant on its committed
+   the service state and answer the connection that asked; the
+   tenant's connections stalled behind it dispatch again. A raising
+   epoch answers ERR and leaves the tenant on its committed
    configuration; it never unwinds the serve loop. *)
-let handle_completion t (c : Epoch_worker.completion) =
-  match Hashtbl.find_opt t.pending_epochs c.Epoch_worker.c_id with
-  | None -> ()
-  | Some pe ->
-    Hashtbl.remove t.pending_epochs c.Epoch_worker.c_id;
-    let s = pe.pe_session in
-    let reply =
-      match c.Epoch_worker.c_result with
-      | Ok o ->
-        let (), commit_s =
-          Im_util.Stopwatch.time (fun () ->
-              Service.commit_epoch s.s_service o)
-        in
-        Metrics.Gauge.add m_dispatch_stall commit_s;
-        Metrics.Counter.incr s.s_epochs;
-        let verb = match pe.pe_kind with `Stmt -> "stmt" | `Forced -> "epoch" in
-        Metrics.Histogram.observe
-          (List.assoc verb m_command_seconds)
-          o.Epoch.e_elapsed_s;
-        (match pe.pe_kind with
-         | `Stmt -> "OK observed " ^ epoch_line o
-         | `Forced -> "OK " ^ epoch_line o)
-      | Error e ->
-        Service.abort_epoch s.s_service;
-        "ERR epoch failed: " ^ Printexc.to_string e
-    in
-    let conn = pe.pe_conn in
-    conn.awaiting_epoch <- false;
-    if not conn.closed then begin
-      conn.last_active <- Im_util.Stopwatch.now_s ();
-      respond t conn reply;
-      flush_out t conn;
-      maybe_close_drained t conn;
-      sync_interest t conn;
-      note_backlog t conn
-    end;
-    Hashtbl.iter
-      (fun _ c ->
-        if
-          c.stalled
-          && (match c.session with Some s' -> s' == s | None -> false)
-        then begin
-          c.stalled <- false;
-          note_backlog t c
-        end)
-      t.conns
+let handle_completion t (c : _ Epoch_worker.completion) =
+  let s, conn, kind = c.Epoch_worker.c_tag in
+  let reply =
+    match c.Epoch_worker.c_result with
+    | Ok o ->
+      let (), commit_s =
+        Im_util.Stopwatch.time (fun () -> Service.commit_epoch s.s_service o)
+      in
+      Metrics.Gauge.add m_dispatch_stall commit_s;
+      Metrics.Counter.incr s.s_epochs;
+      (match kind with
+       | `Stmt ->
+         Metrics.Histogram.observe m_stmt_seconds o.Epoch.e_elapsed_s;
+         "OK observed " ^ epoch_line o
+       | `Forced ->
+         Metrics.Histogram.observe m_epoch_seconds o.Epoch.e_elapsed_s;
+         "OK " ^ epoch_line o)
+    | Error e ->
+      Service.abort_epoch s.s_service;
+      "ERR epoch failed: " ^ Printexc.to_string e
+  in
+  conn.awaiting_epoch <- false;
+  if not conn.closed then begin
+    conn.last_active <- Im_util.Stopwatch.now_s ();
+    respond t conn reply;
+    flush_out t conn;
+    maybe_close_drained t conn;
+    sync_interest t conn
+  end
 
 (* ---- Reading ---- *)
 
-(* Move complete lines from [conn.buf] to [conn.pending]. Scans from an
-   advancing offset and compacts the buffer once: a pipelined batch of
-   N commands costs O(bytes). *)
-let extract_lines conn =
-  let s = Buffer.contents conn.buf in
-  let len = String.length s in
-  let pos = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match String.index_from_opt s !pos '\n' with
-    | None -> continue := false
-    | Some i ->
-      let line = String.sub s !pos (i - !pos) in
-      pos := i + 1;
+(* Queue the lines completed by the [n] bytes just read into [rbuf];
+   the partial line before them waits in [conn.buf], and the partial
+   line after them goes there. Only the new bytes are scanned and each
+   byte is copied into [conn.buf] at most once, so a long line sent in
+   small pieces costs O(bytes), not O(bytes^2). *)
+let extract_lines conn rbuf n =
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    if Bytes.get rbuf i = '\n' then begin
       let line =
-        if String.length line > 0 && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
+        if Buffer.length conn.buf = 0 then
+          Bytes.sub_string rbuf !start (i - !start)
+        else begin
+          Buffer.add_subbytes conn.buf rbuf !start (i - !start);
+          let line = Buffer.contents conn.buf in
+          Buffer.reset conn.buf;
+          line
+        end
       in
-      Queue.push (String.trim line) conn.pending
+      (* [String.trim] also drops a CRLF line's '\r'. *)
+      Queue.push (parse_command (String.trim line)) conn.pending;
+      start := i + 1
+    end
   done;
-  Buffer.clear conn.buf;
-  if !pos < len then Buffer.add_substring conn.buf s !pos (len - !pos)
+  Buffer.add_subbytes conn.buf rbuf !start (n - !start)
 
 let read_chunk t conn =
   match Unix.read conn.fd t.rbuf 0 (Bytes.length t.rbuf) with
@@ -897,14 +852,12 @@ let read_chunk t conn =
        already pipelined, drain the replies, then close — closing here
        discarded every queued reply. *)
     conn.eof <- true;
-    extract_lines conn;
     Buffer.clear conn.buf;  (* a partial line can never complete now *)
     maybe_close_drained t conn
   | n ->
     conn.last_active <- Im_util.Stopwatch.now_s ();
     Metrics.Counter.add m_bytes_in n;
-    Buffer.add_subbytes conn.buf t.rbuf 0 n;
-    extract_lines conn;
+    extract_lines conn t.rbuf n;
     if Buffer.length conn.buf > max_line_bytes then begin
       (* A single line this long is abuse, not SQL: diagnose, count,
          and close once the error (and nothing else) drains. *)
@@ -970,7 +923,6 @@ let admit t fd =
         eof = false;
         closed = false;
         awaiting_epoch = false;
-        stalled = false;
       }
     in
     (match session with
@@ -1025,7 +977,7 @@ let reap_idle t =
       (fun conn ->
         if
           (not conn.closed) && (not conn.awaiting_epoch)
-          && (not conn.stalled)
+          && (not (stalled conn))
           && now -. conn.last_active > t.read_timeout
         then begin
           (* Give queued replies a last chance to leave before dropping
@@ -1065,11 +1017,12 @@ let serve t =
   t.running <- true;
   ignore (Evloop.raise_fd_limit (t.max_connections + fd_headroom));
   Unix.set_nonblock t.listener;
+  let busy = ref false in
   while t.running do
-    (* Undispatched work (fairness-deferred or newly read) re-polls
-       with a zero timeout; paused connections are not in the backlog,
-       so a long off-thread epoch leaves the loop blocking idle. *)
-    let timeout_s = if Hashtbl.length t.backlog > 0 then 0.0 else 1.0 in
+    (* Undispatched work (fairness-deferred) re-polls with a zero
+       timeout; paused connections have none, so a long off-thread
+       epoch leaves the loop blocking idle. *)
+    let timeout_s = if !busy then 0.0 else 1.0 in
     let events = Evloop.wait t.ev ~timeout_s in
     let listener_ready = ref false in
     let wake_ready = ref false in
@@ -1115,12 +1068,11 @@ let serve t =
           && Queue.length conn.pending < max_pending_lines
         then begin
           read_chunk t conn;
-          sync_interest t conn;
-          note_backlog t conn
+          sync_interest t conn
         end)
       ready;
     List.iter (handle_completion t) (Epoch_worker.drain t.worker);
-    dispatch_round t;
+    busy := dispatch_round t;
     reap_idle t
   done;
   (* Graceful shutdown: finish in-flight epochs (their replies are
@@ -1137,8 +1089,6 @@ let serve t =
       end)
     remaining;
   Hashtbl.reset t.conns;
-  Hashtbl.reset t.backlog;
-  Hashtbl.reset t.pending_epochs;
   Metrics.Gauge.set_int m_live 0;
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());

@@ -53,8 +53,9 @@
     Fairness: all queued connects are accepted per loop round (not
     one), and dispatch budgets are per {e tenant}, not per connection
     — each session gets [128 x weight] commands per round (weights via
-    [?weights], default 1), shared round-robin across its connections,
-    so one pipelining tenant cannot starve accepts or other tenants.
+    [?weights], from 1 to {!max_weight}, default 1), shared round-robin
+    across its connections, so one pipelining tenant cannot starve
+    accepts or other tenants.
     Rounds with undispatched input re-poll with a zero timeout;
     budget-exhausted rounds count [server_fairness_deferred_total].
     Every [STMT] is fed on its own through {!Service.intake}.
@@ -118,14 +119,18 @@ val create :
     name of the session owning the given service, bound to every new
     connection), [tenants = []] (extra pre-created sessions),
     [weights = []] (fairness weights by tenant name; missing or [< 1]
-    means 1), [factory] answering [Error] (so [TENANT CREATE] is off
-    unless one is provided — it receives the [db] spec, defaulting to
+    means 1, above {!max_weight} raises [Invalid_argument]), [factory]
+    answering [Error] (so [TENANT CREATE] is off unless one is provided — it receives the [db] spec, defaulting to
     the tenant name). Spawns the epoch worker domain. Tenant names are
     restricted to [[A-Za-z0-9_.-]{1,64}] because they become metric
     label values; invalid or duplicate names raise [Invalid_argument],
     as do [max_connections < 1], a [read_timeout] that is not finite
     and [> 0], and [max_output_bytes < 1] — all before any socket is
     opened. Raises [Unix_error] when binding fails. *)
+
+val max_weight : int
+(** The largest tenant weight, 1_000_000: a session's round budget of
+    [128 x weight] commands must not overflow. *)
 
 val port : t -> int
 (** The actually bound port (useful with [port = 0]). *)

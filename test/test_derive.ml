@@ -310,33 +310,70 @@ let fingerprint items =
            (String.concat ", " (List.map Index.to_string it.Merge.it_parents)))
        items)
 
+(* The fig5/6 setup (the databases, workload and seeds of the bench
+   harness): greedy and exhaustive merge search from three initial
+   configurations on each database, with derivation off (every miss
+   runs the optimizer) and on (every miss derived). The merged
+   configuration, its pages and its exact cost must not move. *)
 let test_search_identity () =
-  let db = Lazy.force sdb in
-  let workload = rags_workload db in
-  let initial =
-    Im_tuning.Initial_config.build db workload ~rng:(Im_util.Rng.create 13)
-      ~n:5
+  let databases =
+    [
+      ("tpcd", Im_workload.Tpcd.database ~sf:0.004 ~seed:1999 ());
+      ( "synthetic1",
+        Im_workload.Synthetic.(database ~seed:101 synthetic1) );
+      ( "synthetic2",
+        Im_workload.Synthetic.(database ~seed:202 synthetic2) );
+    ]
   in
-  let run derive =
-    let service =
-      Im_costsvc.Service.create ~derive
-        ~update_cost:(Im_merging.Maintenance.config_batch_cost db)
-        db
-    in
-    Search.run ~service ~cost_model:Cost_eval.Optimizer_estimated
-      ~cost_constraint:0.10 db workload ~initial Search.Greedy
+  let strategies =
+    [
+      ("greedy", Search.Greedy);
+      ("exhaustive", Search.Exhaustive_search { config_limit = 100_000 });
+    ]
   in
-  let off = run false in
-  let on = run true in
-  Alcotest.(check string) "identical merged configuration"
-    (fingerprint off.Search.o_items)
-    (fingerprint on.Search.o_items);
-  Alcotest.(check int) "identical pages" off.Search.o_final_pages
-    on.Search.o_final_pages;
-  Alcotest.(check (option (float 0.))) "identical cost (exact)"
-    off.Search.o_final_cost on.Search.o_final_cost;
-  Alcotest.(check int) "off never derives" 0 off.Search.o_derived_costs;
-  Alcotest.(check bool) "on derives" true (on.Search.o_derived_costs > 0)
+  List.iter
+    (fun (dname, db) ->
+      let workload =
+        Im_workload.Ragsgen.generate db ~rng:(Im_util.Rng.create 1) ~n:30
+      in
+      List.iter
+        (fun (sname, strategy) ->
+          List.iter
+            (fun seed ->
+              let initial =
+                Im_tuning.Initial_config.build db workload
+                  ~rng:(Im_util.Rng.create seed) ~n:5
+              in
+              let run derive =
+                let service =
+                  Im_costsvc.Service.create ~derive
+                    ~update_cost:(Im_merging.Maintenance.config_batch_cost db)
+                    db
+                in
+                Search.run ~service ~cost_model:Cost_eval.Optimizer_estimated
+                  ~cost_constraint:0.10 db workload ~initial strategy
+              in
+              let off = run false in
+              let on = run true in
+              let ctx what =
+                Printf.sprintf "%s/%s/seed %d: %s" dname sname seed what
+              in
+              Alcotest.(check string)
+                (ctx "identical merged configuration")
+                (fingerprint off.Search.o_items)
+                (fingerprint on.Search.o_items);
+              Alcotest.(check int) (ctx "identical pages")
+                off.Search.o_final_pages on.Search.o_final_pages;
+              Alcotest.(check (option (float 0.)))
+                (ctx "identical cost (exact)")
+                off.Search.o_final_cost on.Search.o_final_cost;
+              Alcotest.(check int) (ctx "off never derives") 0
+                off.Search.o_derived_costs;
+              Alcotest.(check bool) (ctx "on derives") true
+                (on.Search.o_derived_costs > 0))
+            [ 2; 3; 4 ])
+        strategies)
+    databases
 
 let () =
   Alcotest.run "im_derive"

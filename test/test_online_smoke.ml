@@ -161,13 +161,14 @@ let test_bad_fractions_rejected () =
      integer >= 0; serve's --window and --check-every are integers
      >= 1, --decay is in (0, 1], both drift thresholds are finite
      and >= 0, --max-connections and --max-output-bytes are integers
-     >= 1, --max-tenant-connections an integer >= 0 and --read-timeout
-     finite and > 0: every bad value, on every subcommand taking the
-     flag, is one stderr line and exit 2 — never a run on a nan budget,
+     >= 1, --max-tenant-connections an integer >= 0, --read-timeout
+     finite and > 0 and a --tenant weight an integer in [1, 1000000]
+     (128 x 2^55 wraps the round budget to 0): every bad value, on
+     every subcommand taking the flag, is one stderr line and exit 2 — never a run on a nan budget,
      an empty workload, a silent clamp, a daemon that dies at its first
      drift check, a window whose masses turn NaN, a daemon that refuses
-     every client or one that never (or always) reaps idle
-     connections. *)
+     every client, one that never (or always) reaps idle connections,
+     or one that never serves a tenant while it spins. *)
   let compress = ("--compress", [ "nan"; "-3"; "inf"; "x" ]) in
   let prune = ("--prune-support", [ "7"; "nan"; "-0.1"; "1.5" ]) in
   let queries = ("--queries", [ "-3"; "0"; "x"; "1.5" ]) in
@@ -181,6 +182,9 @@ let test_bad_fractions_rejected () =
   let read_timeout = ("--read-timeout", [ "nan"; "-1"; "0"; "inf" ]) in
   let max_output = ("--max-output-bytes", [ "0"; "-5"; "1.5" ]) in
   let max_tenant = ("--max-tenant-connections", [ "-1"; "x" ]) in
+  let weight =
+    ("--tenant", [ "x:0"; "x=synthetic1:1000001"; "x:36028797018963968" ])
+  in
   (* Each subcommand with the flags it validates; a well-formed
      -q/-b is passed too, unless that is the flag under test. *)
   let commands =
@@ -196,7 +200,7 @@ let test_bad_fractions_rejected () =
         [ ("--port", "0") ],
         [
           compress; prune; budget; window; decay; check_every; drift; cost;
-          max_conns; read_timeout; max_output; max_tenant;
+          max_conns; read_timeout; max_output; max_tenant; weight;
         ] );
     ]
   in

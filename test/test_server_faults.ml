@@ -20,7 +20,8 @@
      ERR and never takes the daemon down;
    - a tenant dropped while its epoch is in flight;
    - [Server.create] rejects limits that would refuse every client,
-     never reap or reap everything, before it opens a socket;
+     never reap or reap everything, and tenant weights whose round
+     budget would overflow, before it opens a socket;
    - a STMT whose integer literal overflows an OCaml int answers ERR;
      the lexer's [int_of_string] used to escape the event loop and end
      the daemon;
@@ -33,7 +34,13 @@
      lock-step: with Nagle on, each reply waited for the ACK riding on
      the client's next command and arrived one command interval late;
    - the replies of one pipelined write leave in a few coalesced
-     writes, not one write(2) per reply. *)
+     writes, not one write(2) per reply;
+   - a long line sent in small pieces costs the daemon CPU linear in
+     its length: each read used to rescan the whole partial line;
+   - seeded random interleavings of commands with timing-independent
+     replies (random verb case, LF or CRLF, writes split at any byte,
+     random pipelining depth, 8 connections on 2 tenants, each ended
+     by a half-close) come back complete and in order. *)
 
 let cli () =
   let here = Filename.dirname Sys.executable_name in
@@ -575,9 +582,10 @@ let test_create_validation () =
           }
       in
       let service = Im_online.Service.create db ~budget_pages:100 in
-      let create ?max_connections ?read_timeout ?max_output_bytes () =
+      let create ?max_connections ?read_timeout ?max_output_bytes ?weights ()
+          =
         Im_online.Server.create ~port ?max_connections ?read_timeout
-          ?max_output_bytes service
+          ?max_output_bytes ?weights service
       in
       let rejects what msg f =
         Alcotest.check_raises what (Invalid_argument msg) (fun () ->
@@ -593,7 +601,16 @@ let test_create_validation () =
       rejects "zero timeout" timeout (create ~read_timeout:0.);
       rejects "negative timeout" timeout (create ~read_timeout:(-1.));
       rejects "no output" "Server.create: max_output_bytes < 1"
-        (create ~max_output_bytes:0))
+        (create ~max_output_bytes:0);
+      (* 128 x 2^56 wraps the round budget to 0: that tenant would
+         never be served while the loop spins. *)
+      rejects "weight above the cap"
+        "Server.create: weight 1000001 of tenant default is above 1000000"
+        (create ~weights:[ ("default", 1_000_001) ]);
+      rejects "wrapping weight"
+        "Server.create: weight 72057594037927936 of tenant default is above \
+         1000000"
+        (create ~weights:[ ("default", 1 lsl 56) ]))
 
 let test_overflowing_literal () =
   let d = start_daemon () in
@@ -816,6 +833,279 @@ let test_replies_coalesced () =
         true
         (writes >= 1. && writes <= 25.))
 
+(* The process's user + system CPU seconds: fields 14 and 15 of
+   /proc/<pid>/stat, in clock ticks of 1/100 s. The command name
+   (field 2) is parenthesised and may hold spaces, so fields are
+   counted from its closing parenthesis. *)
+let cpu_seconds pid =
+  let line =
+    In_channel.with_open_text (Printf.sprintf "/proc/%d/stat" pid) input_line
+  in
+  let close = String.rindex line ')' in
+  let fields =
+    String.split_on_char ' '
+      (String.sub line (close + 2) (String.length line - close - 2))
+  in
+  let ticks i = float_of_string (List.nth fields i) in
+  (ticks 11 +. ticks 12) /. 100.
+
+let test_long_line_linear () =
+  (* One 990 KB line (under the 1 MB cap) in 4 KiB writes. The reader
+     used to copy and rescan the whole partial line on every read:
+     0.34-0.44 s of daemon CPU for this one line, against 0.02-0.03 s
+     when each read scans only its own bytes. *)
+  let d = start_daemon () in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let c = connect d.port in
+      expect_prefix "warm-up stats" "OK " (request c "STATS");
+      let before = cpu_seconds d.pid in
+      let chunk = String.make 4096 'a' in
+      let total = 990_000 in
+      let sent = ref 0 in
+      while !sent < total do
+        let k = min 4096 (total - !sent) in
+        output_string c.oc (String.sub chunk 0 k);
+        flush c.oc;
+        sent := !sent + k
+      done;
+      Alcotest.(check string) "long line answered" "ERR unknown command"
+        (request c "");
+      let used = cpu_seconds d.pid -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "daemon CPU for the line %.2f s < 0.15 s" used)
+        true (used < 0.15);
+      expect_prefix "stats after the line" "OK " (request c "STATS"))
+
+(* ---- Seeded protocol interleavings ---- *)
+
+(* What one command is answered with. *)
+type expect =
+  | Line of string  (* exactly this line *)
+  | Prefix of string  (* one line starting with this *)
+  | Block  (* "OK <n>", then n more lines *)
+
+(* Statements that fail to parse, with their replies: they reach no
+   window, so no epoch ever runs and CONFIG stays empty. *)
+let invalid_stmts =
+  [
+    ("SELECT FROM", "ERR expected a column, found FROM");
+    ("SELECT t0_c0 FROM t0 WHERE", "ERR expected a literal, found <eof>");
+    ("SELECT nope FROM nope", "ERR unknown column nope");
+  ]
+
+(* One random command line (line end not included) and its reply.
+   Verbs and subcommands come in random letter case. *)
+let random_command rng ~tenants =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let word w =
+    String.map
+      (fun c ->
+        if Random.State.bool rng then Char.lowercase_ascii c
+        else Char.uppercase_ascii c)
+      w
+  in
+  match Random.State.int rng 12 with
+  | 0 ->
+    let sql, err = pick invalid_stmts in
+    (word "STMT" ^ " " ^ sql, Line err)
+  | 1 -> (word "STMT", Line "ERR empty statement")
+  | 2 ->
+    let verb =
+      pick [ "STATS"; "CONFIG"; "EPOCH"; "METRICS"; "QUIT"; "SHUTDOWN" ]
+    in
+    ( word verb ^ " " ^ pick [ "now"; "x"; "0" ],
+      Line ("ERR usage: " ^ verb ^ " takes no arguments") )
+  | 3 ->
+    ( word (pick [ "FROBNICATE"; "SELECT"; "STMTS"; "OTHER" ]),
+      Line "ERR unknown command" )
+  | 4 -> (pick [ ""; "  "; "\t" ], Line "ERR empty command")
+  | 5 ->
+    ( word "TENANT",
+      Line "ERR tenant subcommand required (CREATE/USE/DROP/LIST)" )
+  | 6 ->
+    ( word "TENANT" ^ " " ^ word "USE" ^ " nosuch",
+      Line "ERR no such tenant nosuch" )
+  | 7 ->
+    let tenant = pick tenants in
+    ( word "TENANT" ^ " " ^ word "USE" ^ " " ^ tenant,
+      Line ("OK tenant " ^ tenant) )
+  | 8 ->
+    ( word "TENANT" ^ " " ^ word "LIST" ^ " x",
+      Line "ERR tenant list takes no arguments" )
+  | 9 -> (word "STATS", Prefix "OK ")
+  | 10 -> (word "CONFIG", Line "OK 0")
+  | _ -> (word "METRICS", Block)
+
+(* One client connection of an interleaving run. *)
+type wire = {
+  w_fd : Unix.file_descr;
+  w_name : string;
+  mutable w_script : (string * expect) list;  (* commands not yet queued *)
+  mutable w_out : string;  (* queued bytes not yet written *)
+  w_owed : (string * expect) Queue.t;  (* replies owed, oldest first *)
+  w_in : Buffer.t;  (* bytes of an incomplete reply line *)
+  mutable w_block : int;  (* detail lines of a block reply still due *)
+  w_depth : int;  (* the most replies owed at once *)
+  mutable w_shut : bool;  (* half-closed: everything written *)
+  mutable w_eof : bool;
+}
+
+let check_reply w line =
+  if w.w_block > 0 then w.w_block <- w.w_block - 1
+  else
+    match Queue.take_opt w.w_owed with
+    | None -> Alcotest.fail (Printf.sprintf "%s: unowed reply %S" w.w_name line)
+    | Some (cmd, expect) -> (
+      let what = Printf.sprintf "%s: reply to %S" w.w_name cmd in
+      match expect with
+      | Line l -> Alcotest.(check string) what l line
+      | Prefix p -> expect_prefix what p line
+      | Block -> (
+        match Scanf.sscanf_opt line "OK %d%!" Fun.id with
+        | Some n -> w.w_block <- n
+        | None -> Alcotest.fail (Printf.sprintf "%s: %S" what line)))
+
+let read_wire w buf =
+  match Unix.read w.w_fd buf 0 (Bytes.length buf) with
+  | 0 ->
+    w.w_eof <- true;
+    Alcotest.(check int) (w.w_name ^ ": every reply before EOF") 0
+      (Queue.length w.w_owed + w.w_block + Buffer.length w.w_in)
+  | n ->
+    Buffer.add_subbytes w.w_in buf 0 n;
+    let lines = String.split_on_char '\n' (Buffer.contents w.w_in) in
+    let rec go = function
+      | [ partial ] ->
+        Buffer.clear w.w_in;
+        Buffer.add_string w.w_in partial
+      | line :: rest ->
+        check_reply w line;
+        go rest
+      | [] -> ()
+    in
+    go lines
+
+(* Queue up to the connection's depth of commands, each ended by LF or
+   CRLF, then write a random prefix of the queued bytes: a line can be
+   split anywhere, between its CR and LF included. Half-close once
+   the script is written. *)
+let step_wire rng w =
+  let room = w.w_depth - Queue.length w.w_owed in
+  if room > 0 && w.w_script <> [] then
+    for _ = 1 to 1 + Random.State.int rng room do
+      match w.w_script with
+      | [] -> ()
+      | ((line, _) as cmd) :: rest ->
+        w.w_script <- rest;
+        w.w_out <-
+          w.w_out ^ line ^ (if Random.State.bool rng then "\r\n" else "\n");
+        Queue.push cmd w.w_owed
+    done;
+  let pending = String.length w.w_out in
+  if pending > 0 then begin
+    let k = 1 + Random.State.int rng pending in
+    let written = ref 0 in
+    while !written < k do
+      written :=
+        !written + Unix.write_substring w.w_fd w.w_out !written (k - !written)
+    done;
+    w.w_out <- String.sub w.w_out k (pending - k)
+  end;
+  if w.w_script = [] && w.w_out = "" then begin
+    Unix.shutdown w.w_fd Unix.SHUTDOWN_SEND;
+    w.w_shut <- true
+  end
+
+(* [per_conn] random commands on each of [conns] connections, written
+   in random pieces at random pipelining depths and interleaved across
+   the connections; every reply stream must come back complete and in
+   order. Returns the number of commands sent. *)
+let run_interleaving port ~seed ~conns ~per_conn ~tenants =
+  let rng = Random.State.make [| seed |] in
+  let wires =
+    Array.init conns (fun i ->
+        let c = connect port in
+        (* Nagle would hold each small piece for the previous one's
+           delayed ACK. *)
+        Unix.setsockopt c.fd Unix.TCP_NODELAY true;
+        {
+          w_fd = c.fd;
+          w_name = Printf.sprintf "seed %d conn %d" seed i;
+          w_script =
+            List.init per_conn (fun _ -> random_command rng ~tenants);
+          w_out = "";
+          w_owed = Queue.create ();
+          w_in = Buffer.create 4096;
+          w_block = 0;
+          w_depth = 1 + Random.State.int rng 24;
+          w_shut = false;
+          w_eof = false;
+        })
+  in
+  let buf = Bytes.create 65536 in
+  let deadline = Unix.gettimeofday () +. 60. in
+  while Array.exists (fun w -> not w.w_eof) wires do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail
+        (Printf.sprintf "seed %d: replies still owed after 60 s" seed);
+    let w = wires.(Random.State.int rng conns) in
+    if not w.w_shut then step_wire rng w;
+    (* Block for replies only when no connection can write more. *)
+    let can_write =
+      Array.exists
+        (fun w ->
+          (not w.w_shut)
+          && (w.w_out <> ""
+             || (w.w_script <> [] && Queue.length w.w_owed < w.w_depth)))
+        wires
+    in
+    let reading =
+      Array.to_list wires |> List.filter (fun w -> not w.w_eof)
+    in
+    let ready, _, _ =
+      Unix.select
+        (List.map (fun w -> w.w_fd) reading)
+        [] []
+        (if can_write then 0. else 1.)
+    in
+    List.iter
+      (fun w -> if List.mem w.w_fd ready then read_wire w buf)
+      reading
+  done;
+  Array.iter (fun w -> Unix.close w.w_fd) wires;
+  conns * per_conn
+
+let test_protocol_interleavings () =
+  (* Three seeds of 8 connections on 2 tenants, 417 commands each:
+     about 10k commands whose replies do not depend on timing. *)
+  let d = start_daemon ~args:[ "--tenant"; "b=synthetic1" ] () in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let probe = connect d.port in
+      List.iter
+        (fun seed ->
+          let before = read_metrics probe in
+          let sent =
+            run_interleaving d.port ~seed ~conns:8 ~per_conn:417
+              ~tenants:[ "synthetic1"; "b" ]
+          in
+          let after = read_metrics probe in
+          let grew name = metric after name -. metric before name in
+          (* The probe's own METRICS counts too. *)
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "seed %d: every command counted" seed)
+            (float_of_int (sent + 1))
+            (grew "server_commands_total");
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "seed %d: no write errors" seed)
+            0.
+            (grew "server_write_errors_total"))
+        [ 1; 2; 3 ];
+      expect_prefix "quit" "OK bye" (request probe "QUIT"))
+
 let () =
   (* Writes to dead sockets must surface as EPIPE, not kill this test
      process. *)
@@ -852,5 +1142,9 @@ let () =
             test_paced_client_no_lockstep;
           Alcotest.test_case "pipelined replies coalesced" `Slow
             test_replies_coalesced;
+          Alcotest.test_case "long line read in linear time" `Slow
+            test_long_line_linear;
+          Alcotest.test_case "seeded protocol interleavings" `Slow
+            test_protocol_interleavings;
         ] );
     ]
