@@ -3,7 +3,7 @@
 
    Usage: dune exec bench/main.exe [-- experiment ...]
    where experiment is one of e0a e0b fig5 fig6 fig7 fig8 ablate costval
-   micro online costsvc scale mine intake
+   micro online scale mine intake
    (default: everything). *)
 
 let experiments =
@@ -18,7 +18,6 @@ let experiments =
     ("costval", Exp_costval.run);
     ("micro", Exp_micro.run);
     ("online", Exp_online.run);
-    ("costsvc", Exp_costsvc.run);
     ("scale", Exp_scale.run);
     ("mine", Exp_mine.run);
     ("intake", Exp_intake.run);

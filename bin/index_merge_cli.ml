@@ -49,10 +49,6 @@ let data_arg =
   let doc = "Directory of <table>.csv files, for -d csv." in
   Arg.(value & opt (some string) None & info [ "data" ] ~docv:"DIR" ~doc)
 
-let sf_arg =
-  let doc = "TPC-D scale factor (ignored for synthetic databases)." in
-  Arg.(value & opt float 0.004 & info [ "sf" ] ~docv:"SF" ~doc)
-
 let seed_arg =
   let doc = "Seed for data, workload and tuning randomness." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -60,17 +56,6 @@ let seed_arg =
 let workload_arg =
   let doc = "Workload: complex, projection, or tpcd17 (TPC-D only)." in
   Arg.(value & opt string "complex" & info [ "w"; "workload" ] ~docv:"KIND" ~doc)
-
-let initial_arg =
-  let doc =
-    "Size of the initial configuration built by random per-query tuning; 0 \
-     tunes every query and takes the union."
-  in
-  Arg.(value & opt int 0 & info [ "n"; "initial" ] ~docv:"N" ~doc)
-
-let constraint_arg =
-  let doc = "Cost constraint: allowed relative workload-cost increase." in
-  Arg.(value & opt float 0.10 & info [ "c"; "constraint" ] ~docv:"FRACTION" ~doc)
 
 let cost_model_arg =
   let doc = "Cost evaluation: optimizer, external, or nocost." in
@@ -163,6 +148,26 @@ let defaulted_arg ?short ~long ~docv ~expect ~absent parse ok ~doc =
 let positive_int_arg ?short ~long ~docv ~absent doc =
   defaulted_arg ?short ~long ~docv ~expect:"an integer >= 1" ~absent
     int_of_string_opt (fun n -> n >= 1) ~doc
+
+let sf_arg =
+  defaulted_arg ~long:"sf" ~docv:"SF" ~expect:"finite and > 0" ~absent:"0.004"
+    float_of_string_opt
+    (fun v -> Float.is_finite v && v > 0.)
+    ~doc:"TPC-D scale factor (ignored for synthetic databases)."
+
+let initial_arg =
+  defaulted_arg ~short:[ "n" ] ~long:"initial" ~docv:"N"
+    ~expect:"an integer >= 0" ~absent:"0" int_of_string_opt
+    (fun n -> n >= 0)
+    ~doc:
+      "Size of the initial configuration built by random per-query tuning; 0 \
+       tunes every query and takes the union."
+
+let constraint_arg =
+  defaulted_arg ~short:[ "c" ] ~long:"constraint" ~docv:"FRACTION"
+    ~expect:"finite and >= 0" ~absent:"0.10" float_of_string_opt
+    (fun v -> Float.is_finite v && v >= 0.)
+    ~doc:"Cost constraint: allowed relative workload-cost increase."
 
 let queries_arg =
   positive_int_arg ~short:[ "q" ] ~long:"queries" ~docv:"N" ~absent:"30"

@@ -284,9 +284,10 @@ let run ctx ~budget_pages =
       else if alive.(c) then incr shared
     done;
     (* Query-major fill of the stale cells. Keys are field reads, so
-       the order buys no lookup; it is kept because the cost service's
-       LRU recency, and so its hit, miss and eviction counts, follow
-       it. A certified cell is the query's current cost. *)
+       the order buys no lookup; it is kept because which cost-service
+       entries survive a clear of the full cache, and so its hit, miss
+       and eviction counts, follow it. A certified cell is the query's
+       current cost. *)
     let filled_before = !recosted + !certs in
     Array.iteri
       (fun j qcells ->

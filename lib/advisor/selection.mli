@@ -95,10 +95,10 @@ val select :
   outcome
 (** {!run} on a fresh {!context}; [s_optimizer_calls] includes the
     base costing. [?service] shares the memoizing cost service with
-    other phases. Its cache is a bounded LRU, so a second [select] on
-    the same service may re-cost configurations the first one saw: to
-    share work between passes, run them on one {!context}. [?prune]
-    filters the candidate pool through a
-    frequent-itemset frontier ({!Im_mine.Mine.keep_index}): only
-    candidates the workload's support threshold justifies — or that it
-    never touched at all — are costed. *)
+    other phases. Its cache is cleared whenever it fills, so a second
+    [select] on the same service may re-cost configurations the first
+    one saw: to share work between passes, run them on one {!context}.
+    [?prune] filters the candidate pool through a frequent-itemset
+    frontier ({!Im_mine.Mine.keep_index}): only candidates the
+    workload's support threshold justifies — or that it never touched
+    at all — are costed. *)

@@ -34,16 +34,9 @@ type counters = {
 
 type key = { k_query : string; k_relevant : int array }
 
-type node = {
-  n_key : key;
-  n_cost : float;
-  mutable n_prev : node option;  (* toward the MRU end *)
-  mutable n_next : node option;  (* toward the LRU end *)
-}
-
-(* The cache, its LRU list and the per-instance counters are touched
-   only under [lock]: a daemon epoch on the worker domain shares a
-   tenant's service with the dispatch thread. *)
+(* The cache and the per-instance counters are read and written only
+   under [lock]: a daemon epoch on the worker domain shares a tenant's
+   service with the dispatch thread. *)
 type t = {
   db : Database.t;
   capacity : int;
@@ -52,10 +45,7 @@ type t = {
       (* resolves cache misses from cached access-path atoms instead of
          full optimizations; [None] = historical behavior *)
   lock : Mutex.t;
-  tbl : (key, node) Hashtbl.t;
-  mutable mru : node option;
-  mutable lru : node option;
-  mutable query_costs : int;
+  tbl : (key, float) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;  (* = what-if resolutions: [opt_calls] *)
   mutable evictions : int;
@@ -71,9 +61,6 @@ let create ?(capacity = 8192) ?update_cost ?(derive = false) db =
     deriver = (if derive then Some (Im_derive.Derive.create db) else None);
     lock = Mutex.create ();
     tbl = Hashtbl.create 256;
-    mru = None;
-    lru = None;
-    query_costs = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -81,7 +68,6 @@ let create ?(capacity = 8192) ?update_cost ?(derive = false) db =
   }
 
 let database t = t.db
-let capacity t = t.capacity
 let locked t f = Mutex.protect t.lock f
 let size t = locked t (fun () -> Hashtbl.length t.tbl)
 
@@ -89,7 +75,7 @@ let counters t =
   locked t (fun () ->
       {
         c_cost_evals = Atomic.get t.cost_evals;
-        c_query_costs = t.query_costs;
+        c_query_costs = t.hits + t.misses;
         c_opt_calls = t.misses;
         c_hits = t.hits;
         c_misses = t.misses;
@@ -104,48 +90,12 @@ let hits t = locked t (fun () -> t.hits)
 let evictions t = locked t (fun () -> t.evictions)
 let deriver t = t.deriver
 
-(* ---- Intrusive LRU list (under [lock]) ---- *)
-
-let unlink t n =
-  (match n.n_prev with
-   | Some p -> p.n_next <- n.n_next
-   | None -> t.mru <- n.n_next);
-  (match n.n_next with
-   | Some x -> x.n_prev <- n.n_prev
-   | None -> t.lru <- n.n_prev);
-  n.n_prev <- None;
-  n.n_next <- None
-
-let push_mru t n =
-  n.n_prev <- None;
-  n.n_next <- t.mru;
-  (match t.mru with
-   | Some m -> m.n_prev <- Some n
-   | None -> t.lru <- Some n);
-  t.mru <- Some n
-
-let touch t n =
-  match t.mru with
-  | Some m when m == n -> ()
-  | _ ->
-    unlink t n;
-    push_mru t n
-
-let evict_lru t =
-  match t.lru with
-  | None -> ()
-  | Some n ->
-    unlink t n;
-    Hashtbl.remove t.tbl n.n_key;
-    t.evictions <- t.evictions + 1;
-    Metrics.Counter.incr m_evictions
-
 (* ---- Keys ---- *)
 
 (* The paper's "only relevant queries need re-optimization": the key is
    the query plus the configuration restricted to the query's tables, so
    changing indexes of other tables leaves the key — and the cached cost
-   — untouched. Both identities were computed when the values were
+   — as it was. Both identities were computed when the values were
    built: the query's canonical text and the indexes' ids, never
    concatenated name strings, so no column-name choice can alias two
    configurations. *)
@@ -180,24 +130,29 @@ let query_cost t config q =
      finds the entry — so hit/miss/opt-call totals are exactly those of
      a sequential run, and no what-if work is duplicated. *)
   locked t (fun () ->
-      t.query_costs <- t.query_costs + 1;
       match Hashtbl.find_opt t.tbl key with
-      | Some n ->
+      | Some c ->
         t.hits <- t.hits + 1;
-        touch t n;
         Metrics.Counter.incr m_hits;
         Metrics.Histogram.observe m_lookup_hit (Stopwatch.elapsed_since_ns t0);
-        n.n_cost
+        c
       | None ->
         (* A miss is one what-if resolution ([opt_calls]) whether it
            ran the optimizer or was derived from atoms;
            [Optimizer.invocations] counts the actual optimizer runs. *)
         t.misses <- t.misses + 1;
         let c = Im_optimizer.Plan.cost (query_plan t config q) in
-        if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
-        let n = { n_key = key; n_cost = c; n_prev = None; n_next = None } in
-        Hashtbl.add t.tbl key n;
-        push_mru t n;
+        (* Bounded the way [Parser.Prepared] is: a full table is
+           cleared, and the entries it dropped are the evictions. A
+           cost is pure in its key, so a clear only costs
+           recomputation. *)
+        let n = Hashtbl.length t.tbl in
+        if n >= t.capacity then begin
+          t.evictions <- t.evictions + n;
+          Metrics.Counter.add m_evictions n;
+          Hashtbl.clear t.tbl
+        end;
+        Hashtbl.add t.tbl key c;
         Metrics.Counter.incr m_misses;
         Metrics.Histogram.observe m_lookup_miss
           (Stopwatch.elapsed_since_ns t0);

@@ -22,31 +22,34 @@
     strings, so adversarial column names (containing [","] or [";"])
     cannot alias two distinct configurations.
 
-    The cache is a bounded LRU: hits refresh recency, insertion beyond
-    capacity evicts the least-recently-used entry. A loaded database
-    never changes, so no cached cost goes stale: entries leave only by
-    eviction. Counters (hits,
-    misses, evictions, optimizer calls, workload evaluations) are
-    cumulative per service and reported by the CLI [merge] report and
-    the daemon's STATS line.
+    The cache is a hash table bounded the way
+    {!Im_sqlir.Parser.Prepared} is: an insertion that finds it at
+    capacity first clears it. A hit only bumps counters; it keeps no
+    recency. A loaded database never changes and a cost is pure in its
+    key, so no cached cost goes stale and a clear only costs
+    recomputation: every answer is the same whichever entries survive.
+    Counters (hits, misses, evictions, optimizer calls, workload
+    evaluations) are cumulative per service and reported by the CLI
+    [merge] report and the daemon's STATS line; they depend on when the
+    clears fall, so on the order of the lookups.
 
-    Domain safety: one mutex guards the cache, its LRU list and the
-    counters, so a daemon epoch on the worker domain can share a
-    tenant's service with the dispatch thread. The what-if resolution
-    on a miss runs under that lock: concurrent misses on one key
-    serialize and the loser scores a hit, which keeps
-    hit/miss/optimizer-call totals exactly equal to a sequential run
-    and never duplicates what-if work. *)
+    Domain safety: one mutex guards the cache and the counters, so a
+    daemon epoch on the worker domain can share a tenant's service with
+    the dispatch thread. The what-if resolution on a miss runs under
+    that lock: concurrent misses on one key serialize and the loser
+    scores a hit, which keeps hit/miss/optimizer-call totals exactly
+    equal to a sequential run and never duplicates what-if work. *)
 
 type t
 
 type counters = {
   c_cost_evals : int;  (** workload-level evaluations *)
-  c_query_costs : int;  (** per-query costings, hits included *)
+  c_query_costs : int;  (** per-query costings: [c_hits + c_misses] *)
   c_opt_calls : int;  (** what-if resolutions: one per miss *)
   c_hits : int;
   c_misses : int;  (** always [c_opt_calls] *)
-  c_evictions : int;  (** capacity evictions (LRU order) *)
+  c_evictions : int;
+      (** entries dropped by the clears of a full cache *)
   c_derived : int;
       (** misses answered from cached atoms (no optimizer): all of them
           on a deriving service, none otherwise *)
@@ -62,9 +65,9 @@ val create :
   ?derive:bool ->
   Im_catalog.Database.t ->
   t
-(** [capacity] (default 8192) bounds live entries; beyond it the
-    least-recently-used entry is evicted per insertion, so a stream
-    cannot leak. [update_cost] prices index maintenance for workloads
+(** [capacity] (default 8192) bounds live entries: an insertion that
+    finds [capacity] of them clears the cache first, so a stream cannot
+    leak. [update_cost] prices index maintenance for workloads
     carrying an update profile (pass
     [Im_merging.Maintenance.config_batch_cost db]); omitting it makes
     {!workload_cost} raise on such workloads rather than silently
@@ -123,5 +126,3 @@ val evictions : t -> int
 
 val size : t -> int
 (** Live entries (for memory-cap assertions). *)
-
-val capacity : t -> int

@@ -42,9 +42,9 @@ type heap_key = {
   hk_probe : string list;
 }
 
-(* The atom and heap tables and their hit/miss counts are touched only
-   under [lock]: a daemon epoch on the worker domain shares a tenant's
-   deriver with the dispatch thread. *)
+(* The atom and heap tables and their hit/miss counts are read and
+   written only under [lock]: a daemon epoch on the worker domain shares
+   a tenant's deriver with the dispatch thread. *)
 type t = {
   db : Database.t;
   validate : bool;
@@ -75,7 +75,6 @@ let create ?validate db =
     validations = Atomic.make 0;
   }
 
-let database t = t.db
 let validating t = t.validate
 let derived t = Atomic.get t.derived
 let validations t = Atomic.get t.validations
@@ -86,7 +85,17 @@ let atom_misses t = locked t (fun () -> t.atom_misses)
 let atom_entries t =
   locked t (fun () -> Hashtbl.length t.atoms + Hashtbl.length t.heaps)
 
-(* ---- Atom cache ---- *)
+(* ---- Atom cache ----
+
+   Each table is bounded the way [Parser.Prepared] is: an insertion
+   that finds it at [capacity] clears it first. An atom or heap
+   baseline is pure in its key, so a clear only costs recomputation. *)
+
+let capacity = 1 lsl 18
+
+let insert tbl key v =
+  if Hashtbl.length tbl >= capacity then Hashtbl.clear tbl;
+  Hashtbl.add tbl key v
 
 let probe_of (input : Access_path.input) =
   List.map fst input.Access_path.ap_param_eq
@@ -114,7 +123,7 @@ let atom t q (input : Access_path.input) ix =
         let a = Access_path.atom t.db input ix in
         t.atom_misses <- t.atom_misses + 1;
         Metrics.Counter.incr m_atom_misses;
-        Hashtbl.add t.atoms key a;
+        insert t.atoms key a;
         a)
 
 let cached_heap t q (input : Access_path.input) =
@@ -130,7 +139,7 @@ let cached_heap t q (input : Access_path.input) =
       | Some h -> h
       | None ->
         let h = Access_path.heap_choice t.db input in
-        Hashtbl.add t.heaps key h;
+        insert t.heaps key h;
         h)
 
 (* ---- The derived provider ----

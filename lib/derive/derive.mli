@@ -31,7 +31,8 @@
     counts (a daemon epoch on the worker domain shares a tenant's
     deriver with the dispatch thread). Misses are computed under it,
     so hit/miss totals equal a sequential run's. Atoms are pure in
-    their key, so this one cache answers every caller exactly. *)
+    their key, so this one cache answers every caller exactly, and
+    bounding it ({!capacity}) changes counts, never answers. *)
 
 exception Mismatch of string
 (** Raised in validation mode when a derived plan diverges from the
@@ -42,8 +43,6 @@ type t
 val create : ?validate:bool -> Im_catalog.Database.t -> t
 (** [validate] defaults to the [IM_VALIDATE_DERIVE] environment
     variable. *)
-
-val database : t -> Im_catalog.Database.t
 
 val plan : t -> Im_catalog.Config.t -> Im_sqlir.Query.t -> Im_optimizer.Plan.t
 (** The query's plan under the configuration, assembled from cached
@@ -71,9 +70,14 @@ val validations : t -> int
 val atom_hits : t -> int
 val atom_misses : t -> int
 
+val capacity : int
+(** Entries each of the atom and heap tables holds before an insertion
+    clears it. A loaded database never changes and an atom is pure in
+    its key, so no atom goes stale and a clear only costs
+    recomputation. *)
+
 val atom_entries : t -> int
-(** Cached units (atoms + heap baselines) of this deriver. A loaded
-    database never changes, so no atom goes stale and the cache only
-    grows. *)
+(** Cached units (atoms + heap baselines) of this deriver: at most
+    [2 * capacity]. *)
 
 val validating : t -> bool

@@ -7,8 +7,7 @@
 # times each (they race real sockets against the dispatch loop, and
 # the tenant and readiness suites carry the pipelined-fleet and
 # epoch-isolation gates), the metrics smokes (merge's optimizer
-# calls, advise's certified selection cells), the cost-service benchmark (emits
-# BENCH_costsvc.json), compression and pruning
+# calls, advise's certified selection cells), compression and pruning
 # identity smokes (--compress 0 and --prune-support 0 must be no-ops), the
 # scale, intake and frontier-pruning bench smokes (intake asserts the prepared-statement
 # cache parses every generated statement exactly as the parser does),
@@ -122,10 +121,6 @@ echo "== bench: frontier-pruning smoke (BENCH_mine_smoke.json) =="
 # the fig5-8 setups, and that --prune-support 0 is bit-identical.
 IM_MINE_FAST=1 IM_BENCH_OUT=BENCH_mine_smoke.json dune exec bench/main.exe -- mine
 echo "wrote BENCH_mine_smoke.json"
-
-echo "== bench: costsvc accounting (BENCH_costsvc.json) =="
-IM_BENCH_OUT="${IM_BENCH_OUT:-BENCH_costsvc.json}" dune exec bench/main.exe -- costsvc
-echo "wrote ${IM_BENCH_OUT:-BENCH_costsvc.json}"
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="

@@ -1,7 +1,8 @@
 (* Tests for the unified memoizing cost service: identity keys,
-   hit/miss accounting, LRU eviction order, the string-key collision
+   hit/miss accounting, clearing at capacity, the string-key collision
    regression, relevant-subconfig incremental re-costing, update-cost
-   charging, and exact counters when 4 domains share one service. *)
+   charging, exact counters when 4 domains share one service, and the
+   fig5/6 searches on one shared service. *)
 
 module Service = Im_costsvc.Service
 module Database = Im_catalog.Database
@@ -14,6 +15,8 @@ module Query = Im_sqlir.Query
 module Predicate = Im_sqlir.Predicate
 module Workload = Im_workload.Workload
 module Maintenance = Im_merging.Maintenance
+module Search = Im_merging.Search
+module Cost_eval = Im_merging.Cost_eval
 
 let tc = Alcotest.test_case
 
@@ -70,30 +73,29 @@ let test_capacity_validation () =
     (Invalid_argument "Service.create: capacity < 1") (fun () ->
       ignore (Service.create ~capacity:0 db))
 
-(* ---- LRU eviction order ---- *)
+(* ---- Bounded by clearing ---- *)
 
-let test_lru_eviction_order () =
+let test_cleared_at_capacity () =
   let svc = Service.create ~capacity:2 db in
   let qa = point "t" "a" 1 in
   let qb = point "t" "a" 2 in
   let qc = point "t" "a" 3 in
   ignore (Service.query_cost svc [] qa);
   ignore (Service.query_cost svc [] qb);
-  (* Touch A so B becomes least-recently-used. *)
   ignore (Service.query_cost svc [] qa);
   Alcotest.(check int) "full, nothing evicted" 0 (Service.evictions svc);
+  Alcotest.(check int) "a hit adds nothing" 2 (Service.size svc);
   ignore (Service.query_cost svc [] qc);
-  Alcotest.(check int) "insertion beyond capacity evicts one" 1
-    (Service.evictions svc);
-  Alcotest.(check int) "still at capacity" 2 (Service.size svc);
-  (* A was touched: it must have survived; B was the LRU victim. *)
+  Alcotest.(check int) "the clear drops both entries" 2 (Service.evictions svc);
+  Alcotest.(check int) "cleared before the insert" 1 (Service.size svc);
+  (* A hit keeps no recency: the key looked up last before the clear
+     misses like the other one. *)
   let calls = Service.opt_calls svc in
   ignore (Service.query_cost svc [] qa);
-  Alcotest.(check int) "recently-used entry survived" calls
+  Alcotest.(check int) "an earlier key misses again" (calls + 1)
     (Service.opt_calls svc);
-  ignore (Service.query_cost svc [] qb);
-  Alcotest.(check int) "LRU entry was evicted" (calls + 1)
-    (Service.opt_calls svc)
+  let c = Service.counters svc in
+  Alcotest.(check int) "costings = hits + misses" 5 c.Service.c_query_costs
 
 (* ---- Cross-epoch reuse (the deleted Whatif module's semantics) ---- *)
 
@@ -332,6 +334,59 @@ let test_service_hammer () =
   Domain_hammer.check_counters "service" (counters seq_svc) (counters par_svc);
   Alcotest.(check int) "one miss per distinct query" 10 (Service.opt_calls par_svc)
 
+(* ---- One service shared across searches ---- *)
+
+(* The fig5/6 setup: exhaustive then greedy merge search from three
+   initial configurations (N = 5, seeds 2-4) on each of the three
+   databases, once with a fresh service per search and once with one
+   service per (database, seed) handed to both. Sharing must leave the
+   final pages of both searches unchanged and save what-if calls:
+   configurations the exhaustive enumeration costed are hits for
+   greedy. *)
+let test_shared_service_saves_calls () =
+  let databases =
+    [
+      ("tpcd", Im_workload.Tpcd.database ~sf:0.004 ~seed:1999 ());
+      ("synthetic1", Im_workload.Synthetic.(database ~seed:101 synthetic1));
+      ("synthetic2", Im_workload.Synthetic.(database ~seed:202 synthetic2));
+    ]
+  in
+  List.iter
+    (fun (name, db) ->
+      let workload =
+        Im_workload.Ragsgen.generate db ~rng:(Im_util.Rng.create 1) ~n:30
+      in
+      (* Summed over the seeds: optimizer calls, and the final pages of
+         the exhaustive and greedy searches per seed. *)
+      let run_mode shared =
+        List.fold_left
+          (fun (calls, pages) seed ->
+            let initial =
+              Im_tuning.Initial_config.build db workload
+                ~rng:(Im_util.Rng.create seed) ~n:5
+            in
+            let service =
+              if shared then Some (with_maintenance db) else None
+            in
+            let run strategy =
+              Search.run ?service ~cost_model:Cost_eval.Optimizer_estimated
+                ~cost_constraint:0.10 db workload ~initial strategy
+            in
+            let e = run (Search.Exhaustive_search { config_limit = 100_000 }) in
+            let g = run Search.Greedy in
+            ( calls + e.Search.o_optimizer_calls + g.Search.o_optimizer_calls,
+              pages @ [ e.Search.o_final_pages; g.Search.o_final_pages ] ))
+          (0, []) [ 2; 3; 4 ]
+      in
+      let iso_calls, iso_pages = run_mode false in
+      let sh_calls, sh_pages = run_mode true in
+      Alcotest.(check (list int)) (name ^ ": identical final pages") iso_pages
+        sh_pages;
+      if sh_calls >= iso_calls then
+        Alcotest.failf "%s: shared service made %d what-if calls, isolated %d"
+          name sh_calls iso_calls)
+    databases
+
 let () =
   Alcotest.run "im_costsvc"
     [
@@ -340,7 +395,7 @@ let () =
           tc "hits and misses" `Quick test_hit_miss_accounting;
           tc "capacity validation" `Quick test_capacity_validation;
         ] );
-      ("lru", [ tc "eviction order" `Quick test_lru_eviction_order ]);
+      ("cache", [ tc "cleared at capacity" `Quick test_cleared_at_capacity ]);
       ( "reuse",
         [
           tc "cross-statement reuse" `Quick test_cross_statement_reuse;
@@ -352,4 +407,7 @@ let () =
         [ tc "no string-key collisions" `Quick test_index_ids_cannot_collide ] );
       ("updates", [ tc "maintenance charged" `Quick test_update_cost_charged ]);
       ("service", [ tc "4-domain hammer" `Quick test_service_hammer ]);
+      ( "sharing",
+        [ tc "shared service saves calls" `Quick test_shared_service_saves_calls ]
+      );
     ]

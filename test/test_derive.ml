@@ -1,9 +1,9 @@
 (* Tests for atomic cost derivation: bit-level exactness against the
    full optimizer across workloads and configurations, single-table
    ORDER BY derived without an optimizer run, validation mode,
-   atom-cache reuse, exact atom-cache counters when 4 domains share one
-   deriver, the deriving cost service, and search-level identity (merge
-   output with and without derivation). *)
+   atom-cache reuse and clearing at capacity, exact atom-cache counters
+   when 4 domains share one deriver, the deriving cost service, and
+   search-level identity (merge output with and without derivation). *)
 
 module Derive = Im_derive.Derive
 module Service = Im_costsvc.Service
@@ -226,13 +226,66 @@ let test_atom_reuse () =
     (Derive.atom_misses d);
   let entries = Derive.atom_entries d in
   Alcotest.(check bool) "entries live" true (entries > 0);
-  (* Nothing invalidates: a loaded database never changes, so the
-     cache only grows and the first configuration's atoms still
-     answer. *)
+  (* Nothing invalidates: a loaded database never changes, so below
+     capacity the first configuration's atoms still answer. *)
   ignore (Derive.query_cost d [ ix_a ] q);
   Alcotest.(check int) "first configuration still cached" (misses + 1)
     (Derive.atom_misses d);
   Alcotest.(check int) "entries kept" entries (Derive.atom_entries d)
+
+(* ---- Atom cache: bounded by clearing ---- *)
+
+(* One deriver driven past twice [Derive.capacity] distinct atoms: a
+   table of 16 columns, a configuration of all 256 one- and two-column
+   indexes, and point queries whose constants differ, so each query
+   adds 256 atoms. The atom table is cleared whenever it fills, so the
+   live count (atoms plus heap baselines) stays within [2 * capacity]
+   and falls; every cost, before and after a clear, is the optimizer's
+   bit for bit. *)
+let test_atoms_cleared_at_capacity () =
+  let cols = List.init 16 (Printf.sprintf "c%d") in
+  let wide =
+    Schema.make
+      [ Schema.make_table "w" (List.map (fun c -> (c, Datatype.Int)) cols) ]
+  in
+  let rows =
+    List.init 2000 (fun i ->
+        Array.of_list (List.mapi (fun k _ -> Value.Int (i mod (k + 7))) cols))
+  in
+  let db = Database.create wide [ ("w", rows) ] in
+  let config =
+    List.concat_map
+      (fun a ->
+        [ a ]
+        :: List.filter_map (fun b -> if a = b then None else Some [ a; b ]) cols)
+      cols
+    |> List.map (Index.make ~table:"w")
+  in
+  let query i =
+    let c = List.nth cols (i mod 16) in
+    Query.make ~id:"p"
+      ~select:[ sel "w" "c0" ]
+      ~where:[ Predicate.Cmp (Predicate.Eq, col "w" c, Value.Int i) ]
+      [ "w" ]
+  in
+  let d = Derive.create ~validate:false db in
+  let n = (2 * Derive.capacity / List.length config) + 64 in
+  let peak = ref 0 and fell = ref false in
+  for i = 0 to n - 1 do
+    let q = query i in
+    let before = Derive.atom_entries d in
+    let got = Derive.query_cost d config q in
+    let entries = Derive.atom_entries d in
+    if entries < before then fell := true;
+    peak := max !peak entries;
+    if i mod 97 = 0 || i >= n - 4 then
+      check_bitwise (Printf.sprintf "query %d" i) (full_cost db config q) got
+  done;
+  Alcotest.(check int) "every atom missed once" (n * List.length config)
+    (Derive.atom_misses d);
+  Alcotest.(check bool) "the atom table was cleared" true !fell;
+  if !peak > 2 * Derive.capacity then
+    Alcotest.failf "%d live entries, capacity %d" !peak Derive.capacity
 
 (* ---- Atom cache: counters under concurrency ---- *)
 
@@ -386,7 +439,10 @@ let () =
         ] );
       ("validation", [ tc "cross-check mode" `Quick test_validation_mode ]);
       ( "atoms",
-        [ tc "reuse and invalidation" `Quick test_atom_reuse ] );
+        [
+          tc "reuse and invalidation" `Quick test_atom_reuse;
+          tc "cleared at capacity" `Quick test_atoms_cleared_at_capacity;
+        ] );
       ("derive", [ tc "4-domain hammer" `Quick test_derive_hammer ]);
       ( "service",
         [ tc "deriving service identical" `Quick test_service_derive_identical ] );

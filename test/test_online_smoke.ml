@@ -157,14 +157,16 @@ let run_cli args =
 
 let test_bad_fractions_rejected () =
   (* --compress EPS must be finite and >= 0, --prune-support S in
-     [0, 1], -q/--queries N an integer >= 1 and -b/--budget PAGES an
-     integer >= 0; serve's --window and --check-every are integers
-     >= 1, --decay is in (0, 1], both drift thresholds are finite
-     and >= 0, --max-connections and --max-output-bytes are integers
+     [0, 1], -q/--queries N an integer >= 1, -b/--budget PAGES an
+     integer >= 0, --sf finite and > 0, -c/--constraint finite and
+     >= 0 and -n/--initial an integer >= 0; serve's --window and
+     --check-every are integers >= 1, --decay is in (0, 1], both drift
+     thresholds are finite and >= 0, --max-connections and --max-output-bytes are integers
      >= 1, --max-tenant-connections an integer >= 0, --read-timeout
      finite and > 0 and a --tenant weight an integer in [1, 1000000]
      (128 x 2^55 wraps the round budget to 0): every bad value, on
-     every subcommand taking the flag, is one stderr line and exit 2 — never a run on a nan budget,
+     every subcommand taking the flag, is one stderr line and exit 2 —
+     never a run on a nan budget or bound, a degenerate database,
      an empty workload, a silent clamp, a daemon that dies at its first
      drift check, a window whose masses turn NaN, a daemon that refuses
      every client, one that never (or always) reaps idle connections,
@@ -185,22 +187,29 @@ let test_bad_fractions_rejected () =
   let weight =
     ("--tenant", [ "x:0"; "x=synthetic1:1000001"; "x:36028797018963968" ])
   in
+  let sf = ("--sf", [ "nan"; "-2"; "0"; "inf"; "x" ]) in
+  let constraint_ = ("--constraint", [ "nan"; "-0.1"; "inf"; "x" ]) in
+  let initial = ("--initial", [ "-3"; "1.5"; "x" ]) in
   (* Each subcommand with the flags it validates; a well-formed
      -q/-b is passed too, unless that is the flag under test. *)
   let commands =
     [
-      ("merge", [ ("--queries", "6") ], [ compress; prune; queries ]);
+      ( "merge",
+        [ ("--queries", "6") ],
+        [ compress; prune; queries; sf; constraint_; initial ] );
       ( "advise",
         [ ("--queries", "6"); ("--budget", "100") ],
-        [ compress; prune; queries; budget ] );
-      ("tune", [ ("--queries", "6") ], [ compress; prune; queries ]);
-      ("explain", [], [ queries ]);
-      ("generate", [], [ queries ]);
+        [ compress; prune; queries; budget; sf ] );
+      ("tune", [ ("--queries", "6") ], [ compress; prune; queries; sf ]);
+      ("explain", [], [ queries; sf; initial ]);
+      ("generate", [], [ queries; sf ]);
+      ("info", [], [ sf ]);
+      ("export", [], [ sf ]);
       ( "serve",
         [ ("--port", "0") ],
         [
           compress; prune; budget; window; decay; check_every; drift; cost;
-          max_conns; read_timeout; max_output; max_tenant; weight;
+          max_conns; read_timeout; max_output; max_tenant; weight; sf;
         ] );
     ]
   in
