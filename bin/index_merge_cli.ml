@@ -553,13 +553,13 @@ let parse_tenant_spec spec =
   | Some i ->
     let tail = String.sub spec (i + 1) (String.length spec - i - 1) in
     (match int_of_string_opt tail with
-     | Some w when w >= 1 && w <= Im_online.Server.max_weight ->
+     | Some w when w >= 1 && w <= Im_online.Protocol.max_weight ->
        let name, dbspec = split_db (String.sub spec 0 i) in
        Ok (name, dbspec, w)
      | Some w ->
        Error
          (Printf.sprintf "weight must be in [1, %d], got %d"
-            Im_online.Server.max_weight w)
+            Im_online.Protocol.max_weight w)
      | None -> Error (Printf.sprintf "bad weight %S (expected an integer)" tail))
 
 let run_serve db_name sf seed schema_file data_dir port budget window decay
@@ -598,25 +598,23 @@ let run_serve db_name sf seed schema_file data_dir port budget window decay
     if budget > 0 then budget else max 1 (Database.data_pages db / 2)
   in
   let service = make_service db in
-  let tenants, weights =
-    List.fold_left
-      (fun (tenants, weights) spec ->
+  let tenants =
+    List.map
+      (fun spec ->
         let die msg = or_die (Error (Printf.sprintf "--tenant %s: %s" spec msg)) in
         let name, dbspec, weight =
           match parse_tenant_spec spec with Ok v -> v | Error msg -> die msg
         in
         match factory dbspec with
-        | Ok svc ->
-          ( (name, svc) :: tenants,
-            if weight > 1 then (name, weight) :: weights else weights )
+        | Ok svc -> (name, weight, svc)
         | Error msg -> die msg)
-      ([], []) (List.rev tenant_specs)
+      tenant_specs
   in
   let server =
     try
       Im_online.Server.create ~port ~read_timeout ~max_connections
-        ~max_tenant_connections ~max_output_bytes ~tenant:db_name ~tenants
-        ~weights ~factory service
+        ~max_tenant_connections ~max_output_bytes ~factory
+        ((db_name, 1, service) :: tenants)
     with
     | Unix.Unix_error (e, _, _) ->
       or_die (Error (Printf.sprintf "cannot bind port %d: %s" port

@@ -1,11 +1,8 @@
-module Database = Im_catalog.Database
-module Index = Im_catalog.Index
 module Metrics = Im_obs.Metrics
 module Evloop = Im_evloop.Evloop
 
 let m_commands = Metrics.counter "server_commands_total"
 let m_live = Metrics.gauge "server_connections_live"
-let m_tenants = Metrics.gauge "server_tenants"
 let m_bytes_in = Metrics.counter "server_bytes_in_total"
 let m_bytes_out = Metrics.counter "server_bytes_out_total"
 let m_reaped = Metrics.counter "server_connections_reaped_total"
@@ -24,98 +21,11 @@ let m_writes = Metrics.counter "server_writes_total"
 let m_out_high_water = Metrics.gauge "server_out_queue_max_bytes"
 let m_accept_burst = Metrics.gauge "server_accept_burst_max"
 
-(* Off-thread epochs: how many re-merges went to the worker domain, and
-   the cumulative seconds the dispatch thread has spent committing
-   their results. Fairness: rounds where a tenant's deficit budget ran
-   out with work still queued. *)
+(* Off-thread epochs: how many re-merges went to the worker domain.
+   Fairness: rounds where a tenant's deficit budget ran out with work
+   still queued. *)
 let m_epoch_offloaded = Metrics.counter "server_epoch_offloaded_total"
-let m_dispatch_stall = Metrics.gauge "server_dispatch_stall_seconds"
 let m_fairness_deferred = Metrics.counter "server_fairness_deferred_total"
-
-(* Per-verb latency histograms, keyed by the upper-case verb; unknown
-   verbs share one "other" series so a hostile client cannot grow the
-   label set. *)
-let m_command_seconds =
-  List.map
-    (fun verb ->
-      ( String.uppercase_ascii verb,
-        Metrics.histogram ~labels:[ ("verb", verb) ] "server_command_seconds"
-      ))
-    [ "stmt"; "stats"; "config"; "epoch"; "metrics"; "tenant"; "quit";
-      "shutdown"; "other" ]
-
-let m_stmt_seconds = List.assoc "STMT" m_command_seconds
-let m_epoch_seconds = List.assoc "EPOCH" m_command_seconds
-let m_other_seconds = List.assoc "OTHER" m_command_seconds
-
-(* A request line, its verb split off once when the line arrives. A
-   well-formed STMT or EPOCH gets its own case; every other line,
-   malformed STMT and EPOCH included, keeps its upper-case verb, its
-   trimmed argument text and the histogram that times it. *)
-type command =
-  | Stmt of string  (* the SQL text, parsed by [Service.intake] *)
-  | Epoch
-  | Other of { verb : string; rest : string; histogram : Metrics.Histogram.t }
-
-let parse_command line =
-  let verb, rest =
-    match String.index_opt line ' ' with
-    | Some i ->
-      ( String.sub line 0 i,
-        String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
-    | None -> (line, "")
-  in
-  match String.uppercase_ascii verb with
-  | "STMT" when rest <> "" -> Stmt rest
-  | "EPOCH" when rest = "" -> Epoch
-  | verb ->
-    let histogram =
-      Option.value ~default:m_other_seconds
-        (List.assoc_opt verb m_command_seconds)
-    in
-    Other { verb; rest; histogram }
-
-(* ---- Tenants ---- *)
-
-(* One tenant session: a [Service.t] (own window, drift detector,
-   costsvc/derive cache, epoch history) plus per-tenant instruments.
-   Tenant names bound metric labels, so they are restricted to a safe
-   charset. [s_weight] scales the tenant's per-round dispatch budget
-   (deficit round-robin over sessions). *)
-type session = {
-  s_name : string;
-  s_service : Service.t;
-  s_weight : int;
-  mutable s_conns : int;  (* connections currently bound here *)
-  s_live : Metrics.Gauge.t;  (* server_tenant_connections_live{tenant} *)
-  s_commands : Metrics.Counter.t;  (* server_tenant_commands_total{tenant} *)
-  s_epochs : Metrics.Counter.t;  (* server_tenant_epochs_total{tenant} *)
-}
-
-let valid_tenant_name name =
-  name <> ""
-  && String.length name <= 64
-  && String.for_all
-       (function
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> true
-         | _ -> false)
-       name
-
-let make_session ?(weight = 1) name service =
-  {
-    s_name = name;
-    s_service = service;
-    s_weight = max 1 weight;
-    s_conns = 0;
-    s_live =
-      Metrics.gauge ~labels:[ ("tenant", name) ]
-        "server_tenant_connections_live";
-    s_commands =
-      Metrics.counter ~labels:[ ("tenant", name) ]
-        "server_tenant_commands_total";
-    s_epochs =
-      Metrics.counter ~labels:[ ("tenant", name) ] "server_tenant_epochs_total";
-  }
 
 (* ---- Connections ---- *)
 
@@ -135,9 +45,9 @@ type outbuf = {
 type conn = {
   fd : Unix.file_descr;
   buf : Buffer.t;  (* incomplete trailing line *)
-  pending : command Queue.t;  (* complete lines awaiting dispatch *)
+  pending : Protocol.command Queue.t;  (* complete lines awaiting dispatch *)
   out : outbuf;
-  mutable session : session option;  (* None after TENANT DROP *)
+  client : Protocol.client;
   mutable last_active : float;  (* monotonic seconds, Stopwatch.now_s *)
   mutable closing : bool;  (* discard input; close once output drains *)
   mutable eof : bool;  (* peer half-closed; drain pending + output *)
@@ -152,17 +62,14 @@ type t = {
   bound_port : int;
   read_timeout : float;
   max_connections : int;
-  max_tenant_connections : int;
   max_output_bytes : int;
-  factory : string -> (Service.t, string) result;
-  sessions : (string, session) Hashtbl.t;
-  default_tenant : string;
+  proto : Protocol.state;
   conns : (Unix.file_descr, conn) Hashtbl.t;
   rbuf : Bytes.t;  (* every connection's reads land here first *)
   ev : Evloop.t;
   wake_r : Unix.file_descr;  (* worker completions poke this pipe *)
   wake_w : Unix.file_descr;
-  worker : (session * conn * [ `Stmt | `Forced ]) Epoch_worker.t;
+  worker : (Protocol.session * conn * [ `Stmt | `Forced ]) Epoch_worker.t;
       (* each job's tag: the tenant it commits to, the connection its
          reply goes to (dropped if closed), and what asked for it *)
   mutable rr_cursor : int;  (* rotates tenant service order per round *)
@@ -180,14 +87,8 @@ type t = {
 (* Base dispatch budget per session per loop round (scaled by the
    session's weight, shared across its connections). Bounds how long
    one tenant can monopolize the loop before accepts and other tenants
-   get a turn; rounds with leftover pending work re-poll with a zero
-   timeout. *)
+   get a turn. *)
 let commands_per_round = 128
-
-(* The largest tenant weight. A round budget of [commands_per_round]
-   times a weight near [max_int] wraps to zero or below, and that
-   tenant is never served while the loop spins. *)
-let max_weight = 1_000_000
 
 (* When a session has several connections with work, each takes at
    most this many commands per pass so the budget round-robins among
@@ -216,45 +117,33 @@ let read_bytes = 4096
    [max_connections] plus this. *)
 let fd_headroom = 64
 
-let no_factory _ = Error "tenant creation is not configured"
-
 let create ?(host = "127.0.0.1") ?(port = 0) ?(read_timeout = 30.)
     ?(max_connections = 64) ?max_tenant_connections
-    ?(max_output_bytes = 1_048_576) ?(tenant = "default") ?(tenants = [])
-    ?(weights = []) ?(factory = no_factory) service =
+    ?(max_output_bytes = 1_048_576) ?factory tenants =
   if max_connections < 1 then invalid_arg "Server.create: max_connections < 1";
   if not (Float.is_finite read_timeout && read_timeout > 0.) then
     invalid_arg "Server.create: read_timeout must be finite and > 0";
   if max_output_bytes < 1 then
     invalid_arg "Server.create: max_output_bytes < 1";
-  if not (valid_tenant_name tenant) then
-    invalid_arg ("Server.create: invalid tenant name " ^ tenant);
-  List.iter
-    (fun (name, _) ->
-      if not (valid_tenant_name name) then
-        invalid_arg ("Server.create: invalid tenant name " ^ name);
-      if name = tenant then
-        invalid_arg ("Server.create: duplicate tenant " ^ name))
-    tenants;
-  List.iter
-    (fun (name, w) ->
-      if w > max_weight then
-        invalid_arg
-          (Printf.sprintf "Server.create: weight %d of tenant %s is above %d" w
-             name max_weight))
-    weights;
+  let max_tenant_connections =
+    match max_tenant_connections with
+    | Some n when n > 0 -> n
+    | Some _ | None -> max_connections
+  in
+  let proto =
+    match Protocol.create ~max_tenant_connections ~factory tenants with
+    | Ok proto -> proto
+    | Error msg -> invalid_arg ("Server.create: " ^ msg)
+  in
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listener Unix.SO_REUSEADDR true;
   (* Accepted sockets inherit the listener's buffer sizes; shrinking
      the send buffer (tests, or ops pinning memory per connection)
      makes slow readers surface as queued output instead of hiding in
      kernel buffers. *)
-  (match Sys.getenv_opt "IM_SERVE_SNDBUF" with
-   | Some s ->
-     (match int_of_string_opt s with
-      | Some n when n > 0 -> Unix.setsockopt_int listener Unix.SO_SNDBUF n
-      | Some _ | None -> ())
-   | None -> ());
+  (match Option.bind (Sys.getenv_opt "IM_SERVE_SNDBUF") int_of_string_opt with
+   | Some n when n > 0 -> Unix.setsockopt_int listener Unix.SO_SNDBUF n
+   | Some _ | None -> ());
   Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
   Unix.listen listener 2048;
   let bound_port =
@@ -262,20 +151,6 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(read_timeout = 30.)
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> assert false
   in
-  let weight_of name =
-    match List.assoc_opt name weights with Some w -> w | None -> 1
-  in
-  let sessions = Hashtbl.create 8 in
-  Hashtbl.replace sessions tenant
-    (make_session ~weight:(weight_of tenant) tenant service);
-  List.iter
-    (fun (name, svc) ->
-      if Hashtbl.mem sessions name then
-        invalid_arg ("Server.create: duplicate tenant " ^ name);
-      Hashtbl.replace sessions name
-        (make_session ~weight:(weight_of name) name svc))
-    tenants;
-  Metrics.Gauge.set_int m_tenants (Hashtbl.length sessions);
   let ev = Evloop.create () in
   Evloop.add ev listener ~read:true ~write:false;
   let wake_r, wake_w = Unix.pipe () in
@@ -293,14 +168,8 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(read_timeout = 30.)
     bound_port;
     read_timeout;
     max_connections;
-    max_tenant_connections =
-      (match max_tenant_connections with
-       | Some n when n > 0 -> n
-       | Some _ | None -> max_connections);
     max_output_bytes;
-    factory;
-    sessions;
-    default_tenant = tenant;
+    proto;
     conns = Hashtbl.create 64;
     rbuf = Bytes.create read_bytes;
     ev;
@@ -320,42 +189,7 @@ let port t = t.bound_port
 let shutdown t = t.running <- false
 let connections_served t = t.connections_served
 let commands_served t = t.commands_served
-let tenants t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.sessions [])
-
-(* ---- Protocol rendering ---- *)
-
-let stats_line service =
-  Service.stats service
-  |> List.map (fun (k, v) ->
-         let k =
-           String.map (fun c -> if c = ' ' then '_' else c)
-             (match String.index_opt k '(' with
-              | Some i -> String.trim (String.sub k 0 i)
-              | None -> k)
-         in
-         let v = String.map (fun c -> if c = ' ' then '_' else c) v in
-         k ^ "=" ^ v)
-  |> String.concat " "
-
-let epoch_line (o : Epoch.outcome) =
-  Printf.sprintf
-    "epoch trigger=%s diff=%s pages=%d->%d cost=%.1f->%.1f benefit=%.3f \
-     clusters=%d/%d opt_calls=%d"
-    (Epoch.trigger_to_string o.Epoch.e_trigger)
-    (Epoch.diff_to_string o.Epoch.e_diff)
-    o.Epoch.e_old_pages o.Epoch.e_new_pages o.Epoch.e_old_cost
-    o.Epoch.e_new_cost o.Epoch.e_benefit o.Epoch.e_clusters_tuned
-    o.Epoch.e_budget_clusters o.Epoch.e_opt_calls
-
-(* The reply to one observed-statement event that fired no epoch (a
-   triggering statement is answered when its epoch lands, see
-   [handle_completion]). *)
-let stmt_reply = function
-  | Service.Rejected msg -> "ERR " ^ msg
-  | Service.Observed { ev_drift = Some v; _ } ->
-    Printf.sprintf "OK observed drift=%.3f regression=%.3f fired=%b"
-      v.Drift.v_divergence v.Drift.v_regression v.Drift.v_fired
-  | Service.Observed _ -> "OK observed"
+let tenants t = Protocol.tenants t.proto
 
 (* ---- Connection lifecycle ---- *)
 
@@ -371,20 +205,20 @@ let close_conn t conn =
     Evloop.remove t.ev conn.fd;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
     Hashtbl.remove t.conns conn.fd;
-    (match conn.session with
-     | Some s ->
-       s.s_conns <- s.s_conns - 1;
-       Metrics.Gauge.set_int s.s_live s.s_conns
-     | None -> ());
-    conn.session <- None;
+    Protocol.disconnect conn.client;
     Metrics.Gauge.set_int m_live (Hashtbl.length t.conns);
     (* A descriptor came free: accept again if we ran out. *)
     set_accepting t true
   end
 
+(* Take no more input and drop the commands not yet run: the
+   connection closes once its queued output drains. *)
+let close_after_drain conn =
+  conn.closing <- true;
+  Queue.clear conn.pending
+
 (* ---- Output buffer ---- *)
 
-(* Bytes queued on this connection and not yet written. *)
 let queued conn = conn.out.ob_end - conn.out.ob_sent
 
 (* A drained buffer larger than this is dropped rather than kept, so
@@ -421,27 +255,25 @@ let out_reserve o n =
    as EPIPE/ECONNRESET (EBADF or ENOTCONN if the fd was already torn
    down): that peer's failure must not unwind the serve loop — count
    it and drop only this connection. *)
-let flush_out t conn =
+let rec flush_out t conn =
   let o = conn.out in
-  let continue = ref (not conn.closed) in
-  while !continue && o.ob_end > o.ob_sent do
+  if (not conn.closed) && o.ob_end > o.ob_sent then
     match Unix.single_write conn.fd o.ob o.ob_sent (o.ob_end - o.ob_sent) with
     | n ->
       Metrics.Counter.add m_bytes_out n;
       Metrics.Counter.incr m_writes;
       o.ob_sent <- o.ob_sent + n;
-      if o.ob_sent = o.ob_end then out_drained o
+      if o.ob_sent = o.ob_end then out_drained o;
+      flush_out t conn
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      continue := false  (* kernel buffer full: wait for writable *)
+      ()  (* kernel buffer full: wait for writable *)
     | exception
         Unix.Unix_error
           ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF | Unix.ENOTCONN), _, _)
       ->
       Metrics.Counter.incr m_write_errors;
       out_drained o;
-      close_conn t conn;
-      continue := false
-  done
+      close_conn t conn
 
 (* Replies this connection has not received yet: queued output,
    commands still to dispatch, or an epoch running off-thread on its
@@ -452,27 +284,24 @@ let owes_replies conn =
   || conn.awaiting_epoch
 
 (* A closing connection goes once its output drains; a half-closed one
-   additionally waits for its already-received commands to be answered
-   (the half-close reply-loss fix: the peer's FIN promises no more
-   input, not disinterest in the replies it pipelined). A connection
-   awaiting an off-thread epoch keeps living until the reply it is
-   owed has been queued. *)
+   also waits for its received commands to be answered (the peer's FIN
+   promises no more input, not disinterest in the replies it
+   pipelined), and for an off-thread epoch's reply it is owed. *)
 let maybe_close_drained t conn =
   if (not conn.closed) && (conn.closing || conn.eof) && not (owes_replies conn)
   then close_conn t conn
 
-(* Queue one reply line. Exceeding the output cap is backpressure: the
+(* Queue one reply. Exceeding the output cap is backpressure: the
    reader is not keeping up, so the overflowing reply is dropped, the
-   connection is marked closing (it drains what was already queued,
-   then closes) and the event is counted. *)
+   connection closes after draining what was already queued, and the
+   event is counted. *)
 let respond t conn reply =
   if not conn.closed then begin
     let n = String.length reply + 1 in
     if queued conn + n > t.max_output_bytes then begin
       (* Count the close once, not once per reply dropped after it. *)
       if not conn.closing then Metrics.Counter.incr m_backpressure;
-      Queue.clear conn.pending;
-      conn.closing <- true
+      close_after_drain conn
     end
     else begin
       let o = conn.out in
@@ -487,26 +316,32 @@ let respond t conn reply =
     end
   end
 
+(* The connection takes more input: not closing, not half-closed, and
+   under the input backpressure mark. *)
+let wants_input conn =
+  (not conn.closing) && (not conn.eof)
+  && Queue.length conn.pending < max_pending_lines
+
 (* Push this connection's desired interest set to the readiness layer;
    [Evloop.modify] is one array store, so calling this after every
    state transition is cheap. *)
 let sync_interest t conn =
-  if not conn.closed then begin
-    let read =
-      (not conn.closing) && (not conn.eof)
-      && Queue.length conn.pending < max_pending_lines
-    in
-    let write = queued conn > 0 in
-    Evloop.modify t.ev conn.fd ~read ~write
-  end
+  if not conn.closed then
+    Evloop.modify t.ev conn.fd ~read:(wants_input conn) ~write:(queued conn > 0)
 
-(* A connection is stalled when its next command is an EPOCH and its
-   tenant's epoch is in flight: the command stays queued, and
-   re-dispatches once that epoch commits. *)
+(* After a connection's state changed: send what is queued, close it
+   if it is done, and poll for what it waits on now. *)
+let settle t conn =
+  flush_out t conn;
+  maybe_close_drained t conn;
+  sync_interest t conn
+
+(* A connection is stalled when its next command must wait for its
+   tenant's in-flight epoch ([Protocol.waits]): the command stays
+   queued, and re-dispatches once that epoch commits. *)
 let stalled conn =
-  match (Queue.peek_opt conn.pending, conn.session) with
-  | Some Epoch, Some s -> Service.epoch_in_flight s.s_service
-  | _ -> false
+  (not (Queue.is_empty conn.pending))
+  && Protocol.waits conn.client (Queue.peek conn.pending)
 
 (* Does this connection have work the dispatcher could make progress
    on right now? Paused states (awaiting an off-thread epoch result,
@@ -519,172 +354,13 @@ let has_dispatch_work conn =
 
 (* ---- Command dispatch ---- *)
 
-let no_tenant_reply = "ERR no tenant bound (TENANT USE <name>)"
-
-(* A multi-line reply: [OK <n>], then the [n] lines. *)
-let ok_lines lines =
-  String.concat "\n" (Printf.sprintf "OK %d" (List.length lines) :: lines)
-
-let tenant_list_lines t =
-  ok_lines
-    (List.map
-       (fun name ->
-         let s = Hashtbl.find t.sessions name in
-         Printf.sprintf "%s conns=%d statements=%d epochs=%d weight=%d" name
-           s.s_conns
-           (Service.statements s.s_service)
-           (Service.epoch_count s.s_service)
-           s.s_weight)
-       (tenants t))
-
-let bind_session t conn target =
-  match conn.session with
-  | Some s when s == target -> Ok ()
-  | prev ->
-    if
-      target.s_conns >= t.max_tenant_connections
-    then Error (Printf.sprintf "tenant %s is full" target.s_name)
-    else begin
-      (match prev with
-       | Some s ->
-         s.s_conns <- s.s_conns - 1;
-         Metrics.Gauge.set_int s.s_live s.s_conns
-       | None -> ());
-      target.s_conns <- target.s_conns + 1;
-      Metrics.Gauge.set_int target.s_live target.s_conns;
-      conn.session <- Some target;
-      Ok ()
-    end
-
-let handle_tenant t conn rest =
-  let words = List.filter (( <> ) "") (String.split_on_char ' ' rest) in
-  match words with
-  | [] -> "ERR tenant subcommand required (CREATE/USE/DROP/LIST)"
-  | sub :: args ->
-    (match (String.uppercase_ascii sub, args) with
-     | "LIST", [] -> tenant_list_lines t
-     | "LIST", _ -> "ERR tenant list takes no arguments"
-     | "CREATE", (name :: rest_args) when List.length rest_args <= 1 ->
-       if not (valid_tenant_name name) then
-         "ERR invalid tenant name (want [A-Za-z0-9_.-]{1,64})"
-       else if Hashtbl.mem t.sessions name then
-         Printf.sprintf "ERR tenant %s exists" name
-       else begin
-         let dbspec = match rest_args with [ d ] -> d | _ -> name in
-         match t.factory dbspec with
-         | Error msg -> "ERR " ^ msg
-         | Ok service ->
-           Hashtbl.replace t.sessions name (make_session name service);
-           Metrics.Gauge.set_int m_tenants (Hashtbl.length t.sessions);
-           Printf.sprintf "OK tenant %s created" name
-       end
-     | "CREATE", _ -> "ERR usage: TENANT CREATE <name> [<db>]"
-     | "USE", [ name ] ->
-       (match Hashtbl.find_opt t.sessions name with
-        | None -> Printf.sprintf "ERR no such tenant %s" name
-        | Some s ->
-          (match bind_session t conn s with
-           | Ok () -> Printf.sprintf "OK tenant %s" name
-           | Error msg -> "ERR " ^ msg))
-     | "USE", _ -> "ERR usage: TENANT USE <name>"
-     | "DROP", [ name ] ->
-       (match Hashtbl.find_opt t.sessions name with
-        | None -> Printf.sprintf "ERR no such tenant %s" name
-        | Some s ->
-          Hashtbl.remove t.sessions name;
-          Metrics.Gauge.set_int m_tenants (Hashtbl.length t.sessions);
-          (* Unbind this tenant's connections; they keep draining and
-             may rebind with TENANT USE. A connection stalled behind
-             this tenant's in-flight epoch unstalls — the session it
-             was waiting on is gone. *)
-          let unbound = ref 0 in
-          Hashtbl.iter
-            (fun _ c ->
-              match c.session with
-              | Some s' when s' == s ->
-                c.session <- None;
-                incr unbound
-              | _ -> ())
-            t.conns;
-          s.s_conns <- 0;
-          Metrics.Gauge.set_int s.s_live 0;
-          Printf.sprintf "OK tenant %s dropped conns=%d" name !unbound)
-     | "DROP", _ -> "ERR usage: TENANT DROP <name>"
-     | _ -> "ERR unknown tenant subcommand (CREATE/USE/DROP/LIST)")
-
-(* Answer one [Other] command: the reply, and whether the connection
-   should close or the daemon stop. Service verbs dispatch through the
-   connection's bound session. A verb that takes no arguments answers
-   ERR when given some, and does nothing else. *)
-let handle_command t conn verb rest =
-  let with_session f =
-    match conn.session with
-    | None -> no_tenant_reply
-    | Some s ->
-      Metrics.Counter.incr s.s_commands;
-      f s
-  in
-  match verb with
-  | "STMT" -> ("ERR empty statement", `Keep)
-  | "STATS" | "CONFIG" | "EPOCH" | "METRICS" | "QUIT" | "SHUTDOWN"
-    when rest <> "" ->
-    ("ERR usage: " ^ verb ^ " takes no arguments", `Keep)
-  | "STATS" -> (with_session (fun s -> "OK " ^ stats_line s.s_service), `Keep)
-  | "CONFIG" ->
-    ( with_session (fun s ->
-          let db = Service.database s.s_service in
-          ok_lines
-            (List.map
-               (fun ix ->
-                 Printf.sprintf "%s %d" (Index.to_string ix)
-                   (Database.index_pages db ix))
-               (Service.config s.s_service))),
-      `Keep )
-  | "METRICS" -> (ok_lines (Metrics.dump_lines Metrics.default), `Keep)
-  | "TENANT" -> (handle_tenant t conn rest, `Keep)
-  | "QUIT" -> ("OK bye", `Close)
-  | "SHUTDOWN" -> ("OK shutting down", `Stop)
-  | "" -> ("ERR empty command", `Keep)
-  | _ -> ("ERR unknown command", `Keep)
-
-let dispatch_other t conn ~verb ~rest histogram =
-  let reply, action =
-    Metrics.time histogram (fun () -> handle_command t conn verb rest)
-  in
-  if action <> `Keep then begin
-    conn.closing <- true;
-    Queue.clear conn.pending;
-    if action = `Stop then t.running <- false
-  end;
-  respond t conn reply
-
-(* Hand an epoch thunk to the worker domain and pause this connection
-   until its completion is delivered. *)
-let submit_epoch t s conn kind job =
-  Epoch_worker.submit t.worker (s, conn, kind) job;
-  conn.awaiting_epoch <- true;
-  Metrics.Counter.incr m_epoch_offloaded
-
-(* Feed one statement through the session's intake. A fired trigger
-   becomes an off-thread epoch: the statement's reply waits for it and
-   the lines behind it stay in [conn.pending] until it lands. The
-   latency histogram records the intake time of statements that fire
-   nothing; a triggering statement's latency is its epoch's, recorded
-   by [handle_completion]. *)
-let dispatch_stmt t conn s sql =
-  Metrics.Counter.incr s.s_commands;
-  match Im_util.Stopwatch.time (fun () -> Service.intake s.s_service sql) with
-  | (ev, None), elapsed ->
-    Metrics.Histogram.observe m_stmt_seconds elapsed;
-    respond t conn (stmt_reply ev)
-  | (_, Some trig), _ ->
-    submit_epoch t s conn `Stmt (Service.begin_epoch s.s_service trig)
-
 (* Dispatch up to [min !budget cap] commands on one connection, one at
-   a time, decrementing the session's shared [budget]. A STMT feeds the
-   session and an EPOCH offloads; either one that leaves the connection
-   awaiting an epoch ends the turn, as does an EPOCH stalled behind the
-   tenant's in-flight epoch (no budget spent). *)
+   a time through [Protocol.step], decrementing the session's shared
+   [budget]. A command that begins an epoch hands it to the worker
+   domain and pauses the connection until its completion is delivered
+   (the lines behind it stay in [conn.pending]); that ends the turn, as
+   does a command stalled behind the tenant's in-flight epoch (no
+   budget spent). *)
 let dispatch_conn t conn budget ~cap =
   let turn = ref (min !budget cap) in
   while !turn > 0 && t.running && has_dispatch_work conn do
@@ -693,28 +369,27 @@ let dispatch_conn t conn budget ~cap =
     decr budget;
     t.commands_served <- t.commands_served + 1;
     Metrics.Counter.incr m_commands;
-    match (command, conn.session) with
-    | Stmt sql, Some s -> dispatch_stmt t conn s sql
-    | Epoch, Some s -> (
-      Metrics.Counter.incr s.s_commands;
-      match Service.begin_forced_epoch s.s_service with
-      | Error msg -> respond t conn ("ERR " ^ msg)
-      | Ok job -> submit_epoch t s conn `Forced job)
-    | (Stmt _ | Epoch), None -> respond t conn no_tenant_reply
-    | Other { verb; rest; histogram }, _ ->
-      dispatch_other t conn ~verb ~rest histogram
+    match Protocol.step t.proto conn.client command with
+    | reply, Protocol.Continue -> respond t conn reply
+    | reply, Protocol.Close ->
+      close_after_drain conn;
+      respond t conn reply
+    | reply, Protocol.Stop ->
+      close_after_drain conn;
+      t.running <- false;
+      respond t conn reply
+    | _, Protocol.Begin_epoch (s, kind, job) ->
+      Epoch_worker.submit t.worker (s, conn, kind) job;
+      conn.awaiting_epoch <- true;
+      Metrics.Counter.incr m_epoch_offloaded
   done;
-  if not conn.closed then begin
-    flush_out t conn;
-    maybe_close_drained t conn;
-    sync_interest t conn
-  end
+  settle t conn
 
 (* Spend one session's round budget (weight x base) across its
    connections, round-robin in bounded turns so a single pipelining
    connection cannot drain the whole tenant budget first. *)
 let dispatch_session t s conns =
-  let budget = ref (commands_per_round * s.s_weight) in
+  let budget = ref (commands_per_round * Protocol.weight s) in
   let single = match conns with [ _ ] -> true | _ -> false in
   let progress = ref true in
   while !budget > 0 && !progress && t.running do
@@ -738,18 +413,15 @@ let dispatch_session t s conns =
    budget each. Returns whether any connection still has work, so the
    next poll does not block. *)
 let dispatch_round t =
-  let groups : (string, session * conn list ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let unbound = ref [] in
+  let groups = Hashtbl.create 8 and unbound = ref [] in
   Hashtbl.iter
     (fun _ conn ->
       if has_dispatch_work conn then
-        match conn.session with
-        | Some s -> (
-          match Hashtbl.find_opt groups s.s_name with
-          | Some (_, l) -> l := conn :: !l
-          | None -> Hashtbl.replace groups s.s_name (s, ref [ conn ]))
+        match Protocol.session conn.client with
+        | Some s ->
+          let name = Protocol.name s in
+          let _, l = Option.value (Hashtbl.find_opt groups name) ~default:(s, []) in
+          Hashtbl.replace groups name (s, conn :: l)
         | None -> unbound := conn :: !unbound)
     t.conns;
   if Hashtbl.length groups > 0 || !unbound <> [] then begin
@@ -767,55 +439,28 @@ let dispatch_round t =
       (fun name ->
         if t.running then begin
           let s, conns = Hashtbl.find groups name in
-          dispatch_session t s (List.rev !conns)
+          dispatch_session t s (List.rev conns)
         end)
       names;
     List.iter
       (fun conn ->
-        if t.running && has_dispatch_work conn then begin
-          let budget = ref commands_per_round in
-          dispatch_conn t conn budget ~cap:commands_per_round
-        end)
+        if t.running && has_dispatch_work conn then
+          dispatch_conn t conn (ref commands_per_round) ~cap:commands_per_round)
       (List.rev !unbound)
   end;
   Hashtbl.fold (fun _ conn busy -> busy || has_dispatch_work conn) t.conns false
 
-(* ---- Epoch completions ---- *)
-
-(* Land one off-thread epoch on the dispatch thread: commit (or abort)
-   the service state and answer the connection that asked; the
-   tenant's connections stalled behind it dispatch again. A raising
-   epoch answers ERR and leaves the tenant on its committed
-   configuration; it never unwinds the serve loop. *)
+(* Land one off-thread epoch on the dispatch thread and answer the
+   connection that asked; the tenant's connections stalled behind it
+   dispatch again. A raising epoch answers ERR; it never unwinds the
+   serve loop. *)
 let handle_completion t (c : _ Epoch_worker.completion) =
   let s, conn, kind = c.Epoch_worker.c_tag in
-  let reply =
-    match c.Epoch_worker.c_result with
-    | Ok o ->
-      let (), commit_s =
-        Im_util.Stopwatch.time (fun () -> Service.commit_epoch s.s_service o)
-      in
-      Metrics.Gauge.add m_dispatch_stall commit_s;
-      Metrics.Counter.incr s.s_epochs;
-      (match kind with
-       | `Stmt ->
-         Metrics.Histogram.observe m_stmt_seconds o.Epoch.e_elapsed_s;
-         "OK observed " ^ epoch_line o
-       | `Forced ->
-         Metrics.Histogram.observe m_epoch_seconds o.Epoch.e_elapsed_s;
-         "OK " ^ epoch_line o)
-    | Error e ->
-      Service.abort_epoch s.s_service;
-      "ERR epoch failed: " ^ Printexc.to_string e
-  in
+  let reply = Protocol.finish_epoch s kind c.Epoch_worker.c_result in
   conn.awaiting_epoch <- false;
-  if not conn.closed then begin
-    conn.last_active <- Im_util.Stopwatch.now_s ();
-    respond t conn reply;
-    flush_out t conn;
-    maybe_close_drained t conn;
-    sync_interest t conn
-  end
+  conn.last_active <- Im_util.Stopwatch.now_s ();
+  respond t conn reply;
+  settle t conn
 
 (* ---- Reading ---- *)
 
@@ -823,51 +468,51 @@ let handle_completion t (c : _ Epoch_worker.completion) =
    the partial line before them waits in [conn.buf], and the partial
    line after them goes there. Only the new bytes are scanned and each
    byte is copied into [conn.buf] at most once, so a long line sent in
-   small pieces costs O(bytes), not O(bytes^2). *)
+   small pieces costs O(bytes), not O(bytes^2). [false] as soon as a
+   line, complete or not, is longer than [max_line_bytes]. *)
 let extract_lines conn rbuf n =
-  let start = ref 0 in
-  for i = 0 to n - 1 do
-    if Bytes.get rbuf i = '\n' then begin
+  let rec scan start i =
+    if i = n then begin
+      Buffer.add_subbytes conn.buf rbuf start (n - start);
+      Buffer.length conn.buf <= max_line_bytes
+    end
+    else if Bytes.get rbuf i <> '\n' then scan start (i + 1)
+    else if Buffer.length conn.buf + i - start > max_line_bytes then false
+    else begin
       let line =
-        if Buffer.length conn.buf = 0 then
-          Bytes.sub_string rbuf !start (i - !start)
+        if Buffer.length conn.buf = 0 then Bytes.sub_string rbuf start (i - start)
         else begin
-          Buffer.add_subbytes conn.buf rbuf !start (i - !start);
+          Buffer.add_subbytes conn.buf rbuf start (i - start);
           let line = Buffer.contents conn.buf in
           Buffer.reset conn.buf;
           line
         end
       in
-      (* [String.trim] also drops a CRLF line's '\r'. *)
-      Queue.push (parse_command (String.trim line)) conn.pending;
-      start := i + 1
+      Queue.push (Protocol.parse_command line) conn.pending;
+      scan (i + 1) (i + 1)
     end
-  done;
-  Buffer.add_subbytes conn.buf rbuf !start (n - !start)
+  in
+  scan 0 0
 
 let read_chunk t conn =
   match Unix.read conn.fd t.rbuf 0 (Bytes.length t.rbuf) with
   | 0 ->
     (* Half close: the peer promises no more input. Answer what it
-       already pipelined, drain the replies, then close — closing here
-       discarded every queued reply. *)
+       already pipelined, drain the replies, then close. *)
     conn.eof <- true;
     Buffer.clear conn.buf;  (* a partial line can never complete now *)
     maybe_close_drained t conn
   | n ->
     conn.last_active <- Im_util.Stopwatch.now_s ();
     Metrics.Counter.add m_bytes_in n;
-    extract_lines conn t.rbuf n;
-    if Buffer.length conn.buf > max_line_bytes then begin
+    if not (extract_lines conn t.rbuf n) then begin
       (* A single line this long is abuse, not SQL: diagnose, count,
          and close once the error (and nothing else) drains. *)
       Metrics.Counter.incr m_overlong;
       Buffer.clear conn.buf;
-      Queue.clear conn.pending;
       respond t conn "ERR line too long";
-      conn.closing <- true;
-      flush_out t conn;
-      maybe_close_drained t conn
+      close_after_drain conn;
+      settle t conn
     end
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
@@ -899,67 +544,55 @@ let reject_fd fd msg =
    does not turn each reply into its own segment. *)
 let admit t fd =
   Unix.set_nonblock fd;
-  let session = Hashtbl.find_opt t.sessions t.default_tenant in
   if Hashtbl.length t.conns >= t.max_connections then reject_fd fd overload_msg
-  else if
-    match session with
-    | Some s -> s.s_conns >= t.max_tenant_connections
-    | None -> false
-  then reject_fd fd tenant_overload_msg
-  else begin
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true
-     with Unix.Unix_error _ -> ());
-    Evloop.add t.ev fd ~read:true ~write:false;
-    t.connections_served <- t.connections_served + 1;
-    let conn =
-      {
-        fd;
-        buf = Buffer.create 256;
-        pending = Queue.create ();
-        out = { ob = Bytes.empty; ob_sent = 0; ob_end = 0 };
-        session = None;
-        last_active = Im_util.Stopwatch.now_s ();
-        closing = false;
-        eof = false;
-        closed = false;
-        awaiting_epoch = false;
-      }
-    in
-    (match session with
-     | Some s ->
-       s.s_conns <- s.s_conns + 1;
-       Metrics.Gauge.set_int s.s_live s.s_conns;
-       conn.session <- Some s
-     | None -> ());
-    Hashtbl.replace t.conns fd conn;
-    Metrics.Gauge.set_int m_live (Hashtbl.length t.conns)
-  end
+  else
+    match Protocol.connect t.proto with
+    | None -> reject_fd fd tenant_overload_msg
+    | Some client ->
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true
+       with Unix.Unix_error _ -> ());
+      Evloop.add t.ev fd ~read:true ~write:false;
+      t.connections_served <- t.connections_served + 1;
+      Hashtbl.replace t.conns fd
+        {
+          fd;
+          buf = Buffer.create 256;
+          pending = Queue.create ();
+          out = { ob = Bytes.empty; ob_sent = 0; ob_end = 0 };
+          client;
+          last_active = Im_util.Stopwatch.now_s ();
+          closing = false;
+          eof = false;
+          closed = false;
+          awaiting_epoch = false;
+        };
+      Metrics.Gauge.set_int m_live (Hashtbl.length t.conns)
 
-(* Accept every connection the kernel has queued, not one per loop
-   round: a burst of N connects previously took N rounds. Bounded so a
-   connect flood cannot starve established connections either. Out of
-   descriptors, the burst ends and the listener stops being polled
-   until a connection closes, or until the next reap tick (ENFILE is
+(* Accept every connection the kernel has queued, bounded so a connect
+   flood cannot starve established connections. Out of descriptors,
+   the burst ends and the listener stops being polled until a
+   connection closes, or until the next reap tick (ENFILE is
    system-wide: another process may free one): the connects wait in
    the kernel backlog. *)
 let accept_burst t =
-  let accepted = ref 0 in
-  let continue = ref true in
-  while !continue && !accepted < 1024 do
-    match Unix.accept t.listener with
-    | fd, _addr ->
-      incr accepted;
-      admit t fd
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      continue := false
-    | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EINTR), _, _) ->
-      ()
-    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-      set_accepting t false;
-      continue := false
-  done;
-  if float_of_int !accepted > Metrics.Gauge.value m_accept_burst then
-    Metrics.Gauge.set_int m_accept_burst !accepted
+  let rec go accepted =
+    if accepted >= 1024 then accepted
+    else
+      match Unix.accept t.listener with
+      | fd, _addr ->
+        admit t fd;
+        go (accepted + 1)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        accepted
+      | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EINTR), _, _) ->
+        go accepted
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        set_accepting t false;
+        accepted
+  in
+  let accepted = go 0 in
+  if float_of_int accepted > Metrics.Gauge.value m_accept_burst then
+    Metrics.Gauge.set_int m_accept_burst accepted
 
 (* ---- Reaping ---- *)
 
@@ -983,15 +616,14 @@ let reap_idle t =
           (* Give queued replies a last chance to leave before dropping
              the connection. *)
           flush_out t conn;
-          if not conn.closed then
-            if
-              queued conn = 0
-              (* Pending output on a still-writable socket means the
-                 main loop will drain it next round; reap only sockets
-                 that stopped accepting bytes. The probe goes through
-                 poll(2), which works on any fd number. *)
-              || not (Evloop.writable conn.fd)
-            then begin
+          (* Pending output on a still-writable socket means the main
+             loop will drain it next round; reap only sockets that
+             stopped accepting bytes. The probe goes through poll(2),
+             which works on any fd number. *)
+          if
+            (not conn.closed)
+            && (queued conn = 0 || not (Evloop.writable conn.fd))
+          then begin
               Metrics.Counter.incr m_reaped;
               close_conn t conn
             end
@@ -1000,18 +632,6 @@ let reap_idle t =
   end
 
 (* ---- Event loop ---- *)
-
-let drain_wake t =
-  let bytes = Bytes.create 256 in
-  let continue = ref true in
-  while !continue do
-    match Unix.read t.wake_r bytes 0 256 with
-    | 0 -> continue := false
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      continue := false
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
 
 let serve t =
   t.running <- true;
@@ -1022,51 +642,39 @@ let serve t =
     (* Undispatched work (fairness-deferred) re-polls with a zero
        timeout; paused connections have none, so a long off-thread
        epoch leaves the loop blocking idle. *)
-    let timeout_s = if !busy then 0.0 else 1.0 in
-    let events = Evloop.wait t.ev ~timeout_s in
-    let listener_ready = ref false in
-    let wake_ready = ref false in
+    let events = Evloop.wait t.ev ~timeout_s:(if !busy then 0.0 else 1.0) in
     let ready =
       List.filter_map
         (fun ev ->
           let fd = ev.Evloop.ev_fd in
           if fd = t.listener then begin
-            if ev.Evloop.ev_read then listener_ready := true;
+            if ev.Evloop.ev_read then accept_burst t;
             None
           end
           else if fd = t.wake_r then begin
-            wake_ready := true;
+            (* Completions are drained below, so the wake-up bytes carry
+               nothing; more than one read's worth re-polls as ready. *)
+            (try ignore (Unix.read fd t.rbuf 0 read_bytes)
+             with Unix.Unix_error _ -> ());
             None
           end
           else
             (* Handlers may close connections mid-round; the table is
                the source of truth for who is still alive. *)
-            match Hashtbl.find_opt t.conns fd with
-            | Some conn -> Some (conn, ev)
-            | None -> None)
+            Option.map (fun conn -> (conn, ev)) (Hashtbl.find_opt t.conns fd))
         events
     in
-    if !listener_ready then accept_burst t;
-    if !wake_ready then drain_wake t;
     List.iter
       (fun (conn, ev) ->
-        if ev.Evloop.ev_write && (not conn.closed) && queued conn > 0
-        then begin
-          flush_out t conn;
-          maybe_close_drained t conn;
-          sync_interest t conn
-        end)
+        if ev.Evloop.ev_write && (not conn.closed) && queued conn > 0 then
+          settle t conn)
       ready;
     List.iter
       (fun (conn, ev) ->
         (* Poll reports HUP/ERR regardless of the interest mask:
            gate on the interest the server actually holds so a paused
            connection is not read early. *)
-        if
-          ev.Evloop.ev_read && (not conn.closed) && (not conn.closing)
-          && (not conn.eof)
-          && Queue.length conn.pending < max_pending_lines
-        then begin
+        if ev.Evloop.ev_read && (not conn.closed) && wants_input conn then begin
           read_chunk t conn;
           sync_interest t conn
         end)
@@ -1079,17 +687,10 @@ let serve t =
      owed), best-effort flush, then close everything. *)
   Epoch_worker.shutdown t.worker;
   List.iter (handle_completion t) (Epoch_worker.drain t.worker);
-  let remaining = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-  List.iter (fun conn -> flush_out t conn) remaining;
-  List.iter
-    (fun conn ->
-      if not conn.closed then begin
-        conn.closed <- true;
-        try Unix.close conn.fd with Unix.Unix_error _ -> ()
-      end)
-    remaining;
-  Hashtbl.reset t.conns;
-  Metrics.Gauge.set_int m_live 0;
+  Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
+  |> List.iter (fun conn ->
+         flush_out t conn;
+         close_conn t conn);
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
   try Unix.close t.listener with Unix.Unix_error _ -> ()

@@ -41,6 +41,8 @@ let day_of_date y m d = ((y - 1992) * 365) + int_of_float (30.4 *. float_of_int 
 
 exception Lex_error of int * string
 
+let quote s = if String.length s <= 64 then s else String.sub s 0 64 ^ "..."
+
 let rec skip_while p input i =
   if i < String.length input && p input.[i] then skip_while p input (i + 1)
   else i
@@ -102,7 +104,7 @@ let read_date input j =
         let body = String.sub input (k + 1) (close - k - 1) in
         (match List.map int_of_string_opt (String.split_on_char '-' body) with
          | [ Some y; Some m; Some d ] -> Some (Date_lit (day_of_date y m d), close + 1)
-         | _ -> raise (Lex_error (k, "malformed DATE literal: " ^ body)))
+         | _ -> raise (Lex_error (k, "malformed DATE literal: " ^ quote body)))
     end
     else None
   end
@@ -202,11 +204,11 @@ let shape input key =
   | exception (Lex_error _ | Exit) -> None
 
 let pp_token = function
-  | Ident s -> s
-  | Qualified (t, c) -> t ^ "." ^ c
+  | Ident s -> quote s
+  | Qualified (t, c) -> quote (t ^ "." ^ c)
   | Int_lit i -> string_of_int i
   | Float_lit f -> string_of_float f
-  | String_lit s -> "'" ^ s ^ "'"
+  | String_lit s -> "'" ^ quote s ^ "'"
   | Date_lit d -> Printf.sprintf "DATE(day %d)" d
   | Kw k -> k
   | Star -> "*"

@@ -34,4 +34,8 @@ val shape : string -> Buffer.t -> token list option
     Texts with equal shapes tokenize alike up to literal values. [None]
     on a character or literal {!tokenize} rejects. *)
 
+val quote : string -> string
+(** How diagnostics echo input: at most its first 64 bytes, then
+    ["..."], so an error stays short however long the input. *)
+
 val pp_token : token -> string

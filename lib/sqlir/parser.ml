@@ -26,10 +26,10 @@ let expect_kw st kw = expect st (Kw kw) kw
 
 let resolve_column st tbl col =
   if not (List.mem tbl st.from_tables) then
-    fail "table %s is not in the FROM clause" tbl;
+    fail "table %s is not in the FROM clause" (quote tbl);
   match Schema.column (Schema.table st.schema tbl) col with
   | (_ : Schema.column) -> Predicate.colref tbl col
-  | exception Not_found -> fail "unknown column %s.%s" tbl col
+  | exception Not_found -> fail "unknown column %s" (quote (tbl ^ "." ^ col))
 
 let resolve_unqualified st col =
   let owners =
@@ -42,8 +42,8 @@ let resolve_unqualified st col =
   in
   match owners with
   | [ tbl ] -> Predicate.colref tbl col
-  | [] -> fail "unknown column %s" col
-  | _ :: _ -> fail "ambiguous column %s (qualify it)" col
+  | [] -> fail "unknown column %s" (quote col)
+  | _ :: _ -> fail "ambiguous column %s (qualify it)" (quote col)
 
 let parse_colref st =
   match peek st with
@@ -81,7 +81,7 @@ let coerce st (c : Predicate.colref) lit =
   match (coerce_value ty lit, ty, lit) with
   | Some v, _, _ -> v
   | None, Datatype.Varchar n, String_lit s ->
-    fail "string %S too long for %s.%s (varchar %d)" s c.Predicate.cr_table
+    fail "string %S too long for %s.%s (varchar %d)" (quote s) c.Predicate.cr_table
       c.Predicate.cr_column n
   | None, _, _ ->
     fail "literal does not fit the type of %s.%s" c.Predicate.cr_table
@@ -228,7 +228,7 @@ let parse_one_statement ~schema ~id tokens =
         match peek st with
         | Ident t ->
           advance st;
-          if Schema.mem_table schema t then t else fail "unknown table %s" t
+          if Schema.mem_table schema t then t else fail "unknown table %s" (quote t)
         | other -> fail "expected a table name, found %s" (pp_token other))
   in
   let where =

@@ -12,9 +12,9 @@
 # scale, intake and frontier-pruning bench smokes (intake asserts the prepared-statement
 # cache parses every generated statement exactly as the parser does),
 # formatting when ocamlformat is installed (skipped gracefully when
-# not — the CI container does not ship it), and last lib/'s line count, optional-argument count and
-# Online.Service.options field count, each with its delta against
-# HEAD~1 (scripts/lib-lines.sh).
+# not — the CI container does not ship it), and last lib/'s line count, largest .ml file,
+# optional-argument count and Online.Service.options field count, each
+# with its delta against HEAD~1 (scripts/lib-lines.sh).
 set -eu
 
 cd "$(dirname "$0")/.."

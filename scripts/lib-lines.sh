@@ -5,6 +5,8 @@
 #   scripts/lib-lines.sh [BASE]      # BASE defaults to HEAD~1
 #
 # - lines of OCaml source (.ml + .mli);
+# - the largest lib/**/*.ml file and its lines (delta: the same file
+#   at BASE);
 # - optional arguments in the interfaces: every `?label:` in a
 #   lib/**/*.mli signature, comments stripped;
 # - fields of `Online.Service.options` (lib/online/service.mli).
@@ -25,6 +27,12 @@ optionals() {
 }
 fields() { sed -n '/^type options = {/,/^}/p' | grep -c '^ *o_[a-z_]* :' || true; }
 
+# "<lines> <path>" of the longest .ml file under lib/.
+largest_ml() {
+  find lib -type f -name '*.ml' -exec wc -l {} + | grep -v ' total$' \
+    | sort -n | tail -n 1
+}
+
 tree_sources() { find lib -type f \( -name '*.ml' -o -name '*.mli' \) -exec cat {} +; }
 tree_mli() { find lib -type f -name '*.mli' -exec cat {} +; }
 base_sources() { git archive "$base" lib | tar -xO --wildcards '*.ml' '*.mli'; }
@@ -37,13 +45,18 @@ report() { # label now before
 now_lines=$(tree_sources | lines)
 now_opts=$(tree_mli | optionals)
 now_fields=$(fields < lib/online/service.mli)
+set -- $(largest_ml)
+big_lines=$1 big_file=$2
 if git rev-parse --verify --quiet "$base^{commit}" >/dev/null; then
   report "lib/ .ml+.mli lines" "$now_lines" "$(base_sources | lines)"
+  report "largest lib/ .ml file $big_file" "$big_lines" \
+    "$(git show "$base:$big_file" 2>/dev/null | lines)"
   report "lib/ .mli optional arguments" "$now_opts" "$(base_mli | optionals)"
   report "Online.Service.options fields" "$now_fields" \
     "$(git show "$base:lib/online/service.mli" | fields)"
 else
   printf 'lib/ .ml+.mli lines: %d (no revision %s to compare)\n' "$now_lines" "$base"
+  printf 'largest lib/ .ml file %s: %d\n' "$big_file" "$big_lines"
   printf 'lib/ .mli optional arguments: %d\n' "$now_opts"
   printf 'Online.Service.options fields: %d\n' "$now_fields"
 fi

@@ -14,14 +14,16 @@
      accept per round;
    - rejected connections are written best-effort on a nonblocking fd,
      so a connect-and-never-read client cannot stall the accept loop;
-   - an oversized line answers `ERR line too long` (counted) before
-     the close, instead of silently dropping the connection;
+   - an oversized line, newline-terminated or not, answers `ERR line
+     too long` (counted) before the close, instead of silently
+     dropping the connection or parsing it;
+   - a parse error quotes at most 64 bytes of a long identifier;
    - an epoch that raises, whether a STMT or EPOCH triggered it, answers
      ERR and never takes the daemon down;
    - a tenant dropped while its epoch is in flight;
    - [Server.create] rejects limits that would refuse every client,
-     never reap or reap everything, and tenant weights whose round
-     budget would overflow, before it opens a socket;
+     never reap or reap everything, tenant weights whose round budget
+     would overflow and an empty tenant list, before it opens a socket;
    - a STMT whose integer literal overflows an OCaml int answers ERR;
      the lexer's [int_of_string] used to escape the event loop and end
      the daemon;
@@ -40,7 +42,8 @@
    - seeded random interleavings of commands with timing-independent
      replies (random verb case, LF or CRLF, writes split at any byte,
      random pipelining depth, 8 connections on 2 tenants, each ended
-     by a half-close) come back complete and in order. *)
+     by a half-close) come back complete, in order and as
+     [Protocol.step] answers each connection's commands run alone. *)
 
 let cli () =
   let here = Filename.dirname Sys.executable_name in
@@ -366,13 +369,52 @@ let test_oversized_line () =
         with End_of_file | Sys_error _ | Unix.Unix_error _ -> true
       in
       Alcotest.(check bool) "oversized connection dropped" true closed;
-      (* The daemon itself survives, keeps serving, and counted it. *)
+      (* A line just over the cap whose newline arrives in the same
+         read as its last bytes is as overlong: it used to be queued
+         and parsed as SQL. *)
+      let c3 = connect d.port in
+      output_string c3.oc ("STMT " ^ String.make 999_996 'x' ^ "\n");
+      flush c3.oc;
+      Alcotest.(check string) "terminated overlong line" "ERR line too long"
+        (input_line c3.ic);
+      Alcotest.(check bool) "terminated overlong line dropped" true
+        (try
+           ignore (input_line c3.ic);
+           false
+         with End_of_file | Sys_error _ | Unix.Unix_error _ -> true);
+      (* The daemon itself survives, keeps serving, and counted both. *)
       let c2 = connect d.port in
       let m = read_metrics c2 in
-      Alcotest.(check bool) "overlong line counted" true
-        (metric m "server_overlong_lines_total" >= 1.);
+      Alcotest.(check (float 0.)) "overlong lines counted" 2.
+        (metric m "server_overlong_lines_total");
       expect_prefix "stats after abuse" "OK " (request c2 "STATS");
       expect_prefix "quit" "OK bye" (request c2 "QUIT"))
+
+let test_long_identifier_diagnostic () =
+  (* A parse error quotes at most 64 bytes of what it rejects: the
+     reply to a 500 KB identifier used to be as long as the request,
+     half the 1 MiB output cap in one line. *)
+  let d = start_daemon () in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let c = connect d.port in
+      let ident = String.make 500_000 'x' in
+      List.iter
+        (fun (what, line) ->
+          let resp = request c line in
+          expect_prefix what "ERR " resp;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d-byte reply < 200" what (String.length resp))
+            true
+            (String.length resp < 200))
+        [
+          ("bad verb", "STMT " ^ ident);
+          ("unknown column", "STMT SELECT " ^ ident ^ " FROM t0");
+          ("unknown table", "STMT SELECT * FROM " ^ ident);
+          ("long string", "STMT SELECT t0_c0 FROM t0 WHERE t0_c0 = '" ^ ident ^ "'");
+        ];
+      expect_prefix "stats after" "OK " (request c "STATS"))
 
 let read_config c =
   let head = request c "CONFIG" in
@@ -582,10 +624,10 @@ let test_create_validation () =
           }
       in
       let service = Im_online.Service.create db ~budget_pages:100 in
-      let create ?max_connections ?read_timeout ?max_output_bytes ?weights ()
-          =
+      let create ?max_connections ?read_timeout ?max_output_bytes
+          ?(tenants = [ ("default", 1, service) ]) () =
         Im_online.Server.create ~port ?max_connections ?read_timeout
-          ?max_output_bytes ?weights service
+          ?max_output_bytes tenants
       in
       let rejects what msg f =
         Alcotest.check_raises what (Invalid_argument msg) (fun () ->
@@ -606,11 +648,12 @@ let test_create_validation () =
          never be served while the loop spins. *)
       rejects "weight above the cap"
         "Server.create: weight 1000001 of tenant default is above 1000000"
-        (create ~weights:[ ("default", 1_000_001) ]);
+        (create ~tenants:[ ("default", 1_000_001, service) ]);
       rejects "wrapping weight"
         "Server.create: weight 72057594037927936 of tenant default is above \
          1000000"
-        (create ~weights:[ ("default", 1 lsl 56) ]))
+        (create ~tenants:[ ("default", 1 lsl 56, service) ]);
+      rejects "no tenants" "Server.create: no tenants" (create ~tenants:[]))
 
 let test_overflowing_literal () =
   let d = start_daemon () in
@@ -880,23 +923,20 @@ let test_long_line_linear () =
 
 (* ---- Seeded protocol interleavings ---- *)
 
-(* What one command is answered with. *)
+(* What one command is answered with, as the protocol model
+   ([Protocol.step]) answers it. *)
 type expect =
   | Line of string  (* exactly this line *)
-  | Prefix of string  (* one line starting with this *)
-  | Block  (* "OK <n>", then n more lines *)
+  | Keys of string list  (* STATS: one OK line with these keys, in order *)
+  | Block  (* METRICS: "OK <n>", then n more lines *)
 
-(* Statements that fail to parse, with their replies: they reach no
-   window, so no epoch ever runs and CONFIG stays empty. *)
+(* Statements that fail to parse: they reach no window, so no epoch
+   ever runs and CONFIG stays empty. *)
 let invalid_stmts =
-  [
-    ("SELECT FROM", "ERR expected a column, found FROM");
-    ("SELECT t0_c0 FROM t0 WHERE", "ERR expected a literal, found <eof>");
-    ("SELECT nope FROM nope", "ERR unknown column nope");
-  ]
+  [ "SELECT FROM"; "SELECT t0_c0 FROM t0 WHERE"; "SELECT nope FROM nope" ]
 
-(* One random command line (line end not included) and its reply.
-   Verbs and subcommands come in random letter case. *)
+(* One random command line (line end not included). Verbs and
+   subcommands come in random letter case. *)
 let random_command rng ~tenants =
   let pick l = List.nth l (Random.State.int rng (List.length l)) in
   let word w =
@@ -907,36 +947,39 @@ let random_command rng ~tenants =
       w
   in
   match Random.State.int rng 12 with
-  | 0 ->
-    let sql, err = pick invalid_stmts in
-    (word "STMT" ^ " " ^ sql, Line err)
-  | 1 -> (word "STMT", Line "ERR empty statement")
+  | 0 -> word "STMT" ^ " " ^ pick invalid_stmts
+  | 1 -> word "STMT"
   | 2 ->
-    let verb =
-      pick [ "STATS"; "CONFIG"; "EPOCH"; "METRICS"; "QUIT"; "SHUTDOWN" ]
-    in
-    ( word verb ^ " " ^ pick [ "now"; "x"; "0" ],
-      Line ("ERR usage: " ^ verb ^ " takes no arguments") )
-  | 3 ->
-    ( word (pick [ "FROBNICATE"; "SELECT"; "STMTS"; "OTHER" ]),
-      Line "ERR unknown command" )
-  | 4 -> (pick [ ""; "  "; "\t" ], Line "ERR empty command")
-  | 5 ->
-    ( word "TENANT",
-      Line "ERR tenant subcommand required (CREATE/USE/DROP/LIST)" )
-  | 6 ->
-    ( word "TENANT" ^ " " ^ word "USE" ^ " nosuch",
-      Line "ERR no such tenant nosuch" )
-  | 7 ->
-    let tenant = pick tenants in
-    ( word "TENANT" ^ " " ^ word "USE" ^ " " ^ tenant,
-      Line ("OK tenant " ^ tenant) )
-  | 8 ->
-    ( word "TENANT" ^ " " ^ word "LIST" ^ " x",
-      Line "ERR tenant list takes no arguments" )
-  | 9 -> (word "STATS", Prefix "OK ")
-  | 10 -> (word "CONFIG", Line "OK 0")
-  | _ -> (word "METRICS", Block)
+    word (pick [ "STATS"; "CONFIG"; "EPOCH"; "METRICS"; "QUIT"; "SHUTDOWN" ])
+    ^ " " ^ pick [ "now"; "x"; "0" ]
+  | 3 -> word (pick [ "FROBNICATE"; "SELECT"; "STMTS"; "OTHER" ])
+  | 4 -> pick [ ""; "  "; "\t" ]
+  | 5 -> word "TENANT"
+  | 6 -> word "TENANT" ^ " " ^ word "USE" ^ " nosuch"
+  | 7 -> word "TENANT" ^ " " ^ word "USE" ^ " " ^ pick tenants
+  | 8 -> word "TENANT" ^ " " ^ word "LIST" ^ " x"
+  | 9 -> word "STATS"
+  | 10 -> word "CONFIG"
+  | _ -> word "METRICS"
+
+(* The keys of a STATS reply line, values dropped. *)
+let stats_keys line =
+  List.tl (String.split_on_char ' ' line)
+  |> List.map (fun kv -> List.hd (String.split_on_char '=' kv))
+
+(* The daemon's answer to [line] must be the model's: [Protocol.step]
+   on a client of [model] that has run this connection's earlier
+   commands. STATS values and the METRICS registry depend on other
+   connections and on the process, so only their shape is compared. *)
+let model_expect model client line =
+  let cmd = Im_online.Protocol.parse_command line in
+  match (cmd, Im_online.Protocol.step model client cmd) with
+  | _, (_, (Close | Stop | Begin_epoch _)) ->
+    Alcotest.fail (Printf.sprintf "model: %S does more than answer" line)
+  | Other { verb = "STATS"; rest = ""; _ }, (reply, Continue) ->
+    Keys (stats_keys reply)
+  | Other { verb = "METRICS"; rest = ""; _ }, (_, Continue) -> Block
+  | _, (reply, Continue) -> Line reply
 
 (* One client connection of an interleaving run. *)
 type wire = {
@@ -961,7 +1004,9 @@ let check_reply w line =
       let what = Printf.sprintf "%s: reply to %S" w.w_name cmd in
       match expect with
       | Line l -> Alcotest.(check string) what l line
-      | Prefix p -> expect_prefix what p line
+      | Keys keys ->
+        expect_prefix what "OK " line;
+        Alcotest.(check (list string)) what keys (stats_keys line)
       | Block -> (
         match Scanf.sscanf_opt line "OK %d%!" Fun.id with
         | Some n -> w.w_block <- n
@@ -1020,9 +1065,10 @@ let step_wire rng w =
 
 (* [per_conn] random commands on each of [conns] connections, written
    in random pieces at random pipelining depths and interleaved across
-   the connections; every reply stream must come back complete and in
-   order. Returns the number of commands sent. *)
-let run_interleaving port ~seed ~conns ~per_conn ~tenants =
+   the connections; every reply stream must come back complete, in
+   order and as the model answers it ([model_expect] on a fresh
+   [model ()] per connection). Returns the number of commands sent. *)
+let run_interleaving port ~seed ~conns ~per_conn ~tenants ~model =
   let rng = Random.State.make [| seed |] in
   let wires =
     Array.init conns (fun i ->
@@ -1030,11 +1076,15 @@ let run_interleaving port ~seed ~conns ~per_conn ~tenants =
         (* Nagle would hold each small piece for the previous one's
            delayed ACK. *)
         Unix.setsockopt c.fd Unix.TCP_NODELAY true;
+        let model = model () in
+        let client = Option.get (Im_online.Protocol.connect model) in
         {
           w_fd = c.fd;
           w_name = Printf.sprintf "seed %d conn %d" seed i;
           w_script =
-            List.init per_conn (fun _ -> random_command rng ~tenants);
+            List.init per_conn (fun _ ->
+                let line = random_command rng ~tenants in
+                (line, model_expect model client line));
           w_out = "";
           w_owed = Queue.create ();
           w_in = Buffer.create 4096;
@@ -1079,8 +1129,19 @@ let run_interleaving port ~seed ~conns ~per_conn ~tenants =
 
 let test_protocol_interleavings () =
   (* Three seeds of 8 connections on 2 tenants, 417 commands each:
-     about 10k commands whose replies do not depend on timing. *)
+     about 10k commands whose replies do not depend on timing. The
+     model's tenants are the daemon's: synthetic1 (the default) and b,
+     each a service on the same generated database. *)
   let d = start_daemon ~args:[ "--tenant"; "b=synthetic1" ] () in
+  let db =
+    Im_workload.Synthetic.database ~seed:1 Im_workload.Synthetic.synthetic1
+  in
+  let model () =
+    let service () = Im_online.Service.create db ~budget_pages:1000 in
+    Result.get_ok
+      (Im_online.Protocol.create ~max_tenant_connections:64 ~factory:None
+         [ ("synthetic1", 1, service ()); ("b", 1, service ()) ])
+  in
   Fun.protect
     ~finally:(fun () -> stop_daemon d)
     (fun () ->
@@ -1090,7 +1151,7 @@ let test_protocol_interleavings () =
           let before = read_metrics probe in
           let sent =
             run_interleaving d.port ~seed ~conns:8 ~per_conn:417
-              ~tenants:[ "synthetic1"; "b" ]
+              ~tenants:[ "synthetic1"; "b" ] ~model
           in
           let after = read_metrics probe in
           let grew name = metric after name -. metric before name in
@@ -1124,6 +1185,8 @@ let () =
           Alcotest.test_case "overload reject best-effort" `Slow
             test_overload_reject_best_effort;
           Alcotest.test_case "oversized line" `Slow test_oversized_line;
+          Alcotest.test_case "long identifier diagnostic" `Slow
+            test_long_identifier_diagnostic;
           Alcotest.test_case "reap spares in-flight epoch" `Slow
             test_reap_spares_inflight_epoch;
           Alcotest.test_case "failed epoch keeps last config" `Slow
