@@ -8,10 +8,15 @@
    statement:
 
    - tokenize: [Lexer.tokenize] alone;
+   - shape: [Lexer.shape] alone, the walk every prepared hit pays;
    - parse_query: the full parser (lex, parse, validate);
    - prepared: [Parser.Prepared.parse], a fresh cache per run;
    - fold: [Workload_file.fold] over the log written to a file (read,
-     split into statements, prepared parse).
+     split into statements, prepared parse);
+   - split: fold minus prepared, the reading and statement splitting;
+   - observe: [Scale.observe] of the parsed log into a fresh compactor
+     (eps 0.05, feeding a miner) on a fresh deriving cost service, as
+     perfbench log_merge runs it.
 
    Hard assert: on every statement of every database, [Prepared.parse]
    returns exactly what [parse_query] returns, under distinct ids
@@ -46,9 +51,11 @@ type row = {
   shapes : int;
   avg_chars : float;
   tokenize_us : float;
+  shape_us : float;
   parse_us : float;
   prepared_us : float;
   fold_us : float;
+  observe_us : float;
 }
 
 let measure (name, db) =
@@ -67,6 +74,15 @@ let measure (name, db) =
   let shapes = Parser.Prepared.size cache in
   let tokenize_us =
     best_us (fun () -> Array.iter (fun sql -> ignore (Lexer.tokenize sql)) log)
+  in
+  let shape_us =
+    let key = Buffer.create 256 in
+    best_us (fun () ->
+        Array.iter
+          (fun sql ->
+            Buffer.clear key;
+            ignore (Lexer.shape sql key))
+          log)
   in
   let parse_us =
     best_us (fun () ->
@@ -92,15 +108,31 @@ let measure (name, db) =
         | Error m -> failwith ("EXP-INTAKE: fold failed: " ^ m))
   in
   Sys.remove path;
+  let parsed =
+    Array.map
+      (fun sql ->
+        match Parser.parse_query ~schema ~id:"W" sql with
+        | Ok q -> q
+        | Error m -> failwith ("EXP-INTAKE: " ^ m))
+      log
+  in
+  let observe_us =
+    best_us (fun () ->
+        let svc = Im_costsvc.Service.create ~derive:true db in
+        let compactor = Im_scale.Scale.create ~eps:0.05 ~mine:(Im_mine.Mine.create ()) svc in
+        Array.iter (fun q -> Im_scale.Scale.observe compactor q) parsed)
+  in
   let chars = Array.fold_left (fun acc sql -> acc + String.length sql) 0 log in
   {
     name;
     shapes;
     avg_chars = float_of_int chars /. float_of_int statements_n;
     tokenize_us;
+    shape_us;
     parse_us;
     prepared_us;
     fold_us;
+    observe_us;
   }
 
 let run () =
@@ -111,13 +143,14 @@ let run () =
   let f2 = Printf.sprintf "%.2f" in
   Exp_common.print_table
     ~title:"Intake, us per statement (best of 3; prepared = parse_query on every statement)"
-    ~header:[ "db"; "shapes"; "chars"; "tokenize"; "parse_query"; "prepared";
-              "fold"; "speed-up" ]
+    ~header:[ "db"; "shapes"; "chars"; "tokenize"; "shape"; "parse_query"; "prepared";
+              "fold"; "split"; "observe"; "speed-up" ]
     ~rows:
       (List.map
          (fun r ->
            [ r.name; string_of_int r.shapes; Printf.sprintf "%.0f" r.avg_chars;
-             f2 r.tokenize_us; f2 r.parse_us; f2 r.prepared_us; f2 r.fold_us;
+             f2 r.tokenize_us; f2 r.shape_us; f2 r.parse_us; f2 r.prepared_us;
+             f2 r.fold_us; f2 (r.fold_us -. r.prepared_us); f2 r.observe_us;
              Printf.sprintf "%.1fx" (r.parse_us /. r.prepared_us) ])
          rows);
   let out =
@@ -135,9 +168,10 @@ let run () =
               (fun r ->
                 Printf.sprintf
                   "    {\"db\": %S, \"shapes\": %d, \"avg_chars\": %.1f, \
-                   \"tokenize_us\": %.3f, \"parse_query_us\": %.3f, \
-                   \"prepared_us\": %.3f, \"fold_us\": %.3f}"
-                  r.name r.shapes r.avg_chars r.tokenize_us r.parse_us
-                  r.prepared_us r.fold_us)
+                   \"tokenize_us\": %.3f, \"shape_us\": %.3f, \
+                   \"parse_query_us\": %.3f, \"prepared_us\": %.3f, \
+                   \"fold_us\": %.3f, \"split_us\": %.3f, \"observe_us\": %.3f}"
+                  r.name r.shapes r.avg_chars r.tokenize_us r.shape_us r.parse_us
+                  r.prepared_us r.fold_us (r.fold_us -. r.prepared_us) r.observe_us)
               rows)));
   Printf.printf "\nwrote %s\n" out

@@ -23,8 +23,6 @@ let keywords =
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
-
 let is_digit c = c >= '0' && c <= '9'
 
 (* Day number with 1992-01-01 = day 1, consistent with Tpcd.date's
@@ -47,6 +45,18 @@ let rec skip_while p input i =
   if i < String.length input && p input.[i] then skip_while p input (i + 1)
   else i
 
+(* Direct loops: a [skip_while] closure would cost an indirect call on
+   every byte of every word and number. *)
+let rec ident_end input i =
+  if i >= String.length input then i
+  else
+    match String.unsafe_get input i with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> ident_end input (i + 1)
+    | _ -> i
+
+let rec digits_end input i =
+  if i < String.length input && is_digit input.[i] then digits_end input (i + 1) else i
+
 (* String literal; '' escapes a quote. *)
 let read_string input i =
   let n = String.length input in
@@ -64,25 +74,35 @@ let read_string input i =
   in
   str (i + 1)
 
+(* The digits [start, stop), after an optional '-', read in place; past
+   18 digits, [int_of_string_opt] checks for overflow. *)
 let int_literal input start stop =
-  match int_of_string_opt (String.sub input start (stop - start)) with
-  | Some v -> v
-  | None -> raise (Lex_error (start, "integer literal out of range"))
+  let first = if input.[start] = '-' then start + 1 else start in
+  let rec read v k = if k = stop then v else read ((v * 10) + Char.code input.[k] - 48) (k + 1) in
+  if stop - first <= 18 then if first > start then -read 0 first else read 0 first
+  else
+    match int_of_string_opt (String.sub input start (stop - start)) with
+    | Some v -> v
+    | None -> raise (Lex_error (start, "integer literal out of range"))
 
 let read_number input i =
   let n = String.length input in
-  let digits j = skip_while is_digit input j in
-  let j = digits (if input.[i] = '-' then i + 1 else i) in
+  let j = digits_end input (if input.[i] = '-' then i + 1 else i) in
   let fraction = j < n && input.[j] = '.' in
-  let j = if fraction then digits (j + 1) else j in
+  let j = if fraction then digits_end input (j + 1) else j in
   (* Exponent part, as %g prints it: e+06, E-3, e12. *)
   let d = if j + 1 < n && (input.[j + 1] = '+' || input.[j + 1] = '-') then j + 2 else j + 1 in
   let exponent =
     j < n && (input.[j] = 'e' || input.[j] = 'E') && d < n && is_digit input.[d]
   in
-  let j = if exponent then digits d else j in
+  let j = if exponent then digits_end input d else j in
   if fraction || exponent then (Float_lit (float_of_string (String.sub input i (j - i))), j)
   else (Int_lit (int_literal input i j), j)
+
+(* The four-letter word at [i] reads DATE, in any case. *)
+let is_date input i =
+  let up k = Char.uppercase_ascii input.[i + k] in
+  up 0 = 'D' && up 1 = 'A' && up 2 = 'T' && up 3 = 'E'
 
 (* At the end [j] of a word that reads DATE. [date:N] is the raw
    day-number form Value.to_string emits, so that Query.to_sql output
@@ -91,7 +111,7 @@ let read_number input i =
 let read_date input j =
   let n = String.length input in
   if j < n && input.[j] = ':' then begin
-    let k = skip_while is_digit input (j + 1) in
+    let k = digits_end input (j + 1) in
     if k = j + 1 then raise (Lex_error (j, "expected digits after date:"))
     else Some (Date_lit (int_literal input (j + 1) k), k)
   end
@@ -113,7 +133,7 @@ let read_date input j =
    [.column], else [j]. *)
 let qualified_end input j =
   if j + 1 < String.length input && input.[j] = '.' && is_ident_start input.[j + 1]
-  then skip_while is_ident_char input (j + 1)
+  then ident_end input (j + 1)
   else j
 
 (* The one walk over a text that [tokenize] and [shape] share. It skips
@@ -133,9 +153,8 @@ let walk input ~literal ~word ~punct =
       else if is_digit c || (c = '-' && i + 1 < n && is_digit input.[i + 1]) then
         go (literal i (read_number input i))
       else if is_ident_start c then begin
-        let j = skip_while is_ident_char input i in
-        let date = j - i = 4 && String.uppercase_ascii (String.sub input i 4) = "DATE" in
-        match if date then read_date input j else None with
+        let j = ident_end input i in
+        match if j - i = 4 && is_date input i then read_date input j else None with
         | Some lit -> go (literal i lit)
         | None -> go (word i j)
       end

@@ -317,9 +317,8 @@ let parse_statements ~schema ?(id_prefix = "Q") text =
    literals into the cached query's slots; a miss, or a literal that does
    not fit, goes through [parse_query], so errors read as they do there. *)
 module Prepared = struct
-  (* Slots are the literals of [q_where] in order: [Cmp] has one,
-     [Between] two, [In_list] one per value, [Join] none. *)
-  type template = { skeleton : Query.t; slot_types : Datatype.t list }
+  (* One column type per slot of [query] ({!Query.template}). *)
+  type template = { query : Query.template; slot_types : Datatype.t list }
 
   type t = {
     p_schema : Schema.t;
@@ -345,28 +344,9 @@ module Prepared = struct
       q.Query.q_where
 
   let instantiate tpl ~id lits =
-    let values = ref (List.map2 coerce_value tpl.slot_types lits) in
-    let value () =
-      match !values with
-      | Some v :: rest ->
-        values := rest;
-        v
-      | _ -> raise Exit
-    in
-    let fill = function
-      | Predicate.Cmp (op, c, _) -> Predicate.Cmp (op, c, value ())
-      | Predicate.Between (c, _, _) ->
-        let lo = value () in
-        Predicate.Between (c, lo, value ())
-      | Predicate.In_list (c, vs) -> Predicate.In_list (c, List.map (fun _ -> value ()) vs)
-      | Predicate.Join _ as p -> p
-    in
-    let q = tpl.skeleton in
-    match List.map fill q.Query.q_where with
-    | where ->
-      Some
-        (Query.make ~id ~select:q.Query.q_select ~where ~group_by:q.Query.q_group_by
-           ~order_by:q.Query.q_order_by q.Query.q_tables)
+    let value ty lit = match coerce_value ty lit with Some v -> v | None -> raise Exit in
+    match List.map2 value tpl.slot_types lits with
+    | values -> Some (Query.fill tpl.query ~id values)
     | exception Exit -> None
 
   let parse t ~id text =
@@ -386,7 +366,7 @@ module Prepared = struct
            let slot_types = slot_types t.p_schema q in
            if List.compare_lengths slot_types lits = 0 then begin
              if Hashtbl.length t.templates >= capacity then Hashtbl.clear t.templates;
-             Hashtbl.add t.templates key { skeleton = q; slot_types }
+             Hashtbl.add t.templates key { query = Query.template q; slot_types }
            end
          | Error _ -> ());
         result)

@@ -1,32 +1,30 @@
 module Query = Im_sqlir.Query
 
+let rec skip p s i = if i < String.length s && p s.[i] then skip p s (i + 1) else i
+
+let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012' (* as String.trim *)
+
 (* A frequency annotation is a comment of the shape
    [--<ws>freq<ws>:<ws><value>] with arbitrary (including zero)
-   whitespace at every <ws>; [None] for any other line. Returning the
-   raw value string keeps malformed values (e.g. "-- freq: fast") as
-   hard parse errors rather than silently ignored comments. *)
+   whitespace at every <ws>; [None] for any other line, found without
+   allocating unless the line starts with [--]. Returning the raw value
+   string keeps malformed values (e.g. "-- freq: fast") as hard parse
+   errors rather than silently ignored comments. *)
 let annotation_value line =
-  let trimmed = String.trim line in
-  let len = String.length trimmed in
-  if len < 2 || String.sub trimmed 0 2 <> "--" then None
-  else begin
-    let rec skip_ws i =
-      if i < len && (trimmed.[i] = ' ' || trimmed.[i] = '\t') then
-        skip_ws (i + 1)
-      else i
-    in
-    let i = skip_ws 2 in
-    let keyword = "freq" in
-    let klen = String.length keyword in
-    if i + klen > len
-       || String.lowercase_ascii (String.sub trimmed i klen) <> keyword
-    then None
-    else begin
-      let i = skip_ws (i + klen) in
-      if i >= len || trimmed.[i] <> ':' then None
-      else Some (String.trim (String.sub trimmed (i + 1) (len - i - 1)))
-    end
-  end
+  let i = skip is_space line 0 in
+  if i + 1 >= String.length line || line.[i] <> '-' || line.[i + 1] <> '-' then None
+  else
+    match Scanf.sscanf (String.trim line) "--%_[ \t]%4s%_[ \t]:%[^\n]" (fun k v -> (k, v)) with
+    | k, v when String.lowercase_ascii k = "freq" -> Some (String.trim v)
+    | _ | (exception (Scanf.Scan_failure _ | Failure _ | End_of_file)) -> None
+
+(* Only whitespace and [--] comments: no statement, though a comment
+   may have followed the last [';']. *)
+let rec is_blank text i =
+  let i = skip is_space text i and n = String.length text in
+  i >= n
+  || i + 1 < n && text.[i] = '-' && text.[i + 1] = '-'
+     && is_blank text (Option.value (String.index_from_opt text i '\n') ~default:n)
 
 let parse_freq raw =
   match float_of_string_opt raw with
@@ -43,10 +41,10 @@ exception Fold_error of string
    list. A whole line that is a frequency annotation queues its value
    for the next emitted statement (for well-formed all-or-none files
    this equals the historical zip of annotations against statements);
-   any other line is appended to the statement buffer. [';'] splits
-   only outside single-quoted string literals (the lexer's [''] escape
-   toggles the quote state twice, so naive toggling tracks it
-   correctly) and outside [--] line comments. *)
+   any other line is appended to the statement buffer, a run at a time.
+   [';'] splits only outside single-quoted string literals (the lexer's
+   [''] escape toggles the quote state twice, so naive toggling tracks
+   it correctly) and outside [--] line comments. *)
 let fold_lines ~schema ~id_prefix next_line ~init ~f =
   let prepared = Im_sqlir.Parser.Prepared.create schema in
   let buf = Buffer.create 256 in
@@ -58,9 +56,9 @@ let fold_lines ~schema ~id_prefix next_line ~init ~f =
   let emit () =
     let text = Buffer.contents buf in
     Buffer.clear buf;
-    if String.trim text <> "" then begin
+    if not (is_blank text 0) then begin
       incr statements;
-      let id = Printf.sprintf "%s%d" id_prefix !statements in
+      let id = id_prefix ^ string_of_int !statements in
       match Im_sqlir.Parser.Prepared.parse prepared ~id text with
       | Error msg ->
         raise (Fold_error (Printf.sprintf "statement %d: %s" !statements msg))
@@ -73,33 +71,36 @@ let fold_lines ~schema ~id_prefix next_line ~init ~f =
   in
   let scan_line line =
     let n = String.length line in
-    let in_comment = ref false in
-    for i = 0 to n - 1 do
-      let c = line.[i] in
-      if not !in_comment then begin
-        if !in_string then begin
-          Buffer.add_char buf c;
-          if c = '\'' then in_string := false
-        end
-        else if c = '\'' then begin
-          Buffer.add_char buf c;
-          in_string := true
-        end
-        else if c = '-' && i + 1 < n && line.[i + 1] = '-' then begin
-          (* Trailing comment: keep it for the lexer to skip, but stop
-             treating [';'] in it as a statement boundary. *)
-          in_comment := true;
-          Buffer.add_char buf c
-        end
-        else if c = ';' then begin
-          Buffer.add_char buf c;
-          emit ()
-        end
-        else Buffer.add_char buf c
+    (* [from] is the first byte not yet copied; [outside] and [inside]
+       look for the next byte that ends a run outside and inside a
+       string literal. A trailing comment is kept for the lexer to
+       skip, but a [';'] in it splits nothing. *)
+    let rest from =
+      Buffer.add_substring buf line from (n - from);
+      Buffer.add_char buf '\n'
+    in
+    let rec outside from i =
+      if i >= n then rest from
+      else
+        match String.unsafe_get line i with
+        | '\'' ->
+          in_string := true;
+          inside from (i + 1)
+        | ';' ->
+          Buffer.add_substring buf line from (i + 1 - from);
+          emit ();
+          outside (i + 1) (i + 1)
+        | '-' when i + 1 < n && line.[i + 1] = '-' -> rest from
+        | _ -> outside from (i + 1)
+    and inside from i =
+      if i >= n then rest from
+      else if String.unsafe_get line i = '\'' then begin
+        in_string := false;
+        outside from (i + 1)
       end
-      else Buffer.add_char buf c
-    done;
-    Buffer.add_char buf '\n'
+      else inside from (i + 1)
+    in
+    if !in_string then inside 0 0 else outside 0 0
   in
   try
     let rec loop () =

@@ -381,13 +381,13 @@ let test_prepared_errors_unchanged () =
     ];
   Alcotest.(check int) "nothing cached" 0 (Parser.Prepared.size cache)
 
-(* Property: [Prepared.parse] equals [parse_query] (structurally, so the
-   id and canonical text too, and the error text on failure) on
-   generated workloads for all three databases. Each case renders one
-   query in a random layout (keyword case, whitespace, comments) and
-   then with three sets of perturbed constants under that layout, and
-   feeds the first text again, so every shape that parses is hit. *)
-let prop_prepared_equals_parse =
+(* ---- Layout generator ----
+
+   Generated workloads for all three databases, each query re-rendered
+   from its canonical SQL in a random layout (keyword case, whitespace,
+   comments) with its literals replaced through [lit]. *)
+
+let layout_pool =
   let dbs =
     [
       Im_workload.Tpcd.database ~sf:0.002 ();
@@ -395,126 +395,137 @@ let prop_prepared_equals_parse =
       Im_workload.Synthetic.database ~seed:2 Im_workload.Synthetic.synthetic2;
     ]
   in
-  let pool =
-    List.concat_map
-      (fun db ->
-        let schema = Im_catalog.Database.schema db in
-        let rng = Im_util.Rng.create 5 in
-        let cache = Parser.Prepared.create schema in
-        List.map
-          (fun q -> (schema, cache, Query.to_sql q))
-          (Im_workload.Workload.queries (Im_workload.Ragsgen.generate db ~rng ~n:40)
-          @ Im_workload.Workload.queries (Im_workload.Projgen.generate db ~rng ~n:10)
-          @ if Schema.mem_table schema "lineitem" then Im_workload.Tpcd_queries.all
-            else []))
-      dbs
-    |> Array.of_list
+  List.concat_map
+    (fun db ->
+      let schema = Im_catalog.Database.schema db in
+      let rng = Im_util.Rng.create 5 in
+      let cache = Parser.Prepared.create schema in
+      List.map
+        (fun q -> (schema, cache, Query.to_sql q))
+        (Im_workload.Workload.queries (Im_workload.Ragsgen.generate db ~rng ~n:40)
+        @ Im_workload.Workload.queries (Im_workload.Projgen.generate db ~rng ~n:10)
+        @ if Schema.mem_table schema "lineitem" then Im_workload.Tpcd_queries.all
+          else []))
+    dbs
+  |> Array.of_list
+
+(* Canonical SQL split into words and separators; a word is a keyword,
+   identifier, operator or literal. *)
+let pieces sql =
+  let n = String.length sql in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else
+      match sql.[i] with
+      | ' ' -> go (i + 1) acc
+      | (',' | '(' | ')') as c -> go (i + 1) (`Sep (String.make 1 c) :: acc)
+      | '\'' ->
+        let j = String.index_from sql (i + 1) '\'' in
+        go (j + 1) (`Str (String.sub sql (i + 1) (j - i - 1)) :: acc)
+      | _ ->
+        let j = ref i in
+        while !j < n && not (List.mem sql.[!j] [ ' '; ','; '('; ')' ]) do incr j done;
+        go !j (`Word (String.sub sql i (!j - i)) :: acc)
   in
-  (* Canonical SQL split into words and separators; a word is a
-     keyword, identifier, operator or literal. *)
-  let pieces sql =
-    let n = String.length sql in
-    let rec go i acc =
-      if i >= n then List.rev acc
-      else
-        match sql.[i] with
-        | ' ' -> go (i + 1) acc
-        | (',' | '(' | ')') as c -> go (i + 1) (`Sep (String.make 1 c) :: acc)
-        | '\'' ->
-          let j = String.index_from sql (i + 1) '\'' in
-          go (j + 1) (`Str (String.sub sql (i + 1) (j - i - 1)) :: acc)
-        | _ ->
-          let j = ref i in
-          while !j < n && not (List.mem sql.[!j] [ ' '; ','; '('; ')' ]) do incr j done;
-          go !j (`Word (String.sub sql i (!j - i)) :: acc)
-    in
-    go 0 []
+  go 0 []
+
+let pick rng xs = List.nth xs (Random.State.int rng (List.length xs))
+
+let int_text rng =
+  pick rng
+    [ string_of_int (Random.State.int rng 100); string_of_int (-Random.State.int rng 100);
+      string_of_int max_int; string_of_int min_int ]
+
+let float_text rng = pick rng [ "2.5"; "-0.75"; "1e3"; "-7.5E-1"; "3."; "2e+2" ]
+
+let string_text rng =
+  let len = pick rng [ 0; 3; 8; 10; 11; 25; 40 ] in
+  String.concat ""
+    (List.init len (fun _ ->
+         if Random.State.int rng 8 = 0 then "''"
+         else String.make 1 (Char.chr (97 + Random.State.int rng 26))))
+
+let date_text rng =
+  let ymd () =
+    Printf.sprintf "%d-%d-%02d" (1992 + Random.State.int rng 8)
+      (1 + Random.State.int rng 12) (1 + Random.State.int rng 28)
   in
-  let pick rng xs = List.nth xs (Random.State.int rng (List.length xs)) in
-  let number rng =
-    pick rng
-      [
-        string_of_int (Random.State.int rng 100);
-        string_of_int (-Random.State.int rng 100);
-        "99999999999999999999"; "-99999999999999999999";
-        string_of_int max_int; string_of_int min_int;
-        "2.5"; "-0.75"; "1e3"; "-7.5E-1"; "3."; "2e+2";
-      ]
-  in
-  let str rng =
-    let len = pick rng [ 0; 3; 8; 10; 11; 25; 40 ] in
-    String.concat ""
-      (List.init len (fun _ ->
-           if Random.State.int rng 8 = 0 then "''"
-           else String.make 1 (Char.chr (97 + Random.State.int rng 26))))
-  in
-  let date rng =
-    let ymd () =
-      Printf.sprintf "%d-%d-%02d" (1992 + Random.State.int rng 8)
-        (1 + Random.State.int rng 12) (1 + Random.State.int rng 28)
-    in
-    pick rng
-      [
-        Printf.sprintf "date:%d" (Random.State.int rng 3000);
-        Printf.sprintf "DATE '%s'" (ymd ());
-        Printf.sprintf "date   '%s'" (ymd ());
-        "date:99999999999999999999";
-        string_of_int (Random.State.int rng 3000);
-      ]
-  in
-  (* A literal's new text: mostly the same kind, sometimes any kind. *)
-  let perturb rng lit =
-    let kind =
-      if Random.State.int rng 5 = 0 then pick rng [ `N; `S; `D ] else lit
-    in
-    match kind with
-    | `N -> number rng
-    | `S -> "'" ^ str rng ^ "'"
-    | `D -> date rng
-  in
-  let keywords =
-    [ "SELECT"; "FROM"; "WHERE"; "AND"; "GROUP"; "ORDER"; "BY"; "ASC"; "DESC";
-      "BETWEEN"; "IN"; "COUNT"; "SUM"; "AVG"; "MIN"; "MAX" ]
-  in
-  let keyword_case rng w =
-    String.map
-      (fun c -> if Random.State.bool rng then Char.lowercase_ascii c else c)
-      w
-  in
-  let gap rng ~needed =
-    match Random.State.int rng 8 with
-    | 0 when not needed -> ""
-    | 1 -> "\n"
-    | 2 -> "\t "
-    | 3 -> "  -- a comment with 1 'quote\n"
-    | 4 -> "\r\n  "
-    | _ -> " "
-  in
-  let render ~layout ~constants sql =
-    let buf = Buffer.create 256 in
-    let prev_word = ref false in
-    List.iter
-      (fun p ->
-        let is_word = match p with `Sep _ -> false | `Word _ | `Str _ -> true in
-        if Buffer.length buf > 0 then
-          Buffer.add_string buf (gap layout ~needed:(is_word && !prev_word));
-        prev_word := is_word;
-        Buffer.add_string buf
-          (match p with
-           | `Sep s -> s
-           | `Str s ->
-             if Random.State.int constants 3 = 0 then perturb constants `S
-             else "'" ^ s ^ "'"
-           | `Word w when List.mem w keywords -> keyword_case layout w
-           | `Word w when String.length w > 5 && String.sub w 0 5 = "date:" ->
-             perturb constants `D
-           | `Word w when w.[0] = '-' || (w.[0] >= '0' && w.[0] <= '9') ->
-             perturb constants `N
-           | `Word w -> w))
-      (pieces sql);
-    if Random.State.bool layout then Buffer.add_string buf ";";
-    Buffer.contents buf
-  in
+  pick rng
+    [ Printf.sprintf "date:%d" (Random.State.int rng 3000);
+      Printf.sprintf "DATE '%s'" (ymd ()); Printf.sprintf "date   '%s'" (ymd ()) ]
+
+let number rng =
+  match Random.State.int rng 6 with
+  | 0 -> pick rng [ "99999999999999999999"; "-99999999999999999999" ]
+  | 1 | 2 -> float_text rng
+  | _ -> int_text rng
+
+let date rng =
+  match Random.State.int rng 5 with
+  | 0 -> "date:99999999999999999999"
+  | 1 -> string_of_int (Random.State.int rng 3000)
+  | _ -> date_text rng
+
+(* A literal's new text: mostly the same kind, sometimes any kind. *)
+let perturb rng lit =
+  let kind = if Random.State.int rng 5 = 0 then pick rng [ `N; `S; `D ] else lit in
+  match kind with
+  | `N -> number rng
+  | `S -> "'" ^ string_text rng ^ "'"
+  | `D -> date rng
+
+let layout_keywords =
+  [ "SELECT"; "FROM"; "WHERE"; "AND"; "GROUP"; "ORDER"; "BY"; "ASC"; "DESC";
+    "BETWEEN"; "IN"; "COUNT"; "SUM"; "AVG"; "MIN"; "MAX" ]
+
+let keyword_case rng w =
+  String.map (fun c -> if Random.State.bool rng then Char.lowercase_ascii c else c) w
+
+let gap rng ~needed =
+  match Random.State.int rng 8 with
+  | 0 when not needed -> ""
+  | 1 -> "\n"
+  | 2 -> "\t "
+  | 3 -> "  -- a comment with 1 'quote\n"
+  | 4 -> "\r\n  "
+  | _ -> " "
+
+(* [lit kind text] is the text of the literal [text] (a string's body
+   for [`S]) of kind [`N] (number), [`S] (string) or [`D] (date:N). *)
+let render ~layout ~lit sql =
+  let buf = Buffer.create 256 in
+  let prev_word = ref false in
+  List.iter
+    (fun p ->
+      let is_word = match p with `Sep _ -> false | `Word _ | `Str _ -> true in
+      if Buffer.length buf > 0 then
+        Buffer.add_string buf (gap layout ~needed:(is_word && !prev_word));
+      prev_word := is_word;
+      Buffer.add_string buf
+        (match p with
+         | `Sep s -> s
+         | `Str s -> lit `S s
+         | `Word w when List.mem w layout_keywords -> keyword_case layout w
+         | `Word w when String.length w > 5 && String.sub w 0 5 = "date:" -> lit `D w
+         | `Word w when w.[0] = '-' || (w.[0] >= '0' && w.[0] <= '9') -> lit `N w
+         | `Word w -> w))
+    (pieces sql);
+  if Random.State.bool layout then Buffer.add_string buf ";";
+  Buffer.contents buf
+
+(* Strings keep their text two times in three; every other literal is
+   perturbed. *)
+let perturbed constants kind text =
+  match kind with
+  | `S when Random.State.int constants 3 <> 0 -> "'" ^ text ^ "'"
+  | kind -> perturb constants kind
+
+(* Property: [Prepared.parse] equals [parse_query] (structurally, so the
+   id and canonical text too, and the error text on failure). Each case
+   renders one query of the layout pool in a random layout and then with
+   three sets of perturbed constants under that layout, and feeds the
+   first text again, so every shape that parses is hit. *)
+let prop_prepared_equals_parse =
   let counter = ref 0 in
   let check schema cache text =
     incr counter;
@@ -537,12 +548,12 @@ let prop_prepared_equals_parse =
      the template holds, not a fresh parse's. *)
   QCheck.Test.make ~name:"Prepared.parse = parse_query on perturbed workloads"
     ~count:600
-    QCheck.(pair (int_bound (Array.length pool - 1)) (pair int int))
+    QCheck.(pair (int_bound (Array.length layout_pool - 1)) (pair int int))
     (fun (i, (layout_seed, constant_seed)) ->
-      let schema, cache, sql = pool.(i) in
+      let schema, cache, sql = layout_pool.(i) in
       let constants = Random.State.make [| constant_seed |] in
       let text () =
-        render ~layout:(Random.State.make [| layout_seed |]) ~constants sql
+        render ~layout:(Random.State.make [| layout_seed |]) ~lit:(perturbed constants) sql
       in
       let first = text () in
       let r1 = check schema cache first in
@@ -555,6 +566,61 @@ let prop_prepared_equals_parse =
              first
       | _ -> true)
 
+let shape text =
+  let key = Buffer.create 64 in
+  Option.map (fun lits -> (Buffer.contents key, lits)) (Lexer.shape text key)
+
+let is_literal = function
+  | Lexer.Int_lit _ | Lexer.Float_lit _ | Lexer.String_lit _ | Lexer.Date_lit _ -> true
+  | _ -> false
+
+(* Property: [Lexer.shape] reads literals as [tokenize] does. On
+   perturbed layouts (overflowing numbers included) it fails exactly
+   when [tokenize] does, and otherwise returns [tokenize]'s literal
+   tokens, in order. *)
+let prop_shape_literals_are_tokens =
+  QCheck.Test.make ~name:"shape's literals are tokenize's" ~count:500
+    QCheck.(pair (int_bound (Array.length layout_pool - 1)) (pair int int))
+    (fun (i, (layout_seed, constant_seed)) ->
+      let _, _, sql = layout_pool.(i) in
+      let text =
+        render ~layout:(Random.State.make [| layout_seed |])
+          ~lit:(perturbed (Random.State.make [| constant_seed |])) sql
+      in
+      match (Lexer.tokenize text, shape text) with
+      | Ok toks, Some (_, lits) ->
+        List.filter is_literal toks = lits
+        || QCheck.Test.fail_reportf "literals differ on %S" text
+      | Error _, None -> true
+      | Ok _, None -> QCheck.Test.fail_reportf "shape rejects %S" text
+      | Error m, Some _ -> QCheck.Test.fail_reportf "shape accepts %S (%s)" text m)
+
+(* Property: texts that differ only in literal values of the same kind
+   (int, float, string, date in either form) have one shape key. Both
+   texts share the layout and each literal's kind; only the values are
+   drawn apart. *)
+let prop_same_kind_same_key =
+  QCheck.Test.make ~name:"same-kind literals share a shape key" ~count:500
+    QCheck.(pair (int_bound (Array.length layout_pool - 1)) (triple int int (pair int int)))
+    (fun (i, (layout_seed, kind_seed, (seed_a, seed_b))) ->
+      let _, _, sql = layout_pool.(i) in
+      let text seed =
+        let kinds = Random.State.make [| kind_seed |] and values = Random.State.make [| seed |] in
+        let lit kind _ =
+          match (kind, Random.State.bool kinds) with
+          | `N, true -> int_text values
+          | `N, false -> float_text values
+          | `S, _ -> "'" ^ string_text values ^ "'"
+          | `D, _ -> date_text values
+        in
+        render ~layout:(Random.State.make [| layout_seed |]) ~lit sql
+      in
+      let a = text seed_a and b = text seed_b in
+      match (shape a, shape b) with
+      | Some (ka, _), Some (kb, _) ->
+        String.equal ka kb || QCheck.Test.fail_reportf "keys differ: %S, %S" a b
+      | _ -> QCheck.Test.fail_reportf "no shape for %S or %S" a b)
+
 let () =
   Alcotest.run "im_parser"
     [
@@ -564,6 +630,8 @@ let () =
           tc "strings and comments" `Quick test_lexer_strings_and_comments;
           tc "date literal" `Quick test_lexer_date;
           tc "negative numbers" `Quick test_lexer_negative_number;
+          QCheck_alcotest.to_alcotest prop_shape_literals_are_tokens;
+          QCheck_alcotest.to_alcotest prop_same_kind_same_key;
         ] );
       ( "parser",
         [

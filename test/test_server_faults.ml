@@ -21,6 +21,8 @@
    - an epoch that raises, whether a STMT or EPOCH triggered it, answers
      ERR and never takes the daemon down;
    - a tenant dropped while its epoch is in flight;
+   - a tenant re-created under a dropped tenant's name starts its
+     per-tenant series from zero;
    - [Server.create] rejects limits that would refuse every client,
      never reap or reap everything, tenant weights whose round budget
      would overflow and an empty tenant list, before it opens a socket;
@@ -559,6 +561,40 @@ let test_tenant_dropped_mid_epoch () =
       match Unix.waitpid [] d.pid with
       | _, Unix.WEXITED 0 -> ()
       | _ -> Alcotest.fail "daemon did not exit cleanly")
+
+let test_recreated_tenant_fresh_series () =
+  (* TENANT CREATE under a dropped tenant's name used to pick up the
+     dropped session's per-tenant series: the new, unused x reported
+     the two commands the old x had served. *)
+  let d = start_daemon () in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon d)
+    (fun () ->
+      let c = connect d.port in
+      expect_prefix "create x" "OK tenant x created" (request c "TENANT CREATE x synthetic1");
+      expect_prefix "use x" "OK tenant x" (request c "TENANT USE x");
+      expect_prefix "stmt on x" "OK observed"
+        (request c "STMT SELECT t0_c0 FROM t0 WHERE t0_c0 = 1");
+      expect_prefix "stats on x" "OK " (request c "STATS");
+      let before = read_metrics c in
+      Alcotest.(check (float 0.)) "old x counted its commands" 2.
+        (metric before "server_tenant_commands_total{tenant=\"x\"}");
+      expect_prefix "drop x" "OK tenant x dropped" (request c "TENANT DROP x");
+      let dropped = read_metrics c in
+      Alcotest.(check bool) "dropped x leaves METRICS" false
+        (List.exists
+           (fun (k, _) -> Astring_contains.contains k "tenant=\"x\"")
+           dropped);
+      expect_prefix "re-create x" "OK tenant x created"
+        (request c "TENANT CREATE x synthetic1");
+      let after = read_metrics c in
+      List.iter
+        (fun series ->
+          Alcotest.(check (float 0.)) ("new x " ^ series) 0.
+            (metric after (series ^ "{tenant=\"x\"}")))
+        [ "server_tenant_commands_total"; "server_tenant_epochs_total";
+          "server_tenant_connections_live" ];
+      expect_prefix "quit" "OK bye" (request c "QUIT"))
 
 let test_reap_spares_inflight_epoch () =
   (* A connection waiting on an off-thread epoch is idle through no
@@ -1197,6 +1233,8 @@ let () =
             test_pipelined_epoch_failure;
           Alcotest.test_case "tenant dropped mid-epoch" `Slow
             test_tenant_dropped_mid_epoch;
+          Alcotest.test_case "re-created tenant starts fresh" `Slow
+            test_recreated_tenant_fresh_series;
           Alcotest.test_case "create validation" `Quick test_create_validation;
           Alcotest.test_case "overflowing literal" `Slow test_overflowing_literal;
           Alcotest.test_case "out of descriptors" `Slow test_out_of_descriptors;

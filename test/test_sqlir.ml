@@ -91,6 +91,35 @@ let prop_to_float_monotone_str =
       if Value.compare va vb < 0 then Value.to_float va <= Value.to_float vb
       else true)
 
+(* Property: [to_string] is the literal text rule it always was — [%g]
+   when that reads back exactly, else [%.17g]; [date:N]; quotes doubled
+   — on integral floats (where it prints digits directly), -0, floats
+   near 1e6, any floats, dates and strings with and without quotes. *)
+let prop_to_string_rule =
+  let reference = function
+    | Value.Float x ->
+      let short = Printf.sprintf "%g" x in
+      if float_of_string short = x then short else Printf.sprintf "%.17g" x
+    | Value.Date x -> Printf.sprintf "date:%d" x
+    | Value.Str s -> "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+    | v -> Value.to_string v
+  in
+  QCheck.Test.make ~name:"to_string keeps the literal rule" ~count:1000
+    (QCheck.make ~print:Value.to_string
+       QCheck.Gen.(
+         oneof
+           [
+             map (fun i -> Value.Float (float_of_int i)) (int_range (-1_100_000) 1_100_000);
+             oneofl
+               [ Value.Float (-0.); Value.Float 0.; Value.Float 1e6; Value.Float (-1e6);
+                 Value.Float 999_999.; Value.Float 1e15; Value.Float nan;
+                 Value.Float infinity; Value.Float 0.5 ];
+             map (fun f -> Value.Float f) float;
+             map (fun i -> Value.Date i) int;
+             map (fun s -> Value.Str s) (string_size ~gen:(oneofl [ 'a'; '\''; ' ' ]) (int_bound 6));
+           ]))
+    (fun v -> String.equal (Value.to_string v) (reference v))
+
 let test_value_matches () =
   Alcotest.(check bool) "int matches" true
     (Value.datatype_matches Datatype.Int (Value.Int 3));
@@ -324,6 +353,7 @@ let () =
           qtest prop_compare_transitive;
           qtest prop_to_float_monotone_int;
           qtest prop_to_float_monotone_str;
+          qtest prop_to_string_rule;
           tc "datatype_matches" `Quick test_value_matches;
           tc "add_int" `Quick test_add_int;
         ] );

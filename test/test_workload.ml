@@ -612,6 +612,76 @@ let test_workload_file_fold_errors () =
    | Ok _ -> Alcotest.fail "bad column accepted");
   Sys.remove path
 
+(* Property: the statement splitter in front of the parser. Each case
+   builds 1-4 statements whose string literals hold [';'], [--], ['']
+   escapes and a line that reads like a frequency annotation, with
+   end-of-line comments (holding [';'] and a quote) inside a statement
+   and after its [';'], optionally all annotated, and breaks the text
+   across lines at random byte positions: between any two tokens and
+   anywhere inside a string literal but within an [''] escape. Parsing
+   the file must give, in order, exactly what [parse_query] gives for
+   each statement's own text, with the annotated frequencies. *)
+let splitter_schema =
+  Schema.make
+    [ Schema.make_table "t" [ ("a", Datatype.Int); ("s", Datatype.Varchar 200) ] ]
+
+let prop_splitter_matches_parse_query =
+  let gen =
+    QCheck.Gen.(
+      let unit_ =
+        oneof
+          [ map (String.make 1) (oneofl [ 'x'; 'y'; ' '; ';'; '-'; '\t' ]);
+            return "''"; return "--"; return ";--";
+            return "\n-- freq: 9\n" ]
+      in
+      let stmt = triple (list_size (int_bound 8) unit_) (int_bound 1000) (pair bool bool) in
+      pair (list_size (int_range 1 4) stmt) (pair bool int))
+  in
+  QCheck.Test.make ~name:"Workload_file.parse splits as parse_query reads" ~count:300
+    (QCheck.make gen)
+    (fun (stmts, (annotated, seed)) ->
+      let rng = Random.State.make [| seed |] in
+      let brk () = Random.State.int rng 3 = 0 in
+      let gap () = if brk () then "\n" else " " in
+      let text_of (units, a, (mid_comment, _)) =
+        let str =
+          String.concat "" (List.map (fun u -> if brk () then u ^ "\n" else u) units)
+        in
+        String.concat ""
+          [ "SELECT"; gap (); "a"; gap (); "FROM t"; gap (); "WHERE"; gap (); "s";
+            gap (); "="; gap (); "'"; str; "'";
+            (if mid_comment then " -- mid; 'comment\n" else gap ());
+            "AND a ="; gap (); string_of_int a ]
+      in
+      let texts = List.map text_of stmts in
+      let file =
+        String.concat ""
+          (List.mapi
+             (fun i ((_, _, (_, trailing)), text) ->
+               (if annotated then Printf.sprintf "-- freq: %d\n" (i + 2) else "")
+               ^ text ^ ";"
+               ^ (if trailing then " -- after; 'x" else "")
+               ^ "\n")
+             (List.combine stmts texts))
+      in
+      let expected =
+        List.mapi
+          (fun i text ->
+            match Im_sqlir.Parser.parse_query ~schema:splitter_schema
+                    ~id:(Printf.sprintf "W%d" (i + 1)) text with
+            | Ok q -> q
+            | Error m -> QCheck.Test.fail_reportf "statement %S: %s" text m)
+          texts
+      in
+      match Im_workload.Workload_file.parse ~schema:splitter_schema file with
+      | Error m -> QCheck.Test.fail_reportf "%S: %s" file m
+      | Ok w ->
+        (List.map (fun e -> e.Workload.query) w.Workload.entries = expected
+         || QCheck.Test.fail_reportf "statements differ on %S" file)
+        && (List.map (fun e -> e.Workload.freq) w.Workload.entries
+            = List.mapi (fun i _ -> if annotated then float_of_int (i + 2) else 1.) texts
+           || QCheck.Test.fail_reportf "frequencies differ on %S" file))
+
 let test_workload_updates_field () =
   let w = Workload.make [ Query.make ~id:"u" [ "t0" ] ] in
   Alcotest.(check bool) "no updates by default" false (Workload.has_updates w);
@@ -667,6 +737,7 @@ let () =
           tc "fold streams statements" `Quick test_workload_file_fold_streaming;
           tc "fold streams frequencies" `Quick test_workload_file_fold_freqs;
           tc "fold errors" `Quick test_workload_file_fold_errors;
+          QCheck_alcotest.to_alcotest prop_splitter_matches_parse_query;
           tc "updates field" `Quick test_workload_updates_field;
         ] );
       ( "generators",
