@@ -47,3 +47,16 @@ let print_table ~title ~header ~rows =
 
 let section title =
   Printf.printf "\n######## %s ########\n%!" title
+
+(* [Search.run] behind the CLI's prelude: [Scale.prepare] compacts and
+   mines the workload on the run's own cost service. The frontier comes
+   back too, for its pruning tallies. *)
+let prepared_search ?compress ?prune_support ?merge_pair ?cost_model
+    ?cost_constraint db workload ~initial strategy =
+  let service = Im_merging.Cost_eval.default_service db in
+  let workload, _, prune =
+    Im_scale.Scale.prepare ?compress ?prune_support service workload
+  in
+  ( Im_merging.Search.run ~service ?merge_pair ?cost_model ?cost_constraint
+      ?prune db workload ~initial strategy,
+    prune )

@@ -41,7 +41,7 @@ let tests () =
              i := (!i + 1) mod Array.length pairs;
              let a, b = pairs.(!i) in
              ignore
-               (Merge_pair.merge Merge_pair.Cost_based ~db ~workload ~seek
+               (Merge_pair.merge Merge_pair.Cost_based ~workload ~seek
                   ~current:initial a b)
            end))
   in

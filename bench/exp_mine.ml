@@ -105,11 +105,11 @@ let run_scale db =
      pair evaluation the frontier saves is visible undiluted. *)
   let go ?prune_support strategy =
     counted (fun () ->
-        Search.run ?prune_support ~cost_model:Cost_eval.default_no_cost db
-          workload ~initial strategy)
+        Exp_common.prepared_search ?prune_support
+          ~cost_model:Cost_eval.default_no_cost db workload ~initial strategy)
   in
-  let greedy_plain, greedy_unpruned = go Search.Greedy in
-  let greedy_pruned_o, greedy_pruned =
+  let (greedy_plain, _), greedy_unpruned = go Search.Greedy in
+  let (greedy_pruned_o, frontier), greedy_pruned =
     go ~prune_support:support_scale Search.Greedy
   in
   let greedy_ratio = ratio_of ~unpruned:greedy_unpruned ~pruned:greedy_pruned in
@@ -139,9 +139,10 @@ let run_scale db =
   in
   let go_ex ?prune_support () =
     counted (fun () ->
-        Search.run ?prune_support ~cost_model:Cost_eval.default_no_cost db
-          workload ~initial:slice
-          (Search.Exhaustive_search { config_limit }))
+        fst
+          (Exp_common.prepared_search ?prune_support
+             ~cost_model:Cost_eval.default_no_cost db workload ~initial:slice
+             (Search.Exhaustive_search { config_limit })))
   in
   let _, ex_unpruned = go_ex () in
   let ex_pruned_o, ex_pruned = go_ex ~prune_support:support_scale () in
@@ -154,9 +155,9 @@ let run_scale db =
          ex_unpruned ex_pruned ex_ratio exhaustive_bar support_scale
          (List.length slice));
   let pruning =
-    match greedy_pruned_o.Search.o_pruning with
-    | Some st -> st
-    | None -> failwith "EXP-MINE: pruned greedy outcome carries no stats"
+    match frontier with
+    | Some fr -> Mine.frontier_stats fr
+    | None -> failwith "EXP-MINE: pruned greedy run mined no frontier"
   in
   Exp_common.print_table
     ~title:
@@ -213,9 +214,10 @@ let run_fig () =
           (fun (sname, strategy, mp, constraint_, n, seed) ->
             let initial = Exp_common.initial_config db workload ~n ~seed in
             let go ?prune_support () =
-              Search.run ?prune_support ~merge_pair:mp
-                ~cost_model:Cost_eval.Optimizer_estimated
-                ~cost_constraint:constraint_ db workload ~initial strategy
+              fst
+                (Exp_common.prepared_search ?prune_support ~merge_pair:mp
+                   ~cost_model:Cost_eval.Optimizer_estimated
+                   ~cost_constraint:constraint_ db workload ~initial strategy)
             in
             let plain = go () in
             let pruned = go ~prune_support:support_fig () in
@@ -280,8 +282,10 @@ let run_identity () =
       List.iter
         (fun (sname, strategy) ->
           let go prune_support =
-            Search.run ?prune_support ~cost_model:Cost_eval.Optimizer_estimated
-              ~cost_constraint:0.10 db workload ~initial strategy
+            fst
+              (Exp_common.prepared_search ?prune_support
+                 ~cost_model:Cost_eval.Optimizer_estimated
+                 ~cost_constraint:0.10 db workload ~initial strategy)
           in
           let plain = go None in
           let zero = go (Some 0.0) in

@@ -318,8 +318,10 @@ let run_identity () =
         List.map
           (fun (sname, strategy) ->
             let go compress =
-              Search.run ?compress ~cost_model:Cost_eval.Optimizer_estimated
-                ~cost_constraint:0.10 db workload ~initial strategy
+              fst
+                (Exp_common.prepared_search ?compress
+                   ~cost_model:Cost_eval.Optimizer_estimated
+                   ~cost_constraint:0.10 db workload ~initial strategy)
             in
             let plain = go None in
             let compressed = go (Some 0.0) in

@@ -209,6 +209,18 @@ let maybe_dump_metrics enabled =
 
 (* ---- Construction helpers ---- *)
 
+(* The compaction note [merge] appends to its summary and [tune] prints
+   on its own line. *)
+let compaction_note c =
+  let st = Im_scale.Scale.stats c in
+  Printf.sprintf
+    "compressed %d -> %d statements (%.1fx, bound eps %.4g of budget %g)"
+    st.Im_scale.Scale.st_statements st.Im_scale.Scale.st_buckets
+    (Im_scale.Scale.fold_ratio st)
+    st.Im_scale.Scale.st_eps_bound st.Im_scale.Scale.st_eps_budget
+
+let note f = Option.fold ~none:"" ~some:f
+
 let build_database ?schema_file ?data_dir name sf seed =
   match String.lowercase_ascii name with
   | "tpcd" | "tpc-d" -> Ok (Im_workload.Tpcd.database ~sf ~seed ())
@@ -296,15 +308,7 @@ let run_tune db_name sf seed wl_kind n_queries file compress prune_support
   let workload, compactor, prune =
     Im_scale.Scale.prepare ?compress ?prune_support svc workload
   in
-  Option.iter
-    (fun c ->
-      let st = Im_scale.Scale.stats c in
-      Printf.printf
-        "compressed %d -> %d statements (%.1fx, bound eps %.4g of budget %g)\n"
-        st.Im_scale.Scale.st_statements st.Im_scale.Scale.st_buckets
-        (Im_scale.Scale.fold_ratio st)
-        st.Im_scale.Scale.st_eps_bound st.Im_scale.Scale.st_eps_budget)
-    compactor;
+  Option.iter (fun c -> print_endline (compaction_note c)) compactor;
   let tuned =
     List.map
       (fun q ->
@@ -378,12 +382,29 @@ let run_merge db_name sf seed wl_kind n_queries n_initial constraint_ cost_model
     (List.length initial)
     (Database.config_storage_pages db initial);
   List.iter (fun ix -> Printf.printf "  %s\n" (Index.to_string ix)) initial;
+  let service = Cost_eval.default_service db in
+  let tuned, compactor, prune =
+    Im_scale.Scale.prepare ?compress ?prune_support service workload
+  in
   let outcome =
-    Search.run ~merge_pair ~cost_model ~cost_constraint:constraint_
-      ?compress ?prune_support db workload ~initial strategy
+    Search.run ~service ~merge_pair ~cost_model ~cost_constraint:constraint_
+      ?prune db tuned ~initial strategy
+  in
+  let pruning fr =
+    let st = Im_mine.Mine.frontier_stats fr in
+    Printf.sprintf
+      "; pruned %d/%d pair candidates (support %g, %d itemsets, %d \
+       supported tables)"
+      st.Im_mine.Mine.fs_pruned
+      (st.Im_mine.Mine.fs_pruned + st.Im_mine.Mine.fs_kept)
+      st.Im_mine.Mine.fs_support st.Im_mine.Mine.fs_itemsets
+      st.Im_mine.Mine.fs_supported_tables
   in
   print_newline ();
-  print_endline (Im_merging.Report.summary outcome);
+  print_endline
+    (Im_merging.Report.summary outcome
+    ^ note (fun c -> "; " ^ compaction_note c) compactor
+    ^ note pruning prune);
   print_endline "merged configuration:";
   print_endline (Im_merging.Report.configuration_listing outcome);
   maybe_dump_metrics metrics
@@ -434,11 +455,30 @@ let run_advise db_name sf seed wl_kind n_queries file compress prune_support
     budget schema_file data_dir metrics =
   let db = or_die (build_database ?schema_file ?data_dir db_name sf seed) in
   let workload = or_die (build_workload ?file db wl_kind n_queries seed) in
-  let outcome =
-    Im_advisor.Advisor.advise ?compress ?prune_support db workload
-      ~budget_pages:budget
+  let service = Cost_eval.default_service db in
+  let tuned, compactor, prune =
+    Im_scale.Scale.prepare ?compress ?prune_support service workload
   in
-  print_endline (Im_advisor.Advisor.summary outcome);
+  let outcome =
+    Im_advisor.Advisor.advise ~service ?prune db tuned ~budget_pages:budget
+  in
+  let compaction c =
+    let st = Im_scale.Scale.stats c in
+    Printf.sprintf "; compressed %d -> %d statements (bound eps %.4g)"
+      st.Im_scale.Scale.st_statements st.Im_scale.Scale.st_buckets
+      st.Im_scale.Scale.st_eps_bound
+  in
+  let pruning fr =
+    let st = Im_mine.Mine.frontier_stats fr in
+    Printf.sprintf "; pruned %d/%d pair candidates (support %g, %d itemsets)"
+      st.Im_mine.Mine.fs_pruned
+      (st.Im_mine.Mine.fs_pruned + st.Im_mine.Mine.fs_kept)
+      st.Im_mine.Mine.fs_support st.Im_mine.Mine.fs_itemsets
+  in
+  print_endline
+    (Im_advisor.Advisor.summary outcome
+    ^ note compaction compactor
+    ^ note pruning prune);
   print_endline "recommended configuration:";
   List.iter
     (fun (it : Im_merging.Merge.item) ->

@@ -20,15 +20,12 @@ type outcome = {
   a_plain_cost : float;
   a_final_cost : float;
   a_optimizer_calls : int;
-  a_compression : Im_scale.Scale.stats option;
-  a_pruning : Im_mine.Mine.stats option;
 }
 
 (* The selection phase's budget relaxation. *)
 let relax = 2.0
 
-let advise ?service ?compress ?prune ?prune_support db workload ~budget_pages
-    =
+let advise ?service ?prune db workload ~budget_pages =
   (* One memoizing cost service spans all three phases: configurations
      costed during relaxed selection are cache hits for the dual merge
      and the plain selection. *)
@@ -38,10 +35,6 @@ let advise ?service ?compress ?prune ?prune_support db workload ~budget_pages
     | None -> Im_merging.Cost_eval.default_service db
   in
   let calls_before = Im_costsvc.Service.opt_calls svc in
-  (* One compaction and one mining pass, shared by all three phases. *)
-  let workload, compactor, prune =
-    Im_scale.Scale.prepare ?compress ?prune ?prune_support svc workload
-  in
   let relaxed = int_of_float (relax *. float_of_int budget_pages) in
   (* Both selection passes run on one context: candidates and the base
      costing happen once, and the plain pass replays the relaxed pass's
@@ -86,8 +79,6 @@ let advise ?service ?compress ?prune ?prune_support db workload ~budget_pages
     a_plain_cost = plain.Selection.s_final_cost;
     a_final_cost = final_cost;
     a_optimizer_calls = Im_costsvc.Service.opt_calls svc - calls_before;
-    a_compression = Option.map Im_scale.Scale.stats compactor;
-    a_pruning = Option.map Im_mine.Mine.frontier_stats prune;
   }
 
 let final_config o = Merge.config_of_items o.a_final
@@ -96,7 +87,7 @@ let summary o =
   Printf.sprintf
     "budget %d pages: relaxed selection %d indexes (%d pages, cost %.1f vs \
      %.1f baseline); merged-to-budget cost %.1f%s, plain-at-budget cost %.1f; \
-     recommending %s: %d indexes, %d pages, cost %.1f%s%s"
+     recommending %s: %d indexes, %d pages, cost %.1f%s"
     o.a_budget_pages
     (List.length o.a_selected)
     o.a_selected_pages o.a_selected_cost o.a_base_cost o.a_merged_cost
@@ -107,17 +98,3 @@ let summary o =
      | Plain_selection -> "plain selection")
     (List.length o.a_final) o.a_final_pages o.a_final_cost
     (if o.a_fits then "" else " [over budget]")
-    (match o.a_compression with
-     | None -> ""
-     | Some st ->
-       Printf.sprintf "; compressed %d -> %d statements (bound eps %.4g)"
-         st.Im_scale.Scale.st_statements st.Im_scale.Scale.st_buckets
-         st.Im_scale.Scale.st_eps_bound)
-  ^
-  match o.a_pruning with
-  | None -> ""
-  | Some st ->
-    Printf.sprintf "; pruned %d/%d pair candidates (support %g, %d itemsets)"
-      st.Im_mine.Mine.fs_pruned
-      (st.Im_mine.Mine.fs_pruned + st.Im_mine.Mine.fs_kept)
-      st.Im_mine.Mine.fs_support st.Im_mine.Mine.fs_itemsets

@@ -42,17 +42,11 @@ type outcome = {
           the shared service's counter: phases re-costing a
           configuration another phase already saw are cache hits and
           do not count. *)
-  a_compression : Im_scale.Scale.stats option;
-      (** workload-compression stats when [?compress] was given *)
-  a_pruning : Im_mine.Mine.stats option;
-      (** frontier-pruning tallies when pruning was active *)
 }
 
 val advise :
   ?service:Im_costsvc.Service.t ->
-  ?compress:float ->
   ?prune:Im_mine.Mine.frontier ->
-  ?prune_support:float ->
   Im_catalog.Database.t ->
   Im_workload.Workload.t ->
   budget_pages:int ->
@@ -64,24 +58,14 @@ val advise :
     {!Im_merging.Cost_eval.default_service}, which answers misses from
     cached access-path atoms.
 
-    [?compress], [?prune_support] and [?prune] run once, through
-    {!Im_scale.Scale.prepare}, and all three phases tune the workload
-    and frontier it returns. [?compress] (off by default; the CLI's
-    [--compress EPS]) compacts the workload: reported costs refer to
-    the compressed workload, within the bound carried in
-    [a_compression]; at [EPS = 0] only canonically identical
-    statements fold, so the recommendation is bit-identical on
-    duplicate-free workloads.
-
-    [?prune_support] (off by default; the CLI's [--prune-support S])
-    mines the workload and threads the frontier through {e all three}
-    phases: both selections filter their candidate pools
-    ({!Im_mine.Mine.keep_index}) and the dual merge prunes its pair
-    enumeration ({!Im_mine.Mine.keep_pair}). [S <= 0] disables pruning
-    and is bit-identical to today's advisor. [?prune] supplies a
-    ready-made frontier instead (the online epoch mines its window and
-    passes it here); it wins over [?prune_support]. Tallies land in
-    [a_pruning]. *)
+    [?prune] (the frontier {!Im_scale.Scale.prepare} returns; the
+    CLI's [--prune-support S] and the online epoch's window mining)
+    threads through {e all three} phases: both selections filter their
+    candidate pools ({!Im_mine.Mine.keep_index}) and the dual merge
+    prunes its pair enumeration ({!Im_mine.Mine.keep_pair}); its
+    tallies are read back with {!Im_mine.Mine.frontier_stats}.
+    Workload compression is the caller's step too: pass the workload
+    {!Im_scale.Scale.prepare} returns, and reported costs refer to it. *)
 
 val final_config : outcome -> Im_catalog.Config.t
 

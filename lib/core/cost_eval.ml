@@ -104,36 +104,27 @@ let workload_cost t config =
       t.svc config t.workload
   | Optimizer_estimated -> Service.workload_cost t.svc config t.workload
 
-let no_cost_accepts ~f ~p schema ~merged ~parents =
-  let left, right = parents in
+(* The No-Cost model's width rule (§3.5.1): the merged index stays within
+   [f] of its table's row width and within [1 + p] of each parent's. *)
+let within_widths ~f ~p schema merged parents =
   let width ix = float_of_int (Index.key_width schema ix) in
   let tbl = Schema.table schema merged.Index.idx_table in
-  let table_width = float_of_int (Schema.row_width tbl) in
-  width merged <= f *. table_width
-  && width merged <= (1. +. p) *. width left
-  && width merged <= (1. +. p) *. width right
+  width merged <= f *. float_of_int (Schema.row_width tbl)
+  && List.for_all (fun parent -> width merged <= (1. +. p) *. width parent)
+       parents
 
-let accepts t ~items ~merged ~parents ~bound =
+let accepts t ~items ~merged ~parents:(left, right) ~bound =
   match t.ce_model with
   | No_cost { f; p } ->
-    no_cost_accepts ~f ~p (Database.schema t.db) ~merged ~parents
+    within_widths ~f ~p (Database.schema t.db) merged [ left; right ]
   | External | Optimizer_estimated ->
     workload_cost t (Merge.config_of_items items) <= bound
 
 let accepts_item t (item : Merge.item) =
   match (t.ce_model, item.Merge.it_parents) with
-  | (External | Optimizer_estimated), _ -> true
-  | No_cost _, ([] | [ _ ]) -> true
+  | (External | Optimizer_estimated), _ | No_cost _, ([] | [ _ ]) -> true
   | No_cost { f; p }, parents ->
-    let schema = Database.schema t.db in
-    let merged = item.Merge.it_index in
-    let width ix = float_of_int (Index.key_width schema ix) in
-    let tbl = Schema.table schema merged.Index.idx_table in
-    let table_width = float_of_int (Schema.row_width tbl) in
-    width merged <= f *. table_width
-    && List.for_all
-         (fun parent -> width merged <= (1. +. p) *. width parent)
-         parents
+    within_widths ~f ~p (Database.schema t.db) item.Merge.it_index parents
 
 let evaluations t = Service.cost_evals t.svc
 let optimizer_calls t = Service.opt_calls t.svc

@@ -70,14 +70,15 @@ val accepts :
 (** Acceptance test for replacing [fst parents] and [snd parents] by
     [merged], yielding configuration [items]. Numeric models compare
     [workload_cost] against [bound]; the No-Cost model applies its width
-    thresholds to [merged] (and ignores [bound]). *)
+    thresholds to [merged] against the two parents (and ignores
+    [bound]). *)
 
 val accepts_item : t -> Merge.item -> bool
 (** Per-item acceptance used by the exhaustive search, where merged
     indexes may have more than two parents: under the No-Cost model the
-    width thresholds are checked against the table and against {e every}
-    parent; numeric models always accept (they judge whole
-    configurations via {!workload_cost}). *)
+    same width thresholds as {!accepts} are checked against the table
+    and against {e every} parent; numeric models always accept (they
+    judge whole configurations via {!workload_cost}). *)
 
 val evaluations : t -> int
 (** Workload-cost evaluations through the service (cache hits

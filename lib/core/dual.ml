@@ -1,6 +1,5 @@
 module Database = Im_catalog.Database
 module Config = Im_catalog.Config
-module Index = Im_catalog.Index
 module List_ext = Im_util.List_ext
 module Service = Im_costsvc.Service
 
@@ -44,88 +43,31 @@ let run ?service ?prune db workload ~initial ~budget_pages =
           Seek_cost.analyze ~plan:(Service.query_plan svc initial) db initial
             workload
         in
-        let merge_indexes current i1 i2 =
-          Merge_pair.merge Merge_pair.Cost_based ~db ~workload ~seek
-            ~service:svc ~current i1 i2
+        let merge current i1 i2 =
+          Merge_pair.merge Merge_pair.Cost_based ~workload ~seek ~service:svc
+            ~current i1 i2
         in
+        (* Cost only the most promising few of a round's shrinking
+           candidates and commit the cheapest; a round with none left
+           still counts as an iteration. *)
         let rec loop items iterations =
           if memo_items_pages items <= budget_pages then (items, iterations)
-          else begin
-            let pairs =
-              List.filter
-                (fun ((a : Merge.item), (b : Merge.item)) ->
-                  a.Merge.it_index.Index.idx_table
-                  = b.Merge.it_index.Index.idx_table)
-                (List_ext.pairs items)
+          else
+            let shortlist =
+              match Search.round ~prune ~merge ~pages:index_pages items with
+              | None -> []
+              | Some candidates -> List_ext.take candidates_per_round candidates
             in
-            (* Frontier pruning, same contract as Search.greedy: only
-               workload-justified merges (or valve-protected ones) are
-               scored and shortlisted. *)
-            let pairs =
-              match prune with
-              | None -> pairs
-              | Some fr ->
-                List.filter
-                  (fun ((a : Merge.item), (b : Merge.item)) ->
-                    Im_mine.Mine.keep_pair fr a.Merge.it_index
-                      b.Merge.it_index)
-                  pairs
+            let cost c =
+              Cost_eval.workload_cost evaluator
+                (Merge.config_of_items c.Search.c_items)
             in
-            let current_config = Merge.config_of_items items in
-            let shrinking =
-              List.filter_map
-                (fun (left, right) ->
-                  let merged_index =
-                    merge_indexes current_config left.Merge.it_index
-                      right.Merge.it_index
-                  in
-                  let merged_item =
-                    {
-                      Merge.it_index = merged_index;
-                      it_parents =
-                        left.Merge.it_parents @ right.Merge.it_parents;
-                    }
-                  in
-                  let new_items =
-                    merged_item
-                    :: List.filter (fun it -> it != left && it != right) items
-                  in
-                  let reduction =
-                    index_pages left.Merge.it_index
-                    + index_pages right.Merge.it_index
-                    - index_pages merged_index
-                  in
-                  if reduction > 0 then Some (new_items, reduction) else None)
-                pairs
-              |> List.stable_sort (fun (_, r1) (_, r2) -> compare r2 r1)
-            in
-            match shrinking with
-            | [] -> (items, iterations + 1)
-            | _ ->
-              (* Cost only the most promising few, pick min cost. *)
-              let shortlisted =
-                List_ext.take candidates_per_round shrinking
-              in
-              let scored =
-                List.map
-                  (fun (new_items, _) ->
-                    ( new_items,
-                      Cost_eval.workload_cost evaluator
-                        (Merge.config_of_items new_items) ))
-                  shortlisted
-              in
-              (match List_ext.min_by (fun (_, c) -> c) scored with
-               | Some (best, _) ->
-                 (* Same contract as Search.greedy: the committed merge
-                    product (head of [best]) is blessed so later rounds
-                    can chain on it. *)
-                 (match (prune, best) with
-                  | Some fr, it :: _ ->
-                    Im_mine.Mine.bless fr it.Merge.it_index
-                  | _ -> ());
-                 loop best (iterations + 1)
-               | None -> (items, iterations + 1))
-          end
+            match
+              List_ext.min_by snd (List.map (fun c -> (c, cost c)) shortlist)
+            with
+            | None -> (items, iterations + 1)
+            | Some (best, _) ->
+              loop (Search.commit ~prune best) (iterations + 1)
         in
         loop (Merge.items_of_config initial) 0)
   in

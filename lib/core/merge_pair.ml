@@ -1,4 +1,3 @@
-module Database = Im_catalog.Database
 module Config = Im_catalog.Config
 module Index = Im_catalog.Index
 module Query = Im_sqlir.Query
@@ -48,10 +47,7 @@ let syntactic_frequency workload ix =
       freq *. float_of_int (leading_column_appearances query ix))
     workload.Workload.entries
 
-let merged_storage_pages db ix = Database.index_pages db ix
-
-let merge_impl procedure ~db ~workload ~seek ?service ~current i1 i2 =
-  ignore db;
+let merge_impl procedure ~workload ~seek ?service ~current i1 i2 =
   match procedure with
   | Cost_based ->
     (* Figure 2: the index with the higher Seek-Cost leads. Prefix
@@ -89,9 +85,9 @@ let merge_impl procedure ~db ~workload ~seek ?service ~current i1 i2 =
      | Some (m, _) -> m
      | None -> assert false (* permutations of a non-empty union *))
 
-let merge procedure ~db ~workload ~seek ?service ~current i1 i2 =
+let merge procedure ~workload ~seek ?service ~current i1 i2 =
   match List.assoc_opt (procedure_name procedure) m_pair_by_procedure with
   | Some h ->
     Im_obs.Metrics.time h (fun () ->
-        merge_impl procedure ~db ~workload ~seek ?service ~current i1 i2)
-  | None -> merge_impl procedure ~db ~workload ~seek ?service ~current i1 i2
+        merge_impl procedure ~workload ~seek ?service ~current i1 i2)
+  | None -> merge_impl procedure ~workload ~seek ?service ~current i1 i2

@@ -26,7 +26,6 @@ val syntactic_frequency :
 
 val merge :
   procedure ->
-  db:Im_catalog.Database.t ->
   workload:Im_workload.Workload.t ->
   seek:Seek_cost.t ->
   ?service:Im_costsvc.Service.t ->
@@ -40,8 +39,3 @@ val merge :
     service its candidate orders are scored through) and [current], the
     configuration the pair lives in; raises [Invalid_argument] without
     a service. *)
-
-val merged_storage_pages :
-  Im_catalog.Database.t -> Im_catalog.Index.t -> int
-(** Expected storage of a merged index — the second output of the
-    paper's MergePair module. *)

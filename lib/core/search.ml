@@ -34,8 +34,6 @@ type outcome = {
   o_derived_costs : int;
   o_elapsed_s : float;
   o_truncated : bool;
-  o_compression : Im_scale.Scale.stats option;
-  o_pruning : Im_mine.Mine.stats option;
 }
 
 let storage_reduction o =
@@ -67,93 +65,92 @@ let page_memo db =
       Hashtbl.add memo id pages;
       pages
 
+(* ---- One merge round (Figure 4 and the dual) ---- *)
+
+type candidate = {
+  c_pair : Index.t * Index.t;
+  c_merged : Merge.item;
+  c_items : Merge.item list;
+  c_reduction : int;
+}
+
+let round ~prune ~merge ~pages items =
+  (* Frontier pruning: only pairs the workload's frequent itemsets can
+     justify (or that the correctness valve protects) are merged. With
+     [prune = None] every same-table pair is. *)
+  let pairs =
+    List.filter
+      (fun ((a : Merge.item), (b : Merge.item)) ->
+        a.Merge.it_index.Index.idx_table = b.Merge.it_index.Index.idx_table
+        &&
+        match prune with
+        | None -> true
+        | Some fr -> Mine.keep_pair fr a.Merge.it_index b.Merge.it_index)
+      (List_ext.pairs items)
+  in
+  if pairs = [] then None
+  else begin
+    let current = Merge.config_of_items items in
+    let scored =
+      List.map
+        (fun ((left : Merge.item), (right : Merge.item)) ->
+          let merged_index =
+            merge current left.Merge.it_index right.Merge.it_index
+          in
+          let merged =
+            {
+              Merge.it_index = merged_index;
+              it_parents = left.Merge.it_parents @ right.Merge.it_parents;
+            }
+          in
+          (* Replacing {left, right} by merged changes nothing else, so
+             the pair's storage reduction needs only three memoized page
+             counts — not an O(n) rescan of the configuration. *)
+          {
+            c_pair = (left.Merge.it_index, right.Merge.it_index);
+            c_merged = merged;
+            c_items =
+              merged :: List.filter (fun it -> it != left && it != right) items;
+            c_reduction =
+              pages left.Merge.it_index + pages right.Merge.it_index
+              - pages merged_index;
+          })
+        pairs
+    in
+    (* Decision order: shrinking pairs by reduction descending, ties in
+       pair order (the sort is stable). *)
+    Some
+      (List.stable_sort
+         (fun c1 c2 -> Int.compare c2.c_reduction c1.c_reduction)
+         (List.filter (fun c -> c.c_reduction > 0) scored))
+  end
+
+(* The committed merge carries its justification into later rounds: its
+   product is blessed so chained merges involving it are judged against
+   the configuration the search actually built. *)
+let commit ~prune c =
+  Option.iter (fun fr -> Mine.bless fr c.c_merged.Merge.it_index) prune;
+  c.c_items
+
 (* ---- Greedy (Figure 4) ---- *)
 
-let greedy ~prune ~procedure ~evaluator ~service ~seek ~bound db
-    workload initial =
-  let index_pages = page_memo db in
-  let merge_indexes current i1 i2 =
-    Merge_pair.merge procedure ~db ~workload ~seek ?service ~current i1 i2
-  in
+(* Commit the first candidate the bound accepts; nothing after it is
+   costed. A round without a same-table pair is not an iteration. *)
+let greedy ~prune ~merge ~pages ~evaluator ~bound initial =
+  let bound = Option.value bound ~default:infinity in
   let rec loop items iterations =
-    let same_table_pairs =
-      List.filter
-        (fun ((a : Merge.item), (b : Merge.item)) ->
-          a.Merge.it_index.Index.idx_table = b.Merge.it_index.Index.idx_table)
-        (List_ext.pairs items)
-    in
-    (* Frontier pruning: only pairs the workload's frequent itemsets
-       can justify (or that the correctness valve protects) reach the
-       scoring below. With [prune = None] every same-table pair is
-       scored. *)
-    let same_table_pairs =
-      match prune with
-      | None -> same_table_pairs
-      | Some fr ->
-        List.filter
-          (fun ((a : Merge.item), (b : Merge.item)) ->
-            Mine.keep_pair fr a.Merge.it_index b.Merge.it_index)
-          same_table_pairs
-    in
-    if same_table_pairs = [] then (items, iterations)
-    else begin
-      let current_config = Merge.config_of_items items in
-      (* Each pair's merged item, successor item list and storage
-         reduction, scored in candidate order. *)
-      let scored =
-        List.map
-          (fun ((left : Merge.item), (right : Merge.item)) ->
-            let merged_index =
-              merge_indexes current_config left.Merge.it_index
-                right.Merge.it_index
-            in
-            let merged_item =
-              {
-                Merge.it_index = merged_index;
-                it_parents = left.Merge.it_parents @ right.Merge.it_parents;
-              }
-            in
-            let successors =
-              merged_item
-              :: List.filter (fun it -> it != left && it != right) items
-            in
-            (* Replacing {left, right} by merged changes nothing else,
-               so the pair's storage reduction needs only three memoized
-               page counts — not an O(n) rescan of the configuration. *)
-            let reduction =
-              index_pages left.Merge.it_index
-              + index_pages right.Merge.it_index
-              - index_pages merged_index
-            in
-            ((left, right), merged_item, successors, reduction))
-          same_table_pairs
-      in
-      (* Decision order: viable pairs by reduction descending, ties in
-         candidate order (the sort is stable). The first acceptable one
-         wins; nothing after it is costed. *)
-      let ordered =
-        List.stable_sort
-          (fun (_, _, _, r1) (_, _, _, r2) -> Int.compare r2 r1)
-          (List.filter (fun (_, _, _, r) -> r > 0) scored)
-      in
-      let accepted =
-        List.find_opt
-          (fun ((left, right), merged_item, successors, _) ->
-            Cost_eval.accepts evaluator ~items:successors
-              ~merged:merged_item.Merge.it_index
-              ~parents:(left.Merge.it_index, right.Merge.it_index)
-              ~bound:(Option.value bound ~default:infinity))
-          ordered
-      in
-      match accepted with
-      | None -> (items, iterations + 1)
-      | Some (_, merged_item, successors, _) ->
-        (* The committed merge carries its justification into later
-           rounds: bless its product so chained merges involving it are
-           judged against the configuration the search actually built. *)
-        Option.iter (fun fr -> Mine.bless fr merged_item.Merge.it_index) prune;
-        loop successors (iterations + 1)
-    end
+    match round ~prune ~merge ~pages items with
+    | None -> (items, iterations)
+    | Some candidates ->
+      (match
+         List.find_opt
+           (fun c ->
+             Cost_eval.accepts evaluator ~items:c.c_items
+               ~merged:c.c_merged.Merge.it_index ~parents:c.c_pair ~bound)
+           candidates
+       with
+       | None -> (items, iterations + 1)
+       | Some c -> loop (commit ~prune c) (iterations + 1))
   in
   loop (Merge.items_of_config initial) 0
 
@@ -164,7 +161,7 @@ let greedy ~prune ~procedure ~evaluator ~service ~seek ~bound db
    permutation of the block is tried (capped) and the distinct resulting
    indexes are all candidates — making the exhaustive search dominate
    any order the greedy strategy might pick. *)
-let merge_block ~procedure ~service ~seek db workload current block =
+let merge_block ~merge current block =
   match block with
   | [] -> invalid_arg "Search.merge_block: empty block"
   | [ ix ] -> [ Merge.item_of_index ix ]
@@ -175,12 +172,8 @@ let merge_block ~procedure ~service ~seek db workload current block =
       | first :: rest ->
         List.fold_left
           (fun acc ix ->
-            let merged =
-              Merge_pair.merge procedure ~db ~workload ~seek ?service ~current
-                acc.Merge.it_index ix
-            in
             {
-              Merge.it_index = merged;
+              Merge.it_index = merge current acc.Merge.it_index ix;
               it_parents = acc.Merge.it_parents @ [ ix ];
             })
           (Merge.item_of_index first)
@@ -215,10 +208,8 @@ let cartesian (lists : 'a list list) ~limit =
   let combos = List.fold_left combine [ [] ] lists in
   (List.map List.rev combos, !truncated)
 
-let exhaustive ~prune ~procedure ~evaluator ~service ~seek ~bound
-    ~config_limit db workload initial =
+let exhaustive ~prune ~merge ~pages ~evaluator ~bound ~config_limit initial =
   let numeric = Cost_eval.is_numeric evaluator in
-  let index_pages = page_memo db in
   let by_table = List_ext.group_by (fun ix -> ix.Index.idx_table) initial in
   let truncated_blocks = ref false in
   let per_table_options =
@@ -247,9 +238,7 @@ let exhaustive ~prune ~procedure ~evaluator ~service ~seek ~bound
           (fun partition ->
             let block_candidates =
               List.map
-                (fun block ->
-                  merge_block ~procedure ~service ~seek db workload initial
-                    block)
+                (fun block -> merge_block ~merge initial block)
                 partition
             in
             let combos, t = cartesian block_candidates ~limit:config_limit in
@@ -271,7 +260,7 @@ let exhaustive ~prune ~procedure ~evaluator ~service ~seek ~bound
          (fun combo ->
            let items = List.concat combo in
            let pages =
-             List_ext.sum_by (fun it -> index_pages it.Merge.it_index) items
+             List_ext.sum_by (fun it -> pages it.Merge.it_index) items
            in
            (pages, items))
          combos)
@@ -294,14 +283,11 @@ let exhaustive ~prune ~procedure ~evaluator ~service ~seek ~bound
 
 let run ?service ?(merge_pair = Merge_pair.Cost_based)
     ?(cost_model = Cost_eval.Optimizer_estimated) ?(cost_constraint = 0.10)
-    ?compress ?prune ?prune_support db workload ~initial strategy =
+    ?prune db workload ~initial strategy =
   let svc =
     match service with
     | Some s -> s
     | None -> Cost_eval.default_service db
-  in
-  let workload, compactor, prune =
-    Im_scale.Scale.prepare ?compress ?prune ?prune_support svc workload
   in
   let evaluator = Cost_eval.create ~service:svc cost_model db workload in
   let numeric = Cost_eval.is_numeric evaluator in
@@ -326,16 +312,19 @@ let run ?service ?(merge_pair = Merge_pair.Cost_based)
         let bound =
           Option.map (fun c -> c *. (1. +. cost_constraint)) initial_cost
         in
+        let merge current i1 i2 =
+          Merge_pair.merge merge_pair ~workload ~seek ?service:pair_service
+            ~current i1 i2
+        in
+        let pages = page_memo db in
         match strategy with
         | Greedy ->
           let items, iterations =
-            greedy ~prune ~procedure:merge_pair ~evaluator
-              ~service:pair_service ~seek ~bound db workload initial
+            greedy ~prune ~merge ~pages ~evaluator ~bound initial
           in
           (items, iterations, false)
         | Exhaustive_search { config_limit } ->
-          exhaustive ~prune ~procedure:merge_pair ~evaluator
-            ~service:pair_service ~seek ~bound ~config_limit db workload
+          exhaustive ~prune ~merge ~pages ~evaluator ~bound ~config_limit
             initial)
   in
   Im_obs.Metrics.Histogram.observe
@@ -375,6 +364,4 @@ let run ?service ?(merge_pair = Merge_pair.Cost_based)
     o_derived_costs = d.Service.c_derived - b.Service.c_derived;
     o_elapsed_s = elapsed;
     o_truncated = truncated;
-    o_compression = Option.map Im_scale.Scale.stats compactor;
-    o_pruning = Option.map Mine.frontier_stats prune;
   }

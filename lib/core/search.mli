@@ -6,10 +6,12 @@
     a minimal merged configuration of lowest (greedy: greedily lowered)
     storage with Cost(W, C') ≤ U.
 
-    - {b Greedy} (Figure 4): each iteration merges, among all same-table
-      pairs, the pair with the largest storage reduction whose resulting
-      configuration still meets the cost constraint; stops when no
-      acceptable merge remains. Polynomial (O(N³) pair merges).
+    - {b Greedy} (Figure 4): each iteration runs one {!round} and
+      commits the first candidate (largest storage reduction first)
+      whose configuration still meets the cost constraint; stops when
+      no acceptable merge remains. Polynomial (O(N³) pair merges). The
+      dual ({!Dual}) walks the same rounds with its own commit and stop
+      rules.
     - {b Exhaustive}: enumerates every minimal merged configuration
       derivable with MergePair (set partitions of each table's indexes,
       combined across tables), and returns the smallest one meeting the
@@ -38,10 +40,6 @@ type outcome = {
       (** misses answered from cached access-path atoms, this run *)
   o_elapsed_s : float;
   o_truncated : bool;  (** exhaustive enumeration hit [config_limit] *)
-  o_compression : Im_scale.Scale.stats option;
-      (** workload-compression stats when [?compress] was given *)
-  o_pruning : Im_mine.Mine.stats option;
-      (** frontier-pruning tallies when pruning was active *)
 }
 
 val storage_reduction : outcome -> float
@@ -57,14 +55,47 @@ val page_memo : Im_catalog.Database.t -> Im_catalog.Index.t -> int
 val cost_increase : outcome -> float option
 (** [final/initial - 1] under a numeric model. *)
 
+(** {1 One merge round}
+
+    The round Figure 4 and the dual ({!Dual.run}) share; each strategy
+    keeps only its commit and stop rules. *)
+
+type candidate = {
+  c_pair : Im_catalog.Index.t * Im_catalog.Index.t;  (** the pair merged *)
+  c_merged : Merge.item;  (** the pair's merged item *)
+  c_items : Merge.item list;
+      (** the configuration with the pair replaced by [c_merged] *)
+  c_reduction : int;  (** storage pages saved (> 0) *)
+}
+
+val round :
+  prune:Im_mine.Mine.frontier option ->
+  merge:(Im_catalog.Config.t -> Im_catalog.Index.t -> Im_catalog.Index.t ->
+         Im_catalog.Index.t) ->
+  pages:(Im_catalog.Index.t -> int) ->
+  Merge.item list ->
+  candidate list option
+(** [round ~prune ~merge ~pages items] takes the same-table pairs of
+    [items] in {!Im_util.List_ext.pairs} order, drops those
+    {!Im_mine.Mine.keep_pair} rejects (with a frontier), and merges
+    every other one with [merge current i1 i2] ([current] is [items]'
+    configuration; the caller's MergePair). It returns the candidates
+    that save storage, sorted by reduction descending, ties in pair
+    order; [None] when no pair was left to merge. [pages] is an index's
+    storage, typically a {!page_memo}. *)
+
+val commit :
+  prune:Im_mine.Mine.frontier option -> candidate -> Merge.item list
+(** The candidate's configuration, after blessing its merged index on
+    the frontier ({!Im_mine.Mine.bless}) so later rounds can chain on
+    it. *)
+
 val run :
   ?service:Im_costsvc.Service.t ->
   ?merge_pair:Merge_pair.procedure ->
   ?cost_model:Cost_eval.model ->
   ?cost_constraint:float ->
-  ?compress:float ->
   ?prune:Im_mine.Mine.frontier ->
-  ?prune_support:float ->
   Im_catalog.Database.t ->
   Im_workload.Workload.t ->
   initial:Im_catalog.Config.t ->
@@ -79,36 +110,19 @@ val run :
     merge — the others are cache hits.
 
     Both strategies run sequentially on the calling domain, in the
-    paper's order: greedy scores each round's same-table pairs, sorts
-    them by storage reduction and accepts the first whose merged
-    configuration stays within the bound; exhaustive sorts the
-    enumerated configurations by storage and accepts the first
-    acceptable one.
+    paper's order: greedy commits each {!round}'s first candidate the
+    bound accepts; exhaustive sorts the enumerated configurations by
+    storage and accepts the first acceptable one.
 
     Without [?service] the run builds a private
     {!Cost_eval.default_service}: cache misses — and the seek/scan
     usage analysis — are answered by re-assembling cached per-index
     access-path atoms, bit-identical to running the optimizer.
 
-    [?compress], [?prune_support] and [?prune] run through
-    {!Im_scale.Scale.prepare} before the search proper.
-    [?compress] (off by default; the CLI's [--compress EPS]) compacts
-    the workload: statements bucket by physical-design signature under
-    the deviation budget [EPS] and the search costs the compressed
-    workload — [o_initial_cost]/[o_final_cost]/[o_bound] then refer to
-    it, within the reported bound ([o_compression]) of the uncompressed
-    figures. At [EPS = 0] only canonically identical statements fold,
-    so the merged configuration is bit-identical to the uncompressed
-    search on duplicate-free workloads.
-
-    [?prune_support] (off by default; the CLI's [--prune-support S])
-    mines the workload's frequent (table, column-set) itemsets before
-    the search and restricts MergePair enumeration — greedy same-table
-    pairs and exhaustive partition blocks alike, ahead of scoring — to
-    merges whose merged column set has relative support at least [S],
-    plus the merges {!Im_mine.Mine.keep_block}'s correctness valve
-    protects (all parents evidence-free, or the union collapsing into
-    one parent). [S <= 0] disables pruning and is bit-identical to the
-    unpruned search. Compressed runs mine the compressed workload.
-    [?prune] supplies a ready-made frontier instead and wins over
-    [?prune_support]. Pruning tallies land in [o_pruning]. *)
+    [?prune] restricts MergePair enumeration — greedy same-table pairs
+    and exhaustive partition blocks alike, ahead of scoring — to the
+    merges the frontier keeps ({!Im_mine.Mine.keep_pair},
+    {!Im_mine.Mine.keep_block}); its tallies are read back with
+    {!Im_mine.Mine.frontier_stats}. Workload compression and mining
+    are the caller's step: {!Im_scale.Scale.prepare} returns the
+    workload and frontier to pass here. *)

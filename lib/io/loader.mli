@@ -12,8 +12,6 @@
 val value_of_field :
   Im_sqlir.Datatype.t -> string -> (Im_sqlir.Value.t, string) result
 
-val field_of_value : Im_sqlir.Value.t -> string
-
 val load :
   schema_file:string -> data_dir:string -> (Im_catalog.Database.t, string) result
 

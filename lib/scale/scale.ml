@@ -289,11 +289,11 @@ let snapshot ?(name = "scale") t =
        (fun b -> { Workload.query = b.bu_leader; freq = b.bu_mass })
        t.sc_order)
 
-let prepare ?compress ?prune ?prune_support service (w : Workload.t) =
+let prepare ?compress ?prune_support service (w : Workload.t) =
   let miner =
-    match (prune, prune_support) with
-    | None, Some s when s > 0. -> Some (Im_mine.Mine.create (), s)
-    | _ -> None
+    match prune_support with
+    | Some s when s > 0. -> Some (Im_mine.Mine.create (), s)
+    | Some _ | None -> None
   in
   let mine = Option.map fst miner in
   let workload, compactor =
@@ -308,9 +308,6 @@ let prepare ?compress ?prune ?prune_support service (w : Workload.t) =
           w.Workload.updates,
         Some t )
   in
-  let prune =
-    match prune with
-    | Some _ -> prune
-    | None -> Option.map (fun (m, s) -> Im_mine.Mine.frontier m ~support:s) miner
-  in
-  (workload, compactor, prune)
+  ( workload,
+    compactor,
+    Option.map (fun (m, s) -> Im_mine.Mine.frontier m ~support:s) miner )

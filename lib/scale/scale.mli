@@ -104,16 +104,17 @@ val fold_ratio : stats -> float
 
 val prepare :
   ?compress:float ->
-  ?prune:Im_mine.Mine.frontier ->
   ?prune_support:float ->
   Im_costsvc.Service.t ->
   Im_workload.Workload.t ->
   Im_workload.Workload.t * t option * Im_mine.Mine.frontier option
-(** The prelude every tuning run shares (merge search, advisor, the
-    CLI's per-query tuning and the online epoch):
-    [prepare ?compress ?prune ?prune_support service w] returns the
-    workload to tune, the compactor when one ran, and the pruning
-    frontier.
+(** The prelude a tuning run's caller takes before the search proper:
+    [prepare ?compress ?prune_support service w] returns the workload
+    to tune, the compactor when one ran, and the pruning frontier. The
+    merge search ({!Im_merging.Search.run}) and the advisor
+    ({!Im_advisor.Advisor.advise}) take only the results; the callers
+    are the CLI's [merge], [advise] and [tune] and the online epoch
+    ({!Im_online.Epoch.run}).
 
     - [?compress EPS] streams [w] through a fresh compactor at
       deviation budget [EPS]; the workload returned is its
@@ -125,6 +126,4 @@ val prepare :
       compressing, the miner rides the compactor's admission stream,
       so it sees the compressed workload's masses; otherwise it
       streams [w] once. [S <= 0] mines nothing and returns no
-      frontier.
-    - An explicit [?prune] frontier wins over [?prune_support]: it is
-      returned as is and no miner is built. *)
+      frontier. *)

@@ -18,13 +18,15 @@ let annotation_value line =
     | k, v when String.lowercase_ascii k = "freq" -> Some (String.trim v)
     | _ | (exception (Scanf.Scan_failure _ | Failure _ | End_of_file)) -> None
 
-(* Only whitespace and [--] comments: no statement, though a comment
-   may have followed the last [';']. *)
-let rec is_blank text i =
+(* The first byte after leading whitespace and [--] comments; the
+   text's length when there is none (no statement, though a comment may
+   have followed the last [';']). *)
+let rec statement_start text i =
   let i = skip is_space text i and n = String.length text in
-  i >= n
-  || i + 1 < n && text.[i] = '-' && text.[i + 1] = '-'
-     && is_blank text (Option.value (String.index_from_opt text i '\n') ~default:n)
+  if i + 1 < n && text.[i] = '-' && text.[i + 1] = '-' then
+    statement_start text
+      (Option.value (String.index_from_opt text i '\n') ~default:n)
+  else i
 
 let parse_freq raw =
   match float_of_string_opt raw with
@@ -56,11 +58,22 @@ let fold_lines ~schema ~id_prefix next_line ~init ~f =
   let emit () =
     let text = Buffer.contents buf in
     Buffer.clear buf;
-    if not (is_blank text 0) then begin
+    let start = statement_start text 0 in
+    if start < String.length text then begin
       incr statements;
       let id = id_prefix ^ string_of_int !statements in
       match Im_sqlir.Parser.Prepared.parse prepared ~id text with
       | Error msg ->
+        (* Positions count from the statement's first byte, not from a
+           comment or blank line the buffer carried in front of it. *)
+        let msg =
+          match
+            Im_sqlir.Parser.Prepared.parse prepared ~id
+              (String.sub text start (String.length text - start))
+          with
+          | Error own -> own
+          | Ok _ -> msg
+        in
         raise (Fold_error (Printf.sprintf "statement %d: %s" !statements msg))
       | Ok q ->
         let freq =

@@ -7,14 +7,15 @@
 # times each (they race real sockets against the dispatch loop, and
 # the tenant and readiness suites carry the pipelined-fleet and
 # epoch-isolation gates), the metrics smokes (merge's optimizer
-# calls, advise's certified selection cells), compression and pruning
-# identity smokes (--compress 0 and --prune-support 0 must be no-ops), the
-# scale, intake and frontier-pruning bench smokes (intake asserts the prepared-statement
+# calls, advise's certified selection cells), the scale, intake and
+# frontier-pruning bench smokes (intake asserts the prepared-statement
 # cache parses every generated statement exactly as the parser does),
 # formatting when ocamlformat is installed (skipped gracefully when
-# not — the CI container does not ship it), and last lib/'s line count, largest .ml file,
-# optional-argument count and Online.Service.options field count, each
-# with its delta against HEAD~1 (scripts/lib-lines.sh).
+# not — the CI container does not ship it), and last lib/'s line count,
+# largest .ml file, optional-argument count and Online.Service.options
+# field count, plus bin/'s .ml line count, each with its delta against
+# HEAD~1 (scripts/lib-lines.sh). The --compress 0 and --prune-support 0
+# identities are goldens under test/golden, run by `dune runtest`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -69,37 +70,6 @@ certified=$(dune exec bin/index_merge_cli.exe -- advise -d synthetic1 -b 1500 \
 [ "${certified:-0}" -gt 0 ] \
   || { echo "selection metrics smoke FAILED: no certified cells"; exit 1; }
 echo "selection metrics smoke OK ($certified certified cells)"
-
-echo "== compression identity (--compress 0 vs plain) =="
-# eps = 0 folds only canonically identical statements, so on the
-# duplicate-free generated workload the merged configuration must be
-# byte-identical to the uncompressed run. Compare from the result
-# section on: the summary line carries timings (and the compression
-# note), the configuration must not move.
-compress_out() {
-  dune exec bin/index_merge_cli.exe -- merge $1 -d synthetic1 -q 6 \
-    | sed -n '/merged configuration:/,$p'
-}
-if [ "$(compress_out '--compress 0')" = "$(compress_out '')" ]; then
-  echo "compression identity OK"
-else
-  echo "compression identity FAILED: --compress 0 changes the merged configuration"
-  exit 1
-fi
-
-echo "== prune identity (--prune-support 0 vs plain) =="
-# S = 0 disables frontier pruning entirely, so the merged configuration
-# must be byte-identical to the unpruned run. Same filter as above.
-prune_out() {
-  dune exec bin/index_merge_cli.exe -- merge $1 -d synthetic1 -q 6 \
-    | sed -n '/merged configuration:/,$p'
-}
-if [ "$(prune_out '--prune-support 0')" = "$(prune_out '')" ]; then
-  echo "prune identity OK"
-else
-  echo "prune identity FAILED: --prune-support 0 changes the merged configuration"
-  exit 1
-fi
 
 echo "== bench: scale compression smoke, 1k statements (BENCH_scale_smoke.json) =="
 # exp_scale hard-asserts the measured deviation is within the reported

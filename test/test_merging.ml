@@ -18,6 +18,8 @@ module Seek_cost = Im_merging.Seek_cost
 module Merge_pair = Im_merging.Merge_pair
 module Cost_eval = Im_merging.Cost_eval
 module Search = Im_merging.Search
+module Dual = Im_merging.Dual
+module Service = Im_costsvc.Service
 module Maintenance = Im_merging.Maintenance
 module Rng = Im_util.Rng
 
@@ -274,14 +276,14 @@ let test_merge_pair_cost_leading () =
   let seek = Seek_cost.analyze db initial workload in
   (* i_seek has seek cost, i_scan none: i_seek must lead. *)
   let m =
-    Merge_pair.merge Merge_pair.Cost_based ~db ~workload ~seek ~current:initial
+    Merge_pair.merge Merge_pair.Cost_based ~workload ~seek ~current:initial
       i_scan i_seek
   in
   Alcotest.(check bool) "higher seek-cost parent leads" true
     (Index.is_prefix_of i_seek m);
   (* Argument order must not matter for the outcome. *)
   let m' =
-    Merge_pair.merge Merge_pair.Cost_based ~db ~workload ~seek ~current:initial
+    Merge_pair.merge Merge_pair.Cost_based ~workload ~seek ~current:initial
       i_seek i_scan
   in
   Alcotest.(check bool) "symmetric" true (Index.equal m m')
@@ -295,7 +297,7 @@ let test_merge_pair_syntactic_frequency () =
   Alcotest.(check (float 1e-9)) "freq b" 2.
     (Merge_pair.syntactic_frequency workload i_scan);
   let m =
-    Merge_pair.merge Merge_pair.Syntactic ~db ~workload
+    Merge_pair.merge Merge_pair.Syntactic ~workload
       ~seek:(Seek_cost.analyze db initial workload)
       ~current:initial i_seek i_scan
   in
@@ -308,7 +310,7 @@ let test_merge_pair_exhaustive () =
   let m =
     Merge_pair.merge
       (Merge_pair.Exhaustive { perm_limit = 720 })
-      ~db ~workload ~seek ~service:(Cost_eval.service evaluator)
+      ~workload ~seek ~service:(Cost_eval.service evaluator)
       ~current:initial i_seek i_scan
   in
   Alcotest.(check bool) "exhaustive result is a Definition-1 merge" true
@@ -334,7 +336,7 @@ let test_merge_pair_exhaustive_needs_evaluator () =
       ignore
         (Merge_pair.merge
            (Merge_pair.Exhaustive { perm_limit = 10 })
-           ~db ~workload ~seek ~current:initial i_seek i_scan))
+           ~workload ~seek ~current:initial i_seek i_scan))
 
 (* ---- Cost_eval ---- *)
 
@@ -595,6 +597,80 @@ let prop_greedy_vs_exhaustive =
       && Merge.is_minimal_merged_configuration ~initial:indexes g.Search.o_items
       && Merge.is_minimal_merged_configuration ~initial:indexes e.Search.o_items)
 
+(* ---- Search-level properties on random Rags workloads ---- *)
+
+let syn1 =
+  lazy (Im_workload.Synthetic.database ~seed:7 Im_workload.Synthetic.synthetic1)
+
+(* A case is (workload seed, queries, initial-configuration size, budget
+   tenths): a Rags workload on Synthetic1 and an initial configuration
+   drawn by random per-query tuning; the dual's budget is that many
+   tenths of the initial storage. *)
+let search_case =
+  QCheck.(
+    quad (int_bound 100_000) (int_range 3 10) (int_range 2 10) (int_bound 10))
+
+let random_search_case (seed, n_queries, n_initial, _) =
+  let db = Lazy.force syn1 in
+  let w = Im_workload.Ragsgen.generate db ~rng:(Rng.create seed) ~n:n_queries in
+  let initial =
+    Im_tuning.Initial_config.build db w ~rng:(Rng.create (seed + 1))
+      ~n:n_initial
+  in
+  (db, w, initial)
+
+(* One more round from [items] with the search's own MergePair-Cost and
+   seek analysis (taken on the initial configuration). *)
+let round_after ~service db w ~initial items =
+  let seek =
+    Seek_cost.analyze ~plan:(Service.query_plan service initial) db initial w
+  in
+  let merge current i1 i2 =
+    Merge_pair.merge Merge_pair.Cost_based ~workload:w ~seek ~service ~current
+      i1 i2
+  in
+  match Search.round ~prune:None ~merge ~pages:(Search.page_memo db) items with
+  | None -> []
+  | Some candidates -> candidates
+
+let prop_greedy_search_level =
+  QCheck.Test.make ~count:200
+    ~name:"greedy: minimal, within the bound, nothing left to accept"
+    search_case (fun case ->
+      let db, w, initial = random_search_case case in
+      let service = Cost_eval.default_service db in
+      let o = Search.run ~service db w ~initial Search.Greedy in
+      let bound = Option.get o.Search.o_bound in
+      let evaluator =
+        Cost_eval.create ~service Cost_eval.Optimizer_estimated db w
+      in
+      let acceptable =
+        List.filter
+          (fun c ->
+            Cost_eval.accepts evaluator ~items:c.Search.c_items
+              ~merged:c.Search.c_merged.Merge.it_index ~parents:c.Search.c_pair
+              ~bound)
+          (round_after ~service db w ~initial o.Search.o_items)
+      in
+      Merge.is_minimal_merged_configuration ~initial o.Search.o_items
+      && Option.get o.Search.o_final_cost <= bound
+      && o.Search.o_final_pages <= o.Search.o_initial_pages
+      && acceptable = [])
+
+let prop_dual_search_level =
+  QCheck.Test.make ~count:200
+    ~name:"dual: minimal, and fits or nothing left to shrink" search_case
+    (fun ((_, _, _, tenths) as case) ->
+      let db, w, initial = random_search_case case in
+      let service = Cost_eval.default_service db in
+      let budget_pages =
+        Database.config_storage_pages db initial * tenths / 10
+      in
+      let d = Dual.run ~service db w ~initial ~budget_pages in
+      Merge.is_minimal_merged_configuration ~initial d.Dual.d_items
+      && (d.Dual.d_fits
+         || round_after ~service db w ~initial d.Dual.d_items = []))
+
 (* ---- Maintenance ---- *)
 
 let test_expected_leaves_touched () =
@@ -728,6 +804,8 @@ let () =
             test_shared_service_across_strategies;
           tc "exhaustive at least as good" `Quick test_exhaustive_at_least_as_good;
           qtest prop_greedy_vs_exhaustive;
+          qtest prop_greedy_search_level;
+          qtest prop_dual_search_level;
         ] );
       ( "maintenance",
         [

@@ -204,6 +204,13 @@ let outcome_sig (o : Search.outcome) =
     o.Search.o_final_cost,
     o.Search.o_iterations )
 
+(* The CLI's prelude: mine the workload through [Scale.prepare] and pass
+   the frontier it returns to the search. *)
+let pruned_run ~prune_support db w ~initial strategy =
+  let service = Im_merging.Cost_eval.default_service db in
+  let w, _, prune = Scale.prepare ~prune_support service w in
+  (Search.run ~service ?prune db w ~initial strategy, prune)
+
 let test_prune_support_zero_identity () =
   let db = Lazy.force sdb in
   let w = rags ~seed:61 12 db in
@@ -213,13 +220,15 @@ let test_prune_support_zero_identity () =
   List.iter
     (fun (name, strategy) ->
       let plain = Search.run db w ~initial strategy in
-      let zero = Search.run ~prune_support:0.0 db w ~initial strategy in
+      let zero, frontier =
+        pruned_run ~prune_support:0.0 db w ~initial strategy
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%s: identical outcome" name)
         true
         (outcome_sig plain = outcome_sig zero);
-      Alcotest.(check bool) "prune-support 0 reports no pruning" true
-        (zero.Search.o_pruning = None))
+      Alcotest.(check bool) "prune-support 0 mines no frontier" true
+        (frontier = None))
     [
       ("greedy", Search.Greedy);
       ("exhaustive", Search.Exhaustive_search { config_limit = 10_000 });
@@ -230,10 +239,13 @@ let test_prune_support_active () =
   let db = Lazy.force sdb in
   let w = rags ~seed:62 12 db in
   let initial = Im_tuning.Initial_config.per_query_union db w in
-  let o = Search.run ~prune_support:0.5 db w ~initial Search.Greedy in
-  (match o.Search.o_pruning with
-   | None -> Alcotest.fail "pruning stats missing"
-   | Some st ->
+  let o, frontier =
+    pruned_run ~prune_support:0.5 db w ~initial Search.Greedy
+  in
+  (match frontier with
+   | None -> Alcotest.fail "no frontier mined"
+   | Some fr ->
+     let st = Mine.frontier_stats fr in
      Alcotest.(check bool) "pair decisions were made" true
        (st.Mine.fs_kept + st.Mine.fs_pruned > 0));
   match (o.Search.o_final_cost, o.Search.o_bound) with

@@ -254,11 +254,16 @@ let test_search_eps0_identity () =
   let initial =
     Im_tuning.Initial_config.build db w ~rng:(Im_util.Rng.create 13) ~n:5
   in
+  (* The CLI's prelude: compress through [Scale.prepare], then search the
+     workload it returns. *)
   let run compress =
-    Search.run ?compress ~cost_constraint:0.10 db w ~initial Search.Greedy
+    let service = Im_merging.Cost_eval.default_service db in
+    let w, compactor, _ = Scale.prepare ?compress service w in
+    ( Search.run ~service ~cost_constraint:0.10 db w ~initial Search.Greedy,
+      compactor )
   in
-  let plain = run None in
-  let compressed = run (Some 0.0) in
+  let plain, _ = run None in
+  let compressed, compactor = run (Some 0.0) in
   Alcotest.(check string) "identical merged configuration"
     (fingerprint plain.Search.o_items)
     (fingerprint compressed.Search.o_items);
@@ -266,10 +271,11 @@ let test_search_eps0_identity () =
     compressed.Search.o_final_pages;
   Alcotest.(check (option (float 0.))) "identical cost (exact)"
     plain.Search.o_final_cost compressed.Search.o_final_cost;
-  match compressed.Search.o_compression with
-  | None -> Alcotest.fail "compression stats missing"
-  | Some st ->
-    Alcotest.(check (float 0.)) "exact bound" 0. st.Scale.st_eps_bound
+  match compactor with
+  | None -> Alcotest.fail "no compactor"
+  | Some c ->
+    Alcotest.(check (float 0.)) "exact bound" 0.
+      (Scale.stats c).Scale.st_eps_bound
 
 (* ---- The shared prelude ---- *)
 
@@ -296,16 +302,13 @@ let test_prepare () =
      compactor sees the same masses as mining the input. *)
   let direct = Im_mine.Mine.create () in
   Im_mine.Mine.observe_workload direct w;
-  (match frontier with
-   | None -> Alcotest.fail "no frontier"
-   | Some fr ->
-     Alcotest.(check bool) "frontier mined the compressed stream" true
-       (Im_mine.Mine.frontier_stats fr
-       = Im_mine.Mine.frontier_stats
-           (Im_mine.Mine.frontier direct ~support:0.2));
-     let _, _, given = Scale.prepare ~prune:fr ~prune_support:0.9 svc w in
-     Alcotest.(check bool) "explicit frontier wins" true
-       (match given with Some g -> g == fr | None -> false))
+  match frontier with
+  | None -> Alcotest.fail "no frontier"
+  | Some fr ->
+    Alcotest.(check bool) "frontier mined the compressed stream" true
+      (Im_mine.Mine.frontier_stats fr
+      = Im_mine.Mine.frontier_stats
+          (Im_mine.Mine.frontier direct ~support:0.2))
 
 let () =
   Alcotest.run "im_scale"

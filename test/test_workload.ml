@@ -483,6 +483,24 @@ let test_workload_file_errors () =
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "missing file accepted")
 
+(* A parse error's position counts from the statement's own first byte,
+   whatever comment or blank line the file put in front of it. *)
+let test_workload_file_error_position () =
+  let schema = Database.schema (Lazy.force syn_db) in
+  List.iter
+    (fun (text, expected) ->
+      match Im_workload.Workload_file.parse ~schema text with
+      | Ok _ -> Alcotest.fail (text ^ ": accepted")
+      | Error m -> Alcotest.(check string) text expected m)
+    [
+      ( "SELECT t0_c0 FROM t0 WHERE t0_c0 = 1; -- a note about this\n\
+         SELECT @ FROM t0;",
+        "statement 2: char 7: unexpected character '@'" );
+      ( "\n-- a comment line\nSELECT @ FROM t0;",
+        "statement 1: char 7: unexpected character '@'" );
+      ("SELECT @ FROM t0;", "statement 1: char 7: unexpected character '@'");
+    ]
+
 let test_workload_file_annotation_whitespace () =
   let db = Lazy.force syn_db in
   let schema = Database.schema db in
@@ -732,6 +750,7 @@ let () =
           tc "save/load round trip" `Quick test_workload_file_roundtrip;
           tc "frequencies" `Quick test_workload_file_frequencies;
           tc "errors" `Quick test_workload_file_errors;
+          tc "error position" `Quick test_workload_file_error_position;
           tc "annotation whitespace" `Quick test_workload_file_annotation_whitespace;
           tc "bad frequencies" `Quick test_workload_file_bad_frequencies;
           tc "fold streams statements" `Quick test_workload_file_fold_streaming;
