@@ -1,7 +1,7 @@
 (* EXP-SCALE — workload compression and compressed-workload scoring at
    100k-statement scale.
 
-   Three parts:
+   Two parts:
 
    1. Offline streaming: N statements (IM_SCALE_N, default 100,000)
       drawn from a pool of distinct ragsgen queries are written to a
@@ -13,12 +13,7 @@
       budget, and the optimizer-invocation count stays sublinear in N.
       At N >= 100k the compression ratio must clear 50x.
 
-   2. Online: the same statement stream is fed to the online tuning
-      service with [o_compress] set, so every epoch tunes a compressed
-      window; reports tuning latency and the daemon-visible scale
-      stats.
-
-   3. ε = 0 identity: on the fig5/6 setups (three databases, greedy
+   2. ε = 0 identity: on the fig5/6 setups (three databases, greedy
       and exhaustive, N = 5 initial configurations), [--compress 0]
       must reproduce the uncompressed merged configuration exactly
       (items, pages, cost) — hard-asserted.
@@ -43,12 +38,6 @@ let statements_n =
   match Sys.getenv_opt "IM_SCALE_N" with
   | Some s when s <> "" -> int_of_string s
   | _ -> 100_000
-
-(* The 1M intake rung (IM_SCALE_N=1000000) is proven by the offline
-   streaming leg; the online leg replays at most 100k of the same
-   stream — its intake microbenchmark scales linearly and the epoch
-   cadence above 100k adds wall clock without new information. *)
-let online_n = min statements_n 100_000
 
 let eps = 0.05
 let pool_size = 60
@@ -231,74 +220,7 @@ let run_offline db =
   (streamed, st, ratio, !max_dev, invocations, invocation_bar, stream_s,
    score_s)
 
-(* ---- Part 2: the online service with a compressed window ---- *)
-
-let run_online db =
-  let pool = stream_pool db in
-  let texts = Array.map Query.to_sql pool in
-  let budget_pages = max 1 (Database.data_pages db / 2) in
-  let options =
-    {
-      (Im_online.Service.default_options ~budget_pages) with
-      Im_online.Service.o_capacity = 64;
-      o_check_every = max 500 (online_n / 20);
-      o_warmup = max 100 (online_n / 100);
-      o_compress = Some eps;
-    }
-  in
-  let service = Im_online.Service.create ~options db ~budget_pages in
-  let rng = Im_util.Rng.create 99 in
-  let fed = ref [] in
-  let (), feed_s =
-    Im_util.Stopwatch.time (fun () ->
-        for _ = 1 to online_n do
-          match Im_online.Service.feed service (next_statement rng texts) with
-          | Im_online.Service.Rejected m ->
-            failwith ("EXP-SCALE: online reject: " ^ m)
-          | Im_online.Service.Observed { ev_epoch; _ } ->
-            Option.iter (fun o -> fed := o :: !fed) ev_epoch
-        done)
-  in
-  let epochs =
-    (* most recent first *)
-    match Im_online.Service.force_epoch service with
-    | Ok o -> o :: !fed
-    | Error m -> failwith ("EXP-SCALE: forced epoch failed: " ^ m)
-  in
-  let n_epochs = List.length epochs in
-  let epoch_s =
-    Im_util.List_ext.sum_by_f
-      (fun (o : Im_online.Epoch.outcome) -> o.Im_online.Epoch.e_elapsed_s)
-      epochs
-  in
-  let last_scale =
-    match
-      List.find_map
-        (fun (o : Im_online.Epoch.outcome) -> o.Im_online.Epoch.e_scale)
-        epochs
-    with
-    | Some st -> st
-    | None -> failwith "EXP-SCALE: no epoch carried compactor stats"
-  in
-  Exp_common.print_table
-    ~title:"Online tuning over a compressed window (Synthetic1)"
-    ~header:[ "statements"; "epochs"; "tuning s"; "s/epoch"; "intake s";
-              "last buckets"; "last eps bound" ]
-    ~rows:
-      [
-        [
-          string_of_int (Im_online.Service.statements service);
-          string_of_int n_epochs;
-          Printf.sprintf "%.2f" epoch_s;
-          Printf.sprintf "%.3f" (epoch_s /. float_of_int (max 1 n_epochs));
-          Printf.sprintf "%.2f" feed_s;
-          string_of_int last_scale.Scale.st_buckets;
-          Printf.sprintf "%.5f" last_scale.Scale.st_eps_bound;
-        ];
-      ];
-  (n_epochs, epoch_s, feed_s, last_scale)
-
-(* ---- Part 3: ε = 0 identity on the fig5/6 setups ---- *)
+(* ---- Part 2: ε = 0 identity on the fig5/6 setups ---- *)
 
 let fingerprint items =
   String.concat "; "
@@ -366,7 +288,6 @@ let run () =
         score_s ) =
     run_offline db
   in
-  let n_epochs, epoch_s, feed_s, online_scale = run_online db in
   run_identity ();
   let out =
     match Sys.getenv_opt "IM_BENCH_OUT" with
@@ -384,16 +305,13 @@ let run () =
        \  \"opt_invocations\": %d,\n  \"opt_invocation_bar\": %d,\n\
        \  \"stream_s\": %.3f,\n  \"stream_us_per_stmt\": %.2f,\n\
        \  \"score_s\": %.3f,\n\
-       \  \"online\": {\"statements\": %d, \"epochs\": %d, \"tuning_s\": \
-        %.3f, \"intake_s\": %.3f, \"buckets\": %d, \"eps_bound\": %.6f},\n\
        \  \"identity\": \"ok\",\n  \"metrics\": %s\n}\n"
        streamed eps st.Scale.st_buckets ratio min_ratio
        st.Scale.st_eps_bound max_dev st.Scale.st_exact_folds
        st.Scale.st_approx_folds st.Scale.st_probe_costs invocations
        invocation_bar stream_s
        (stream_s /. float_of_int (max 1 streamed) *. 1e6)
-       score_s online_n n_epochs epoch_s feed_s
-       online_scale.Scale.st_buckets online_scale.Scale.st_eps_bound
+       score_s
        (Im_obs.Metrics.to_json ()));
   close_out oc;
   Printf.printf "\nwrote %s\n" out

@@ -77,21 +77,19 @@ let updates_arg =
   in
   Arg.(value & opt_all string [] & info [ "u"; "updates" ] ~docv:"TBL:ROWS" ~doc)
 
-let parse_updates specs =
-  let parse one =
-    match String.split_on_char ':' one with
-    | [ tbl; rows ] ->
-      (match int_of_string_opt rows with
-       | Some r when r > 0 -> Ok (tbl, r)
-       | Some _ | None -> Error (Printf.sprintf "bad row count in %S" one))
-    | _ -> Error (Printf.sprintf "expected table:rows, got %S" one)
-  in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | s :: rest ->
-      (match parse s with Ok u -> go (u :: acc) rest | Error _ as e -> e)
-  in
-  go [] specs
+(* Each entry is table:rows, a table of [schema] and an integer >= 1. *)
+let parse_updates schema =
+  List.map (fun one ->
+      let bad what =
+        or_die (Error (Printf.sprintf "--updates: %s in %S" what one))
+      in
+      match String.split_on_char ':' one with
+      | [ tbl; _ ] when not (Schema.mem_table schema tbl) -> bad "unknown table"
+      | [ tbl; rows ] ->
+        (match int_of_string_opt rows with
+         | Some r when r > 0 -> (tbl, r)
+         | Some _ | None -> bad "row count must be an integer >= 1")
+      | _ -> bad "expected table:rows")
 
 let workload_file_arg =
   let doc =
@@ -262,10 +260,17 @@ let parse_cost_model = function
   | "nocost" | "no-cost" -> Ok Cost_eval.default_no_cost
   | other -> Error (Printf.sprintf "unknown cost model %S" other)
 
-let parse_merge_pair = function
+(* MergePair-Exhaustive ranks column orders by Cost(W, C'), which the
+   No-Cost model does not have. *)
+let parse_merge_pair cost_model = function
   | "cost" -> Ok Merge_pair.Cost_based
   | "syntactic" -> Ok Merge_pair.Syntactic
-  | "exhaustive" -> Ok (Merge_pair.Exhaustive { perm_limit = 720 })
+  | "exhaustive" ->
+    (match cost_model with
+     | Cost_eval.No_cost _ ->
+       Error "--merge-pair exhaustive: --cost-model nocost has no costs"
+     | External | Optimizer_estimated ->
+       Ok (Merge_pair.Exhaustive { perm_limit = 720 }))
   | other -> Error (Printf.sprintf "unknown merge-pair procedure %S" other)
 
 let parse_strategy = function
@@ -309,13 +314,9 @@ let run_tune db_name sf seed wl_kind n_queries file compress prune_support
     Im_scale.Scale.prepare ?compress ?prune_support svc workload
   in
   Option.iter (fun c -> print_endline (compaction_note c)) compactor;
+  let query_cost = Im_costsvc.Service.query_cost svc in
   let tuned =
-    List.map
-      (fun q ->
-        ( q,
-          Im_tuning.Wizard.tune_query
-            ~query_cost:(Im_costsvc.Service.query_cost svc)
-            db q ))
+    List.map (fun q -> (q, Im_tuning.Wizard.tune_query ~query_cost db q))
       (Workload.queries workload)
   in
   (* Frontier filter: drop recommendations whose column set has workload
@@ -370,12 +371,12 @@ let run_merge db_name sf seed wl_kind n_queries n_initial constraint_ cost_model
   let db = or_die (build_database ?schema_file ?data_dir db_name sf seed) in
   let workload = or_die (build_workload ?file db wl_kind n_queries seed) in
   let workload =
-    match or_die (parse_updates updates) with
+    match parse_updates (Database.schema db) updates with
     | [] -> workload
     | profile -> Workload.with_updates workload profile
   in
   let cost_model = or_die (parse_cost_model cost_model) in
-  let merge_pair = or_die (parse_merge_pair merge_pair) in
+  let merge_pair = or_die (parse_merge_pair cost_model merge_pair) in
   let strategy = or_die (parse_strategy strategy) in
   let initial = build_initial db workload n_initial seed in
   Printf.printf "initial configuration (%d indexes, %d pages):\n"
@@ -603,7 +604,7 @@ let parse_tenant_spec spec =
      | None -> Error (Printf.sprintf "bad weight %S (expected an integer)" tail))
 
 let run_serve db_name sf seed schema_file data_dir port budget window decay
-    check_every drift_threshold cost_threshold compress prune_support
+    check_every drift_threshold cost_threshold prune_support
     read_timeout max_connections max_tenant_connections max_output_bytes
     tenant_specs metrics =
   (* Every tenant session is built the same way: database by name and
@@ -620,7 +621,6 @@ let run_serve db_name sf seed schema_file data_dir port budget window decay
         o_check_every = check_every;
         o_div_threshold = drift_threshold;
         o_cost_threshold = cost_threshold;
-        o_compress = compress;
         o_prune_support = prune_support;
       }
     in
@@ -692,9 +692,8 @@ let serve_cmd =
     Term.(
       const run_serve $ db_arg $ sf_arg $ seed_arg $ schema_arg $ data_arg
       $ port_arg $ serve_budget_arg $ window_arg $ decay_arg $ check_every_arg
-      $ drift_threshold_arg $ cost_threshold_arg $ compress_arg
-      $ prune_support_arg $ read_timeout_arg $ max_connections_arg
-      $ max_tenant_connections_arg
+      $ drift_threshold_arg $ cost_threshold_arg $ prune_support_arg
+      $ read_timeout_arg $ max_connections_arg $ max_tenant_connections_arg
       $ max_output_bytes_arg $ tenant_arg $ metrics_arg)
 
 (* ---- generate ---- *)

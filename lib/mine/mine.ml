@@ -95,7 +95,6 @@ let itemsets t = t.mn_itemsets
 type frontier = {
   fr_support : float;
   fr_threshold : float;  (* absolute mass threshold *)
-  fr_mass : float;
   fr_itemsets : int;
   fr_supported_tables : int;
   (* Per table, the observed itemsets in sorted-key order: support sums
@@ -134,7 +133,6 @@ let frontier t ~support =
   {
     fr_support = support;
     fr_threshold = threshold;
-    fr_mass = t.mn_mass;
     fr_itemsets = t.mn_itemsets;
     fr_supported_tables = !supported_tables;
     fr_tables = tables;
@@ -260,7 +258,6 @@ let keep_index fr ix =
 
 type stats = {
   fs_support : float;
-  fs_mass : float;
   fs_itemsets : int;
   fs_supported_tables : int;
   fs_kept : int;
@@ -270,7 +267,6 @@ type stats = {
 let frontier_stats fr =
   {
     fs_support = fr.fr_support;
-    fs_mass = fr.fr_mass;
     fs_itemsets = fr.fr_itemsets;
     fs_supported_tables = fr.fr_supported_tables;
     fs_kept = fr.fr_kept;

@@ -117,7 +117,6 @@ val keep_index : frontier -> Im_catalog.Index.t -> bool
 
 type stats = {
   fs_support : float;  (** the requested relative threshold *)
-  fs_mass : float;  (** total mined mass behind the frontier *)
   fs_itemsets : int;  (** distinct (table, column-set) itemsets *)
   fs_supported_tables : int;
       (** tables with at least one supported itemset *)

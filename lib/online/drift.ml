@@ -39,14 +39,18 @@ let create ?(div_threshold = 0.35) ?(cost_threshold = 0.30) () =
 
 let has_baseline t = t.baseline <> None
 
-let distribution (w : Workload.t) =
-  let total = Workload.total_freq w in
+(* Each cluster's signature, as the window computed it when the slot
+   was founded, with its share of the mass. The clusters keep
+   [Window.clusters] order and the total is summed in that order, as
+   [Workload.total_freq] sums the window's workload. *)
+let distribution window =
+  let clusters = Window.clusters window in
+  let total = Im_util.List_ext.sum_by_f (fun c -> c.Window.cl_freq) clusters in
   if total <= 0. then []
   else
     List.map
-      (fun (e : Workload.entry) ->
-        (Compress.signature e.Workload.query, e.Workload.freq /. total))
-      w.Workload.entries
+      (fun c -> (c.Window.cl_signature, c.Window.cl_freq /. total))
+      clusters
 
 (* Project [dist] onto [buckets]: each entry's share goes to the nearest
    bucket within [Window.threshold], the remainder to an implicit "other"
@@ -80,7 +84,8 @@ let total_variation buckets current =
     buckets;
   0.5 *. !sum
 
-let unit_cost service config w =
+let unit_cost service config window =
+  let w = Window.to_workload window in
   let mass = Workload.total_freq w in
   if mass <= 0. then 0.
   else Im_costsvc.Service.workload_cost service config w /. mass

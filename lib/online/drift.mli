@@ -39,21 +39,14 @@ val has_baseline : t -> bool
 (** False until the first {!rebase}; {!check} never fires without a
     baseline (the bootstrap epoch is the service's job). *)
 
-val rebase :
-  t ->
-  Im_costsvc.Service.t ->
-  Im_catalog.Config.t ->
-  Im_workload.Workload.t ->
-  unit
+val rebase : t -> Im_costsvc.Service.t -> Im_catalog.Config.t -> Window.t -> unit
 (** [rebase t service config window] records [window]'s signature
-    distribution and unit cost under [config] as the new baseline. *)
+    distribution and unit cost under [config] as the new baseline. The
+    distribution reads the signatures the window stored when each
+    cluster was founded; the unit cost prices {!Window.to_workload}. *)
 
 val check :
-  t ->
-  Im_costsvc.Service.t ->
-  Im_catalog.Config.t ->
-  Im_workload.Workload.t ->
-  verdict
+  t -> Im_costsvc.Service.t -> Im_catalog.Config.t -> Window.t -> verdict
 (** Compare the current window against the baseline; returns an unfired
     verdict with zero divergence when no baseline exists. *)
 

@@ -2,7 +2,7 @@ module Database = Im_catalog.Database
 module Config = Im_catalog.Config
 module Index = Im_catalog.Index
 module Workload = Im_workload.Workload
-module Scale = Im_scale.Scale
+module Mine = Im_mine.Mine
 module Costsvc = Im_costsvc.Service
 
 type diff = {
@@ -54,8 +54,7 @@ type outcome = {
   e_new_pages : int;
   e_opt_calls : int;
   e_elapsed_s : float;
-  e_scale : Im_scale.Scale.stats option;
-  e_mine : Im_mine.Mine.stats option;
+  e_mine : Mine.stats option;
 }
 
 (* Test/bench hook: IM_EPOCH_DELAY_MS injects a fixed sleep into every
@@ -83,7 +82,7 @@ let injected_failure =
 
 let epochs_started = Atomic.make 0
 
-let run ?compress ?prune_support service ~trigger ~live ~window
+let run ?prune_support service ~trigger ~live ~window
     ~budget_pages ~max_clusters =
   if Workload.size window = 0 then invalid_arg "Epoch.run: empty window";
   (let d = Lazy.force injected_delay_s in
@@ -94,31 +93,36 @@ let run ?compress ?prune_support service ~trigger ~live ~window
    | Some _ | None -> ());
   let db = Costsvc.database service in
   let calls_before = Costsvc.opt_calls service in
-  let (new_config, tuned, old_cost, new_cost, compactor, prune), elapsed =
+  let (new_config, tuned, old_cost, new_cost, prune), elapsed =
     Im_util.Stopwatch.time (fun () ->
-        (* Compaction (with [?compress]) and mining run afresh on every
-           window, so the frontier tracks the decayed window masses: a
-           drift-triggered epoch gets a cheap candidate refresh instead
-           of the full quadratic frontier. The cluster budget then goes
-           to the entries costing most under the live configuration. *)
-        let workload, compactor, prune =
-          Scale.prepare ?compress ?prune_support service window
+        (* Mining runs afresh on every window, so the frontier tracks
+           the decayed window masses: a drift-triggered epoch gets a
+           cheap candidate refresh instead of the full quadratic
+           frontier. A support <= 0 mines nothing. The cluster budget
+           then goes to the entries costing most under the live
+           configuration. *)
+        let prune =
+          match prune_support with
+          | Some s when s > 0. ->
+            let miner = Mine.create () in
+            Mine.observe_workload miner window;
+            Some (Mine.frontier miner ~support:s)
+          | Some _ | None -> None
         in
         let tuning =
           Workload.top_k_by_cost
             ~cost:(Costsvc.query_cost service live)
-            ~k:max_clusters workload
+            ~k:max_clusters window
         in
         let outcome =
           Im_advisor.Advisor.advise ~service ?prune db tuning ~budget_pages
         in
         let new_config = Im_advisor.Advisor.final_config outcome in
-        (* Both costings run over the whole (compacted) window, not
-           just the tuned clusters, so the benefit reflects all live
-           traffic. *)
-        let old_cost = Costsvc.workload_cost service live workload in
-        let new_cost = Costsvc.workload_cost service new_config workload in
-        (new_config, Workload.size tuning, old_cost, new_cost, compactor, prune))
+        (* Both costings run over the whole window, not just the tuned
+           clusters, so the benefit reflects all live traffic. *)
+        let old_cost = Costsvc.workload_cost service live window in
+        let new_cost = Costsvc.workload_cost service new_config window in
+        (new_config, Workload.size tuning, old_cost, new_cost, prune))
   in
   (match List.assoc_opt trigger m_epoch_metrics with
    | Some (c, h) ->
@@ -138,8 +142,7 @@ let run ?compress ?prune_support service ~trigger ~live ~window
     e_new_pages = Database.config_storage_pages db new_config;
     e_opt_calls = Costsvc.opt_calls service - calls_before;
     e_elapsed_s = elapsed;
-    e_scale = Option.map Scale.stats compactor;
-    e_mine = Option.map Im_mine.Mine.frontier_stats prune;
+    e_mine = Option.map Mine.frontier_stats prune;
   }
 
 let summary o =
@@ -150,16 +153,10 @@ let summary o =
     o.e_clusters_tuned o.e_budget_clusters (diff_to_string o.e_diff)
     o.e_old_pages o.e_new_pages o.e_old_cost o.e_new_cost
     (100. *. o.e_benefit) o.e_opt_calls o.e_elapsed_s
-    (match o.e_scale with
+    (match o.e_mine with
      | None -> ""
      | Some st ->
-       Printf.sprintf ", compressed %d -> %d statements (bound eps %.4g)"
-         st.Scale.st_statements st.Scale.st_buckets st.Scale.st_eps_bound)
-  ^
-  match o.e_mine with
-  | None -> ""
-  | Some st ->
-    Printf.sprintf ", pruned %d/%d pair candidates (support %g)"
-      st.Im_mine.Mine.fs_pruned
-      (st.Im_mine.Mine.fs_pruned + st.Im_mine.Mine.fs_kept)
-      st.Im_mine.Mine.fs_support
+       Printf.sprintf ", pruned %d/%d pair candidates (support %g)"
+         st.Mine.fs_pruned
+         (st.Mine.fs_pruned + st.Mine.fs_kept)
+         st.Mine.fs_support)

@@ -14,7 +14,6 @@ type options = {
   o_cost_threshold : float;
   o_check_every : int;
   o_warmup : int;
-  o_compress : float option;
   o_prune_support : float option;
 }
 
@@ -27,7 +26,6 @@ let default_options ~budget_pages =
     o_cost_threshold = 0.30;
     o_check_every = 32;
     o_warmup = 24;
-    o_compress = None;
     o_prune_support = None;
   }
 
@@ -108,9 +106,8 @@ let begin_epoch t trigger =
   let window = Window.to_workload t.window in
   let max_clusters = Budget.current t.budget in
   fun () ->
-    Epoch.run ?compress:t.opts.o_compress
-      ?prune_support:t.opts.o_prune_support t.cache ~trigger ~live ~window
-      ~budget_pages:t.opts.o_budget_pages ~max_clusters
+    Epoch.run ?prune_support:t.opts.o_prune_support t.cache ~trigger ~live
+      ~window ~budget_pages:t.opts.o_budget_pages ~max_clusters
 
 let commit_epoch t outcome =
   t.in_flight <- false;
@@ -122,7 +119,7 @@ let commit_epoch t outcome =
   t.epoch_counts.(k) <- t.epoch_counts.(k) + 1;
   t.epoch_seconds <- t.epoch_seconds +. outcome.Epoch.e_elapsed_s;
   Budget.record t.budget ~benefit:outcome.Epoch.e_benefit;
-  Drift.rebase t.drift t.cache t.live (Window.to_workload t.window)
+  Drift.rebase t.drift t.cache t.live t.window
 
 let abort_epoch t = t.in_flight <- false
 
@@ -148,9 +145,7 @@ let tune_decision t =
     if not (Drift.has_baseline t.drift) then
       if n >= t.opts.o_warmup then (None, Some Epoch.Bootstrap) else (None, None)
     else if n mod t.opts.o_check_every = 0 then begin
-      let verdict =
-        Drift.check t.drift t.cache t.live (Window.to_workload t.window)
-      in
+      let verdict = Drift.check t.drift t.cache t.live t.window in
       if verdict.Drift.v_fired then (Some verdict, Some Epoch.Drift)
       else (Some verdict, None)
     end
@@ -225,13 +220,6 @@ let stats t =
   let i = string_of_int in
   let f2 = Im_util.Ascii_table.f2 in
   let observed = t.seq - t.rejected in
-  (* Compactor and miner figures from the most recent epoch; "-" while
-     compression (pruning) is off or no epoch has run yet. Both options
-     are fixed per service, so every epoch carries them or none does. *)
-  let last f = Option.bind t.last_epoch f in
-  let scale_row f =
-    match last (fun o -> o.Epoch.e_scale) with None -> "-" | Some st -> f st
-  in
   [
     ("statements", i t.seq);
     ("parse rejects", i t.rejected);
@@ -245,16 +233,10 @@ let stats t =
      Printf.sprintf "%d/%d/%d" t.epoch_counts.(0) t.epoch_counts.(1)
        t.epoch_counts.(2));
     ("epoch cluster budget", i (Budget.current t.budget));
-    ( "scale buckets",
-      scale_row (fun st -> i st.Im_scale.Scale.st_buckets) );
-    ( "scale fold ratio",
-      scale_row (fun st -> f2 (Im_scale.Scale.fold_ratio st)) );
-    ( "scale bound eps",
-      scale_row (fun st ->
-          Printf.sprintf "%.4g of %g" st.Im_scale.Scale.st_eps_bound
-            st.Im_scale.Scale.st_eps_budget) );
+    (* The miner's figures from the most recent epoch; "-" while
+       pruning is off or no epoch has run yet. *)
     ( "mine pruned/kept pairs",
-      match last (fun o -> o.Epoch.e_mine) with
+      match Option.bind t.last_epoch (fun o -> o.Epoch.e_mine) with
       | None -> "-"
       | Some st ->
         Printf.sprintf "%d/%d (support %g)" st.Im_mine.Mine.fs_pruned

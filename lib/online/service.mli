@@ -22,10 +22,6 @@ type options = {
   o_cost_threshold : float;  (** drift: relative cost-regression trigger *)
   o_check_every : int;  (** statements between drift checks *)
   o_warmup : int;  (** statements before the bootstrap epoch *)
-  o_compress : float option;
-      (** when set, every epoch compresses its window snapshot through
-          the {!Im_scale.Scale} compactor at this deviation budget
-          before tuning ([--compress EPS] on [serve]) *)
   o_prune_support : float option;
       (** when set (> 0), every epoch re-mines its window's frequent
           itemsets and prunes the advisor's merge enumeration at this
@@ -34,7 +30,7 @@ type options = {
 
 val default_options : budget_pages:int -> options
 (** Capacity 48, decay 0.995, divergence 0.35, cost regression 0.30,
-    check every 32, warmup 24, compression and frontier pruning off.
+    check every 32, warmup 24, frontier pruning off.
     The window's clustering distance ({!Window.threshold}, which drift
     projection shares) and the epoch cluster budget ({!Budget}: 4..64
     starting at 16) are constants, not options. *)
@@ -141,13 +137,13 @@ val rejected : t -> int
 
 val stats : t -> (string * string) list
 (** Ordered counter/latency metrics: statements, parse rejects, window
-    occupancy and mass, drift checks/fires, epochs by trigger, the cost
-    service's unified counters ([cost_evals], [opt_calls],
-    [cache_hits], [cache_misses], [cache_evictions], [cache_entries]),
-    configuration size/pages, intake latency (epochs excluded). With [o_compress] set the
-    list also carries the most recent epoch's compactor figures
-    ([scale buckets], [scale fold ratio], [scale bound eps]; ["-"]
-    until a compressed epoch has run). *)
+    occupancy and mass, drift checks/fires, epochs by trigger, the
+    epoch cluster budget, the most recent epoch's frontier-pruning
+    tallies ([mine pruned/kept pairs]; ["-"] while pruning is off or
+    before the first epoch), the cost service's unified counters
+    ([cost_evals], [opt_calls], [cache_hits], [cache_misses],
+    [cache_evictions], [cache_entries]), configuration size/pages,
+    intake latency (epochs excluded). *)
 
 val render_stats : t -> string
 (** {!stats} as an aligned two-column ASCII table. *)

@@ -2,7 +2,12 @@ module Query = Im_sqlir.Query
 module Compress = Im_workload.Compress
 module Workload = Im_workload.Workload
 
-type cluster = { cl_query : Query.t; cl_freq : float; cl_hits : int }
+type cluster = {
+  cl_query : Query.t;
+  cl_signature : Compress.signature;
+  cl_freq : float;
+  cl_hits : int;
+}
 
 type slot = {
   s_signature : Compress.signature;
@@ -63,11 +68,16 @@ let observe t q =
 let clusters t =
   t.w_slots
   |> List.map (fun s ->
-         { cl_query = s.s_query; cl_freq = s.s_freq; cl_hits = s.s_hits })
+         {
+           cl_query = s.s_query;
+           cl_signature = s.s_signature;
+           cl_freq = s.s_freq;
+           cl_hits = s.s_hits;
+         })
   |> List.sort (fun a b -> Float.compare b.cl_freq a.cl_freq)
 
-let to_workload ?(name = "window") t =
-  Workload.of_entries ~name
+let to_workload t =
+  Workload.of_entries ~name:"window"
     (List.map
        (fun c -> { Workload.query = c.cl_query; freq = c.cl_freq })
        (clusters t))

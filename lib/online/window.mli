@@ -14,6 +14,9 @@
 
 type cluster = {
   cl_query : Im_sqlir.Query.t;  (** the leader — first query of the cluster *)
+  cl_signature : Im_workload.Compress.signature;
+      (** the leader's signature, computed once when the cluster was
+          founded *)
   cl_freq : float;  (** decayed mass *)
   cl_hits : int;  (** statements absorbed, undecayed *)
 }
@@ -38,9 +41,10 @@ val observe : t -> Im_sqlir.Query.t -> unit
 val clusters : t -> cluster list
 (** Heaviest first. *)
 
-val to_workload : ?name:string -> t -> Im_workload.Workload.t
-(** Snapshot of the window as a weighted workload (cluster leaders with
-    their decayed masses). *)
+val to_workload : t -> Im_workload.Workload.t
+(** Snapshot of the window as a weighted workload named ["window"]:
+    the {!clusters}' leaders, in that order, with their decayed
+    masses. *)
 
 val statements : t -> int
 (** Statements observed over the window's lifetime. *)

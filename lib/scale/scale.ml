@@ -24,9 +24,6 @@ type probes = {
 type bucket = {
   bu_leader : Query.t;
   mutable bu_mass : float;
-  mutable bu_statements : int;
-  mutable bu_residual : float;  (* mass of non-leader-canonical members *)
-  mutable bu_delta : float;  (* Σ f·spread of folded members *)
   mutable bu_probes : probes option;  (* sampled lazily *)
 }
 
@@ -52,7 +49,6 @@ type t = {
   mutable sc_order : bucket list;  (* reversed creation order *)
   mutable sc_buckets : int;
   mutable sc_statements : int;
-  mutable sc_mass : float;
   mutable sc_exact : int;
   mutable sc_approx : int;
   mutable sc_delta : float;  (* Δ: Σ f·spread over folded statements *)
@@ -73,7 +69,6 @@ let create ?(eps = 0.05) ?mine service =
     sc_order = [];
     sc_buckets = 0;
     sc_statements = 0;
-    sc_mass = 0.;
     sc_exact = 0;
     sc_approx = 0;
     sc_delta = 0.;
@@ -156,41 +151,25 @@ let fold_into t b q ~freq ~spread ~floor =
      where the compressed snapshot will carry it. *)
   Option.iter (fun m -> Im_mine.Mine.observe m ~freq b.bu_leader) t.sc_mine;
   t.sc_statements <- t.sc_statements + 1;
-  t.sc_mass <- t.sc_mass +. freq;
   t.sc_floor <- t.sc_floor +. (freq *. floor);
   b.bu_mass <- b.bu_mass +. freq;
-  b.bu_statements <- b.bu_statements + 1;
   if String.equal q.Query.q_canon b.bu_leader.Query.q_canon then
     t.sc_exact <- t.sc_exact + 1
   else begin
     t.sc_approx <- t.sc_approx + 1;
-    t.sc_delta <- t.sc_delta +. (freq *. spread);
-    b.bu_delta <- b.bu_delta +. (freq *. spread);
-    b.bu_residual <- b.bu_residual +. freq
+    t.sc_delta <- t.sc_delta +. (freq *. spread)
   end
 
 let create_bucket t q ~freq ~floor =
   Option.iter (fun m -> Im_mine.Mine.observe m ~freq q) t.sc_mine;
-  let b =
-    {
-      bu_leader = q;
-      bu_mass = 0.;
-      bu_statements = 0;
-      bu_residual = 0.;
-      bu_delta = 0.;
-      bu_probes = None;
-    }
-  in
+  let b = { bu_leader = q; bu_mass = freq; bu_probes = None } in
   t.sc_order <- b :: t.sc_order;
   t.sc_buckets <- t.sc_buckets + 1;
   Hashtbl.replace t.sc_by_query q.Query.q_canon
     { mb_bucket = b; mb_spread = 0.; mb_floor = floor };
   (* A new leader is a statement of its own bucket, not a fold. *)
   t.sc_statements <- t.sc_statements + 1;
-  t.sc_mass <- t.sc_mass +. freq;
   t.sc_floor <- t.sc_floor +. (freq *. floor);
-  b.bu_mass <- freq;
-  b.bu_statements <- 1;
   b
 
 let try_admit t b q ~freq =
@@ -252,11 +231,9 @@ let bound t =
 
 type stats = {
   st_statements : int;
-  st_mass : float;
   st_buckets : int;
   st_exact_folds : int;
   st_approx_folds : int;
-  st_residual_mass : float;
   st_eps_budget : float;
   st_eps_bound : float;
   st_probe_costs : int;
@@ -265,12 +242,9 @@ type stats = {
 let stats t =
   {
     st_statements = t.sc_statements;
-    st_mass = t.sc_mass;
     st_buckets = t.sc_buckets;
     st_exact_folds = t.sc_exact;
     st_approx_folds = t.sc_approx;
-    st_residual_mass =
-      Im_util.List_ext.sum_by_f (fun b -> b.bu_residual) t.sc_order;
     st_eps_budget = t.sc_eps;
     st_eps_bound = bound t;
     st_probe_costs = t.sc_probe_costs;

@@ -82,13 +82,11 @@ val snapshot : ?name:string -> t -> Im_workload.Workload.t
 
 type stats = {
   st_statements : int;  (** statements streamed in *)
-  st_mass : float;  (** total frequency mass *)
   st_buckets : int;  (** compressed entries (= size of {!snapshot}) *)
   st_exact_folds : int;
       (** statements folded onto a canonically identical entry *)
   st_approx_folds : int;
       (** statements folded across distinct queries (charged to Δ) *)
-  st_residual_mass : float;  (** mass represented by a different query *)
   st_eps_budget : float;  (** the requested ε *)
   st_eps_bound : float;
       (** the reported bound ε̂ = slack·Δ/L ≤ ε; 0 when only exact
@@ -113,8 +111,9 @@ val prepare :
     to tune, the compactor when one ran, and the pruning frontier. The
     merge search ({!Im_merging.Search.run}) and the advisor
     ({!Im_advisor.Advisor.advise}) take only the results; the callers
-    are the CLI's [merge], [advise] and [tune] and the online epoch
-    ({!Im_online.Epoch.run}).
+    are the CLI's [merge], [advise] and [tune]. The online epoch does
+    not compress: its window snapshot already holds one entry per
+    signature.
 
     - [?compress EPS] streams [w] through a fresh compactor at
       deviation budget [EPS]; the workload returned is its

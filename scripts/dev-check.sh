@@ -12,9 +12,9 @@
 # cache parses every generated statement exactly as the parser does),
 # formatting when ocamlformat is installed (skipped gracefully when
 # not — the CI container does not ship it), and last lib/'s line count,
-# largest .ml file, optional-argument count and Online.Service.options
-# field count, plus bin/'s .ml line count, each with its delta against
-# HEAD~1 (scripts/lib-lines.sh). The --compress 0 and --prune-support 0
+# largest .ml file, optional-argument count, Online.Service.options
+# field count and im_* library-dependency count, plus bin/'s .ml line
+# count, each with its delta against HEAD~1 (scripts/lib-lines.sh). The --compress 0 and --prune-support 0
 # identities are goldens under test/golden, run by `dune runtest`.
 set -eu
 

@@ -19,6 +19,7 @@ module Synthetic = Im_workload.Synthetic
 module Ragsgen = Im_workload.Ragsgen
 module Rng = Im_util.Rng
 module Compress = Im_workload.Compress
+module Scale = Im_scale.Scale
 
 let tc = Alcotest.test_case
 
@@ -123,13 +124,18 @@ let test_window_validation () =
 
 (* A window founds a slot only when the statement's signature lies
    farther than [Window.threshold] from every live slot, so its
-   snapshot's entries carry pairwise distinct signature keys. Random
-   streams mix generated queries (exact repeats) with point queries
-   (constant variants of one signature). *)
+   snapshot's entries carry pairwise distinct signature keys — and the
+   batch compactor, which folds only statements with equal keys, hands
+   the snapshot back unchanged at any budget, folding nothing. That is
+   why an epoch tunes the window as it stands. Random streams mix
+   generated queries (exact repeats) with point queries (constant
+   variants of one signature). *)
 let window_stream_pool =
   lazy
     (let db = Lazy.force syn_db in
      Workload.queries (Ragsgen.generate db ~rng:(Rng.create 5) ~n:30))
+
+let window_cost_service = lazy (Costsvc.create (Lazy.force syn_db))
 
 let prop_window_snapshot_compressed =
   QCheck.Test.make ~name:"window snapshot is signature-compressed" ~count:100
@@ -147,12 +153,28 @@ let prop_window_snapshot_compressed =
                (Printf.sprintf "%s_c%d" tbl (Rng.int rng 3))
                (Rng.int rng 50))
       done;
+      let snapshot = Window.to_workload w in
       let keys =
         List.map
           (fun q -> Compress.signature_key (Compress.signature q))
-          (Workload.queries (Window.to_workload w))
+          (Workload.queries snapshot)
       in
-      List.length (List.sort_uniq String.compare keys) = List.length keys)
+      let same_entry (a : Workload.entry) (b : Workload.entry) =
+        String.equal a.query.Query.q_canon b.query.Query.q_canon
+        && Int64.equal (Int64.bits_of_float a.freq) (Int64.bits_of_float b.freq)
+      in
+      let service = Lazy.force window_cost_service in
+      let compacts_to_itself eps =
+        match Scale.prepare ~compress:eps service snapshot with
+        | w', Some c, None ->
+          let st = Scale.stats c in
+          List.equal same_entry snapshot.Workload.entries w'.Workload.entries
+          && st.Scale.st_approx_folds = 0
+          && st.Scale.st_eps_bound = 0.
+        | _ -> false
+      in
+      List.length (List.sort_uniq String.compare keys) = List.length keys
+      && List.for_all compacts_to_itself [ 0.; 0.05; 0.5 ])
 
 (* ---- Cost service as the online what-if cache ---- *)
 
@@ -209,21 +231,29 @@ let test_whatif_capped () =
 
 (* ---- Drift ---- *)
 
-let window_workload queries_with_freq =
-  Workload.of_entries ~name:"w"
-    (List.map (fun (q, freq) -> { Workload.query = q; freq }) queries_with_freq)
+(* An undecayed window holding each query [n] times: its clusters
+   carry exactly these masses. *)
+let window_of queries_with_counts =
+  let w = Window.create ~decay:1. () in
+  List.iter
+    (fun (q, n) ->
+      for _ = 1 to n do
+        Window.observe w q
+      done)
+    queries_with_counts;
+  w
 
 let test_drift_stable_traffic_quiet () =
   let db = Lazy.force syn_db in
   let cache = Costsvc.create db in
   let drift = Drift.create () in
-  let w = window_workload [ (point_query "t0" "t0_c0" 1, 10.); (point_query "t1" "t1_c0" 2, 5.) ] in
+  let w = window_of [ (point_query "t0" "t0_c0" 1, 10); (point_query "t1" "t1_c0" 2, 5) ] in
   Alcotest.(check bool) "no baseline" false (Drift.has_baseline drift);
   let v0 = Drift.check drift cache [] w in
   Alcotest.(check bool) "no fire without baseline" false v0.Drift.v_fired;
   Drift.rebase drift cache [] w;
   (* Same mix, different constants: no drift. *)
-  let w' = window_workload [ (point_query "t0" "t0_c0" 99, 12.); (point_query "t1" "t1_c0" 7, 6.) ] in
+  let w' = window_of [ (point_query "t0" "t0_c0" 99, 12); (point_query "t1" "t1_c0" 7, 6) ] in
   let v = Drift.check drift cache [] w' in
   Alcotest.(check bool) "quiet" false v.Drift.v_fired;
   Alcotest.(check bool) "tiny divergence" true (v.Drift.v_divergence < 0.05)
@@ -232,10 +262,10 @@ let test_drift_shifted_mix_fires () =
   let db = Lazy.force syn_db in
   let cache = Costsvc.create db in
   let drift = Drift.create () in
-  let before = window_workload [ (point_query "t0" "t0_c0" 1, 10.) ] in
+  let before = window_of [ (point_query "t0" "t0_c0" 1, 10) ] in
   Drift.rebase drift cache [] before;
   (* Traffic moves to a different table entirely. *)
-  let after = window_workload [ (point_query "t2" "t2_c0" 1, 10.) ] in
+  let after = window_of [ (point_query "t2" "t2_c0" 1, 10) ] in
   let v = Drift.check drift cache [] after in
   Alcotest.(check bool) "fires" true v.Drift.v_fired;
   Alcotest.(check bool) "near-total divergence" true (v.Drift.v_divergence > 0.9);
@@ -247,14 +277,14 @@ let test_drift_partial_shift_graded () =
   let cache = Costsvc.create db in
   let drift = Drift.create ~div_threshold:0.9 () in
   let before =
-    window_workload
-      [ (point_query "t0" "t0_c0" 1, 5.); (point_query "t1" "t1_c0" 1, 5.) ]
+    window_of
+      [ (point_query "t0" "t0_c0" 1, 5); (point_query "t1" "t1_c0" 1, 5) ]
   in
   Drift.rebase drift cache [] before;
   (* Half the mass moves: TV distance = 0.5. *)
   let after =
-    window_workload
-      [ (point_query "t0" "t0_c0" 1, 5.); (point_query "t3" "t3_c0" 1, 5.) ]
+    window_of
+      [ (point_query "t0" "t0_c0" 1, 5); (point_query "t3" "t3_c0" 1, 5) ]
   in
   let v = Drift.check drift cache [] after in
   Alcotest.(check (float 0.05)) "half moved" 0.5 v.Drift.v_divergence;
@@ -265,14 +295,14 @@ let test_drift_cost_regression_fires () =
   let cache = Costsvc.create db in
   let drift = Drift.create ~div_threshold:1.1 (* divergence disabled *) () in
   let ix = Index.make ~table:"t0" [ "t0_c0" ] in
-  let covered = window_workload [ (point_query "t0" "t0_c0" 1, 10.) ] in
+  let covered = window_of [ (point_query "t0" "t0_c0" 1, 10) ] in
   Drift.rebase drift cache [ ix ] covered;
   (* Same table, but the hot predicate column moved off the index: the
      live config serves the new traffic worse -> cost regression. The
      mix still matches within the signature threshold? No — different
      sargable column gives distance > 0, but we disabled divergence to
      isolate the cost path. *)
-  let uncovered = window_workload [ (point_query "t0" "t0_c4" 1, 10.) ] in
+  let uncovered = window_of [ (point_query "t0" "t0_c4" 1, 10) ] in
   let v = Drift.check drift cache [ ix ] uncovered in
   Alcotest.(check bool) "regression detected" true (v.Drift.v_regression > 0.);
   if v.Drift.v_fired then
@@ -501,10 +531,11 @@ let test_service_thousand_statements_capped () =
   Alcotest.(check bool) "stats respond mid-stream" true
     (List.length (Service.stats svc) > 0)
 
-(* Compressed and pruned epochs, pinned: the committed repeats.sql
+(* Pruned and plain epochs, pinned: the committed repeats.sql
    workload (a synthetic1 workload plus exact repeats and constant
    variants, shared with the golden CLI runs) is fed twice through a
-   service per option set, then one epoch is forced. Each epoch's
+   service with and without frontier pruning, then one epoch is
+   forced. Each epoch's
    summary, minus its wall time, must match the committed strings. *)
 let repeats_statements =
   lazy
@@ -524,14 +555,13 @@ let strip_elapsed summary =
               <> None))
   |> String.concat ","
 
-let epoch_summaries ~compress ~prune_support =
+let epoch_summaries ~prune_support =
   let db = Synthetic.database ~seed:1 Synthetic.synthetic1 in
   let budget_pages = max 1 (Database.data_pages db / 2) in
   let options =
     {
       (Service.default_options ~budget_pages) with
-      Service.o_compress = compress;
-      o_prune_support = prune_support;
+      Service.o_prune_support = prune_support;
     }
   in
   let svc = Service.create ~options db ~budget_pages in
@@ -548,23 +578,11 @@ let epoch_summaries ~compress ~prune_support =
   List.map (fun o -> strip_elapsed (Epoch.summary o)) (fed @ forced)
 
 let test_service_pinned_epochs () =
-  let check name ~compress ~prune_support expected =
+  let check name ~prune_support expected =
     Alcotest.(check (list string)) name expected
-      (epoch_summaries ~compress ~prune_support)
+      (epoch_summaries ~prune_support)
   in
-  check "compress 0.2, prune-support 0.1" ~compress:(Some 0.2)
-    ~prune_support:(Some 0.1)
-    [
-      "epoch[bootstrap]: 12/16 clusters, diff +9 -0 =0, pages 0 -> 841, \
-       window cost 26233.5 -> 7482.0 (benefit 71.5%), 156 optimizer calls, \
-       compressed 12 -> 12 statements (bound eps 0), pruned 0/0 pair \
-       candidates (support 0.1)";
-      "epoch[forced]: 12/32 clusters, diff +3 -3 =6, pages 841 -> 537, \
-       window cost 21861.0 -> 23753.5 (benefit -8.7%), 110 optimizer calls, \
-       compressed 12 -> 12 statements (bound eps 0), pruned 0/0 pair \
-       candidates (support 0.1)";
-    ];
-  check "prune-support 0.1" ~compress:None ~prune_support:(Some 0.1)
+  check "prune-support 0.1" ~prune_support:(Some 0.1)
     [
       "epoch[bootstrap]: 12/16 clusters, diff +9 -0 =0, pages 0 -> 841, \
        window cost 26233.5 -> 7482.0 (benefit 71.5%), 156 optimizer calls, \
@@ -573,7 +591,7 @@ let test_service_pinned_epochs () =
        window cost 21861.0 -> 23753.5 (benefit -8.7%), 110 optimizer calls, \
        pruned 0/0 pair candidates (support 0.1)";
     ];
-  check "neither" ~compress:None ~prune_support:None
+  check "neither" ~prune_support:None
     [
       "epoch[bootstrap]: 12/16 clusters, diff +21 -0 =0, pages 0 -> 1459, \
        window cost 26233.5 -> 2099.5 (benefit 92.0%), 846 optimizer calls";
@@ -702,7 +720,7 @@ let () =
           tc "drift re-tunes" `Quick test_service_drift_retunes;
           tc "1000 statements stay capped" `Slow
             test_service_thousand_statements_capped;
-          tc "compressed and pruned epochs pinned" `Quick
+          tc "pruned and plain epochs pinned" `Quick
             test_service_pinned_epochs;
           tc "validation" `Quick test_service_validation;
           tc "async intake = feed" `Quick

@@ -3,7 +3,9 @@
    STATS / EPOCH / CONFIG / QUIT / SHUTDOWN, and insist on a clean
    exit; then check that the CLI rejects out-of-range values of its
    checked flags (--compress, --prune-support and the rest) on every
-   subcommand. Runs as part of `dune runtest` (see test/dune, which declares
+   subcommand, and flag values it cannot honour (an --updates table the
+   schema lacks, --merge-pair exhaustive under --cost-model nocost),
+   before printing anything. Runs as part of `dune runtest` (see test/dune, which declares
    the dependency on the binary). *)
 
 let cli () =
@@ -123,18 +125,21 @@ let test_smoke () =
 
 (* ---- Flag validation ---- *)
 
-(* Run the CLI with [args]; its exit code and stderr lines. A run that
-   outlives 20 s (e.g. [serve] accepting a value it should reject) is
-   killed and fails the test. *)
+(* Run the CLI with [args]; its exit code, stderr lines and stdout. A
+   run that outlives 20 s (e.g. [serve] accepting a value it should
+   reject) is killed and fails the test. *)
 let run_cli args =
   let err_read, err_write = Unix.pipe ~cloexec:true () in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let out_path = Filename.temp_file "im_smoke" ".out" in
+  let out = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
   let pid =
     Unix.create_process (cli ()) (Array.of_list (cli () :: args)) devnull
-      devnull err_write
+      out err_write
   in
   Unix.close err_write;
   Unix.close devnull;
+  Unix.close out;
   let deadline = Unix.gettimeofday () +. 20. in
   let rec wait () =
     match Unix.waitpid [ Unix.WNOHANG ] pid with
@@ -153,7 +158,26 @@ let run_cli args =
   let ic = Unix.in_channel_of_descr err_read in
   let lines = String.split_on_char '\n' (String.trim (In_channel.input_all ic)) in
   close_in ic;
-  (code, lines)
+  let stdout = In_channel.with_open_bin out_path In_channel.input_all in
+  Sys.remove out_path;
+  (code, lines, stdout)
+
+(* [args] must be refused up front: exit 2, nothing on stdout, and one
+   stderr line naming [flag]. *)
+let check_rejected ~flag args =
+  let label = String.concat " " args in
+  let code, lines, stdout = run_cli args in
+  Alcotest.(check int) (label ^ ": exit 2") 2 code;
+  Alcotest.(check string) (label ^ ": no stdout") "" stdout;
+  match lines with
+  | [ line ] ->
+    Alcotest.(check bool)
+      (label ^ ": names the flag") true
+      (Astring_contains.contains line flag)
+  | _ ->
+    Alcotest.fail
+      (Printf.sprintf "%s: %d stderr lines, expected 1" label
+         (List.length lines))
 
 let test_bad_fractions_rejected () =
   (* --compress EPS must be finite and >= 0, --prune-support S in
@@ -170,7 +194,10 @@ let test_bad_fractions_rejected () =
      an empty workload, a silent clamp, a daemon that dies at its first
      drift check, a window whose masses turn NaN, a daemon that refuses
      every client, one that never (or always) reaps idle connections,
-     or one that never serves a tenant while it spins. *)
+     or one that never serves a tenant while it spins. Each --updates
+     entry must be table:rows with a table of the schema and rows an
+     integer >= 1, rather than a crash after the initial configuration
+     is printed. *)
   let compress = ("--compress", [ "nan"; "-3"; "inf"; "x" ]) in
   let prune = ("--prune-support", [ "7"; "nan"; "-0.1"; "1.5" ]) in
   let queries = ("--queries", [ "-3"; "0"; "x"; "1.5" ]) in
@@ -190,13 +217,14 @@ let test_bad_fractions_rejected () =
   let sf = ("--sf", [ "nan"; "-2"; "0"; "inf"; "x" ]) in
   let constraint_ = ("--constraint", [ "nan"; "-0.1"; "inf"; "x" ]) in
   let initial = ("--initial", [ "-3"; "1.5"; "x" ]) in
+  let updates = ("--updates", [ "nosuch:10"; "t0:0"; "t0"; "t0:x" ]) in
   (* Each subcommand with the flags it validates; a well-formed
      -q/-b is passed too, unless that is the flag under test. *)
   let commands =
     [
       ( "merge",
         [ ("--queries", "6") ],
-        [ compress; prune; queries; sf; constraint_; initial ] );
+        [ compress; prune; queries; sf; constraint_; initial; updates ] );
       ( "advise",
         [ ("--queries", "6"); ("--budget", "100") ],
         [ compress; prune; queries; budget; sf ] );
@@ -208,7 +236,7 @@ let test_bad_fractions_rejected () =
       ( "serve",
         [ ("--port", "0") ],
         [
-          compress; prune; budget; window; decay; check_every; drift; cost;
+          prune; budget; window; decay; check_every; drift; cost;
           max_conns; read_timeout; max_output; max_tenant; weight; sf;
         ] );
     ]
@@ -219,28 +247,22 @@ let test_bad_fractions_rejected () =
         (fun (flag, values) ->
           List.iter
             (fun v ->
-              let args =
-                [ sub; "-d"; "synthetic1" ]
+              check_rejected ~flag
+                ([ sub; "-d"; "synthetic1" ]
                 @ List.concat_map
                     (fun (f, x) -> if f = flag then [] else [ f ^ "=" ^ x ])
                     fixed
-                @ [ flag ^ "=" ^ v ]
-              in
-              let label = String.concat " " args in
-              let code, lines = run_cli args in
-              Alcotest.(check int) (label ^ ": exit 2") 2 code;
-              match lines with
-              | [ line ] ->
-                Alcotest.(check bool)
-                  (label ^ ": names the flag") true
-                  (Astring_contains.contains line flag)
-              | _ ->
-                Alcotest.fail
-                  (Printf.sprintf "%s: %d stderr lines, expected 1" label
-                     (List.length lines)))
+                @ [ flag ^ "=" ^ v ]))
             values)
         flags)
-    commands
+    commands;
+  (* MergePair-Exhaustive ranks column orders by workload cost, which
+     the No-Cost model does not have. *)
+  check_rejected ~flag:"--merge-pair"
+    [
+      "merge"; "-d"; "synthetic1"; "-q"; "5"; "--merge-pair"; "exhaustive";
+      "--cost-model"; "nocost";
+    ]
 
 let () =
   Alcotest.run "im_online_smoke"
